@@ -670,6 +670,46 @@ fn bench_multi_job(c: &mut Criterion) {
             black_box(sim.energy_joules())
         });
     });
+    // A wide cluster: 96 gangs of 4–12 slots on 640 slots, about 70 running
+    // at once. Per-event bookkeeping that scanned the running jobs (run
+    // lookup, energy ledgers, scheduler views) grew with that count.
+    let wide_cluster = ClusterSpec {
+        workers: 320,
+        ..ClusterSpec::paper_reference()
+    };
+    let many: Vec<JobInstance> = (0..96u64)
+        .map(|id| {
+            let width = 4 + (id % 9) as usize;
+            let spec = JobSpec::builder(id, (id % 4 == 0) as usize)
+                .setup(Dist::constant(2.0))
+                .shuffle(Dist::constant(1.0))
+                .stage(StageSpec::new(
+                    StageKind::Map,
+                    width,
+                    Dist::uniform(4.0, 12.0),
+                ))
+                .stage(StageSpec::new(
+                    StageKind::Reduce,
+                    2,
+                    Dist::uniform(2.0, 5.0),
+                ))
+                .build();
+            JobInstance::sample(&spec, &mut rng)
+        })
+        .collect();
+    group.bench_function("wide_640slots_96gangs", |b| {
+        b.iter(|| {
+            let mut sim =
+                ClusterSim::with_scheduler(wide_cluster.clone(), Box::new(GangBinPack)).unwrap();
+            for inst in &many {
+                sim.submit_job(inst, &[0.0, 0.0]).unwrap();
+            }
+            while !sim.is_idle() {
+                sim.advance().unwrap();
+            }
+            black_box(sim.energy_joules())
+        });
+    });
     group.finish();
 }
 

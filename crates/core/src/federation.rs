@@ -71,10 +71,10 @@
 //! assert_eq!(report.routed_jobs.iter().sum::<u64>(), 40);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dias_des::SimTime;
-use dias_engine::{ClusterSpec, FaultTrace, JobId, JobInstance, Scheduler};
+use dias_engine::{ClusterSpec, FaultTrace, IdMap, JobInstance, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, NoHook};
 use crate::sweep::run_parallel;
@@ -219,7 +219,7 @@ struct ShardDriver {
     driver: MultiDriver<ShardInbox>,
     /// Global arrival sequence number of every job currently routed here and
     /// not yet completed.
-    global_seq: HashMap<JobId, usize>,
+    global_seq: IdMap<usize>,
     /// Jobs ever routed to this shard.
     routed: u64,
     /// Global measurement window (`warmup..warmup + jobs`).
@@ -659,7 +659,7 @@ impl<S: JobSource> FederationExperiment<S> {
             }
             drivers.push(ShardDriver {
                 driver: MultiDriver::build(exp)?,
-                global_seq: HashMap::new(),
+                global_seq: IdMap::default(),
                 routed: 0,
                 window,
             });

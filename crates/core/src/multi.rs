@@ -25,13 +25,14 @@
 //! (arrival → first dispatch) and preemption re-execution loss (first → final
 //! dispatch).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
     Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, FaultTrace, FreqLevel,
-    JobId, JobInstance, Scheduler, Submission,
+    IdMap, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -308,12 +309,26 @@ struct JobMeta {
 
 /// A pending per-attempt sprint timer: when it fires, `job`'s domain starts
 /// sprinting if the attempt is still running and the budget allows.
-#[derive(Debug, Clone, Copy)]
+///
+/// The derived order is field order, `(at, seq)` first: [`TimerHeap`] fires
+/// timers in time order and, at equal times, in the order they were armed
+/// (`seq` is unique, so the later fields never decide).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SprintTimer {
     at: SimTime,
+    /// Arming sequence number: the tie-break among timers due together.
+    seq: u64,
     job: JobId,
     attempt: u32,
 }
+
+/// Armed sprint timers, earliest on top.
+///
+/// A timer dies with its attempt (the job finished, or was evicted and will
+/// re-arm under a new attempt). Dead timers are not searched for: they are
+/// dropped when they reach the top, which is all the arbiter needs — the
+/// earliest *live* timer — at O(log n) per timer.
+type TimerHeap = BinaryHeap<Reverse<SprintTimer>>;
 
 /// One arm of the driver's event arbiter, in the loop's fixed tie order:
 /// engine event → budget depletion → sprint timers → faults → arrival.
@@ -677,8 +692,9 @@ struct MultiCheckpoint<S> {
     source: S,
     /// The already-drawn instance about to be submitted.
     next_arrival: Option<JobInstance>,
-    meta: HashMap<JobId, JobMeta>,
-    timers: Vec<SprintTimer>,
+    meta: IdMap<JobMeta>,
+    timers: TimerHeap,
+    timer_seq: u64,
     sprinter: Option<MultiSprinter>,
     /// The fault-trace cursor (cf. [`FaultTrace::index_at`]).
     fault_idx: usize,
@@ -788,6 +804,7 @@ impl<S: Clone> RunHook<S> for TraceHook<S> {
                 next_arrival: driver.next_arrival.clone(),
                 meta: driver.meta.clone(),
                 timers: driver.timers.clone(),
+                timer_seq: driver.timer_seq,
                 sprinter: driver.sprinter.clone(),
                 fault_idx: driver.fault_idx,
                 last_effective: driver.last_effective,
@@ -864,8 +881,10 @@ pub(crate) struct MultiDriver<S> {
     pub(crate) source: S,
     pub(crate) engine: ClusterSim,
     pub(crate) report: MultiJobReport,
-    meta: HashMap<JobId, JobMeta>,
-    timers: Vec<SprintTimer>,
+    meta: IdMap<JobMeta>,
+    timers: TimerHeap,
+    /// Sequence number of the next armed timer.
+    timer_seq: u64,
     sprinter: Option<MultiSprinter>,
     fault_idx: usize,
     last_effective: usize,
@@ -954,8 +973,9 @@ impl<S: JobSource> MultiDriver<S> {
             source: exp.source,
             engine,
             report,
-            meta: HashMap::new(),
-            timers: Vec::new(),
+            meta: IdMap::default(),
+            timers: TimerHeap::new(),
+            timer_seq: 0,
             sprinter: None,
             fault_idx: 0,
             last_effective: total_slots,
@@ -986,6 +1006,7 @@ impl<S: JobSource> MultiDriver<S> {
         self.next_arrival = cp.next_arrival.clone();
         self.meta = cp.meta.clone();
         self.timers = cp.timers.clone();
+        self.timer_seq = cp.timer_seq;
         self.sprinter = cp.sprinter.clone();
         self.fault_idx = cp.fault_idx;
         self.last_effective = cp.last_effective;
@@ -1107,31 +1128,34 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Event times of the four machine-side event families in the loop's tie
-    /// order — engine event, sprint-budget depletion, sprint timers (stale
-    /// ones purged here) and faults. `arrivals_pending` tells the fault gate
-    /// whether the arrival stream still has undelivered work; the caller owns
-    /// the arrival time itself, which is what lets the soak driver batch
-    /// releases without re-implementing any of this.
+    /// order — engine event, sprint-budget depletion, sprint timers (dead
+    /// ones dropped from the top here) and faults. `arrivals_pending` tells
+    /// the fault gate whether the arrival stream still has undelivered work;
+    /// the caller owns the arrival time itself, which is what lets the soak
+    /// driver batch releases without re-implementing any of this.
     pub(crate) fn machine_times(&mut self, arrivals_pending: bool) -> [Option<SimTime>; 4] {
         let engine_t = self.engine.next_event_time();
         let depletion_t = self
             .sprinter
             .as_ref()
             .and_then(MultiSprinter::depletion_time);
-        // Purge timers whose attempt is dead (job finished, or evicted —
-        // a re-dispatch arms a fresh timer under a bumped attempt). A
-        // stale timer must not keep the clock running past the last real
-        // event, or a finite source's horizon (and idle energy) would
-        // grow a phantom tail.
-        {
-            let meta = &self.meta;
-            let engine = &self.engine;
-            self.timers.retain(|t| {
-                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
-                    && engine.job_frequency(t.job).is_some()
-            });
+        // Drop dead timers off the top (job finished, or evicted — a
+        // re-dispatch arms a fresh timer under a bumped attempt). A dead
+        // timer must not keep the clock running past the last real event,
+        // or a finite source's horizon (and idle energy) would grow a
+        // phantom tail. The first live timer on top is the earliest one.
+        while let Some(Reverse(t)) = self.timers.peek() {
+            let live = self
+                .meta
+                .get(&t.job)
+                .is_some_and(|m| m.attempt == t.attempt)
+                && self.engine.job_frequency(t.job).is_some();
+            if live {
+                break;
+            }
+            self.timers.pop();
         }
-        let timer_t = self.timers.iter().map(|t| t.at).min();
+        let timer_t = self.timers.peek().map(|Reverse(t)| t.at);
         // Fault events only matter while work remains (arrivals ahead or
         // jobs running/pending): once the run is winding down, a tail of
         // repairs must not stretch the horizon with phantom idle time.
@@ -1230,16 +1254,11 @@ impl<S: JobSource> MultiDriver<S> {
     pub(crate) fn handle_timers(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self.sprinter.as_mut().expect("timers imply a sprinter");
-        let mut due = Vec::new();
-        self.timers.retain(|t| {
-            if t.at == next_t {
-                due.push(*t);
-                false
-            } else {
-                true
+        while let Some(&Reverse(t)) = self.timers.peek() {
+            if t.at != next_t {
+                break;
             }
-        });
-        for t in due {
+            self.timers.pop();
             let Some(m) = self.meta.get(&t.job) else {
                 continue;
             };
@@ -1393,11 +1412,13 @@ impl<S: JobSource> MultiDriver<S> {
             m.width = d.slots.count;
             if let Some(s) = self.sprinter.as_ref() {
                 if let Some(timeout) = s.timeout_for(m.class) {
-                    self.timers.push(SprintTimer {
+                    self.timers.push(Reverse(SprintTimer {
                         at: d.time + timeout,
+                        seq: self.timer_seq,
                         job: d.job,
                         attempt: m.attempt,
-                    });
+                    }));
+                    self.timer_seq += 1;
                 }
             }
         }
@@ -1424,7 +1445,8 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Live driver+engine objects right now: calendar entries, pending and
-    /// running jobs, job metadata records and armed sprint timers. The soak
+    /// running jobs, job metadata records and armed sprint timers (dead
+    /// ones included until they reach the top of the heap). The soak
     /// harness adds its own arrival buffer and sketch nodes on top to form
     /// the peak-RSS proxy.
     pub(crate) fn live_objects(&self) -> usize {
@@ -1484,7 +1506,7 @@ impl<S: JobSource> MultiDriver<S> {
 /// same sweep resolve their class through `meta`.
 fn harvest_energy(
     engine: &mut ClusterSim,
-    meta: &HashMap<JobId, JobMeta>,
+    meta: &IdMap<JobMeta>,
     expected_class: usize,
     expected_job: JobId,
     report: &mut MultiJobReport,
@@ -1559,6 +1581,37 @@ mod tests {
         );
         assert_eq!(fifo.scheduler, "FIFO");
         assert_eq!(gang.evictions, 0);
+    }
+
+    #[test]
+    fn simultaneous_sprint_timers_fire_in_arming_order() {
+        use crate::{SprintBudget, SprintPolicy};
+        // Two high-class jobs dispatch at t = 0 and their timers come due
+        // together at 0.5 s. The draw cap admits one sprint, so the timer
+        // armed first (job 0's, by dispatch order) must take it.
+        let mut rng = StdRng::seed_from_u64(5);
+        let jobs = [(0u64, 4usize, 20.0), (1, 8, 40.0)]
+            .into_iter()
+            .map(|(id, width, secs)| {
+                let spec = JobSpec::builder(id, 1)
+                    .setup(Dist::constant(1.0))
+                    .stage(StageSpec::new(StageKind::Map, width, Dist::constant(secs)))
+                    .build();
+                JobInstance::sample(&spec, &mut rng)
+            })
+            .collect();
+        let cap = 8.0 * ClusterSpec::paper_reference().sprint_extra_slot_power_w();
+        let report = MultiJobExperiment::new(VecJobSource::new(jobs, 2), Box::new(GangBinPack))
+            .jobs(2)
+            .warmup(0)
+            .sprint(SprintPolicy::top_class(2, 0.5, SprintBudget::Unlimited))
+            .sprint_draw_cap(Some(cap))
+            .run()
+            .unwrap();
+        // Job 0 sprinted from 0.5 s at 2.5x; job 1 ran at base throughout.
+        let exec = &report.per_class[1].execution;
+        assert_eq!(exec.max(), 41.0);
+        assert!((exec.quantile(0.0) - (0.5 + 20.5 / 2.5)).abs() < 1e-9);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! `crates/core/tests/multi_sprint_properties.rs`.
 
 use dias_des::SimTime;
-use dias_engine::JobId;
+use dias_engine::{IdMap, JobId};
 
 use crate::{SprintBudget, SprintPolicy};
 
@@ -39,9 +39,16 @@ pub struct MultiSprinter {
     spent_j: f64,
     replenished_j: f64,
     last: SimTime,
-    /// Sprinting jobs with the slot count each is charged for (its gang
-    /// width), in sprint-start order.
-    active: Vec<(JobId, usize)>,
+    /// Sprinting jobs, each with the slot count it is charged for (its gang
+    /// width) and its sprint-start sequence number. Starts, stops and
+    /// membership tests are O(1); only the calls that list the jobs in
+    /// start order sort.
+    active: IdMap<(usize, u64)>,
+    /// Sequence number of the next sprint start.
+    next_start: u64,
+    /// Slots summed over `active`: the drain rate is read on every event,
+    /// so it is kept rather than summed.
+    active_slots: usize,
     /// Cap (W) on the aggregate *extra* draw of concurrently sprinting gangs;
     /// a start that would push [`MultiSprinter::drain_rate_w`] past it is
     /// refused. `None` (the default) reproduces the uncapped behaviour bit
@@ -70,7 +77,9 @@ impl MultiSprinter {
             spent_j: 0.0,
             replenished_j: 0.0,
             last: SimTime::ZERO,
-            active: Vec::new(),
+            active: IdMap::default(),
+            next_start: 0,
+            active_slots: 0,
             draw_cap_w: None,
         }
     }
@@ -107,20 +116,25 @@ impl MultiSprinter {
     /// Total drain rate (W) of the currently sprinting gangs.
     #[must_use]
     pub fn drain_rate_w(&self) -> f64 {
-        let slots: usize = self.active.iter().map(|(_, s)| *s).sum();
-        slots as f64 * self.extra_slot_power_w
+        self.active_slots as f64 * self.extra_slot_power_w
     }
 
     /// Whether `job` is currently sprinting.
     #[must_use]
     pub fn is_sprinting(&self, job: JobId) -> bool {
-        self.active.iter().any(|(j, _)| *j == job)
+        self.active.contains_key(&job)
     }
 
     /// Jobs currently sprinting, in sprint-start order.
     #[must_use]
     pub fn sprinting_jobs(&self) -> Vec<JobId> {
-        self.active.iter().map(|(j, _)| *j).collect()
+        let mut jobs: Vec<(u64, JobId)> = self
+            .active
+            .iter()
+            .map(|(&job, &(_, start))| (start, job))
+            .collect();
+        jobs.sort_unstable();
+        jobs.into_iter().map(|(_, job)| job).collect()
     }
 
     /// Remaining budget in joules (∞ when unlimited).
@@ -205,7 +219,9 @@ impl MultiSprinter {
                 return false;
             }
         }
-        self.active.push((job, slots));
+        self.active.insert(job, (slots, self.next_start));
+        self.next_start += 1;
+        self.active_slots += slots;
         true
     }
 
@@ -213,9 +229,9 @@ impl MultiSprinter {
     /// whether it was sprinting.
     pub fn stop(&mut self, now: SimTime, job: JobId) -> bool {
         self.advance_to(now);
-        match self.active.iter().position(|(j, _)| *j == job) {
-            Some(idx) => {
-                self.active.remove(idx);
+        match self.active.remove(&job) {
+            Some((slots, _)) => {
+                self.active_slots -= slots;
                 true
             }
             None => false,
@@ -226,7 +242,10 @@ impl MultiSprinter {
     /// to base together); returns them in sprint-start order.
     pub fn stop_all(&mut self, now: SimTime) -> Vec<JobId> {
         self.advance_to(now);
-        self.active.drain(..).map(|(j, _)| j).collect()
+        let jobs = self.sprinting_jobs();
+        self.active.clear();
+        self.active_slots = 0;
+        jobs
     }
 
     /// When the budget hits zero if the current sprints continue

@@ -71,6 +71,14 @@ impl JobLedger {
 /// `crates/engine/tests/golden_trace.rs` pin it), and with heterogeneous
 /// domains it is the only formula that keeps the attribution lossless.
 ///
+/// The engine's updates cost O(1) however many jobs run: it meters each run
+/// in the ledger slot of the run's own table key, and the sum is kept as one
+/// busy-slot count per frequency level, so it reads `idle + busy_base ×
+/// rate_base + busy_sprint × rate_sprint`. Grouping the terms by level
+/// changes no bit whenever the products and partial sums are exact, as they
+/// are for the paper's integer wattages. The public calls by job id search
+/// the ledgers; they serve end-of-run books and tests, not the event path.
+///
 /// # Examples
 ///
 /// ```
@@ -92,8 +100,20 @@ impl JobLedger {
 pub struct EnergyMeter {
     spec: ClusterSpec,
     power: TimeWeighted,
-    active: Vec<JobLedger>,
+    /// Ledgers of the metered jobs by slot (`None` marks a free slot). A
+    /// ledger keeps its slot until the job retires.
+    ledgers: Vec<Option<JobLedger>>,
+    /// Busy slots summed over the ledgers, per level (`[base, sprint]`).
+    busy: [usize; 2],
     finished: Vec<(JobId, JobEnergy)>,
+}
+
+/// Index of `freq` in [`EnergyMeter`]'s per-level busy counts.
+fn level(freq: FreqLevel) -> usize {
+    match freq {
+        FreqLevel::Base => 0,
+        FreqLevel::Sprint => 1,
+    }
 }
 
 impl EnergyMeter {
@@ -104,18 +124,19 @@ impl EnergyMeter {
         EnergyMeter {
             spec: spec.clone(),
             power: TimeWeighted::new(start, idle_power),
-            active: Vec::new(),
+            ledgers: Vec::new(),
+            busy: [0, 0],
             finished: Vec::new(),
         }
     }
 
-    /// Re-evaluates the cluster power from the ledgers at `now`: the idle
-    /// floor plus every job's busy slots at its own domain's rate.
+    /// Re-evaluates the cluster power at `now`: the idle floor plus every
+    /// busy slot at its domain's rate.
     fn sync_power(&mut self, now: SimTime) {
-        let mut p = self.spec.cluster_power_w(0, FreqLevel::Base);
-        for ledger in &self.active {
-            p += ledger.busy as f64 * self.spec.active_slot_power_w(ledger.freq);
-        }
+        let [base, sprint] = self.busy;
+        let p = self.spec.cluster_power_w(0, FreqLevel::Base)
+            + base as f64 * self.spec.active_slot_power_w(FreqLevel::Base)
+            + sprint as f64 * self.spec.active_slot_power_w(FreqLevel::Sprint);
         self.power.set(now, p);
     }
 
@@ -124,20 +145,52 @@ impl EnergyMeter {
     /// Unknown jobs start a fresh ledger. The cluster power integral is
     /// re-synced to the new ledger state.
     pub fn update_job(&mut self, now: SimTime, job: JobId, busy: usize, freq: FreqLevel) {
-        match self.active.iter_mut().find(|l| l.job == job) {
+        let slot = self
+            .slot_of(job)
+            .or_else(|| self.ledgers.iter().position(Option::is_none))
+            .unwrap_or(self.ledgers.len());
+        self.update_ledger(now, slot, job, busy, freq);
+    }
+
+    /// Slot of `job`'s ledger, if it is metered.
+    fn slot_of(&self, job: JobId) -> Option<usize> {
+        self.ledgers
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| l.job == job))
+    }
+
+    /// [`EnergyMeter::update_job`] for the job metered in ledger `slot`,
+    /// opening the ledger when the slot is free.
+    pub(crate) fn update_ledger(
+        &mut self,
+        now: SimTime,
+        slot: usize,
+        job: JobId,
+        busy: usize,
+        freq: FreqLevel,
+    ) {
+        if slot >= self.ledgers.len() {
+            self.ledgers.resize_with(slot + 1, || None);
+        }
+        match &mut self.ledgers[slot] {
             Some(ledger) => {
+                debug_assert_eq!(ledger.job, job, "ledger slot holds another job");
                 ledger.accrue(now, &self.spec);
+                self.busy[level(ledger.freq)] -= ledger.busy;
                 ledger.busy = busy;
                 ledger.freq = freq;
             }
-            None => self.active.push(JobLedger {
-                job,
-                last: now,
-                busy,
-                freq,
-                energy: JobEnergy::default(),
-            }),
+            free @ None => {
+                *free = Some(JobLedger {
+                    job,
+                    last: now,
+                    busy,
+                    freq,
+                    energy: JobEnergy::default(),
+                });
+            }
         }
+        self.busy[level(freq)] += busy;
         self.sync_power(now);
     }
 
@@ -145,12 +198,19 @@ impl EnergyMeter {
     /// ledger; returns its totals, or `None` for a job never metered. The
     /// cluster power integral is re-synced without the retired job.
     pub fn retire_job(&mut self, now: SimTime, job: JobId) -> Option<JobEnergy> {
-        let idx = self.active.iter().position(|l| l.job == job)?;
-        let mut ledger = self.active.swap_remove(idx);
+        let slot = self.slot_of(job)?;
+        Some(self.retire_ledger(now, slot))
+    }
+
+    /// [`EnergyMeter::retire_job`] for the job metered in ledger `slot`,
+    /// which becomes free.
+    pub(crate) fn retire_ledger(&mut self, now: SimTime, slot: usize) -> JobEnergy {
+        let mut ledger = self.ledgers[slot].take().expect("ledger slot is live");
+        self.busy[level(ledger.freq)] -= ledger.busy;
         ledger.accrue(now, &self.spec);
-        self.finished.push((job, ledger.energy));
+        self.finished.push((ledger.job, ledger.energy));
         self.sync_power(now);
-        Some(ledger.energy)
+        ledger.energy
     }
 
     /// Attribution of `job` as of `now`: still-running jobs include their
@@ -158,8 +218,8 @@ impl EnergyMeter {
     /// recent attempt wins if an id was retired twice).
     #[must_use]
     pub fn job_energy(&self, job: JobId, now: SimTime) -> Option<JobEnergy> {
-        if let Some(ledger) = self.active.iter().find(|l| l.job == job) {
-            let mut l = ledger.clone();
+        if let Some(slot) = self.slot_of(job) {
+            let mut l = self.ledgers[slot].clone().expect("found ledger is live");
             l.accrue(now, &self.spec);
             return Some(l.energy);
         }
@@ -197,13 +257,15 @@ impl EnergyMeter {
     /// Current busy-slot count, summed over all active jobs.
     #[must_use]
     pub fn busy_slots(&self) -> usize {
-        self.active.iter().map(|l| l.busy).sum()
+        self.busy[0] + self.busy[1]
     }
 
     /// Frequency level of `job`'s domain, if it is actively metered.
     #[must_use]
     pub fn job_freq(&self, job: JobId) -> Option<FreqLevel> {
-        self.active.iter().find(|l| l.job == job).map(|l| l.freq)
+        self.slot_of(job)
+            .and_then(|slot| self.ledgers[slot].as_ref())
+            .map(|l| l.freq)
     }
 }
 
@@ -316,6 +378,28 @@ mod tests {
             meter.energy_joules(end),
             idle + e1.active_joules + e2.active_joules
         );
+    }
+
+    #[test]
+    fn retiring_a_middle_ledger_keeps_the_others_addressable() {
+        let spec = ClusterSpec::paper_reference();
+        let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
+        for (job, busy) in [(1, 2), (2, 4), (3, 6)] {
+            meter.update_job(SimTime::ZERO, JobId(job), busy, FreqLevel::Base);
+        }
+        // Retiring job 1 moves job 3's ledger into its place.
+        meter.retire_job(SimTime::from_secs(1.0), JobId(1)).unwrap();
+        meter.update_job(SimTime::from_secs(1.0), JobId(3), 6, FreqLevel::Sprint);
+        assert_eq!(meter.job_freq(JobId(3)), Some(FreqLevel::Sprint));
+        assert_eq!(meter.job_freq(JobId(2)), Some(FreqLevel::Base));
+        assert_eq!(meter.job_freq(JobId(1)), None);
+        assert_eq!(meter.busy_slots(), 10);
+        // 900 W idle + 4 base slots at 45 W + 6 sprinting slots at 90 W.
+        assert_eq!(meter.power_w(), 900.0 + 4.0 * 45.0 + 6.0 * 90.0);
+        let e3 = meter.retire_job(SimTime::from_secs(2.0), JobId(3)).unwrap();
+        assert_eq!(e3.active_joules, 6.0 * 45.0 + 6.0 * 90.0);
+        assert_eq!(e3.sprint_slot_secs, 6.0);
+        assert_eq!(meter.busy_slots(), 4);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! *repeat-identical* eviction semantics — a job evicted and re-dispatched re-runs
 //! the very same work, as a real re-execution would.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -18,6 +21,43 @@ pub struct JobId(pub u64);
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job-{}", self.0)
+    }
+}
+
+/// A hash map keyed by [`JobId`], hashed with [`IdHasher`].
+///
+/// The engine and the drivers look jobs up on every event; SipHash, the
+/// standard map's default, costs more than the lookup it serves. Nothing may
+/// depend on an `IdMap`'s iteration order (sort first, as the drivers do).
+pub type IdMap<V> = HashMap<JobId, V, BuildHasherDefault<IdHasher>>;
+
+/// The multiplicative (Fx-style) hasher behind [`IdMap`]: one rotate, xor
+/// and multiply per word. Job ids are trusted, dense integers, so there is no
+/// adversary to defend against.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

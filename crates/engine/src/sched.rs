@@ -109,6 +109,11 @@ pub struct PendingView {
 /// the engine's bitwise reproducibility (and the golden traces pinning it)
 /// depends on placement never consulting wall clocks, RNGs or iteration
 /// order of unordered containers.
+///
+/// The engine keeps the `running` views it hands over sorted by slot start
+/// (phantom blocked ranges included), updated in place as jobs come and go,
+/// so a policy that walks the cluster in slot order needs no sort of its
+/// own. The shipped policies decide the same way under any order.
 pub trait Scheduler: fmt::Debug + Send {
     /// Short human-readable policy name used in reports and benches.
     fn label(&self) -> &'static str;
@@ -149,34 +154,80 @@ pub trait Scheduler: fmt::Debug + Send {
     }
 }
 
-/// Free contiguous gaps left between the running jobs' slot ranges, in slot
-/// order.
-fn free_gaps(total_slots: usize, running: &[RunningView]) -> Vec<SlotRange> {
-    let mut ranges: Vec<SlotRange> = running.iter().map(|r| r.slots).collect();
-    ranges.sort_by_key(|r| r.start);
-    let mut gaps = Vec::new();
-    let mut cursor = 0usize;
-    for r in ranges {
-        if r.start > cursor {
-            gaps.push(SlotRange::new(cursor, r.start - cursor));
+/// Visits the free contiguous gaps between the slot ranges of the views
+/// `keep` selects, in slot order.
+///
+/// The engine hands schedulers its running views sorted by slot start, so
+/// the walk is one pass with no allocation; any other order is sorted into a
+/// scratch copy first. Overlapping ranges (a phantom blocked range over a
+/// draining slot and the run still holding it) merge into one busy span.
+fn for_each_gap(
+    total_slots: usize,
+    running: &[RunningView],
+    keep: impl Fn(&RunningView) -> bool,
+    mut visit: impl FnMut(SlotRange),
+) {
+    let mut walk = |ranges: &mut dyn Iterator<Item = SlotRange>| {
+        let mut cursor = 0usize;
+        for r in ranges {
+            if r.start > cursor {
+                visit(SlotRange::new(cursor, r.start - cursor));
+            }
+            cursor = cursor.max(r.end());
         }
-        cursor = cursor.max(r.end());
+        if cursor < total_slots {
+            visit(SlotRange::new(cursor, total_slots - cursor));
+        }
+    };
+    if running.is_sorted_by_key(|r| r.slots.start) {
+        walk(&mut running.iter().filter(|r| keep(r)).map(|r| r.slots));
+    } else {
+        let mut ranges: Vec<SlotRange> = running
+            .iter()
+            .filter(|r| keep(r))
+            .map(|r| r.slots)
+            .collect();
+        ranges.sort_by_key(|r| r.start);
+        walk(&mut ranges.into_iter());
     }
-    if cursor < total_slots {
-        gaps.push(SlotRange::new(cursor, total_slots - cursor));
-    }
-    gaps
 }
 
-/// Best-fit placement: the smallest free gap that still holds `width` slots
-/// (ties broken by lowest start), truncated to exactly `width`.
-fn best_fit(width: usize, total_slots: usize, running: &[RunningView]) -> Option<SlotRange> {
+/// Best-fit placement among the views `keep` selects: the smallest free gap
+/// that still holds `width` slots (ties broken by lowest start), truncated to
+/// exactly `width`.
+fn best_fit_among(
+    width: usize,
+    total_slots: usize,
+    running: &[RunningView],
+    keep: impl Fn(&RunningView) -> bool,
+) -> Option<SlotRange> {
     let w = width.clamp(1, total_slots);
-    free_gaps(total_slots, running)
-        .into_iter()
-        .filter(|g| g.count >= w)
-        .min_by_key(|g| (g.count, g.start))
-        .map(|g| SlotRange::new(g.start, w))
+    let mut best: Option<SlotRange> = None;
+    for_each_gap(total_slots, running, keep, |g| {
+        if g.count >= w && best.is_none_or(|b| (g.count, g.start) < (b.count, b.start)) {
+            best = Some(g);
+        }
+    });
+    best.map(|g| SlotRange::new(g.start, w))
+}
+
+/// Best-fit placement over every running view (see [`best_fit_among`]).
+fn best_fit(width: usize, total_slots: usize, running: &[RunningView]) -> Option<SlotRange> {
+    best_fit_among(width, total_slots, running, |_| true)
+}
+
+/// Size of the largest free gap: a job fits somewhere exactly when its
+/// clamped width is at most this, so backfill can skip the jobs that fit
+/// nowhere without searching for their gap.
+fn largest_gap(total_slots: usize, running: &[RunningView]) -> usize {
+    let mut largest = 0;
+    for_each_gap(
+        total_slots,
+        running,
+        |_| true,
+        |g| largest = largest.max(g.count),
+    );
+    largest
 }
 
 /// One job at a time over the full cluster — the paper's model and the
@@ -246,10 +297,13 @@ impl Scheduler for GangBinPack {
         total_slots: usize,
         running: &[RunningView],
     ) -> Option<(usize, SlotRange)> {
-        pending
+        // The first job whose width fits the largest gap is the first job
+        // best fit can place.
+        let largest = largest_gap(total_slots, running);
+        let i = pending
             .iter()
-            .enumerate()
-            .find_map(|(i, p)| best_fit(p.width, total_slots, running).map(|r| (i, r)))
+            .position(|p| p.width.clamp(1, total_slots) <= largest)?;
+        best_fit(pending[i].width, total_slots, running).map(|r| (i, r))
     }
 }
 
@@ -288,12 +342,19 @@ impl Scheduler for PriorityPreempt {
         total_slots: usize,
         running: &[RunningView],
     ) -> Option<(usize, SlotRange)> {
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        // Highest class first; stable sort keeps FCFS order within a class.
-        order.sort_by_key(|&i| std::cmp::Reverse(pending[i].class));
-        order
-            .into_iter()
-            .find_map(|i| best_fit(pending[i].width, total_slots, running).map(|r| (i, r)))
+        // Highest class first, FCFS within a class: among the jobs that fit
+        // the largest gap, the earliest one of the highest class.
+        let largest = largest_gap(total_slots, running);
+        let mut pick: Option<usize> = None;
+        for (i, p) in pending.iter().enumerate() {
+            if p.width.clamp(1, total_slots) <= largest
+                && pick.is_none_or(|j| p.class > pending[j].class)
+            {
+                pick = Some(i);
+            }
+        }
+        let i = pick?;
+        best_fit(pending[i].width, total_slots, running).map(|r| (i, r))
     }
 
     fn victim(
@@ -307,12 +368,7 @@ impl Scheduler for PriorityPreempt {
         // strictly-lower-class job? If not (same-or-higher-class jobs
         // fragment the cluster too much), evicting anything destroys work
         // for zero benefit — decline and let the arrival queue.
-        let survivors: Vec<RunningView> = running
-            .iter()
-            .filter(|r| r.class >= class)
-            .copied()
-            .collect();
-        best_fit(width, total_slots, &survivors)?;
+        best_fit_among(width, total_slots, running, |r| r.class >= class)?;
         running
             .iter()
             .filter(|r| r.class < class)

@@ -40,7 +40,7 @@ use dias_des::{EventHandle, EventQueue, SimTime};
 
 use crate::faults::{FaultEvent, FaultKind, SlotHealth};
 use crate::sched::{PendingView, RunningView, Scheduler, SlotRange};
-use crate::{ClusterSpec, EnergyMeter, Fifo, FreqLevel, JobEnergy, JobId, JobInstance};
+use crate::{ClusterSpec, EnergyMeter, Fifo, FreqLevel, IdMap, JobEnergy, JobId, JobInstance};
 
 /// Errors from driving the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,10 +202,12 @@ enum Phase {
     },
 }
 
+/// A calendar entry's payload. Each names its run by [`RunTable`] key, so
+/// processing an event finds the run without searching for it.
 #[derive(Debug, Clone)]
 enum Internal {
-    SerialDone { job: JobId },
-    TaskDone { job: JobId, stage: usize },
+    SerialDone { run: usize },
+    TaskDone { run: usize, stage: usize },
 }
 
 /// A job's prepared (post-drop) work, reusable across eviction re-runs —
@@ -222,9 +224,188 @@ struct JobWork {
     tasks_dropped: usize,
 }
 
+impl JobWork {
+    fn view(&self) -> PendingView {
+        PendingView {
+            job: self.job,
+            class: self.class,
+            width: self.width,
+        }
+    }
+}
+
+/// The engine's pending queue, with the scheduler's view of it kept index
+/// for index beside it, so backfill hands over a slice instead of building
+/// one per decision.
+#[derive(Debug, Clone, Default)]
+struct PendingQueue {
+    works: VecDeque<JobWork>,
+    views: Vec<PendingView>,
+}
+
+impl PendingQueue {
+    fn len(&self) -> usize {
+        self.works.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.works.is_empty()
+    }
+
+    fn push_back(&mut self, work: JobWork) {
+        self.views.push(work.view());
+        self.works.push_back(work);
+    }
+
+    fn push_front(&mut self, work: JobWork) {
+        self.views.insert(0, work.view());
+        self.works.push_front(work);
+    }
+
+    fn remove(&mut self, idx: usize) -> JobWork {
+        self.views.remove(idx);
+        self.works
+            .remove(idx)
+            .expect("scheduler picked a pending index in range")
+    }
+}
+
+/// The running attempts, each under a key that stays fixed while it runs.
+///
+/// Calendar events carry their run's key, the energy meter keeps the run's
+/// ledger under the same key, and the job-id index resolves the rest, so no
+/// per-event path searches the running jobs. Dispatch order is a doubly
+/// linked list through the live entries; free entries chain through their
+/// `next` link and are reused last freed first.
 #[derive(Debug, Clone)]
-struct Pending {
-    work: JobWork,
+struct RunTable {
+    entries: Vec<RunEntry>,
+    /// First and last live key in dispatch order ([`NIL`] when empty).
+    head: usize,
+    tail: usize,
+    /// Most recently freed key ([`NIL`] when none).
+    free: usize,
+    by_job: IdMap<usize>,
+}
+
+#[derive(Debug, Clone)]
+struct RunEntry {
+    run: Option<Run>,
+    /// Neighbours in dispatch order; for a free entry `next` is the next
+    /// free key.
+    prev: usize,
+    next: usize,
+}
+
+/// The end-of-list marker of [`RunTable`]'s links.
+const NIL: usize = usize::MAX;
+
+impl RunTable {
+    fn new() -> Self {
+        RunTable {
+            entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            by_job: IdMap::default(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.by_job.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_job.is_empty()
+    }
+
+    /// The key the next [`RunTable::insert`] will use.
+    fn next_key(&self) -> usize {
+        match self.free {
+            NIL => self.entries.len(),
+            key => key,
+        }
+    }
+
+    /// Stores `run` under [`RunTable::next_key`], last in dispatch order.
+    fn insert(&mut self, run: Run) -> usize {
+        self.by_job.insert(run.work.job, self.next_key());
+        let entry = RunEntry {
+            run: Some(run),
+            prev: self.tail,
+            next: NIL,
+        };
+        let key = match self.free {
+            NIL => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+            key => {
+                self.free = self.entries[key].next;
+                self.entries[key] = entry;
+                key
+            }
+        };
+        match self.tail {
+            NIL => self.head = key,
+            tail => self.entries[tail].next = key,
+        }
+        self.tail = key;
+        key
+    }
+
+    fn remove(&mut self, key: usize) -> Run {
+        let entry = &mut self.entries[key];
+        let run = entry.run.take().expect("run key is live");
+        let (prev, next) = (entry.prev, entry.next);
+        entry.next = self.free;
+        self.free = key;
+        match prev {
+            NIL => self.head = next,
+            prev => self.entries[prev].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.entries[next].prev = prev,
+        }
+        self.by_job.remove(&run.work.job);
+        run
+    }
+
+    fn get(&self, key: usize) -> &Run {
+        self.entries[key].run.as_ref().expect("run key is live")
+    }
+
+    fn get_mut(&mut self, key: usize) -> &mut Run {
+        self.entries[key].run.as_mut().expect("run key is live")
+    }
+
+    fn key_of(&self, job: JobId) -> Option<usize> {
+        self.by_job.get(&job).copied()
+    }
+
+    /// Key of the earliest-dispatched run, if any.
+    fn earliest(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head)
+    }
+
+    /// The run dispatched right after run `key`, if any.
+    fn next_dispatched(&self, key: usize) -> Option<usize> {
+        let next = self.entries[key].next;
+        (next != NIL).then_some(next)
+    }
+
+    /// Live keys in dispatch order.
+    fn in_dispatch_order(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.earliest(), |&key| self.next_dispatched(key))
+    }
+}
+
+/// Where the view `(start, job)` sits in a slot-ordered view list: views
+/// sort by slot start, then job id, which puts a phantom after the run
+/// sharing its first slot.
+fn view_pos(views: &[RunningView], start: usize, job: JobId) -> usize {
+    views.partition_point(|v| (v.slots.start, v.job) < (start, job))
 }
 
 #[derive(Debug, Clone)]
@@ -289,8 +470,11 @@ pub struct ClusterSim {
     /// global [`ClusterSim::set_frequency`] applies to every domain.
     freq: FreqLevel,
     queue: EventQueue<Internal>,
-    runs: Vec<Run>,
-    pending: VecDeque<Pending>,
+    runs: RunTable,
+    /// What the scheduler sees: one view per run plus the phantom blocked
+    /// ranges, sorted by slot start and updated in place.
+    views: Vec<RunningView>,
+    pending: PendingQueue,
     scheduler: Box<dyn Scheduler>,
     meter: EnergyMeter,
     dispatched: Vec<DispatchRecord>,
@@ -334,8 +518,9 @@ pub struct Checkpoint {
     time: SimTime,
     freq: FreqLevel,
     queue: EventQueue<Internal>,
-    runs: Vec<Run>,
-    pending: VecDeque<Pending>,
+    runs: RunTable,
+    views: Vec<RunningView>,
+    pending: PendingQueue,
     meter: EnergyMeter,
     dispatched: Vec<DispatchRecord>,
     slot_states: Vec<SlotState>,
@@ -396,8 +581,9 @@ impl ClusterSim {
             time: SimTime::ZERO,
             freq: FreqLevel::Base,
             queue: EventQueue::new(),
-            runs: Vec::new(),
-            pending: VecDeque::new(),
+            runs: RunTable::new(),
+            views: Vec::new(),
+            pending: PendingQueue::default(),
             scheduler,
             meter,
             dispatched: Vec::new(),
@@ -449,20 +635,23 @@ impl ClusterSim {
     /// Frequency level of `job`'s domain, or `None` when it is not running.
     #[must_use]
     pub fn job_frequency(&self, job: JobId) -> Option<FreqLevel> {
-        self.runs.iter().find(|r| r.work.job == job).map(|r| r.freq)
+        self.runs.key_of(job).map(|key| self.runs.get(key).freq)
     }
 
     /// Id of the earliest-dispatched running job, if any (under [`Fifo`]:
     /// *the* running job).
     #[must_use]
     pub fn running_job(&self) -> Option<JobId> {
-        self.runs.first().map(|r| r.work.job)
+        self.runs.earliest().map(|key| self.runs.get(key).work.job)
     }
 
     /// Ids of all running jobs, in dispatch order.
     #[must_use]
     pub fn running_jobs(&self) -> Vec<JobId> {
-        self.runs.iter().map(|r| r.work.job).collect()
+        self.runs
+            .in_dispatch_order()
+            .map(|key| self.runs.get(key).work.job)
+            .collect()
     }
 
     /// Number of currently running jobs, without allocating.
@@ -479,7 +668,13 @@ impl ClusterSim {
     /// Scheduler policies must keep these ranges pairwise disjoint.
     #[must_use]
     pub fn assignments(&self) -> Vec<(JobId, SlotRange)> {
-        self.runs.iter().map(|r| (r.work.job, r.slots)).collect()
+        self.runs
+            .in_dispatch_order()
+            .map(|key| {
+                let r = self.runs.get(key);
+                (r.work.job, r.slots)
+            })
+            .collect()
     }
 
     /// Jobs waiting in the engine's pending queue for slots.
@@ -501,7 +696,9 @@ impl ClusterSim {
     }
 
     /// Mutable access to the energy meter (to drain finished-job
-    /// attributions with [`EnergyMeter::take_finished`]).
+    /// attributions with [`EnergyMeter::take_finished`]). The engine meters
+    /// its runs itself; metering other jobs through this would take ledger
+    /// slots the engine reserves for its runs.
     pub fn meter_mut(&mut self) -> &mut EnergyMeter {
         &mut self.meter
     }
@@ -562,6 +759,7 @@ impl ClusterSim {
             freq: self.freq,
             queue: self.queue.snapshot(),
             runs: self.runs.clone(),
+            views: self.views.clone(),
             pending: self.pending.clone(),
             meter: self.meter.clone(),
             dispatched: self.dispatched.clone(),
@@ -594,6 +792,7 @@ impl ClusterSim {
         self.freq = cp.freq;
         self.queue = cp.queue.snapshot();
         self.runs = cp.runs.clone();
+        self.views = cp.views.clone();
         self.pending = cp.pending.clone();
         self.meter = cp.meter.clone();
         self.dispatched = cp.dispatched.clone();
@@ -672,46 +871,57 @@ impl ClusterSim {
         })
     }
 
-    /// Read-only running-job views for the scheduler.
+    /// Rebuilds the phantom blocked views after a slot changed between up
+    /// and not up.
     ///
-    /// Out-of-service slots (failed, draining) appear as *phantom* blocked
-    /// views — class [`BLOCKED_SLOT_CLASS`], job [`BLOCKED_SLOT_JOB`] — so
+    /// Out-of-service slots (failed, draining) appear to the scheduler as
+    /// *phantom* blocked views — class [`BLOCKED_SLOT_CLASS`], job
+    /// [`BLOCKED_SLOT_JOB`], one per maximal run of non-up slots — so
     /// placement policies route around dead capacity with no trait change. A
     /// phantom is never a legal preemption victim, and [`Fifo`] (which only
     /// places on an empty view set) treats any capacity loss as a full
     /// outage — the paper's whole-cluster gang semantics.
-    fn running_views(&self) -> Vec<RunningView> {
-        let mut views: Vec<RunningView> = self
-            .runs
-            .iter()
-            .map(|r| RunningView {
-                job: r.work.job,
-                class: r.work.class,
-                slots: r.slots,
-                started: r.started,
-            })
-            .collect();
-        if self.unavailable > 0 {
-            let mut s = 0;
-            let n = self.slot_states.len();
-            while s < n {
-                if self.slot_states[s].health == SlotHealth::Up {
-                    s += 1;
-                    continue;
-                }
-                let start = s;
-                while s < n && self.slot_states[s].health != SlotHealth::Up {
-                    s += 1;
-                }
-                views.push(RunningView {
+    fn refresh_phantoms(&mut self) {
+        self.views.retain(|v| v.job != BLOCKED_SLOT_JOB);
+        let mut s = 0;
+        let n = self.slot_states.len();
+        while s < n {
+            if self.slot_states[s].health == SlotHealth::Up {
+                s += 1;
+                continue;
+            }
+            let start = s;
+            while s < n && self.slot_states[s].health != SlotHealth::Up {
+                s += 1;
+            }
+            let pos = view_pos(&self.views, start, BLOCKED_SLOT_JOB);
+            self.views.insert(
+                pos,
+                RunningView {
                     job: BLOCKED_SLOT_JOB,
                     class: BLOCKED_SLOT_CLASS,
                     slots: SlotRange::new(start, s - start),
                     started: SimTime::ZERO,
-                });
-            }
+                },
+            );
         }
-        views
+    }
+
+    /// Key of the run holding slot `slot`, if any.
+    fn run_on_slot(&self, slot: usize) -> Option<usize> {
+        self.views
+            .iter()
+            .find(|v| v.job != BLOCKED_SLOT_JOB && v.slots.start <= slot && slot < v.slots.end())
+            .and_then(|v| self.runs.key_of(v.job))
+    }
+
+    /// Takes run `key` out of the run table and the scheduler's views.
+    fn remove_run(&mut self, key: usize) -> Run {
+        let run = self.runs.remove(key);
+        let pos = view_pos(&self.views, run.slots.start, run.work.job);
+        debug_assert_eq!(self.views[pos].job, run.work.job);
+        self.views.remove(pos);
+        run
     }
 
     /// Dispatches `instance` with per-stage drop ratios `drops` at the current
@@ -725,9 +935,11 @@ impl ClusterSim {
     /// [`EngineError::BadDrops`] for a malformed drop vector.
     pub fn start_job(&mut self, instance: &JobInstance, drops: &[f64]) -> Result<(), EngineError> {
         let work = self.prepare(instance, drops)?;
-        let views = self.running_views();
         let total = self.spec.slots();
-        match self.scheduler.place(work.class, work.width, total, &views) {
+        match self
+            .scheduler
+            .place(work.class, work.width, total, &self.views)
+        {
             Some(slots) => {
                 self.dispatch(work, slots);
                 Ok(())
@@ -754,8 +966,10 @@ impl ClusterSim {
         let mut evicted: Vec<(JobId, EvictedWork)> = Vec::new();
 
         loop {
-            let views = self.running_views();
-            if let Some(slots) = self.scheduler.place(work.class, work.width, total, &views) {
+            if let Some(slots) = self
+                .scheduler
+                .place(work.class, work.width, total, &self.views)
+            {
                 self.dispatch(work, slots);
                 if !evicted.is_empty() {
                     // Eviction may have freed more capacity than the arrival
@@ -769,16 +983,17 @@ impl ClusterSim {
                     Submission::Preempted { slots, evicted }
                 });
             }
-            let victim = self.scheduler.victim(work.class, work.width, total, &views);
+            let victim = self
+                .scheduler
+                .victim(work.class, work.width, total, &self.views);
             // Only a still-running, strictly lower-class job is a legal
             // victim; anything else ends the eviction loop and queues the
             // arrival (guards against non-terminating scheduler answers).
-            let Some(idx) = victim.and_then(|v| {
-                self.runs
-                    .iter()
-                    .position(|r| r.work.job == v && r.work.class < work.class)
-            }) else {
-                self.pending.push_back(Pending { work });
+            let Some(key) = victim
+                .and_then(|v| self.runs.key_of(v))
+                .filter(|&key| self.runs.get(key).work.class < work.class)
+            else {
+                self.pending.push_back(work);
                 if !evicted.is_empty() {
                     // Defensive: victims were evicted but the arrival still
                     // cannot be placed. Re-offer the freed capacity to the
@@ -789,8 +1004,8 @@ impl ClusterSim {
                 }
                 return Ok(Submission::Queued { evicted });
             };
-            let job = self.runs[idx].work.job;
-            let (lost, requeue) = self.do_evict(idx);
+            let job = self.runs.get(key).work.job;
+            let (lost, requeue) = self.do_evict(key);
             evicted.push((job, lost));
             self.pending.push_front(requeue);
         }
@@ -819,12 +1034,15 @@ impl ClusterSim {
         let slow = self.range_slow(slots);
         let speed = self.spec.speed_at(freq) / slow;
         let job = work.job;
+        let class = work.class;
+        let key = self.runs.next_key();
         let handle = self.queue.push(
             self.time + work.setup_secs / speed,
-            Internal::SerialDone { job },
+            Internal::SerialDone { run: key },
         );
         let setup_secs = work.setup_secs;
-        self.runs.push(Run {
+        self.meter.update_ledger(self.time, key, job, 1, freq);
+        let inserted = self.runs.insert(Run {
             work,
             slots,
             phase: Phase::Serial {
@@ -842,40 +1060,37 @@ impl ClusterSim {
             sprint_since: (freq == FreqLevel::Sprint).then_some(self.time),
             tasks_run: 0,
         });
+        debug_assert_eq!(inserted, key);
+        let pos = view_pos(&self.views, slots.start, job);
+        self.views.insert(
+            pos,
+            RunningView {
+                job,
+                class,
+                slots,
+                started: self.time,
+            },
+        );
         self.dispatched.push(DispatchRecord {
             job,
             time: self.time,
             slots,
         });
-        self.meter.update_job(self.time, job, 1, freq);
     }
 
     /// Dispatches pending jobs into freed capacity until the scheduler
     /// declines (called after every departure).
     fn backfill(&mut self) {
-        loop {
-            let pending_views: Vec<PendingView> = self
-                .pending
-                .iter()
-                .map(|p| PendingView {
-                    job: p.work.job,
-                    class: p.work.class,
-                    width: p.work.width,
-                })
-                .collect();
-            if pending_views.is_empty() {
-                return;
-            }
-            let views = self.running_views();
-            let total = self.spec.slots();
-            let Some((idx, slots)) = self.scheduler.pick_next(&pending_views, total, &views) else {
+        let total = self.spec.slots();
+        while !self.pending.is_empty() {
+            let Some((idx, slots)) =
+                self.scheduler
+                    .pick_next(&self.pending.views, total, &self.views)
+            else {
                 return;
             };
-            let p = self
-                .pending
-                .remove(idx)
-                .expect("scheduler picked a pending index in range");
-            self.dispatch(p.work, slots);
+            let work = self.pending.remove(idx);
+            self.dispatch(work, slots);
         }
     }
 
@@ -898,8 +1113,8 @@ impl ClusterSim {
         let (t, handle, ev) = self.queue.pop_with_handle().ok_or(EngineError::Idle)?;
         self.time = t;
         match ev {
-            Internal::SerialDone { job } => self.finish_serial(job),
-            Internal::TaskDone { job, stage } => self.finish_task(job, stage, handle),
+            Internal::SerialDone { run } => self.finish_serial(run),
+            Internal::TaskDone { run, stage } => self.finish_task(run, stage, handle),
         }
     }
 
@@ -911,10 +1126,8 @@ impl ClusterSim {
     ///
     /// Returns [`EngineError::Idle`] when no job is running.
     pub fn evict(&mut self) -> Result<EvictedWork, EngineError> {
-        if self.runs.is_empty() {
-            return Err(EngineError::Idle);
-        }
-        let (lost, _) = self.do_evict(0);
+        let key = self.runs.earliest().ok_or(EngineError::Idle)?;
+        let (lost, _) = self.do_evict(key);
         self.backfill();
         Ok(lost)
     }
@@ -926,22 +1139,18 @@ impl ClusterSim {
     ///
     /// Returns [`EngineError::UnknownJob`] when `job` is not running.
     pub fn evict_job(&mut self, job: JobId) -> Result<EvictedWork, EngineError> {
-        let idx = self
-            .runs
-            .iter()
-            .position(|r| r.work.job == job)
-            .ok_or(EngineError::UnknownJob(job))?;
-        let (lost, _) = self.do_evict(idx);
+        let key = self.run_key(job)?;
+        let (lost, _) = self.do_evict(key);
         self.backfill();
         Ok(lost)
     }
 
-    /// Removes run `idx`: credits partial work, cancels its calendar events
+    /// Removes run `key`: credits partial work, cancels its calendar events
     /// through their handles (other jobs' events stay put), retires its
-    /// energy ledger, and returns the lost work plus a head-of-queue
-    /// re-submission record.
-    fn do_evict(&mut self, idx: usize) -> (EvictedWork, Pending) {
-        let mut run = self.runs.remove(idx);
+    /// energy ledger, and returns the lost work plus the job's work for a
+    /// head-of-queue re-submission.
+    fn do_evict(&mut self, key: usize) -> (EvictedWork, JobWork) {
+        let mut run = self.remove_run(key);
         let speed = self.spec.speed_at(run.freq) / run.slow;
         // Credit partial work of in-flight activities since their last
         // reschedule point (earlier segments were credited at those points).
@@ -964,17 +1173,17 @@ impl ClusterSim {
             }
         }
         let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.time - s);
-        self.meter.retire_job(self.time, run.work.job);
+        self.meter.retire_ledger(self.time, key);
         self.complete_drains(run.slots);
         let lost = EvictedWork {
             wall_secs: self.time - run.started,
             work_secs: run.work_done,
             sprint_secs,
         };
-        (lost, Pending { work: run.work })
+        (lost, run.work)
     }
 
-    /// Rescales run `idx`'s in-flight activities from its current domain
+    /// Rescales run `key`'s in-flight activities from its current domain
     /// level to `freq`, updating sprint accounting and its energy ledger.
     ///
     /// Every in-flight activity's completion is *rescheduled* in place
@@ -986,8 +1195,8 @@ impl ClusterSim {
     /// `slow` is the straggler factor of the run's slowest slot (≥ 1.0);
     /// straggling rescales *time*, not power, so the energy ledger only sees
     /// the (possibly unchanged) frequency level.
-    fn retime_run(&mut self, idx: usize, freq: FreqLevel, slow: f64) {
-        let run = &mut self.runs[idx];
+    fn retime_run(&mut self, key: usize, freq: FreqLevel, slow: f64) {
+        let run = self.runs.get_mut(key);
         if run.freq == freq && run.slow == slow {
             return;
         }
@@ -1031,7 +1240,7 @@ impl ClusterSim {
         run.freq = freq;
         run.slow = slow;
         let (job, busy) = (run.work.job, run.busy());
-        self.meter.update_job(now, job, busy, freq);
+        self.meter.update_ledger(now, key, job, busy, freq);
     }
 
     /// Switches *every* frequency domain (and the default for future
@@ -1039,9 +1248,12 @@ impl ClusterSim {
     /// at `freq` are untouched; the rest are rescaled exactly as
     /// [`ClusterSim::set_job_frequency`] would.
     pub fn set_frequency(&mut self, freq: FreqLevel) {
-        for idx in 0..self.runs.len() {
-            let slow = self.runs[idx].slow;
-            self.retime_run(idx, freq, slow);
+        // Dispatch order: the reschedules' order fixes calendar tie-breaks.
+        let mut next = self.runs.earliest();
+        while let Some(key) = next {
+            next = self.runs.next_dispatched(key);
+            let slow = self.runs.get(key).slow;
+            self.retime_run(key, freq, slow);
         }
         self.freq = freq;
     }
@@ -1056,22 +1268,19 @@ impl ClusterSim {
     /// Returns [`EngineError::UnknownJob`] when `job` is not running (pending
     /// jobs have no domain yet; they inherit the default at dispatch).
     pub fn set_job_frequency(&mut self, job: JobId, freq: FreqLevel) -> Result<(), EngineError> {
-        let idx = self.run_index(job)?;
-        let slow = self.runs[idx].slow;
-        self.retime_run(idx, freq, slow);
+        let key = self.run_key(job)?;
+        let slow = self.runs.get(key).slow;
+        self.retime_run(key, freq, slow);
         Ok(())
     }
 
-    fn run_index(&self, job: JobId) -> Result<usize, EngineError> {
-        self.runs
-            .iter()
-            .position(|r| r.work.job == job)
-            .ok_or(EngineError::UnknownJob(job))
+    fn run_key(&self, job: JobId) -> Result<usize, EngineError> {
+        self.runs.key_of(job).ok_or(EngineError::UnknownJob(job))
     }
 
-    fn finish_serial(&mut self, job: JobId) -> Result<EngineEvent, EngineError> {
-        let idx = self.run_index(job)?;
-        let run = &mut self.runs[idx];
+    fn finish_serial(&mut self, key: usize) -> Result<EngineEvent, EngineError> {
+        let run = self.runs.get_mut(key);
+        let job = run.work.job;
         let (is_setup, next_stage) = match &run.phase {
             Phase::Serial {
                 is_setup,
@@ -1091,7 +1300,7 @@ impl ClusterSim {
         } else {
             EngineEvent::ShuffleFinished { job, next_stage }
         };
-        match self.enter_stage(idx, next_stage) {
+        match self.enter_stage(key, next_stage) {
             Some(finished) => Ok(finished),
             None => Ok(event),
         }
@@ -1099,14 +1308,14 @@ impl ClusterSim {
 
     fn finish_task(
         &mut self,
-        job: JobId,
+        key: usize,
         stage: usize,
         fired: EventHandle,
     ) -> Result<EngineEvent, EngineError> {
         let time = self.time;
-        let idx = self.run_index(job)?;
-        let speed = self.spec.speed_at(self.runs[idx].freq) / self.runs[idx].slow;
-        let run = &mut self.runs[idx];
+        let run = self.runs.get_mut(key);
+        let job = run.work.job;
+        let speed = self.spec.speed_at(run.freq) / run.slow;
         let (tasks_left, stage_done) = match &mut run.phase {
             Phase::Stage {
                 idx: stage_idx,
@@ -1127,7 +1336,7 @@ impl ClusterSim {
                 if let Some(work) = queue.pop_front() {
                     let handle = self
                         .queue
-                        .push(time + work / speed, Internal::TaskDone { job, stage });
+                        .push(time + work / speed, Internal::TaskDone { run: key, stage });
                     running.push(RunningTask {
                         work_left: work,
                         since: time,
@@ -1143,10 +1352,11 @@ impl ClusterSim {
         };
         if !stage_done {
             let (job_busy, freq) = {
-                let run = &self.runs[idx];
+                let run = self.runs.get(key);
                 (run.busy(), run.freq)
             };
-            self.meter.update_job(self.time, job, job_busy, freq);
+            self.meter
+                .update_ledger(self.time, key, job, job_busy, freq);
             return Ok(EngineEvent::TaskFinished {
                 job,
                 stage,
@@ -1154,15 +1364,16 @@ impl ClusterSim {
             });
         }
         // Stage complete: shuffle to the next stage or finish the job.
-        let run = &mut self.runs[idx];
+        let run = self.runs.get_mut(key);
         let total_stages = run.work.stage_tasks.len();
         if stage + 1 < total_stages {
             let shuffle = run.work.shuffle_secs[stage];
             let freq = run.freq;
-            let handle = self
-                .queue
-                .push(self.time + shuffle / speed, Internal::SerialDone { job });
-            let run = &mut self.runs[idx];
+            let handle = self.queue.push(
+                self.time + shuffle / speed,
+                Internal::SerialDone { run: key },
+            );
+            let run = self.runs.get_mut(key);
             run.phase = Phase::Serial {
                 is_setup: false,
                 next_stage: stage + 1,
@@ -1170,24 +1381,24 @@ impl ClusterSim {
                 since: self.time,
                 handle,
             };
-            self.meter.update_job(self.time, job, 1, freq);
+            self.meter.update_ledger(self.time, key, job, 1, freq);
             Ok(EngineEvent::StageFinished { job, stage })
         } else {
-            Ok(self.finish_job(idx))
+            Ok(self.finish_job(key))
         }
     }
 
-    /// Begins stage `stage` of run `idx`; returns `Some(JobFinished)` if the
+    /// Begins stage `stage` of run `key`; returns `Some(JobFinished)` if the
     /// job ends instead (e.g. every remaining stage was dropped empty).
-    fn enter_stage(&mut self, idx: usize, stage: usize) -> Option<EngineEvent> {
+    fn enter_stage(&mut self, key: usize, stage: usize) -> Option<EngineEvent> {
         let time = self.time;
-        let run = &mut self.runs[idx];
+        let run = self.runs.get_mut(key);
         let freq = run.freq;
         let speed = self.spec.speed_at(freq) / run.slow;
         let job = run.work.job;
         let slots = run.slots.count;
         if stage >= run.work.stage_tasks.len() {
-            return Some(self.finish_job(idx));
+            return Some(self.finish_job(key));
         }
         let mut queue: VecDeque<f64> = run.work.stage_tasks[stage].iter().copied().collect();
         if queue.is_empty() {
@@ -1196,7 +1407,7 @@ impl ClusterSim {
                 let shuffle = run.work.shuffle_secs[stage];
                 let handle = self
                     .queue
-                    .push(time + shuffle / speed, Internal::SerialDone { job });
+                    .push(time + shuffle / speed, Internal::SerialDone { run: key });
                 run.phase = Phase::Serial {
                     is_setup: false,
                     next_stage: stage + 1,
@@ -1204,17 +1415,17 @@ impl ClusterSim {
                     since: time,
                     handle,
                 };
-                self.meter.update_job(time, job, 1, freq);
+                self.meter.update_ledger(time, key, job, 1, freq);
                 return None;
             }
-            return Some(self.finish_job(idx));
+            return Some(self.finish_job(key));
         }
         let mut running = Vec::new();
         while running.len() < slots {
             let Some(work) = queue.pop_front() else { break };
             let handle = self
                 .queue
-                .push(time + work / speed, Internal::TaskDone { job, stage });
+                .push(time + work / speed, Internal::TaskDone { run: key, stage });
             running.push(RunningTask {
                 work_left: work,
                 since: time,
@@ -1227,16 +1438,16 @@ impl ClusterSim {
             queue,
             running,
         };
-        self.meter.update_job(time, job, job_busy, freq);
+        self.meter.update_ledger(time, key, job, job_busy, freq);
         None
     }
 
-    /// Completes run `idx`: frees its slots, retires its energy ledger, and
+    /// Completes run `key`: frees its slots, retires its energy ledger, and
     /// backfills pending jobs into the freed capacity.
-    fn finish_job(&mut self, idx: usize) -> EngineEvent {
-        let run = self.runs.remove(idx);
+    fn finish_job(&mut self, key: usize) -> EngineEvent {
+        let run = self.remove_run(key);
         let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.time - s);
-        self.meter.retire_job(self.time, run.work.job);
+        self.meter.retire_ledger(self.time, key);
         self.complete_drains(run.slots);
         let event = EngineEvent::JobFinished {
             job: run.work.job,
@@ -1300,14 +1511,10 @@ impl ClusterSim {
     pub fn fail_slot(&mut self, slot: usize) -> Result<Vec<(JobId, EvictedWork)>, EngineError> {
         self.check_slot(slot)?;
         let mut victims = Vec::new();
-        while let Some(idx) = self
-            .runs
-            .iter()
-            .position(|r| r.slots.start <= slot && slot < r.slots.end())
-        {
-            let job = self.runs[idx].work.job;
-            let (lost, pending) = self.do_evict(idx);
-            self.pending.push_front(pending);
+        while let Some(key) = self.run_on_slot(slot) {
+            let job = self.runs.get(key).work.job;
+            let (lost, work) = self.do_evict(key);
+            self.pending.push_front(work);
             victims.push((job, lost));
         }
         self.set_health(slot, SlotHealth::Down);
@@ -1345,11 +1552,7 @@ impl ClusterSim {
         if self.slot_states[slot].health == SlotHealth::Down {
             return Ok(true);
         }
-        let occupied = self
-            .runs
-            .iter()
-            .any(|r| r.slots.start <= slot && slot < r.slots.end());
-        if occupied {
+        if self.run_on_slot(slot).is_some() {
             self.set_health(slot, SlotHealth::Draining);
             Ok(false)
         } else {
@@ -1418,8 +1621,9 @@ impl ClusterSim {
         match (was_up, is_up) {
             (true, false) => self.unavailable += 1,
             (false, true) => self.unavailable -= 1,
-            _ => {}
+            _ => return,
         }
+        self.refresh_phantoms();
     }
 
     /// Sets slot `slot`'s straggler factor, keeping the `stragglers` count
@@ -1440,15 +1644,13 @@ impl ClusterSim {
     /// (if any) to the new max factor across its gang.
     fn apply_slow(&mut self, slot: usize, factor: f64) {
         self.set_slow(slot, factor);
-        if let Some(idx) = self
-            .runs
-            .iter()
-            .position(|r| r.slots.start <= slot && slot < r.slots.end())
-        {
-            let slots = self.runs[idx].slots;
-            let freq = self.runs[idx].freq;
+        if let Some(key) = self.run_on_slot(slot) {
+            let (slots, freq) = {
+                let run = self.runs.get(key);
+                (run.slots, run.freq)
+            };
             let slow = self.range_slow(slots);
-            self.retime_run(idx, freq, slow);
+            self.retime_run(key, freq, slow);
         }
     }
 
@@ -2070,5 +2272,205 @@ mod fault_tests {
         sim.apply_fault(&repair).unwrap();
         assert_eq!(sim.slot_health(4).unwrap(), SlotHealth::Up);
         assert_eq!(sim.effective_slots(), 20);
+    }
+}
+
+#[cfg(test)]
+mod bookkeeping_tests {
+    //! The O(1) bookkeeping (run table, slot-ordered views, pending views,
+    //! per-level meter counts) checked against brute-force recomputation
+    //! after every operation of random fault-laden, preempting runs.
+
+    use super::*;
+    use crate::{JobSpec, PowerModel, PriorityPreempt, StageKind, StageSpec};
+    use dias_stochastic::Dist;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Recomputes everything the engine maintains incrementally and asserts
+    /// equality.
+    fn check(sim: &ClusterSim) {
+        // Run table: the dispatch list holds every live entry exactly once,
+        // and keys, job index and count agree.
+        let live: Vec<(usize, &Run)> = sim
+            .runs
+            .in_dispatch_order()
+            .map(|key| (key, sim.runs.get(key)))
+            .collect();
+        assert_eq!(live.len(), sim.runs.len());
+        let occupied = sim.runs.entries.iter().filter(|e| e.run.is_some()).count();
+        assert_eq!(occupied, live.len());
+        for &(key, run) in &live {
+            assert_eq!(sim.runs.key_of(run.work.job), Some(key));
+        }
+
+        // Views: one per run plus the phantoms, sorted by (start, job).
+        let mut expected: Vec<RunningView> = live
+            .iter()
+            .map(|(_, r)| RunningView {
+                job: r.work.job,
+                class: r.work.class,
+                slots: r.slots,
+                started: r.started,
+            })
+            .collect();
+        let mut s = 0;
+        let n = sim.slot_states.len();
+        while s < n {
+            if sim.slot_states[s].health == SlotHealth::Up {
+                s += 1;
+                continue;
+            }
+            let start = s;
+            while s < n && sim.slot_states[s].health != SlotHealth::Up {
+                s += 1;
+            }
+            expected.push(RunningView {
+                job: BLOCKED_SLOT_JOB,
+                class: BLOCKED_SLOT_CLASS,
+                slots: SlotRange::new(start, s - start),
+                started: SimTime::ZERO,
+            });
+        }
+        expected.sort_by_key(|v| (v.slots.start, v.job));
+        assert_eq!(sim.views, expected);
+
+        // Pending views mirror the queue.
+        let pending: Vec<PendingView> = sim.pending.works.iter().map(JobWork::view).collect();
+        assert_eq!(sim.pending.views, pending);
+
+        // Meter: busy slots and power from the runs themselves (integer
+        // wattages, so the grouped sum is exact).
+        let busy: usize = live.iter().map(|(_, r)| r.busy()).sum();
+        assert_eq!(sim.meter.busy_slots(), busy);
+        let power = live
+            .iter()
+            .fold(sim.spec.cluster_power_w(0, FreqLevel::Base), |p, (_, r)| {
+                p + r.busy() as f64 * sim.spec.active_slot_power_w(r.freq)
+            });
+        assert_eq!(sim.meter.power_w(), power);
+        for (_, r) in &live {
+            assert_eq!(sim.job_frequency(r.work.job), Some(r.freq));
+        }
+    }
+
+    fn job(id: u64, class: usize, width: usize, rng: &mut StdRng) -> JobInstance {
+        let spec = JobSpec::builder(id, class)
+            .setup(Dist::constant(1.0))
+            .shuffle(Dist::constant(0.5))
+            .stage(StageSpec::new(
+                StageKind::Map,
+                width,
+                Dist::exponential(1.0 / 6.0),
+            ))
+            .stage(StageSpec::new(
+                StageKind::Reduce,
+                1 + width / 3,
+                Dist::exponential(1.0 / 3.0),
+            ))
+            .build();
+        JobInstance::sample(&spec, rng)
+    }
+
+    #[test]
+    fn incremental_books_match_recomputation() {
+        let spec = ClusterSpec {
+            workers: 20,
+            cores_per_worker: 2,
+            base_freq_ghz: 0.8,
+            sprint_freq_ghz: 2.4,
+            sprint_speedup: 2.5,
+            power: PowerModel::paper_reference(),
+        };
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scheduler: Box<dyn Scheduler> = if seed % 2 == 0 {
+                Box::new(PriorityPreempt)
+            } else {
+                Box::new(crate::GangBinPack)
+            };
+            let mut sim = ClusterSim::with_scheduler(spec.clone(), scheduler).unwrap();
+            let slots = spec.slots();
+            let mut next_id = 0u64;
+            let mut saved: Option<Checkpoint> = None;
+            for _ in 0..3000 {
+                match rng.gen_range(0..20) {
+                    0..=4 => {
+                        let width = rng.gen_range(1usize..15);
+                        let class = usize::from(rng.gen_bool(0.3));
+                        let inst = job(next_id, class, width, &mut rng);
+                        next_id += 1;
+                        sim.submit_job(&inst, &[0.2 * class as f64, 0.0]).unwrap();
+                    }
+                    5..=11 => {
+                        if sim.next_event_time().is_some() {
+                            sim.advance().unwrap();
+                        }
+                    }
+                    12 => {
+                        sim.fail_slot(rng.gen_range(0..slots)).unwrap();
+                    }
+                    13 => sim.repair_slot(rng.gen_range(0..slots)).unwrap(),
+                    14 => {
+                        sim.drain_slot(rng.gen_range(0..slots)).unwrap();
+                    }
+                    15 => sim
+                        .slow_slot(rng.gen_range(0..slots), rng.gen_range(1.0..3.0))
+                        .unwrap(),
+                    16 => {
+                        let running = sim.running_jobs();
+                        if !running.is_empty() {
+                            let job = running[rng.gen_range(0..running.len())];
+                            let freq = if rng.gen_bool(0.5) {
+                                FreqLevel::Sprint
+                            } else {
+                                FreqLevel::Base
+                            };
+                            sim.set_job_frequency(job, freq).unwrap();
+                        }
+                    }
+                    17 => {
+                        let running = sim.running_jobs();
+                        if !running.is_empty() {
+                            sim.evict_job(running[rng.gen_range(0..running.len())])
+                                .unwrap();
+                        }
+                    }
+                    18 => saved = Some(sim.checkpoint()),
+                    _ => {
+                        if let Some(cp) = &saved {
+                            sim.restore(cp);
+                        }
+                    }
+                }
+                check(&sim);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_order_survives_key_reuse() {
+        let mut sim = ClusterSim::with_scheduler(
+            ClusterSpec::paper_reference(),
+            Box::new(crate::GangBinPack),
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        for id in 0..4 {
+            sim.submit_job(&job(id, 0, 4, &mut rng), &[0.0, 0.0])
+                .unwrap();
+        }
+        // Evicting job 1 frees its key; job 4 reuses it but runs last.
+        sim.evict_job(JobId(1)).unwrap();
+        sim.submit_job(&job(4, 0, 4, &mut rng), &[0.0, 0.0])
+            .unwrap();
+        assert_eq!(
+            sim.running_jobs(),
+            vec![JobId(0), JobId(2), JobId(3), JobId(4)]
+        );
+        assert_eq!(sim.running_job(), Some(JobId(0)));
+        sim.evict().unwrap();
+        assert_eq!(sim.running_job(), Some(JobId(2)));
+        check(&sim);
     }
 }

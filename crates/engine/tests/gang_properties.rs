@@ -19,14 +19,19 @@
 //! invariant must survive both, with sprint extra power charged only over
 //! the sprinting domains' busy slots.
 //!
+//! A third property pins the shipped policies' decisions to the original
+//! allocate-sort-scan reference under any order of the running views, which
+//! is what lets the engine hand them its slot-ordered views in place.
+//!
 //! [`EnergyMeter`]: dias_engine::EnergyMeter
 
 use proptest::prelude::*;
 
 use dias_des::SimTime;
 use dias_engine::{
-    ClusterSim, ClusterSpec, EngineEvent, FreqLevel, GangBinPack, JobInstance, JobSpec, PowerModel,
-    PriorityPreempt, Scheduler, StageKind, StageSpec,
+    ClusterSim, ClusterSpec, EngineEvent, Fifo, FreqLevel, GangBinPack, JobId, JobInstance,
+    JobSpec, PendingView, PowerModel, PriorityPreempt, RunningView, Scheduler, SlotRange,
+    StageKind, StageSpec, BLOCKED_SLOT_CLASS, BLOCKED_SLOT_JOB,
 };
 use dias_stochastic::Dist;
 
@@ -371,5 +376,183 @@ proptest! {
             sim.meter() == &meter_ref,
             "per-job energy books diverged after restore"
         );
+    }
+}
+
+// ----------------------------------------------------------------------
+// Scheduler decisions against the allocating reference
+// ----------------------------------------------------------------------
+
+/// The free gaps between `ranges`, in slot order — the original
+/// collect-sort-scan formulation the shipped policies are checked against.
+fn reference_gaps(total: usize, ranges: impl Iterator<Item = SlotRange>) -> Vec<SlotRange> {
+    let mut ranges: Vec<SlotRange> = ranges.collect();
+    ranges.sort_by_key(|r| r.start);
+    let mut gaps = Vec::new();
+    let mut cursor = 0usize;
+    for r in ranges {
+        if r.start > cursor {
+            gaps.push(SlotRange::new(cursor, r.start - cursor));
+        }
+        cursor = cursor.max(r.end());
+    }
+    if cursor < total {
+        gaps.push(SlotRange::new(cursor, total - cursor));
+    }
+    gaps
+}
+
+fn reference_best_fit(width: usize, total: usize, running: &[RunningView]) -> Option<SlotRange> {
+    let w = width.clamp(1, total);
+    reference_gaps(total, running.iter().map(|r| r.slots))
+        .into_iter()
+        .filter(|g| g.count >= w)
+        .min_by_key(|g| (g.count, g.start))
+        .map(|g| SlotRange::new(g.start, w))
+}
+
+fn reference_pick_gang(
+    pending: &[PendingView],
+    total: usize,
+    running: &[RunningView],
+) -> Option<(usize, SlotRange)> {
+    pending
+        .iter()
+        .enumerate()
+        .find_map(|(i, p)| reference_best_fit(p.width, total, running).map(|r| (i, r)))
+}
+
+fn reference_pick_priority(
+    pending: &[PendingView],
+    total: usize,
+    running: &[RunningView],
+) -> Option<(usize, SlotRange)> {
+    let mut order: Vec<usize> = (0..pending.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(pending[i].class));
+    order
+        .into_iter()
+        .find_map(|i| reference_best_fit(pending[i].width, total, running).map(|r| (i, r)))
+}
+
+fn reference_victim(
+    class: usize,
+    width: usize,
+    total: usize,
+    running: &[RunningView],
+) -> Option<JobId> {
+    let survivors: Vec<RunningView> = running
+        .iter()
+        .filter(|r| r.class >= class)
+        .copied()
+        .collect();
+    reference_best_fit(width, total, &survivors)?;
+    running
+        .iter()
+        .filter(|r| r.class < class)
+        .min_by(|a, b| {
+            a.class
+                .cmp(&b.class)
+                .then(b.started.partial_cmp(&a.started).unwrap())
+                .then(b.job.cmp(&a.job))
+        })
+        .map(|r| r.job)
+}
+
+/// One generated cluster occupancy: `(gap before, run width, class, start
+/// time in eighths)` per run, laid out left to right, plus an optional
+/// phantom blocked range `(start, len)` that may overlap a run (a draining
+/// slot still held by its occupant).
+type Occupancy = (Vec<(usize, usize, usize, u32)>, Option<(usize, usize)>);
+
+fn arb_occupancy() -> impl Strategy<Value = Occupancy> {
+    (
+        prop::collection::vec((0usize..6, 1usize..12, 0usize..3, 0u32..64), 0..=12),
+        (any::<bool>(), 0usize..64, 1usize..8),
+    )
+        .prop_map(|(runs, (blocked, start, len))| (runs, blocked.then_some((start, len))))
+}
+
+/// Lays the generated runs out on a cluster, returning the total slot count
+/// and the views sorted by slot start (the order the engine passes).
+fn lay_out(
+    runs: &[(usize, usize, usize, u32)],
+    phantom: Option<(usize, usize)>,
+    tail: usize,
+) -> (usize, Vec<RunningView>) {
+    let mut views = Vec::new();
+    let mut cursor = 0usize;
+    for (i, &(gap, width, class, started)) in runs.iter().enumerate() {
+        cursor += gap;
+        views.push(RunningView {
+            job: JobId(i as u64),
+            class,
+            slots: SlotRange::new(cursor, width),
+            started: SimTime::from_secs(f64::from(started) / 8.0),
+        });
+        cursor += width;
+    }
+    let total = (cursor + tail).max(1);
+    if let Some((start, len)) = phantom {
+        let start = start % total;
+        views.push(RunningView {
+            job: BLOCKED_SLOT_JOB,
+            class: BLOCKED_SLOT_CLASS,
+            slots: SlotRange::new(start, len.min(total - start)),
+            started: SimTime::ZERO,
+        });
+    }
+    views.sort_by_key(|v| (v.slots.start, v.job));
+    (total, views)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shipped policies answer exactly as the allocating reference does,
+    /// on the slot-ordered views the engine maintains *and* on any other
+    /// order (here: reversed and rotated), so keeping the views sorted in
+    /// place changes no placement, backfill pick or victim.
+    #[test]
+    fn scheduler_decisions_match_reference_in_any_view_order(
+        (runs, phantom) in arb_occupancy(),
+        tail in 0usize..16,
+        rotate in 0usize..16,
+        width in 1usize..80,
+        class in 0usize..3,
+        pending in prop::collection::vec((0usize..3, 1usize..24), 0..=6),
+    ) {
+        let (total, sorted) = lay_out(&runs, phantom, tail);
+        let mut reversed = sorted.clone();
+        reversed.reverse();
+        let mut rotated = sorted.clone();
+        if !rotated.is_empty() {
+            let k = rotate % rotated.len();
+            rotated.rotate_left(k);
+        }
+        let pending: Vec<PendingView> = pending
+            .iter()
+            .enumerate()
+            .map(|(i, &(class, width))| PendingView {
+                job: JobId(100 + i as u64),
+                class,
+                width,
+            })
+            .collect();
+
+        let place = reference_best_fit(width, total, &sorted);
+        let gang = reference_pick_gang(&pending, total, &sorted);
+        let prio = reference_pick_priority(&pending, total, &sorted);
+        let victim = reference_victim(class, width, total, &sorted);
+        for views in [&sorted, &reversed, &rotated] {
+            prop_assert_eq!(GangBinPack.place(class, width, total, views), place);
+            prop_assert_eq!(PriorityPreempt.place(class, width, total, views), place);
+            prop_assert_eq!(GangBinPack.pick_next(&pending, total, views), gang);
+            prop_assert_eq!(PriorityPreempt.pick_next(&pending, total, views), prio);
+            prop_assert_eq!(PriorityPreempt.victim(class, width, total, views), victim);
+            prop_assert_eq!(
+                Fifo.place(class, width, total, views),
+                views.is_empty().then(|| SlotRange::new(0, total))
+            );
+        }
     }
 }
