@@ -130,7 +130,11 @@ impl Batch {
     }
 
     fn finish_one(&self) {
-        lock(&self.progress).finished += 1;
+        let mut p = lock(&self.progress);
+        p.finished += 1;
+        // Notify before the guard drops: once the lock is released the
+        // waiter may see the batch done and return, freeing this `Batch`
+        // (it lives on `run`'s stack), so nothing may touch it afterwards.
         self.done.notify_all();
     }
 
