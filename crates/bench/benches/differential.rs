@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use dias_bench::{banner, compare, scaled};
 use dias_core::{
-    run_experiments_differential, DifferentialReport, ExperimentReport, ExperimentSpec, JobSource,
+    run_experiments_differential, DifferentialReport, Experiment, ExperimentReport, JobSource,
     Policy,
 };
 use dias_workloads::{reference_two_priority, JobStreamTrace};
@@ -61,7 +61,7 @@ fn main() {
         })
         .collect();
     let paired_report = run_experiments_differential(policies.len(), replicas, threads, |p, r| {
-        ExperimentSpec::new(traces[r].replay(), policies[p].clone()).jobs(jobs)
+        Experiment::new(traces[r].replay(), policies[p].clone()).jobs(jobs)
     })
     .expect("valid differential grid");
     let paired_secs = start.elapsed().as_secs_f64();
@@ -71,7 +71,7 @@ fn main() {
     let start = Instant::now();
     let indep_report = run_experiments_differential(policies.len(), replicas, threads, |p, r| {
         let seed = 101 + (p * replicas + r) as u64;
-        ExperimentSpec::new(reference_two_priority(0.8, seed), policies[p].clone()).jobs(jobs)
+        Experiment::new(reference_two_priority(0.8, seed), policies[p].clone()).jobs(jobs)
     })
     .expect("valid independent grid");
     let indep_secs = start.elapsed().as_secs_f64();

@@ -133,13 +133,13 @@ where
     S: JobSource + Send,
     F: Fn() -> S,
 {
-    // Streams are built eagerly on the caller's thread; only the specs cross
-    // threads, so `F` needs no `Sync`.
-    let specs = policies
+    // Streams are built eagerly on the caller's thread; only the experiments
+    // cross threads, so `F` needs no `Sync`.
+    let experiments = policies
         .into_iter()
-        .map(|p| dias_core::ExperimentSpec::new(make_stream(), p).jobs(jobs))
+        .map(|p| dias_core::Experiment::new(make_stream(), p).jobs(jobs))
         .collect();
-    dias_core::run_experiments(specs, threads())
+    dias_core::run_experiments(experiments, threads())
         .into_iter()
         .map(|r| r.expect("experiment configuration is valid"))
         .collect()

@@ -1,13 +1,14 @@
-//! The closed-loop experiment runner: job source → priority buffers → deflator
-//! drops → engine, with optional sprinting — the harness behind every evaluation
-//! figure.
+//! The closed-loop experiment runner: job source → priority-ordered pending
+//! queue → deflator drops → engine, with optional sprinting — the harness
+//! behind every evaluation figure.
 
 use std::fmt;
 
-use dias_des::SimTime;
-use dias_engine::{ClusterSim, ClusterSpec, EngineError, EngineEvent, JobInstance};
+use dias_engine::{
+    ClusterSpec, EngineError, JobId, JobInstance, PendingView, RunningView, Scheduler, SlotRange,
+};
 
-use crate::{ClassStats, ExperimentReport, Policy, PriorityBuffers, QueuedJob, Sprinter};
+use crate::{ClassStats, ExperimentReport, MultiJobExperiment, Policy};
 
 /// A stream of sampled jobs with non-decreasing arrival times.
 ///
@@ -187,11 +188,19 @@ impl<S: JobSource> Experiment<S> {
     /// makes invariants like "DA never touches high-class execution" exact
     /// rather than approximate).
     ///
+    /// The run is a [`MultiJobExperiment`] whose scheduler gives each job
+    /// the whole cluster: the paper's per-priority buffers are the engine's
+    /// pending queue, the dispatcher is the scheduler's class-ordered pick,
+    /// and the sprinter is a [`MultiSprinter`](crate::MultiSprinter) over
+    /// one gang as wide as the cluster.
+    ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError::ClassMismatch`] when policy and source disagree on
-    /// the number of classes, or a wrapped engine error if dispatching fails.
-    pub fn run(mut self) -> Result<ExperimentReport, ExperimentError> {
+    /// Returns [`ExperimentError::ClassMismatch`] when the policy (or its sprint
+    /// timeouts) and the source disagree on the number of classes, a wrapped
+    /// engine error if dispatching fails, or [`ExperimentError::Starved`] when
+    /// a measured job cannot complete.
+    pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
         let classes = self.source.classes();
         if self.policy.classes() != classes {
             return Err(ExperimentError::ClassMismatch {
@@ -199,211 +208,107 @@ impl<S: JobSource> Experiment<S> {
                 source: classes,
             });
         }
-
-        let mut engine = ClusterSim::new(self.cluster.clone());
-        let mut buffers = PriorityBuffers::new(classes);
-        let mut sprinter = self
+        let thetas: Vec<f64> = self
             .policy
-            .sprint
-            .clone()
-            .map(|p| Sprinter::new(p, self.cluster.sprint_extra_power_w()));
-        let mut running: Option<QueuedJob> = None;
-        let mut next_arrival = self.source.next_job();
-        let mut sprint_timer: Option<SimTime> = None;
-        let mut budget_deadline: Option<SimTime> = None;
-
-        let target = self.warmup + self.jobs;
-        let mut arrival_seq = 0usize;
-        let mut measured_done = 0usize;
-        let mut report = ExperimentReport {
-            policy: self.policy.label.clone(),
-            per_class: vec![ClassStats::default(); classes],
-            ..Default::default()
+            .classes
+            .iter()
+            .map(|c| c.theta_droppable)
+            .collect();
+        let slots = self.cluster.slots();
+        let scheduler = WholeCluster {
+            preemptive: self.policy.is_preemptive(),
         };
-        // Latency statistics cover exactly the measured arrival window; waste,
-        // energy and utilization span the whole run (until the last measured
-        // job completes). Every policy sees the identical arrival sequence,
-        // though the horizon — and hence the number of background completions
-        // — depends on how fast the policy clears the measured window.
-        let mut busy_wall = 0.0f64;
-        // Termination guard: with an infinite source and a saturating
-        // higher-priority load, a measured low-priority job can be starved
-        // forever. Cap total completions at a generous multiple of the window
-        // and report starvation instead of spinning.
-        let completion_cap = target.saturating_mul(64).saturating_add(1024);
-        let mut total_completions = 0usize;
-
-        while measured_done < self.jobs {
-            if total_completions > completion_cap {
-                return Err(ExperimentError::Starved {
-                    measured_done,
-                    target: self.jobs,
-                });
-            }
-            // Next event across the four sources; ties resolve in this order.
-            let engine_t = engine.next_event_time();
-            let arrival_t = next_arrival
-                .as_ref()
-                .map(|j| SimTime::from_secs(j.arrival_secs));
-            let candidates = [
-                engine_t,
-                budget_deadline.filter(|t| t.is_finite()),
-                sprint_timer,
-                arrival_t,
-            ];
-            let Some(next_t) = candidates.iter().flatten().copied().min() else {
-                break; // source exhausted, buffers empty, engine idle
-            };
-
-            if engine_t == Some(next_t) {
-                match engine.advance()? {
-                    EngineEvent::JobFinished { metrics, .. } => {
-                        let now = engine.now();
-                        if sprinter.as_ref().is_some_and(|s| s.is_sprinting()) {
-                            let s = sprinter.as_mut().expect("checked above");
-                            s.stop_sprint(now);
-                            engine.set_frequency(dias_engine::FreqLevel::Base);
-                        }
-                        sprint_timer = None;
-                        budget_deadline = None;
-
-                        let finished = running.take().expect("engine completed a job");
-                        busy_wall += metrics.execution_secs;
-                        report.total_work_secs += metrics.work_secs;
-                        report.sprint_secs += metrics.sprint_secs;
-                        total_completions += 1;
-                        let measured = finished
-                            .arrival_seq
-                            .is_some_and(|seq| (self.warmup..target).contains(&seq));
-                        if measured {
-                            measured_done += 1;
-                            let class = finished.instance.class();
-                            let stats = &mut report.per_class[class];
-                            let response = now - SimTime::ZERO - finished.instance.arrival_secs;
-                            stats.completed += 1;
-                            stats.response.push(response);
-                            stats.execution.push(metrics.execution_secs);
-                            stats
-                                .queueing
-                                .push((response - metrics.execution_secs).max(0.0));
-                            stats.evictions += u64::from(finished.evictions);
-                        }
-                        dispatch(
-                            &mut engine,
-                            &mut buffers,
-                            &self.policy,
-                            &mut running,
-                            &mut sprint_timer,
-                        )?;
-                    }
-                    _ => { /* task/stage/shuffle progress: nothing to do */ }
-                }
-            } else if budget_deadline == Some(next_t) {
-                engine.idle_until(next_t);
-                engine.set_frequency(dias_engine::FreqLevel::Base);
-                if let Some(s) = sprinter.as_mut() {
-                    s.stop_sprint(next_t);
-                }
-                budget_deadline = None;
-            } else if sprint_timer == Some(next_t) {
-                sprint_timer = None;
-                if running.is_some() {
-                    if let Some(s) = sprinter.as_mut() {
-                        if let Some(deadline) = s.start_sprint(next_t) {
-                            engine.idle_until(next_t);
-                            engine.set_frequency(dias_engine::FreqLevel::Sprint);
-                            budget_deadline = deadline.is_finite().then_some(deadline);
-                        }
-                    }
-                }
-            } else {
-                // Arrival.
-                let instance = next_arrival.take().expect("candidate implies presence");
-                next_arrival = self.source.next_job();
-                let arriving_class = instance.class();
-                buffers.push_arrival(QueuedJob::with_seq(instance, arrival_seq));
-                arrival_seq += 1;
-
-                if engine.is_idle() {
-                    engine.idle_until(next_t);
-                    dispatch(
-                        &mut engine,
-                        &mut buffers,
-                        &self.policy,
-                        &mut running,
-                        &mut sprint_timer,
-                    )?;
-                } else if self.policy.is_preemptive() {
-                    let running_class = running
-                        .as_ref()
-                        .map(|q| q.instance.class())
-                        .expect("engine busy implies a running job");
-                    if arriving_class > running_class {
-                        engine.idle_until(next_t);
-                        let evicted = engine.evict()?;
-                        if sprinter.as_ref().is_some_and(|s| s.is_sprinting()) {
-                            let s = sprinter.as_mut().expect("checked above");
-                            s.stop_sprint(next_t);
-                            engine.set_frequency(dias_engine::FreqLevel::Base);
-                        }
-                        sprint_timer = None;
-                        budget_deadline = None;
-                        busy_wall += evicted.wall_secs;
-                        report.wasted_work_secs += evicted.work_secs;
-                        report.total_work_secs += evicted.work_secs;
-                        report.sprint_secs += evicted.sprint_secs;
-                        report.evictions += 1;
-                        let victim = running.take().expect("engine was busy");
-                        buffers.push_evicted(victim);
-                        dispatch(
-                            &mut engine,
-                            &mut buffers,
-                            &self.policy,
-                            &mut running,
-                            &mut sprint_timer,
-                        )?;
-                    }
-                }
-            }
+        let mut multi = MultiJobExperiment::new(self.source, Box::new(scheduler))
+            .cluster(self.cluster)
+            .drops(&thetas)
+            .jobs(self.jobs)
+            .warmup(self.warmup);
+        if let Some(sprint) = self.policy.sprint {
+            multi = multi.sprint(sprint);
         }
-
-        let end = engine.now();
-        report.horizon_secs = end - SimTime::ZERO;
-        report.energy_joules = engine.energy_joules();
-        report.idle_energy_joules = self
-            .cluster
-            .cluster_power_w(0, dias_engine::FreqLevel::Base)
-            * report.horizon_secs;
-        report.utilization = if report.horizon_secs > 0.0 {
-            (busy_wall / report.horizon_secs).min(1.0)
-        } else {
-            0.0
-        };
-        Ok(report)
+        let r = multi.run()?;
+        let sprint_slot_secs: f64 = r.per_class.iter().map(|c| c.sprint_slot_secs).sum();
+        Ok(ExperimentReport {
+            policy: self.policy.label,
+            per_class: r
+                .per_class
+                .into_iter()
+                .map(|c| ClassStats {
+                    completed: c.completed,
+                    response: c.response,
+                    queueing: c.queueing,
+                    execution: c.execution,
+                    evictions: c.evictions,
+                })
+                .collect(),
+            wasted_work_secs: r.wasted_work_secs,
+            total_work_secs: r.total_work_secs + r.wasted_work_secs,
+            evictions: r.evictions,
+            energy_joules: r.energy_joules,
+            idle_energy_joules: r.idle_energy_joules,
+            horizon_secs: r.horizon_secs,
+            utilization: r.utilization,
+            sprint_secs: sprint_slot_secs / slots as f64,
+        })
     }
 }
 
-/// Sends the head of the highest non-empty buffer into the idle engine and arms the
-/// sprint timer for its class.
-fn dispatch(
-    engine: &mut ClusterSim,
-    buffers: &mut PriorityBuffers,
-    policy: &Policy,
-    running: &mut Option<QueuedJob>,
-    sprint_timer: &mut Option<SimTime>,
-) -> Result<(), ExperimentError> {
-    debug_assert!(running.is_none());
-    if let Some(q) = buffers.pop_highest() {
-        let drops = policy.drops_for(&q.instance.spec);
-        engine.start_job(&q.instance, &drops)?;
-        if let Some(sprint) = &policy.sprint {
-            if let Some(timeout) = sprint.timeout_for(q.instance.class()) {
-                *sprint_timer = Some(engine.now() + timeout);
-            }
-        }
-        *running = Some(q);
+/// The paper's one-job-at-a-time engine as a [`Scheduler`]: a job is placed
+/// only on an empty cluster and always receives every slot.
+///
+/// Waiting jobs sit in the engine's pending queue. The next one is the
+/// earliest of the highest waiting class; an evicted job re-queues at the
+/// head, so it is first in its class. Under a preemptive policy an arrival
+/// evicts the running job when that job is of a strictly lower class.
+#[derive(Debug)]
+struct WholeCluster {
+    preemptive: bool,
+}
+
+impl Scheduler for WholeCluster {
+    fn label(&self) -> &'static str {
+        "WholeCluster"
     }
-    Ok(())
+
+    fn place(
+        &mut self,
+        _class: usize,
+        _width: usize,
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<SlotRange> {
+        running.is_empty().then(|| SlotRange::new(0, total_slots))
+    }
+
+    fn pick_next(
+        &mut self,
+        pending: &[PendingView],
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<(usize, SlotRange)> {
+        if !running.is_empty() {
+            return None;
+        }
+        // The highest class; among equals the earliest in the queue.
+        let (i, _) = pending
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, p)| (p.class, std::cmp::Reverse(i)))?;
+        Some((i, SlotRange::new(0, total_slots)))
+    }
+
+    fn victim(
+        &mut self,
+        class: usize,
+        _width: usize,
+        _total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<JobId> {
+        running
+            .first()
+            .filter(|r| self.preemptive && r.class < class)
+            .map(|r| r.job)
+    }
 }
 
 #[cfg(test)]
@@ -608,5 +513,75 @@ mod tests {
         b.arrival_secs = 5.0;
         let result = std::panic::catch_unwind(|| VecJobSource::new(vec![a, b], 1));
         assert!(result.is_err());
+    }
+}
+
+#[cfg(test)]
+mod whole_cluster_tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use dias_engine::{ClusterSim, JobSpec, StageKind, StageSpec};
+    use dias_stochastic::Dist;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const CLASSES: usize = 4;
+
+    fn job(id: u64, class: usize) -> JobInstance {
+        let spec = JobSpec::builder(id, class)
+            .stage(StageSpec::new(StageKind::Map, 2, Dist::constant(1.0)))
+            .build();
+        JobInstance::sample(&spec, &mut StdRng::seed_from_u64(id))
+    }
+
+    /// The paper's Fig. 3 buffers: one FCFS queue per class, an evicted job
+    /// back at the head of its class. Returns the dispatch order of job 0
+    /// (class 0, running first) followed by `classes` submitted while it
+    /// runs.
+    fn buffer_model(classes: &[usize], preemptive: bool) -> Vec<u64> {
+        let mut queues = vec![VecDeque::new(); CLASSES];
+        let mut running = (0u64, 0usize);
+        let mut log = vec![0];
+        for (i, &class) in classes.iter().enumerate() {
+            let id = i as u64 + 1;
+            if preemptive && class > running.1 {
+                queues[running.1].push_front(running.0);
+                running = (id, class);
+                log.push(id);
+            } else {
+                queues[class].push_back(id);
+            }
+        }
+        while let Some(id) = queues.iter_mut().rev().find_map(VecDeque::pop_front) {
+            log.push(id);
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dispatch_respects_priority_then_fifo(
+            classes in prop::collection::vec(0usize..CLASSES, 1..60),
+            preemptive in any::<bool>(),
+        ) {
+            let mut engine = ClusterSim::with_scheduler(
+                ClusterSpec::paper_reference(),
+                Box::new(WholeCluster { preemptive }),
+            )
+            .unwrap();
+            engine.submit_job(&job(0, 0), &[0.0]).unwrap();
+            for (i, &class) in classes.iter().enumerate() {
+                engine.submit_job(&job(i as u64 + 1, class), &[0.0]).unwrap();
+            }
+            while engine.advance().is_ok() {}
+            let dispatched: Vec<u64> = engine.take_dispatched().iter().map(|d| d.job.0).collect();
+            // Every attempt, re-dispatches of evicted jobs included, in the
+            // order the per-class buffers would have released them.
+            prop_assert_eq!(dispatched, buffer_model(&classes, preemptive));
+        }
     }
 }

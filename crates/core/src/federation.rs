@@ -232,7 +232,7 @@ impl ShardDriver {
         self.routed += 1;
         self.global_seq.insert(inst.spec.id, seq);
         self.driver.source.queue.push_back(inst);
-        self.driver.refill_next_arrival();
+        self.driver.top_up_arrivals();
     }
 
     /// Sim time of this shard's next event, if any work remains.
@@ -255,7 +255,6 @@ impl ShardDriver {
             if let Some(obs) = self.driver.step(next_t, arm, &mut NoHook)? {
                 self.observe(&obs);
             }
-            self.driver.drain_dispatches();
         }
     }
 

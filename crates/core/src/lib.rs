@@ -6,16 +6,21 @@
 //!
 //! * **approximation** — the [`Policy`] assigns each priority class a task-drop
 //!   ratio `θ_k`, applied by the engine's dropper when the job is dispatched;
-//! * **sprinting** — after a class-dependent timeout `T_k`, the [`Sprinter`] raises
-//!   the cluster frequency under a replenishing energy budget.
+//! * **sprinting** — after a class-dependent timeout `T_k`, the
+//!   [`MultiSprinter`] raises the running job's frequency under a replenishing
+//!   energy budget.
 //!
-//! Architecture, mirroring the paper's Figure 3: jobs arrive into per-priority
-//! [`PriorityBuffers`]; the dispatcher sends the head of the highest non-empty
-//! buffer into the engine ([`dias_engine::ClusterSim`]) with the deflator-chosen
-//! drop ratios; the sprinter arms a timer for the dispatched job. The scheduling
-//! across buffers is **non-preemptive** under DiAS; the preemptive baseline `P`
-//! (evict + re-execute from scratch) is implemented for comparison, exactly as the
-//! prototype does for its baseline results.
+//! Architecture, mirroring the paper's Figure 3: one job at a time runs on the
+//! engine ([`dias_engine::ClusterSim`]) as a gang as wide as the cluster. Jobs
+//! waiting for it sit in the engine's pending queue, which stands in for the
+//! per-priority buffers: the dispatcher takes the earliest job of the highest
+//! waiting class and hands it to the engine with the deflator-chosen drop
+//! ratios, and the sprinter arms a timer for it. The scheduling across classes
+//! is **non-preemptive** under DiAS; the preemptive baseline `P` (evict +
+//! re-execute from scratch, the victim returning to the head of its class) is
+//! implemented for comparison, exactly as the prototype does for its baseline
+//! results. The same loop, [`MultiJobExperiment`], runs concurrent jobs when
+//! given a gang scheduler instead.
 //!
 //! [`Experiment`] wires a job source, a policy and a cluster into a closed loop and
 //! produces an [`ExperimentReport`] with per-class mean/p95 latencies, queueing and
@@ -56,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffers;
 mod degrade;
 mod experiment;
 pub mod federation;
@@ -68,7 +72,6 @@ mod sprinter;
 pub mod stream;
 pub mod sweep;
 
-pub use buffers::{PriorityBuffers, QueuedJob};
 pub use degrade::DegradationPolicy;
 pub use experiment::{Experiment, ExperimentError, JobSource, VecJobSource};
 pub use federation::{
@@ -78,10 +81,10 @@ pub use metrics::{ClassStats, ExperimentReport};
 pub use multi::{MultiClassStats, MultiJobExperiment, MultiJobReport, MultiRunTrace};
 pub use multi_sprint::MultiSprinter;
 pub use policy::{ClassPolicy, Policy, Scheduling};
-pub use sprinter::{SprintBudget, SprintPolicy, Sprinter};
+pub use sprinter::{SprintBudget, SprintPolicy};
 pub use stream::{SoakExperiment, SoakReport, SoakWindow, SoakWindowClass, WarmupRule};
 pub use sweep::{
     run_experiments, run_experiments_differential, run_multi_experiments,
     run_multi_experiments_branch, run_multi_experiments_differential, run_parallel, BranchStats,
-    Contrast, DifferentialReport, ExperimentSpec,
+    Contrast, DifferentialReport,
 };

@@ -14,8 +14,8 @@ pub struct ClassStats {
     pub completed: u64,
     /// End-to-end response times (arrival → completion).
     pub response: SampleSet,
-    /// Queueing times (response − final-attempt execution, includes time lost to
-    /// evicted attempts).
+    /// Queueing times: arrival → dispatch of the final attempt, from the
+    /// engine's dispatch log (includes time lost to evicted attempts).
     pub queueing: SampleSet,
     /// Final-attempt execution times.
     pub execution: SampleSet,
@@ -64,9 +64,12 @@ pub struct ExperimentReport {
     pub idle_energy_joules: f64,
     /// Wall-clock horizon of the measured portion, in seconds.
     pub horizon_secs: f64,
-    /// Fraction of the horizon during which the engine was executing a job.
+    /// Average fraction of the cluster's slots busy running tasks over the
+    /// horizon (a job holding the cluster with idle slots counts only its
+    /// busy ones).
     pub utilization: f64,
-    /// Wall-clock seconds spent at sprint frequency.
+    /// Busy slot-seconds at sprint frequency divided by the slot count: the
+    /// seconds spent sprinting, weighted by the share of slots busy.
     pub sprint_secs: f64,
 }
 

@@ -2,19 +2,18 @@
 //! engine's scheduler, with per-class latency, energy and approximation-loss
 //! reporting.
 //!
-//! [`Experiment`](crate::Experiment) reproduces the paper's architecture: one
-//! job at a time in the engine, queueing and preemption handled *outside* by
-//! [`PriorityBuffers`](crate::PriorityBuffers). [`MultiJobExperiment`] is the
-//! concurrent counterpart: every arrival is [`ClusterSim::submit_job`]ed
-//! immediately and the engine's [`Scheduler`] policy decides whether it runs
-//! beside the current jobs on a disjoint slot subset
+//! Every arrival is [`ClusterSim::submit_job`]ed on release and the engine's
+//! [`Scheduler`] policy decides whether it runs beside the current jobs on a
+//! disjoint slot subset
 //! ([`GangBinPack`](dias_engine::GangBinPack)), waits in the engine's pending
 //! queue, or evicts lower-class jobs
 //! ([`PriorityPreempt`](dias_engine::PriorityPreempt)). The
 //! engine's per-job [`EnergyMeter`](dias_engine::EnergyMeter) attribution is
 //! harvested per completion, so the report can split the cluster's active
 //! energy by priority class — the measurement the paper's energy discussion
-//! (§5.3) needs once jobs coexist.
+//! (§5.3) needs once jobs coexist. The paper's one-job-at-a-time
+//! [`Experiment`](crate::Experiment) is this driver with a scheduler that
+//! gives every job the whole cluster.
 //!
 //! Sprinting is *per gang*: a full [`SprintPolicy`] (per-class timeouts plus
 //! a shared replenishing budget, the paper's §3.3 knobs) drives a
@@ -31,8 +30,8 @@ use std::collections::BinaryHeap;
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
-    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, FaultTrace, FreqLevel,
-    IdMap, JobId, JobInstance, Scheduler, Submission,
+    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultTrace,
+    FreqLevel, IdMap, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -284,6 +283,10 @@ pub struct MultiJobExperiment<S> {
     faults: FaultTrace,
     slos: Option<Vec<f64>>,
     degrade: Option<DegradationPolicy>,
+    /// Arrivals drawn ahead and released together, at the latest arrival
+    /// time among them. 1 everywhere except the soak, which sets it from
+    /// [`SoakExperiment::arrival_batch`](crate::SoakExperiment::arrival_batch).
+    pub(crate) arrival_batch: usize,
 }
 
 /// Driver-side record of one submitted job.
@@ -333,8 +336,10 @@ type TimerHeap = BinaryHeap<Reverse<SprintTimer>>;
 /// One arm of the driver's event arbiter, in the loop's fixed tie order:
 /// engine event → budget depletion → sprint timers → faults → arrival.
 /// [`MultiDriver::next_arm`] picks the arm, [`MultiDriver::step`] executes
-/// it — the explicit event-source decomposition the soak and federation
-/// drivers compose their own loops from.
+/// it. Every driver in the crate — closed run, soak, federation shard and,
+/// through a whole-cluster scheduler, the paper's one-job
+/// [`Experiment`](crate::Experiment) — runs on this one pair, so the tie
+/// order is written down once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LoopArm {
     /// The engine's next calendar event.
@@ -345,7 +350,7 @@ pub(crate) enum LoopArm {
     Timer,
     /// A fault-trace batch is due.
     Fault,
-    /// The next drawn arrival is released.
+    /// The drawn arrivals are released.
     Arrival,
 }
 
@@ -368,6 +373,7 @@ impl<S: JobSource> MultiJobExperiment<S> {
             faults: FaultTrace::empty(),
             slos: None,
             degrade: None,
+            arrival_batch: 1,
         }
     }
 
@@ -680,7 +686,7 @@ fn keep_count(n: usize, theta: f64) -> usize {
 /// of driver state the loop carries across iterations.
 struct MultiCheckpoint<S> {
     /// Arrivals already submitted when the checkpoint was taken (also the
-    /// sequence number of `next_arrival`).
+    /// sequence number of the first drawn arrival).
     arrival_idx: usize,
     /// Engine events the reference run had processed — what a branch that
     /// resumes here skips re-simulating.
@@ -690,8 +696,8 @@ struct MultiCheckpoint<S> {
     /// checkpoint's draw offset, so the remaining arrival stream replays bit
     /// for bit (see [`dias_stochastic::DrawTrace::replay_from`]).
     source: S,
-    /// The already-drawn instance about to be submitted.
-    next_arrival: Option<JobInstance>,
+    /// The already-drawn instances about to be submitted.
+    arrivals: Vec<JobInstance>,
     meta: IdMap<JobMeta>,
     timers: TimerHeap,
     timer_seq: u64,
@@ -767,8 +773,8 @@ impl<S> MultiRunTrace<S> {
 /// Observer of the driver loop's arrival boundaries; the recording run plugs
 /// [`TraceHook`] in, plain runs pay nothing through [`NoHook`].
 pub(crate) trait RunHook<S> {
-    /// Called at the top of the arrival arm, *before* the pending arrival in
-    /// [`MultiDriver::next_arrival`] is submitted.
+    /// Called at the top of the arrival arm, *before* the drawn arrivals in
+    /// [`MultiDriver::arrivals`] are submitted.
     fn on_arrival(&mut self, driver: &MultiDriver<S>);
 }
 
@@ -790,18 +796,15 @@ struct TraceHook<S> {
 
 impl<S: Clone> RunHook<S> for TraceHook<S> {
     fn on_arrival(&mut self, driver: &MultiDriver<S>) {
-        let instance = driver
-            .next_arrival
-            .as_ref()
-            .expect("hook fires on an arrival");
-        self.signatures.push(ArrivalSignature::of(instance));
+        self.signatures
+            .extend(driver.arrivals.iter().map(ArrivalSignature::of));
         if driver.arrival_seq.is_multiple_of(self.stride) {
             self.checkpoints.push(MultiCheckpoint {
                 arrival_idx: driver.arrival_seq,
                 events_done: driver.events_done,
                 engine: driver.engine.checkpoint(),
                 source: driver.source.clone(),
-                next_arrival: driver.next_arrival.clone(),
+                arrivals: driver.arrivals.clone(),
                 meta: driver.meta.clone(),
                 timers: driver.timers.clone(),
                 timer_seq: driver.timer_seq,
@@ -859,11 +862,9 @@ pub(crate) struct CompletionObs {
 ///
 /// Everything the loop carries across iterations lives in a field here;
 /// [`TraceHook`] clones the lot into a [`MultiCheckpoint`] and
-/// [`MultiDriver::resume`] puts it back. The loop arms are factored into the
-/// `handle_*`/`admit`/`drain_dispatches` methods so the open-system soak
-/// driver (`crate::stream`) can re-compose them around a batched arrival
-/// stream; [`MultiDriver::drive`] recombines them into exactly the PR 4–7
-/// loop, so a plain run is bit-identical to the pre-refactor code.
+/// [`MultiDriver::resume`] puts it back. Callers loop over
+/// [`MultiDriver::next_arm`] and [`MultiDriver::step`]; they differ only in
+/// how they record completions and when they stop.
 pub(crate) struct MultiDriver<S> {
     // Immutable configuration.
     thetas: Option<Vec<f64>>,
@@ -888,7 +889,10 @@ pub(crate) struct MultiDriver<S> {
     sprinter: Option<MultiSprinter>,
     fault_idx: usize,
     last_effective: usize,
-    next_arrival: Option<JobInstance>,
+    /// The release buffer: up to `arrival_batch` drawn arrivals, released
+    /// together at the latest arrival time they hold.
+    arrivals: Vec<JobInstance>,
+    arrival_batch: usize,
     arrival_seq: usize,
     measured_done: usize,
     pub(crate) total_completions: usize,
@@ -903,45 +907,27 @@ impl<S: JobSource> MultiDriver<S> {
     /// Validates the experiment and sets up the start-of-run state.
     pub(crate) fn build(mut exp: MultiJobExperiment<S>) -> Result<Self, ExperimentError> {
         let classes = exp.source.classes();
-        if let Some(t) = &exp.thetas {
-            if t.len() != classes {
-                return Err(ExperimentError::ClassMismatch {
-                    policy: t.len(),
-                    source: classes,
-                });
-            }
-        }
-        if let Some(t) = &exp.slos {
-            if t.len() != classes {
-                return Err(ExperimentError::ClassMismatch {
-                    policy: t.len(),
-                    source: classes,
-                });
-            }
+        // Every per-class setting must cover exactly the source's classes.
+        let lens = [
+            exp.thetas.as_ref().map(Vec::len),
+            exp.slos.as_ref().map(Vec::len),
+            exp.degrade.as_ref().map(DegradationPolicy::classes),
+            exp.sprint.as_ref().map(|p| p.timeouts.len()),
+        ];
+        if let Some(policy) = lens.into_iter().flatten().find(|&n| n != classes) {
+            return Err(ExperimentError::ClassMismatch {
+                policy,
+                source: classes,
+            });
         }
         if let Some(d) = &exp.degrade {
-            if d.classes() != classes {
-                return Err(ExperimentError::ClassMismatch {
-                    policy: d.classes(),
-                    source: classes,
-                });
-            }
             // The degradation controller owns the drop vector from here on.
             exp.thetas = Some(d.base().to_vec());
         }
-        let sprint_policy = match exp.sprint.take() {
-            Some(p) => {
-                if p.timeouts.len() != classes {
-                    return Err(ExperimentError::ClassMismatch {
-                        policy: p.timeouts.len(),
-                        source: classes,
-                    });
-                }
-                Some(p)
-            }
-            None if exp.sprint_top_class => Some(SprintPolicy::unlimited_for_top(classes)),
-            None => None,
-        };
+        let sprint_policy = exp.sprint.take().or_else(|| {
+            exp.sprint_top_class
+                .then(|| SprintPolicy::unlimited_for_top(classes))
+        });
         let sprinter = sprint_policy.map(|p| {
             MultiSprinter::new(p, exp.cluster.sprint_extra_slot_power_w())
                 .with_draw_cap(exp.sprint_draw_cap_w)
@@ -953,10 +939,9 @@ impl<S: JobSource> MultiDriver<S> {
             ..Default::default()
         };
         let total_slots = exp.cluster.slots();
-        let next_arrival = exp.source.next_job();
         let warmup = exp.warmup.unwrap_or(exp.jobs / 10);
         let target = warmup + exp.jobs;
-        Ok(MultiDriver {
+        let mut driver = MultiDriver {
             thetas: exp.thetas,
             slos: exp.slos,
             degrade: exp.degrade,
@@ -976,22 +961,19 @@ impl<S: JobSource> MultiDriver<S> {
             meta: IdMap::default(),
             timers: TimerHeap::new(),
             timer_seq: 0,
-            sprinter: None,
+            sprinter,
             fault_idx: 0,
             last_effective: total_slots,
-            next_arrival,
+            arrivals: Vec::with_capacity(exp.arrival_batch),
+            arrival_batch: exp.arrival_batch,
             arrival_seq: 0,
             measured_done: 0,
             total_completions: 0,
             events_done: 0,
             drops_scratch: Vec::new(),
-        }
-        .with_sprinter(sprinter))
-    }
-
-    fn with_sprinter(mut self, sprinter: Option<MultiSprinter>) -> Self {
-        self.sprinter = sprinter;
-        self
+        };
+        driver.top_up_arrivals();
+        Ok(driver)
     }
 
     /// Reinstates a checkpoint: engine and driver state revert to the arrival
@@ -1003,7 +985,7 @@ impl<S: JobSource> MultiDriver<S> {
     {
         self.engine.restore(&cp.engine);
         self.source = cp.source.clone();
-        self.next_arrival = cp.next_arrival.clone();
+        self.arrivals.clone_from(&cp.arrivals);
         self.meta = cp.meta.clone();
         self.timers = cp.timers.clone();
         self.timer_seq = cp.timer_seq;
@@ -1019,8 +1001,7 @@ impl<S: JobSource> MultiDriver<S> {
 
     /// The closed loop: [`MultiDriver::next_arm`] arbitration and
     /// [`MultiDriver::step`] execution, until the measured window completes
-    /// or the source drains. Recombining the two is bit-identical to the
-    /// pre-PR 10 inline loop — the arbiter merely names what it always did.
+    /// or the source drains.
     fn drive<H: RunHook<S>>(&mut self, hook: &mut H) -> Result<(), ExperimentError> {
         while self.measured_done < self.jobs {
             if self.total_completions > self.completion_cap {
@@ -1035,105 +1016,21 @@ impl<S: JobSource> MultiDriver<S> {
             if let Some(obs) = self.step(next_t, arm, hook)? {
                 self.record_completion(&obs);
             }
-            self.drain_dispatches();
         }
         Ok(())
     }
 
     /// The event arbiter: which composable source — engine calendar, budget
-    /// depletion, sprint timers, fault batches, or the arrival stream —
+    /// depletion, sprint timers, fault batches, or the arrival release —
     /// fires next, and when. `None` means the run is over (no event time
     /// remains anywhere).
     ///
     /// Tie-breaking at equal timestamps is fixed — engine event, then budget
-    /// depletion, then sprint timers, then faults, then the arrival — so
-    /// runs are deterministic whatever the configuration. Every composition
-    /// of the loop (closed [`MultiDriver::drive`], the soak's batched
-    /// arrival loop, the federation's epoch-bounded shard advance) inherits
-    /// the same order by construction.
+    /// depletion, then sprint timers, then faults, then the release — so
+    /// runs are deterministic whatever the configuration. This is the only
+    /// place the order is written down: every driver loops over this and
+    /// [`MultiDriver::step`].
     pub(crate) fn next_arm(&mut self) -> Option<(SimTime, LoopArm)> {
-        let arrival_t = self
-            .next_arrival
-            .as_ref()
-            .map(|j| SimTime::from_secs(j.arrival_secs));
-        let [engine_t, depletion_t, timer_t, fault_t] = self.machine_times(arrival_t.is_some());
-        let next_t = [engine_t, depletion_t, timer_t, fault_t, arrival_t]
-            .iter()
-            .flatten()
-            .copied()
-            .min()?;
-        let arm = if engine_t == Some(next_t) {
-            LoopArm::Engine
-        } else if depletion_t == Some(next_t) {
-            LoopArm::Depletion
-        } else if timer_t == Some(next_t) {
-            LoopArm::Timer
-        } else if fault_t == Some(next_t) {
-            LoopArm::Fault
-        } else {
-            LoopArm::Arrival
-        };
-        Some((next_t, arm))
-    }
-
-    /// Executes one arbitrated arm at its event time. Completions surface as
-    /// [`CompletionObs`] for the caller to record (closed loop: per-class
-    /// exact stats; soak: streaming windows; federation: global-window shard
-    /// accounting). The caller is expected to follow up with
-    /// [`MultiDriver::drain_dispatches`].
-    pub(crate) fn step<H: RunHook<S>>(
-        &mut self,
-        next_t: SimTime,
-        arm: LoopArm,
-        hook: &mut H,
-    ) -> Result<Option<CompletionObs>, ExperimentError> {
-        match arm {
-            LoopArm::Engine => self.handle_engine_event(next_t),
-            LoopArm::Depletion => {
-                self.handle_depletion(next_t);
-                Ok(None)
-            }
-            LoopArm::Timer => {
-                self.handle_timers(next_t);
-                Ok(None)
-            }
-            LoopArm::Fault => {
-                self.handle_faults(next_t)?;
-                Ok(None)
-            }
-            LoopArm::Arrival => {
-                // Hand the arrival straight to the engine's scheduler. The
-                // hook observes the pre-submission state — this is the
-                // checkpoint boundary branch re-execution resumes at.
-                hook.on_arrival(self);
-                let instance = self
-                    .next_arrival
-                    .take()
-                    .expect("arrival arm implies a drawn arrival");
-                self.next_arrival = self.source.next_job();
-                self.admit(instance, next_t)?;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Refills the eagerly drawn arrival slot from the source when empty —
-    /// the federation coordinator calls this after routing new jobs into a
-    /// shard's inbox, restoring the invariant the arbiter's arrival arm
-    /// relies on.
-    pub(crate) fn refill_next_arrival(&mut self) {
-        if self.next_arrival.is_none() {
-            self.next_arrival = self.source.next_job();
-        }
-    }
-
-    /// Event times of the four machine-side event families in the loop's tie
-    /// order — engine event, sprint-budget depletion, sprint timers (dead
-    /// ones dropped from the top here) and faults. `arrivals_pending` tells
-    /// the fault gate whether the arrival stream still has undelivered work;
-    /// the caller owns the arrival time itself, which is what lets the soak
-    /// driver batch releases without re-implementing any of this.
-    pub(crate) fn machine_times(&mut self, arrivals_pending: bool) -> [Option<SimTime>; 4] {
         let engine_t = self.engine.next_event_time();
         let depletion_t = self
             .sprinter
@@ -1159,7 +1056,7 @@ impl<S: JobSource> MultiDriver<S> {
         // Fault events only matter while work remains (arrivals ahead or
         // jobs running/pending): once the run is winding down, a tail of
         // repairs must not stretch the horizon with phantom idle time.
-        let fault_t = if arrivals_pending || !self.engine.is_idle() {
+        let fault_t = if !self.arrivals.is_empty() || !self.engine.is_idle() {
             self.faults
                 .events()
                 .get(self.fault_idx)
@@ -1167,7 +1064,97 @@ impl<S: JobSource> MultiDriver<S> {
         } else {
             None
         };
-        [engine_t, depletion_t, timer_t, fault_t]
+        // A release happens at the *latest* arrival it holds: earlier jobs
+        // wait for it, and that wait is charged to their response times
+        // (arrival timestamps stay truthful).
+        let release_t = self
+            .arrivals
+            .iter()
+            .map(|j| SimTime::from_secs(j.arrival_secs))
+            .max();
+        let next_t = [engine_t, depletion_t, timer_t, fault_t, release_t]
+            .iter()
+            .flatten()
+            .copied()
+            .min()?;
+        let arm = if engine_t == Some(next_t) {
+            LoopArm::Engine
+        } else if depletion_t == Some(next_t) {
+            LoopArm::Depletion
+        } else if timer_t == Some(next_t) {
+            LoopArm::Timer
+        } else if fault_t == Some(next_t) {
+            LoopArm::Fault
+        } else {
+            LoopArm::Arrival
+        };
+        Some((next_t, arm))
+    }
+
+    /// Executes one arbitrated arm at its event time. Completions surface as
+    /// [`CompletionObs`] for the caller to record (closed loop: per-class
+    /// exact stats; soak: streaming windows; federation: global-window shard
+    /// accounting).
+    ///
+    /// The arms that can place jobs — a departure's backfill, a fault
+    /// batch, a release — end by draining the engine's dispatch log; task
+    /// events and frequency switches never dispatch.
+    pub(crate) fn step<H: RunHook<S>>(
+        &mut self,
+        next_t: SimTime,
+        arm: LoopArm,
+        hook: &mut H,
+    ) -> Result<Option<CompletionObs>, ExperimentError> {
+        match arm {
+            LoopArm::Engine => {
+                let obs = self.handle_engine_event(next_t)?;
+                if obs.is_some() {
+                    self.drain_dispatches();
+                }
+                Ok(obs)
+            }
+            LoopArm::Depletion => {
+                self.handle_depletion(next_t);
+                Ok(None)
+            }
+            LoopArm::Timer => {
+                self.handle_timers(next_t);
+                Ok(None)
+            }
+            LoopArm::Fault => {
+                self.handle_faults(next_t)?;
+                self.drain_dispatches();
+                Ok(None)
+            }
+            LoopArm::Arrival => {
+                // Hand the released arrivals straight to the engine's
+                // scheduler. The hook observes the pre-submission state —
+                // this is the checkpoint boundary branch re-execution
+                // resumes at.
+                hook.on_arrival(self);
+                let mut release = std::mem::take(&mut self.arrivals);
+                for instance in release.drain(..) {
+                    self.admit(instance, next_t)?;
+                }
+                self.drain_dispatches();
+                // The emptied buffer keeps its allocation for the next draw.
+                self.arrivals = release;
+                self.top_up_arrivals();
+                Ok(None)
+            }
+        }
+    }
+
+    /// Draws arrivals from the source until the release buffer holds
+    /// `arrival_batch` of them or the source runs dry. The federation
+    /// coordinator calls this after routing new jobs into a shard's inbox.
+    pub(crate) fn top_up_arrivals(&mut self) {
+        while self.arrivals.len() < self.arrival_batch {
+            match self.source.next_job() {
+                Some(j) => self.arrivals.push(j),
+                None => break,
+            }
+        }
     }
 
     /// Advances the engine one event and, when a job finished, observes it:
@@ -1177,7 +1164,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// for the closed loop, window accountants for the soak), so the energy
     /// ledger drain and the statistics pushes touch disjoint accumulators in
     /// either composition.
-    pub(crate) fn handle_engine_event(
+    fn handle_engine_event(
         &mut self,
         next_t: SimTime,
     ) -> Result<Option<CompletionObs>, ExperimentError> {
@@ -1236,7 +1223,7 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Budget dry: every sprinting domain drops to base together.
-    pub(crate) fn handle_depletion(&mut self, next_t: SimTime) {
+    fn handle_depletion(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self
             .sprinter
@@ -1251,7 +1238,7 @@ impl<S: JobSource> MultiDriver<S> {
 
     /// Per-attempt sprint timers: start each due job's domain if its attempt
     /// still runs and the budget has joules left.
-    pub(crate) fn handle_timers(&mut self, next_t: SimTime) {
+    fn handle_timers(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self.sprinter.as_mut().expect("timers imply a sprinter");
         while let Some(&Reverse(t)) = self.timers.peek() {
@@ -1277,7 +1264,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// Victims of failed slots re-queue at the pending head inside the
     /// engine; here they are accounted exactly like preemption victims, plus
     /// the failure counters.
-    pub(crate) fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
+    fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
         self.engine.idle_until(next_t);
         while let Some(e) = self.faults.events().get(self.fault_idx).copied() {
             if SimTime::from_secs(e.at_secs) != next_t {
@@ -1285,27 +1272,7 @@ impl<S: JobSource> MultiDriver<S> {
             }
             self.fault_idx += 1;
             for (victim, lost) in self.engine.apply_fault(&e)? {
-                self.report.evictions += 1;
-                self.report.failure_evictions += 1;
-                self.report.wasted_work_secs += lost.work_secs;
-                self.report.failure_lost_work_secs += lost.work_secs;
-                if let Some(s) = self.sprinter.as_mut() {
-                    // A failed sprinting gang stops draining the
-                    // budget; its timer dies with the attempt.
-                    s.stop(next_t, victim);
-                }
-                if let Some(vm) = self.meta.get_mut(&victim) {
-                    vm.evictions += 1;
-                    vm.failure_evictions += 1;
-                }
-                let vclass = self.meta.get(&victim).map_or(0, |vm| vm.class);
-                harvest_energy(
-                    &mut self.engine,
-                    &self.meta,
-                    vclass,
-                    victim,
-                    &mut self.report,
-                );
+                self.book_eviction(next_t, victim, lost, true);
             }
         }
         // Degradation reacts to the *batch*, not each event: the
@@ -1324,15 +1291,9 @@ impl<S: JobSource> MultiDriver<S> {
         Ok(())
     }
 
-    /// Submits one drawn arrival to the engine's scheduler at `next_t` and
-    /// accounts any preemption evictions it causes. The caller decides *when*
-    /// to release the job (and has already drawn its successor, keeping the
-    /// source's draw order independent of release batching).
-    pub(crate) fn admit(
-        &mut self,
-        instance: JobInstance,
-        next_t: SimTime,
-    ) -> Result<(), ExperimentError> {
+    /// Submits one released arrival to the engine's scheduler at `next_t`
+    /// and accounts any preemption evictions it causes.
+    fn admit(&mut self, instance: JobInstance, next_t: SimTime) -> Result<(), ExperimentError> {
         let class = instance.class();
         assert!(class < self.classes, "job class out of range");
         // Per-stage drop vector under the class's theta (droppable stages
@@ -1371,33 +1332,43 @@ impl<S: JobSource> MultiDriver<S> {
             Submission::Dispatched { .. } => Vec::new(),
         };
         for (victim, lost) in evicted {
-            self.report.evictions += 1;
-            self.report.wasted_work_secs += lost.work_secs;
-            if let Some(s) = self.sprinter.as_mut() {
-                // A sprinting victim stops draining the budget; its
-                // timer dies with the attempt (stale-attempt check).
-                s.stop(next_t, victim);
-            }
-            if let Some(vm) = self.meta.get_mut(&victim) {
-                vm.evictions += 1;
-            }
-            // The evicted attempt's energy ledger retired with
-            // the eviction; attribute it now.
-            let vclass = self.meta.get(&victim).map_or(0, |vm| vm.class);
-            harvest_energy(
-                &mut self.engine,
-                &self.meta,
-                vclass,
-                victim,
-                &mut self.report,
-            );
+            self.book_eviction(next_t, victim, lost, false);
         }
         Ok(())
     }
 
+    /// Books one destroyed attempt — a preemption victim, or with `failure`
+    /// a victim of failed slots: counters and lost work, its sprint (a
+    /// sprinting victim stops draining the budget; its timer dies with the
+    /// attempt) and the energy ledger that retired with it.
+    fn book_eviction(&mut self, next_t: SimTime, victim: JobId, lost: EvictedWork, failure: bool) {
+        self.report.evictions += 1;
+        self.report.wasted_work_secs += lost.work_secs;
+        if failure {
+            self.report.failure_evictions += 1;
+            self.report.failure_lost_work_secs += lost.work_secs;
+        }
+        if let Some(s) = self.sprinter.as_mut() {
+            s.stop(next_t, victim);
+        }
+        let mut class = 0;
+        if let Some(vm) = self.meta.get_mut(&victim) {
+            vm.evictions += 1;
+            vm.failure_evictions += u32::from(failure);
+            class = vm.class;
+        }
+        harvest_energy(
+            &mut self.engine,
+            &self.meta,
+            class,
+            victim,
+            &mut self.report,
+        );
+    }
+
     /// Drains the engine's dispatch log: every placement (arrival, backfill,
     /// eviction re-dispatch) stamps the attempt and arms its sprint timer.
-    pub(crate) fn drain_dispatches(&mut self) {
+    fn drain_dispatches(&mut self) {
         for d in self.engine.take_dispatched() {
             let m = self
                 .meta
@@ -1424,13 +1395,6 @@ impl<S: JobSource> MultiDriver<S> {
         }
     }
 
-    /// Hands over the eagerly drawn first arrival: an external arrival loop
-    /// (the soak driver) owns batching and draws the rest from
-    /// [`MultiDriver::source`] itself.
-    pub(crate) fn take_next_arrival(&mut self) -> Option<JobInstance> {
-        self.next_arrival.take()
-    }
-
     /// Engine events processed so far.
     pub(crate) fn events_done(&self) -> u64 {
         self.events_done
@@ -1445,16 +1409,16 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Live driver+engine objects right now: calendar entries, pending and
-    /// running jobs, job metadata records and armed sprint timers (dead
-    /// ones included until they reach the top of the heap). The soak
-    /// harness adds its own arrival buffer and sketch nodes on top to form
-    /// the peak-RSS proxy.
+    /// running jobs, job metadata records, armed sprint timers (dead ones
+    /// included until they reach the top of the heap) and drawn arrivals.
+    /// The soak adds its sketch nodes on top to form the peak-RSS proxy.
     pub(crate) fn live_objects(&self) -> usize {
         self.engine.pending_events()
             + self.engine.pending_jobs()
             + self.engine.running_count()
             + self.meta.len()
             + self.timers.len()
+            + self.arrivals.len()
     }
 
     /// Closes the books: in-flight energy attribution, horizon, utilization

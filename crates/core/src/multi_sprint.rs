@@ -1,10 +1,7 @@
 //! Budgeted sprinting over *concurrent* jobs: per-class timers and a shared
 //! replenishing energy budget driving per-gang frequency domains.
 //!
-//! [`Sprinter`](crate::Sprinter) implements the paper's §3.3 mechanism for the
-//! one-job-at-a-time engine: one timer, one global DVFS switch, a budget
-//! drained at the cluster-wide extra power. [`MultiSprinter`] ports the same
-//! [`SprintPolicy`] onto the concurrent driver
+//! [`MultiSprinter`] runs the paper's §3.3 [`SprintPolicy`] on the driver
 //! ([`MultiJobExperiment`](crate::MultiJobExperiment)): every dispatched job
 //! of a sprinting class arms its own timer, a job that starts sprinting flips
 //! only *its* frequency domain
@@ -12,8 +9,10 @@
 //! and the shared budget is charged per sprinting gang — at
 //! [`ClusterSpec::sprint_extra_slot_power_w`](dias_engine::ClusterSpec::sprint_extra_slot_power_w)
 //! per slot of the gang — so a narrow high-priority job drains far less than
-//! the paper's whole-cluster sprint. When the budget depletes, *all* sprinting
-//! domains drop back to base together, exactly like the paper's single switch.
+//! the paper's whole-cluster sprint, and a gang as wide as the cluster drains
+//! exactly the paper's cluster-wide extra power. When the budget depletes,
+//! *all* sprinting domains drop back to base together, exactly like the
+//! paper's single switch.
 //!
 //! Budget accounting is conservation-exact: at all times
 //! `budget == initial + replenished − spent` holds under exact arithmetic,

@@ -20,11 +20,10 @@ pub enum Scheduling {
 /// Per-class approximation settings.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct ClassPolicy {
-    /// Drop ratio applied to droppable stages (Map, ShuffleMap) of this class.
+    /// Drop ratio applied to droppable stages (Map, ShuffleMap) of this class;
+    /// the remaining stages (Reduce, Result) always run in full, as in the
+    /// paper.
     pub theta_droppable: f64,
-    /// Drop ratio applied to the remaining stages (Reduce, Result); the paper keeps
-    /// these at zero.
-    pub theta_other: f64,
 }
 
 /// A complete scheduling policy: discipline, per-class drop ratios and optional
@@ -101,10 +100,7 @@ impl Policy {
             scheduling: Scheduling::NonPreemptive,
             classes: thetas
                 .iter()
-                .map(|&t| ClassPolicy {
-                    theta_droppable: t,
-                    theta_other: 0.0,
-                })
+                .map(|&t| ClassPolicy { theta_droppable: t })
                 .collect(),
             sprint: None,
             label,
@@ -173,7 +169,7 @@ impl Policy {
                 if s.kind.droppable() {
                     class.theta_droppable
                 } else {
-                    class.theta_other
+                    0.0
                 }
             })
             .collect()

@@ -1,4 +1,7 @@
-//! The sprinter: DVFS acceleration under a replenishing energy budget (paper §3.3).
+//! Sprint policies: DVFS acceleration under a replenishing energy budget
+//! (paper §3.3). The runtime state machine is [`MultiSprinter`](crate::MultiSprinter),
+//! which the one-job [`Experiment`](crate::Experiment) runs over one gang as
+//! wide as the cluster.
 //!
 //! "If sprinting is enabled, the sprinter handles a sprinting timer for each
 //! dispatched job and tracks the remaining sprinting budget. When the timer fires,
@@ -8,8 +11,6 @@
 //! sprinting minutes per hour. The timeout is ignored if the job ends sooner."
 
 use serde::{Deserialize, Serialize};
-
-use dias_des::SimTime;
 
 /// The sprint energy budget.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -104,124 +105,23 @@ impl SprintPolicy {
     }
 }
 
-/// Runtime state of the sprinter: tracks the budget through time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sprinter {
-    policy: SprintPolicy,
-    /// Extra cluster power drawn while sprinting (W) — the drain rate.
-    extra_power_w: f64,
-    budget_j: f64,
-    sprinting: bool,
-    last_update: SimTime,
-}
-
-impl Sprinter {
-    /// Creates a sprinter at time zero with a full budget.
-    ///
-    /// `extra_power_w` is the cluster-wide extra draw while sprinting (see
-    /// [`dias_engine::ClusterSpec::sprint_extra_power_w`]).
-    #[must_use]
-    pub fn new(policy: SprintPolicy, extra_power_w: f64) -> Self {
-        let budget_j = match policy.budget {
-            SprintBudget::Unlimited => f64::INFINITY,
-            SprintBudget::Limited { initial_j, .. } => initial_j,
-        };
-        Sprinter {
-            policy,
-            extra_power_w,
-            budget_j,
-            sprinting: false,
-            last_update: SimTime::ZERO,
-        }
-    }
-
-    /// The configured policy.
-    #[must_use]
-    pub fn policy(&self) -> &SprintPolicy {
-        &self.policy
-    }
-
-    /// Whether the cluster is currently sprinting.
-    #[must_use]
-    pub fn is_sprinting(&self) -> bool {
-        self.sprinting
-    }
-
-    /// Remaining budget in joules (∞ when unlimited).
-    #[must_use]
-    pub fn budget_j(&self) -> f64 {
-        self.budget_j
-    }
-
-    /// Advances the budget to `now`: drains while sprinting, replenishes otherwise
-    /// (replenishment also accrues while sprinting; the net drain is
-    /// `extra_power − replenish`).
-    pub fn advance_to(&mut self, now: SimTime) {
-        let dt = now - self.last_update;
-        if dt <= 0.0 {
-            self.last_update = now;
-            return;
-        }
-        if let SprintBudget::Limited {
-            replenish_w, cap_j, ..
-        } = self.policy.budget
-        {
-            let drain = if self.sprinting {
-                self.extra_power_w
-            } else {
-                0.0
-            };
-            self.budget_j = (self.budget_j + (replenish_w - drain) * dt).clamp(0.0, cap_j);
-        }
-        self.last_update = now;
-    }
-
-    /// Attempts to start sprinting at `now`.
-    ///
-    /// Returns the time at which the budget will run dry (and the caller must drop
-    /// back to base frequency), or `None` if there is no budget to sprint at all.
-    /// [`SimTime::FAR_FUTURE`] means no depletion is in sight.
-    pub fn start_sprint(&mut self, now: SimTime) -> Option<SimTime> {
-        self.advance_to(now);
-        if self.budget_j <= 0.0 {
-            return None;
-        }
-        self.sprinting = true;
-        Some(self.depletion_time(now))
-    }
-
-    /// Stops sprinting at `now` (job finished or was evicted).
-    pub fn stop_sprint(&mut self, now: SimTime) {
-        self.advance_to(now);
-        self.sprinting = false;
-    }
-
-    /// When the budget hits zero if sprinting continues uninterrupted.
-    #[must_use]
-    fn depletion_time(&self, now: SimTime) -> SimTime {
-        match self.policy.budget {
-            SprintBudget::Unlimited => SimTime::FAR_FUTURE,
-            SprintBudget::Limited { replenish_w, .. } => {
-                let net_drain = self.extra_power_w - replenish_w;
-                if net_drain <= 0.0 {
-                    SimTime::FAR_FUTURE
-                } else {
-                    now + self.budget_j / net_drain
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiSprinter;
+    use dias_des::SimTime;
+    use dias_engine::JobId;
 
-    fn limited_sprinter() -> Sprinter {
+    /// The paper's cluster-wide sprint is one gang as wide as the cluster:
+    /// 20 slots at 45 W extra each draw the 900 W of 10 workers × 90 W.
+    const SLOTS: usize = 20;
+    const JOB: JobId = JobId(1);
+
+    fn limited_sprinter() -> MultiSprinter {
         // 900 W extra draw, 90 W replenish, 22 kJ budget.
-        Sprinter::new(
+        MultiSprinter::new(
             SprintPolicy::top_class(2, 65.0, SprintBudget::paper_limited(900.0)),
-            900.0,
+            45.0,
         )
     }
 
@@ -245,19 +145,20 @@ mod tests {
     #[test]
     fn depletion_time_reflects_net_drain() {
         let mut s = limited_sprinter();
-        let deadline = s.start_sprint(SimTime::ZERO).unwrap();
+        assert!(s.try_start(SimTime::ZERO, JOB, SLOTS));
+        let deadline = s.depletion_time().unwrap();
         // 22 kJ at net (900-90) W = 27.16 s.
         assert!((deadline.as_secs() - 22_000.0 / 810.0).abs() < 1e-9);
-        assert!(s.is_sprinting());
+        assert!(s.is_sprinting(JOB));
     }
 
     #[test]
     fn budget_drains_and_replenishes() {
         let mut s = limited_sprinter();
-        s.start_sprint(SimTime::ZERO).unwrap();
+        assert!(s.try_start(SimTime::ZERO, JOB, SLOTS));
         s.advance_to(SimTime::from_secs(10.0));
         assert!((s.budget_j() - (22_000.0 - 810.0 * 10.0)).abs() < 1e-9);
-        s.stop_sprint(SimTime::from_secs(10.0));
+        s.stop(SimTime::from_secs(10.0), JOB);
         // Replenishes at 90 W while idle, capped at 22 kJ.
         s.advance_to(SimTime::from_secs(20.0));
         assert!((s.budget_j() - (22_000.0 - 8_100.0 + 900.0)).abs() < 1e-9);
@@ -267,23 +168,24 @@ mod tests {
 
     #[test]
     fn empty_budget_refuses_to_sprint() {
-        let mut s = Sprinter::new(
+        // 20 slots at 50 W: a 1000 W drain.
+        let mut s = MultiSprinter::new(
             SprintPolicy::top_class(1, 0.0, SprintBudget::limited(100.0, 0.0)),
-            1000.0,
+            50.0,
         );
-        let deadline = s.start_sprint(SimTime::ZERO).unwrap();
+        assert!(s.try_start(SimTime::ZERO, JOB, SLOTS));
+        let deadline = s.depletion_time().unwrap();
         assert!((deadline.as_secs() - 0.1).abs() < 1e-9);
-        s.advance_to(deadline);
-        s.stop_sprint(deadline);
+        s.stop_all(deadline);
         assert!(s.budget_j() <= 1e-9);
-        assert!(s.start_sprint(deadline).is_none());
+        assert!(!s.try_start(deadline, JOB, SLOTS));
     }
 
     #[test]
     fn unlimited_budget_never_depletes() {
-        let mut s = Sprinter::new(SprintPolicy::unlimited_for_top(2), 900.0);
-        let deadline = s.start_sprint(SimTime::ZERO).unwrap();
-        assert_eq!(deadline, SimTime::FAR_FUTURE);
+        let mut s = MultiSprinter::new(SprintPolicy::unlimited_for_top(2), 45.0);
+        assert!(s.try_start(SimTime::ZERO, JOB, SLOTS));
+        assert!(s.depletion_time().is_none());
         s.advance_to(SimTime::from_secs(1e9));
         assert!(s.budget_j().is_infinite());
     }

@@ -6,7 +6,7 @@
 //! job in exact [`SampleSet`](dias_des::stats::SampleSet)s — fine for a few
 //! hundred thousand jobs, fatal for the ROADMAP's "heavy traffic from
 //! millions of users". [`SoakExperiment`] is the open-system counterpart: it
-//! re-composes the `MultiDriver` loop arms around a continuous
+//! runs the same `MultiDriver` arbiter loop over a continuous
 //! marked-Poisson [`JobSource`] (e.g.
 //! `dias_workloads::heterogeneous_width_two_priority`) and records
 //! completions into [`StreamingSummary`] backends — exact count/mean/M2 plus
@@ -41,10 +41,9 @@
 use std::time::Instant;
 
 use dias_des::stats::{SampleStats, StreamingSummary, DEFAULT_SKETCH_EPSILON};
-use dias_des::SimTime;
-use dias_engine::{ClusterSpec, FaultTrace, JobInstance, Scheduler};
+use dias_engine::{ClusterSpec, FaultTrace, Scheduler};
 
-use crate::multi::{CompletionObs, MultiDriver};
+use crate::multi::{CompletionObs, MultiDriver, NoHook};
 use crate::{
     DegradationPolicy, ExperimentError, JobSource, MultiClassStats, MultiJobExperiment,
     MultiJobReport, SprintPolicy,
@@ -221,7 +220,6 @@ pub struct SoakExperiment<S> {
     inner: MultiJobExperiment<S>,
     jobs: usize,
     warmup: WarmupRule,
-    arrival_batch: usize,
     window_jobs: usize,
     epsilon: f64,
 }
@@ -236,7 +234,6 @@ impl<S: JobSource> SoakExperiment<S> {
             inner: MultiJobExperiment::new(source, scheduler),
             jobs: 100_000,
             warmup: WarmupRule::Mser { calibration: 0 },
-            arrival_batch: 1,
             window_jobs: 0,
             epsilon: DEFAULT_SKETCH_EPSILON,
         }
@@ -265,7 +262,7 @@ impl<S: JobSource> SoakExperiment<S> {
     #[must_use]
     pub fn arrival_batch(mut self, k: usize) -> Self {
         assert!(k > 0, "arrival batch must admit at least one job");
-        self.arrival_batch = k;
+        self.inner.arrival_batch = k;
         self
     }
 
@@ -391,30 +388,21 @@ impl<S: JobSource> SoakExperiment<S> {
                 (0, usize::MAX, c)
             }
         };
+        let arrival_batch = self.inner.arrival_batch;
         let exp = self.inner.jobs(driver_jobs).warmup(driver_warmup);
         let mut driver = MultiDriver::build(exp)?;
-        let classes = driver.classes;
-        let slos = driver.slos.clone();
         let completion_cap = calibration
             .saturating_add(driver_warmup)
             .saturating_add(jobs)
             .saturating_mul(64)
             .saturating_add(1024);
-
-        let mut books = SoakBooks::new(classes, self.epsilon, slos, window_jobs, calibration);
-        let k = self.arrival_batch;
-        let mut batch: Vec<JobInstance> = Vec::with_capacity(k);
-        // The driver draws the first arrival eagerly at build time; the soak
-        // owns batching from there on, so take it over and top the batch up.
-        if let Some(first) = driver.take_next_arrival() {
-            batch.push(first);
-        }
-        while batch.len() < k {
-            match driver.source.next_job() {
-                Some(j) => batch.push(j),
-                None => break,
-            }
-        }
+        let mut books = SoakBooks::new(
+            driver.classes,
+            self.epsilon,
+            driver.slos.clone(),
+            window_jobs,
+            calibration,
+        );
 
         let wall_start = Instant::now();
         let mut live_high_water = 0usize;
@@ -425,51 +413,13 @@ impl<S: JobSource> SoakExperiment<S> {
                     target: jobs,
                 });
             }
-            // A batch releases at the *latest* arrival it holds: earlier
-            // jobs wait for the batch boundary, and that wait is charged to
-            // their response times (arrival timestamps stay truthful).
-            let release_t = batch
-                .iter()
-                .map(|j| SimTime::from_secs(j.arrival_secs))
-                .max();
-            let [engine_t, depletion_t, timer_t, fault_t] = driver.machine_times(!batch.is_empty());
-            let Some(next_t) = [engine_t, depletion_t, timer_t, fault_t, release_t]
-                .iter()
-                .flatten()
-                .copied()
-                .min()
-            else {
+            let Some((next_t, arm)) = driver.next_arm() else {
                 break; // source exhausted, engine drained
             };
-
-            // Same fixed tie order as the closed driver: engine event, then
-            // budget depletion, then sprint timers, then faults, then the
-            // batch release.
-            if engine_t == Some(next_t) {
-                if let Some(obs) = driver.handle_engine_event(next_t)? {
-                    books.observe(&obs, driver.engine.energy_joules());
-                }
-            } else if depletion_t == Some(next_t) {
-                driver.handle_depletion(next_t);
-            } else if timer_t == Some(next_t) {
-                driver.handle_timers(next_t);
-            } else if fault_t == Some(next_t) {
-                driver.handle_faults(next_t)?;
-            } else {
-                for instance in batch.drain(..) {
-                    driver.admit(instance, next_t)?;
-                }
-                while batch.len() < k {
-                    match driver.source.next_job() {
-                        Some(j) => batch.push(j),
-                        None => break,
-                    }
-                }
+            if let Some(obs) = driver.step(next_t, arm, &mut NoHook)? {
+                books.observe(&obs, driver.engine.energy_joules());
             }
-            driver.drain_dispatches();
-
-            let live = driver.live_objects() + batch.len() + books.live_nodes();
-            live_high_water = live_high_water.max(live);
+            live_high_water = live_high_water.max(driver.live_objects() + books.live_nodes());
         }
         // A finite source can drain mid-calibration: measure what the buffer
         // holds rather than discarding it wholesale.
@@ -486,7 +436,7 @@ impl<S: JobSource> SoakExperiment<S> {
             windows: books.windows,
             measured_jobs: books.measured as u64,
             warmup_jobs: books.warmup_jobs,
-            arrival_batch: k,
+            arrival_batch,
             live_high_water,
             events,
             wall_clock_secs,

@@ -11,9 +11,8 @@
 //!   computation depends only on the item and its index, never on which
 //!   thread ran it or when, so results are bitwise-deterministic regardless
 //!   of the thread count.
-//! * [`ExperimentSpec`] + [`run_experiments`] — the concrete sweep over
-//!   [`Experiment`] configurations used by the fig7/fig8/fig9/fig11 bench
-//!   harnesses.
+//! * [`run_experiments`] — the concrete sweep over [`Experiment`]
+//!   configurations used by the fig7/fig8/fig9/fig11 bench harnesses.
 //! * [`replica_seeds`] — deterministic per-replication master seeds derived
 //!   with [`SeedSequence::child`], so replicated experiments stay reproducible
 //!   under any parallelism.
@@ -32,13 +31,11 @@
 //! ```
 
 use dias_des::SeedSequence;
-use dias_engine::ClusterSpec;
 use dias_models::mc::{McQueue, McResult};
 use dias_models::ModelError;
 
 use crate::{
     Experiment, ExperimentError, ExperimentReport, JobSource, MultiJobExperiment, MultiJobReport,
-    Policy,
 };
 
 /// Number of worker threads to use by default: the machine's available
@@ -155,78 +152,17 @@ pub fn run_mc_replicated(
     Ok(merged)
 }
 
-/// One point of an experiment sweep: a job source (already seeded), a policy,
-/// and the measurement window, mirroring the [`Experiment`] builder.
-#[derive(Debug)]
-pub struct ExperimentSpec<S> {
-    source: S,
-    policy: Policy,
-    jobs: usize,
-    warmup: Option<usize>,
-    cluster: Option<ClusterSpec>,
-}
-
-impl<S: JobSource> ExperimentSpec<S> {
-    /// Creates a spec measuring 1000 jobs on the paper's reference cluster.
-    #[must_use]
-    pub fn new(source: S, policy: Policy) -> Self {
-        ExperimentSpec {
-            source,
-            policy,
-            jobs: 1000,
-            warmup: None,
-            cluster: None,
-        }
-    }
-
-    /// Sets the number of measured jobs (warm-up defaults to 10% of it).
-    #[must_use]
-    pub fn jobs(mut self, n: usize) -> Self {
-        self.jobs = n;
-        self
-    }
-
-    /// Overrides the warm-up window (in arrivals).
-    #[must_use]
-    pub fn warmup(mut self, n: usize) -> Self {
-        self.warmup = Some(n);
-        self
-    }
-
-    /// Overrides the cluster specification.
-    #[must_use]
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.cluster = Some(spec);
-        self
-    }
-
-    /// Runs this spec's experiment to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExperimentError`] from [`Experiment::run`].
-    pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
-        let mut experiment = Experiment::new(self.source, self.policy).jobs(self.jobs);
-        if let Some(w) = self.warmup {
-            experiment = experiment.warmup(w);
-        }
-        if let Some(c) = self.cluster {
-            experiment = experiment.cluster(c);
-        }
-        experiment.run()
-    }
-}
-
-/// Runs every spec to completion across up to `threads` cores, reports in
-/// input order. Results are identical to running the specs sequentially.
+/// Runs every configured [`Experiment`] — one per policy of a figure — to
+/// completion across up to `threads` cores, reports in input order. Results
+/// are identical to running the experiments sequentially.
 pub fn run_experiments<S>(
-    specs: Vec<ExperimentSpec<S>>,
+    experiments: Vec<Experiment<S>>,
     threads: usize,
 ) -> Vec<Result<ExperimentReport, ExperimentError>>
 where
     S: JobSource + Send,
 {
-    run_parallel(specs, threads, |_, spec| spec.run())
+    run_parallel(experiments, threads, |_, e| e.run())
 }
 
 /// Runs every configured [`MultiJobExperiment`] — one per scheduler policy,
@@ -360,7 +296,7 @@ fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Differential mode of [`run_experiments`]: evaluates a `points × replicas`
-/// grid where `make(point, replica)` builds the spec for one cell, fanning
+/// grid where `make(point, replica)` builds the experiment for one cell, fanning
 /// cells across up to `threads` cores.
 ///
 /// Common random numbers are the *caller's* contract: for a fixed `replica`,
@@ -381,13 +317,9 @@ pub fn run_experiments_differential<S, F>(
 ) -> Result<DifferentialReport<ExperimentReport>, ExperimentError>
 where
     S: JobSource + Send,
-    F: Fn(usize, usize) -> ExperimentSpec<S> + Sync,
+    F: Fn(usize, usize) -> Experiment<S> + Sync,
 {
-    let grid: Vec<(usize, usize)> = (0..points)
-        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
-        .collect();
-    let cells = run_parallel(grid, threads, |_, (p, r)| make(p, r).run());
-    collect_grid(cells, points, replicas)
+    run_grid(points, replicas, threads, |p, r| make(p, r).run())
 }
 
 /// Differential mode of [`run_multi_experiments`]: the concurrent-workload
@@ -407,11 +339,7 @@ where
     S: JobSource + Send,
     F: Fn(usize, usize) -> MultiJobExperiment<S> + Sync,
 {
-    let grid: Vec<(usize, usize)> = (0..points)
-        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
-        .collect();
-    let cells = run_parallel(grid, threads, |_, (p, r)| make(p, r).run());
-    collect_grid(cells, points, replicas)
+    run_grid(points, replicas, threads, |p, r| make(p, r).run())
 }
 
 /// Work-avoidance accounting of one [`run_multi_experiments_branch`] sweep:
@@ -540,13 +468,19 @@ where
     Ok((DifferentialReport { reports: rows }, stats))
 }
 
-/// Reassembles a flat `points × replicas` cell vector (grid order) into rows,
-/// propagating the first error.
-fn collect_grid<R>(
-    cells: Vec<Result<R, ExperimentError>>,
+/// Evaluates `cell(point, replica)` over a `points × replicas` grid on up to
+/// `threads` cores and reassembles the cells into rows, propagating the
+/// first error in grid order.
+fn run_grid<R: Send>(
     points: usize,
     replicas: usize,
+    threads: usize,
+    cell: impl Fn(usize, usize) -> Result<R, ExperimentError> + Sync,
 ) -> Result<DifferentialReport<R>, ExperimentError> {
+    let grid: Vec<(usize, usize)> = (0..points)
+        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
+        .collect();
+    let cells = run_parallel(grid, threads, |_, (p, r)| cell(p, r));
     let mut rows: Vec<Vec<R>> = (0..points).map(|_| Vec::with_capacity(replicas)).collect();
     for (i, cell) in cells.into_iter().enumerate() {
         rows[i / replicas].push(cell?);
@@ -557,6 +491,7 @@ fn collect_grid<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Policy;
 
     #[test]
     fn ordered_results_at_any_thread_count() {
@@ -632,7 +567,7 @@ mod tests {
         // Two points with the *same* policy and CRN sources: every cell of a
         // replica is the identical run, so the paired contrast is exactly 0.
         let report = run_experiments_differential(2, 3, 2, |_, r| {
-            ExperimentSpec::new(noisy_workload(100 + r as u64), Policy::preemptive(2))
+            Experiment::new(noisy_workload(100 + r as u64), Policy::preemptive(2))
                 .jobs(30)
                 .warmup(4)
         })
@@ -654,7 +589,7 @@ mod tests {
             Policy::differential_approximation(&[0.5, 0.0]),
         ];
         let report = run_experiments_differential(2, 6, 2, |p, r| {
-            ExperimentSpec::new(noisy_workload(7 * r as u64 + 1), policies[p].clone())
+            Experiment::new(noisy_workload(7 * r as u64 + 1), policies[p].clone())
                 .jobs(30)
                 .warmup(4)
         })
@@ -680,7 +615,7 @@ mod tests {
                 } else {
                     Policy::non_preemptive(2)
                 };
-                ExperimentSpec::new(noisy_workload(r as u64), policy)
+                Experiment::new(noisy_workload(r as u64), policy)
                     .jobs(20)
                     .warmup(2)
             })

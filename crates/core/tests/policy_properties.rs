@@ -1,21 +1,13 @@
-//! Property-based tests of policies, buffers and the sprinter.
+//! Property-based tests of the policy constructors and the deflator's drop
+//! vectors. The dispatch order of the one-job engine is a property in
+//! `experiment.rs` (its scheduler is private); the sprint budget's bounds
+//! are checked in `multi_sprint_properties.rs`.
 
 use proptest::prelude::*;
 
-use dias_core::{Policy, PriorityBuffers, QueuedJob, SprintBudget, SprintPolicy, Sprinter};
-use dias_des::SimTime;
-use dias_engine::{JobInstance, JobSpec, StageKind, StageSpec};
+use dias_core::Policy;
+use dias_engine::{JobSpec, StageKind, StageSpec};
 use dias_stochastic::Dist;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn job(id: u64, class: usize) -> QueuedJob {
-    let spec = JobSpec::builder(id, class)
-        .stage(StageSpec::new(StageKind::Map, 2, Dist::constant(1.0)))
-        .build();
-    let mut rng = StdRng::seed_from_u64(id);
-    QueuedJob::new(JobInstance::sample(&spec, &mut rng))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -30,53 +22,6 @@ proptest! {
             prop_assert!((policy.classes[class].theta_droppable - pct / 100.0).abs() < 1e-12);
         }
         prop_assert!(!policy.is_preemptive());
-    }
-
-    #[test]
-    fn buffers_pop_respects_priority_then_fifo(
-        arrivals in prop::collection::vec((0usize..4, 0u64..1000), 1..60)
-    ) {
-        let mut buffers = PriorityBuffers::new(4);
-        for (i, &(class, _)) in arrivals.iter().enumerate() {
-            buffers.push_arrival(job(i as u64, class));
-        }
-        let mut popped: Vec<(usize, u64)> = Vec::new();
-        while let Some(q) = buffers.pop_highest() {
-            popped.push((q.instance.class(), q.instance.spec.id.0));
-        }
-        prop_assert_eq!(popped.len(), arrivals.len());
-        // Classes appear in non-increasing order...
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 >= w[1].0);
-        }
-        // ...and ids within a class are FIFO.
-        for class in 0..4 {
-            let ids: Vec<u64> = popped.iter().filter(|(c, _)| *c == class).map(|(_, id)| *id).collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(ids, sorted);
-        }
-    }
-
-    #[test]
-    fn sprint_budget_never_negative_or_above_cap(
-        initial in 100.0f64..50_000.0,
-        replenish in 0.0f64..500.0,
-        episodes in prop::collection::vec((1.0f64..300.0, 1.0f64..300.0), 1..20),
-    ) {
-        let policy = SprintPolicy::top_class(1, 0.0, SprintBudget::limited(initial, replenish));
-        let mut sprinter = Sprinter::new(policy, 900.0);
-        let mut now = SimTime::ZERO;
-        for (sprint_secs, idle_secs) in episodes {
-            if sprinter.start_sprint(now).is_some() {
-                now += sprint_secs;
-                sprinter.stop_sprint(now);
-            }
-            now += idle_secs;
-            sprinter.advance_to(now);
-            prop_assert!(sprinter.budget_j() >= -1e-9);
-            prop_assert!(sprinter.budget_j() <= initial + 1e-9);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! threads must reproduce the sequential loop bit for bit, in input order.
 
 use dias_core::sweep::{replica_seeds, run_experiments, run_parallel};
-use dias_core::{ExperimentSpec, Policy, VecJobSource};
+use dias_core::{Experiment, Policy, VecJobSource};
 use dias_engine::{JobInstance, JobSpec, StageKind, StageSpec};
 use dias_stochastic::Dist;
 use rand::rngs::StdRng;
@@ -29,15 +29,15 @@ fn workload(seed: u64, n: u64, gap: f64) -> VecJobSource {
     VecJobSource::new(jobs, 2)
 }
 
-fn specs() -> Vec<ExperimentSpec<VecJobSource>> {
+fn specs() -> Vec<Experiment<VecJobSource>> {
     let seeds = replica_seeds(7, 3);
-    let mut specs: Vec<ExperimentSpec<VecJobSource>> = seeds
+    let mut specs: Vec<Experiment<VecJobSource>> = seeds
         .iter()
-        .map(|&s| ExperimentSpec::new(workload(s, 120, 7.0), Policy::non_preemptive(2)).jobs(90))
+        .map(|&s| Experiment::new(workload(s, 120, 7.0), Policy::non_preemptive(2)).jobs(90))
         .collect();
-    specs.push(ExperimentSpec::new(workload(seeds[0], 120, 7.0), Policy::preemptive(2)).jobs(90));
+    specs.push(Experiment::new(workload(seeds[0], 120, 7.0), Policy::preemptive(2)).jobs(90));
     specs.push(
-        ExperimentSpec::new(
+        Experiment::new(
             workload(seeds[0], 120, 7.0),
             Policy::da_percent_high_to_low(&[0.0, 20.0]),
         )
@@ -126,7 +126,7 @@ mod multi_sweep {
 fn sweep_preserves_input_order_even_with_errors() {
     // The middle spec fails (policy classes ≠ source classes); its error must
     // land at its own index, leaving the neighbors intact.
-    let mk = |policy| ExperimentSpec::new(workload(3, 60, 8.0), policy).jobs(40);
+    let mk = |policy| Experiment::new(workload(3, 60, 8.0), policy).jobs(40);
     let specs = vec![
         mk(Policy::non_preemptive(2)),
         mk(Policy::non_preemptive(3)),
