@@ -27,7 +27,7 @@
 
 use dias_bench::{banner, bench_jobs, compare};
 use dias_core::multi::default_accuracy_curve;
-use dias_core::{run_multi_experiments, DegradationPolicy, MultiJobExperiment, MultiJobReport};
+use dias_core::{run_parallel, DegradationPolicy, MultiJobExperiment, MultiJobReport};
 use dias_engine::{FaultTrace, GangBinPack};
 use dias_models::accuracy::AccuracyCurve;
 use dias_workloads::{
@@ -141,10 +141,11 @@ fn main() {
             ));
         }
     }
-    let reports: Vec<MultiJobReport> = run_multi_experiments(experiments, dias_bench::threads())
-        .into_iter()
-        .map(|r| r.expect("experiment configuration is valid"))
-        .collect();
+    let reports: Vec<MultiJobReport> =
+        run_parallel(experiments, dias_bench::threads(), |_, e| e.run())
+            .into_iter()
+            .map(|r| r.expect("experiment configuration is valid"))
+            .collect();
     for (label, r) in labels.iter().zip(&reports) {
         print_report(label, r, &curve);
         println!();
@@ -208,12 +209,13 @@ fn main() {
         "periodic scale-down of the top 4 slots, graceful (drain) removal",
     );
     let wave = autoscaling_trace(SLOTS, 4, horizon / 4.0, horizon / 10.0, horizon * 1.5);
-    let auto_reports: Vec<MultiJobReport> = run_multi_experiments(
+    let auto_reports: Vec<MultiJobReport> = run_parallel(
         vec![
             experiment(jobs, util, seed, &slos, wave.clone(), false),
             experiment(jobs, util, seed, &slos, wave, true),
         ],
         dias_bench::threads(),
+        |_, e| e.run(),
     )
     .into_iter()
     .map(|r| r.expect("experiment configuration is valid"))

@@ -21,8 +21,7 @@ use std::time::Instant;
 
 use dias_bench::{banner, compare, scaled};
 use dias_core::{
-    run_experiments_differential, DifferentialReport, Experiment, ExperimentReport, JobSource,
-    Policy,
+    run_differential, DifferentialReport, Experiment, ExperimentReport, JobSource, Policy,
 };
 use dias_workloads::{reference_two_priority, JobStreamTrace};
 
@@ -60,8 +59,10 @@ fn main() {
             stream.into_trace()
         })
         .collect();
-    let paired_report = run_experiments_differential(policies.len(), replicas, threads, |p, r| {
-        Experiment::new(traces[r].replay(), policies[p].clone()).jobs(jobs)
+    let paired_report = run_differential(policies.len(), replicas, threads, |p, r| {
+        Experiment::new(traces[r].replay(), policies[p].clone())
+            .jobs(jobs)
+            .run()
     })
     .expect("valid differential grid");
     let paired_secs = start.elapsed().as_secs_f64();
@@ -69,9 +70,11 @@ fn main() {
     // Independent mode (the PR 5 path): every (point, replica) cell gets its
     // own seed, so contrasts must difference independent means.
     let start = Instant::now();
-    let indep_report = run_experiments_differential(policies.len(), replicas, threads, |p, r| {
+    let indep_report = run_differential(policies.len(), replicas, threads, |p, r| {
         let seed = 101 + (p * replicas + r) as u64;
-        Experiment::new(reference_two_priority(0.8, seed), policies[p].clone()).jobs(jobs)
+        Experiment::new(reference_two_priority(0.8, seed), policies[p].clone())
+            .jobs(jobs)
+            .run()
     })
     .expect("valid independent grid");
     let indep_secs = start.elapsed().as_secs_f64();
@@ -122,7 +125,7 @@ fn main() {
 /// suffix. Reported: simulated-events-skipped and wall-clock vs full replay
 /// of the identical grid (the two report grids are asserted bit-identical).
 fn branch_section(threads: usize) {
-    use dias_core::sweep::{run_multi_experiments_branch, run_multi_experiments_differential};
+    use dias_core::sweep::run_multi_experiments_branch;
     use dias_core::{MultiJobExperiment, VecJobSource};
     use dias_engine::{GangBinPack, JobInstance, JobSpec, StageKind, StageSpec};
     use dias_stochastic::Dist;
@@ -179,8 +182,8 @@ fn branch_section(threads: usize) {
     );
 
     let start = Instant::now();
-    let full = run_multi_experiments_differential(thetas.len(), replicas, threads, |p, r| {
-        base(r).drops(&thetas[p])
+    let full = run_differential(thetas.len(), replicas, threads, |p, r| {
+        base(r).drops(&thetas[p]).run()
     })
     .expect("valid full grid");
     let full_secs = start.elapsed().as_secs_f64();

@@ -335,7 +335,7 @@ fn bench_sweep(c: &mut Criterion) {
 }
 
 fn bench_branch_sweep(c: &mut Criterion) {
-    use dias_core::sweep::{run_multi_experiments_branch, run_multi_experiments_differential};
+    use dias_core::sweep::{run_differential, run_multi_experiments_branch};
     use dias_core::{MultiJobExperiment, VecJobSource};
     use dias_engine::{GangBinPack, JobSpec, StageKind, StageSpec};
     use dias_stochastic::Dist;
@@ -386,10 +386,8 @@ fn bench_branch_sweep(c: &mut Criterion) {
     group.bench_function("full_replay", |b| {
         b.iter(|| {
             black_box(
-                run_multi_experiments_differential(thetas.len(), 1, 1, |p, _| {
-                    base().drops(&thetas[p])
-                })
-                .expect("valid grid"),
+                run_differential(thetas.len(), 1, 1, |p, _| base().drops(&thetas[p]).run())
+                    .expect("valid grid"),
             )
         });
     });
@@ -511,7 +509,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("one_wordcount_job", |b| {
         b.iter(|| {
             let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-            sim.start_job(&instance, &[0.0, 0.0]).unwrap();
+            sim.submit_job(&instance, &[0.0, 0.0]).unwrap();
             loop {
                 if let EngineEvent::JobFinished { metrics, .. } = sim.advance().unwrap() {
                     break black_box(metrics.execution_secs);

@@ -32,7 +32,7 @@
 
 use dias_bench::{banner, bench_jobs, compare};
 use dias_core::multi::default_accuracy_curve;
-use dias_core::{run_multi_experiments, MultiJobExperiment, MultiJobReport};
+use dias_core::{run_parallel, MultiJobExperiment, MultiJobReport};
 use dias_core::{SprintBudget, SprintPolicy};
 use dias_engine::{ClusterSpec, Fifo, GangBinPack, PriorityPreempt};
 use dias_models::accuracy::AccuracyCurve;
@@ -80,7 +80,7 @@ fn main() {
             .jobs(jobs),
         MultiJobExperiment::new(sharded_two_priority(util, seed), Box::new(GangBinPack))
             .drops(&[0.2, 0.0])
-            .sprint_top_class(true)
+            .sprint(SprintPolicy::unlimited_for_top(2))
             .jobs(jobs),
     ];
     let labels = [
@@ -90,10 +90,11 @@ fn main() {
         "GangBinPack + DA(0,20)",
         "GangBinPack + DA(0,20) + sprint",
     ];
-    let reports: Vec<MultiJobReport> = run_multi_experiments(experiments, dias_bench::threads())
-        .into_iter()
-        .map(|r| r.expect("experiment configuration is valid"))
-        .collect();
+    let reports: Vec<MultiJobReport> =
+        run_parallel(experiments, dias_bench::threads(), |_, e| e.run())
+            .into_iter()
+            .map(|r| r.expect("experiment configuration is valid"))
+            .collect();
 
     let curve = default_accuracy_curve();
     for (label, report) in labels.iter().zip(&reports) {
@@ -174,7 +175,7 @@ fn main() {
             Box::new(GangBinPack),
         )
         .drops(&[0.2, 0.0])
-        .sprint_top_class(true)
+        .sprint(SprintPolicy::unlimited_for_top(2))
         .jobs(jobs),
         MultiJobExperiment::new(
             heterogeneous_width_two_priority(util, seed),
@@ -197,10 +198,11 @@ fn main() {
         "budgeted sprint (22 kJ, T=0)",
         "budgeted sprint (22 kJ, T=65s)",
     ];
-    let frontier: Vec<MultiJobReport> = run_multi_experiments(sprint_points, dias_bench::threads())
-        .into_iter()
-        .map(|r| r.expect("experiment configuration is valid"))
-        .collect();
+    let frontier: Vec<MultiJobReport> =
+        run_parallel(sprint_points, dias_bench::threads(), |_, e| e.run())
+            .into_iter()
+            .map(|r| r.expect("experiment configuration is valid"))
+            .collect();
     for (label, r) in sprint_labels.iter().zip(&frontier) {
         print_report(label, r, &curve);
         println!(

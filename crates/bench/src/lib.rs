@@ -139,7 +139,7 @@ where
         .into_iter()
         .map(|p| dias_core::Experiment::new(make_stream(), p).jobs(jobs))
         .collect();
-    dias_core::run_experiments(experiments, threads())
+    dias_core::run_parallel(experiments, threads(), |_, e| e.run())
         .into_iter()
         .map(|r| r.expect("experiment configuration is valid"))
         .collect()

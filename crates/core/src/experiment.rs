@@ -137,7 +137,7 @@ pub struct Experiment<S> {
     policy: Policy,
     cluster: ClusterSpec,
     jobs: usize,
-    warmup: usize,
+    warmup: Option<usize>,
 }
 
 impl<S: JobSource> Experiment<S> {
@@ -150,16 +150,16 @@ impl<S: JobSource> Experiment<S> {
             policy,
             cluster: ClusterSpec::paper_reference(),
             jobs: 1000,
-            warmup: 100,
+            warmup: None,
         }
     }
 
-    /// Sets the number of measured jobs — arrivals `warmup..warmup + n` —
-    /// (warm-up defaults to 10% of it).
+    /// Sets the number of measured jobs — arrivals `warmup..warmup + n`
+    /// (warm-up defaults to 10% of it unless [`Experiment::warmup`] set it
+    /// explicitly; the two builder calls compose in any order).
     #[must_use]
     pub fn jobs(mut self, n: usize) -> Self {
         self.jobs = n;
-        self.warmup = n / 10;
         self
     }
 
@@ -167,7 +167,7 @@ impl<S: JobSource> Experiment<S> {
     /// measured.
     #[must_use]
     pub fn warmup(mut self, n: usize) -> Self {
-        self.warmup = n;
+        self.warmup = Some(n);
         self
     }
 
@@ -221,8 +221,10 @@ impl<S: JobSource> Experiment<S> {
         let mut multi = MultiJobExperiment::new(self.source, Box::new(scheduler))
             .cluster(self.cluster)
             .drops(&thetas)
-            .jobs(self.jobs)
-            .warmup(self.warmup);
+            .jobs(self.jobs);
+        if let Some(warmup) = self.warmup {
+            multi = multi.warmup(warmup);
+        }
         if let Some(sprint) = self.policy.sprint {
             multi = multi.sprint(sprint);
         }
@@ -499,6 +501,28 @@ mod tests {
             .unwrap();
         let total: u64 = report.per_class.iter().map(|c| c.completed).sum();
         assert_eq!(total, 20);
+    }
+
+    #[test]
+    fn warmup_and_jobs_compose_in_any_order() {
+        // Warm-up 3 over a 22-job source measures arrivals 3..22: 19 jobs.
+        // A warm-up reset to `jobs / 10` would measure 20.
+        let run = |exp: Experiment<VecJobSource>| exp.run().unwrap();
+        let policy = Policy::non_preemptive(2);
+        let warmup_first = run(Experiment::new(workload(22, 5.0, 1.0), policy.clone())
+            .warmup(3)
+            .jobs(20));
+        let jobs_first = run(Experiment::new(workload(22, 5.0, 1.0), policy)
+            .jobs(20)
+            .warmup(3));
+        for report in [&warmup_first, &jobs_first] {
+            let total: u64 = report.per_class.iter().map(|c| c.completed).sum();
+            assert_eq!(total, 19);
+        }
+        assert_eq!(
+            warmup_first.mean_response(0).to_bits(),
+            jobs_first.mean_response(0).to_bits()
+        );
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub use policy::{ClassPolicy, Policy, Scheduling};
 pub use sprinter::{SprintBudget, SprintPolicy};
 pub use stream::{SoakExperiment, SoakReport, SoakWindow, SoakWindowClass, WarmupRule};
 pub use sweep::{
-    run_experiments, run_experiments_differential, run_multi_experiments,
-    run_multi_experiments_branch, run_multi_experiments_differential, run_parallel, BranchStats,
-    Contrast, DifferentialReport,
+    run_differential, run_multi_experiments_branch, run_parallel, BranchStats, Contrast,
+    DifferentialReport,
 };

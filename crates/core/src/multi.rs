@@ -276,7 +276,6 @@ pub struct MultiJobExperiment<S> {
     /// Per-class drop ratio applied to droppable stages.
     thetas: Option<Vec<f64>>,
     sprint: Option<SprintPolicy>,
-    sprint_top_class: bool,
     sprint_draw_cap_w: Option<f64>,
     jobs: usize,
     warmup: Option<usize>,
@@ -366,7 +365,6 @@ impl<S: JobSource> MultiJobExperiment<S> {
             cluster: ClusterSpec::paper_reference(),
             thetas: None,
             sprint: None,
-            sprint_top_class: false,
             sprint_draw_cap_w: None,
             jobs: 1000,
             warmup: None,
@@ -426,7 +424,9 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// gang. Budget depletion drops every sprinting domain back to base
     /// together (the paper's single-switch semantics).
     ///
-    /// Overrides [`MultiJobExperiment::sprint_top_class`].
+    /// [`SprintPolicy::unlimited_for_top`] is the simplest differential
+    /// rule: top-class jobs sprint their own gangs from dispatch with no
+    /// budget limit, while lower-class neighbours stay at base.
     #[must_use]
     pub fn sprint(mut self, policy: SprintPolicy) -> Self {
         self.sprint = Some(policy);
@@ -488,20 +488,8 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// partitions a fleet-wide cap into per-shard caps proportional to slot
     /// share.
     #[must_use]
-    pub fn sprint_draw_cap(mut self, cap_w: Option<f64>) -> Self {
+    pub(crate) fn sprint_draw_cap(mut self, cap_w: Option<f64>) -> Self {
         self.sprint_draw_cap_w = cap_w;
-        self
-    }
-
-    /// Convenience for the simplest differential rule: top-class jobs sprint
-    /// their own gangs from dispatch with no budget limit — shorthand for
-    /// [`MultiJobExperiment::sprint`] with
-    /// [`SprintPolicy::unlimited_for_top`]. Lower-class neighbours stay at
-    /// base frequency (per-gang domains; before PR 5 this knob sprinted the
-    /// whole cluster).
-    #[must_use]
-    pub fn sprint_top_class(mut self, on: bool) -> Self {
-        self.sprint_top_class = on;
         self
     }
 
@@ -924,11 +912,7 @@ impl<S: JobSource> MultiDriver<S> {
             // The degradation controller owns the drop vector from here on.
             exp.thetas = Some(d.base().to_vec());
         }
-        let sprint_policy = exp.sprint.take().or_else(|| {
-            exp.sprint_top_class
-                .then(|| SprintPolicy::unlimited_for_top(classes))
-        });
-        let sprinter = sprint_policy.map(|p| {
+        let sprinter = exp.sprint.map(|p| {
             MultiSprinter::new(p, exp.cluster.sprint_extra_slot_power_w())
                 .with_draw_cap(exp.sprint_draw_cap_w)
         });
@@ -940,7 +924,8 @@ impl<S: JobSource> MultiDriver<S> {
         };
         let total_slots = exp.cluster.slots();
         let warmup = exp.warmup.unwrap_or(exp.jobs / 10);
-        let target = warmup + exp.jobs;
+        // `jobs(usize::MAX)` means "until the source drains".
+        let target = warmup.saturating_add(exp.jobs);
         let mut driver = MultiDriver {
             thetas: exp.thetas,
             slos: exp.slos,
@@ -1527,6 +1512,19 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_jobs_after_a_warmup_measure_until_the_source_drains() {
+        // `jobs(usize::MAX)` means "until the source drains"; the warm-up
+        // must not overflow the end of the measurement window.
+        let report = MultiJobExperiment::new(workload(30, 3.0, 2.0), Box::new(GangBinPack))
+            .jobs(usize::MAX)
+            .warmup(5)
+            .run()
+            .unwrap();
+        let measured: u64 = report.per_class.iter().map(|c| c.completed).sum();
+        assert_eq!(measured, 25);
+    }
+
+    #[test]
     fn gang_beats_fifo_on_narrow_concurrent_jobs() {
         let fifo = MultiJobExperiment::new(workload(120, 3.0, 10.0), Box::new(Fifo))
             .jobs(80)
@@ -1655,13 +1653,13 @@ mod tests {
     }
 
     #[test]
-    fn sprint_top_class_accelerates_and_attributes_sprint_energy() {
+    fn unlimited_top_sprint_accelerates_and_attributes_sprint_energy() {
         let plain = MultiJobExperiment::new(workload(100, 4.0, 10.0), Box::new(GangBinPack))
             .jobs(60)
             .run()
             .unwrap();
         let sprint = MultiJobExperiment::new(workload(100, 4.0, 10.0), Box::new(GangBinPack))
-            .sprint_top_class(true)
+            .sprint(SprintPolicy::unlimited_for_top(2))
             .jobs(60)
             .run()
             .unwrap();

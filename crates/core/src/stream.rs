@@ -313,14 +313,6 @@ impl<S: JobSource> SoakExperiment<S> {
         self
     }
 
-    /// Unlimited-budget top-class sprinting
-    /// (see [`MultiJobExperiment::sprint_top_class`]).
-    #[must_use]
-    pub fn sprint_top_class(mut self, on: bool) -> Self {
-        self.inner = self.inner.sprint_top_class(on);
-        self
-    }
-
     /// Injects a deterministic fault stream
     /// (see [`MultiJobExperiment::faults`]).
     #[must_use]
@@ -660,6 +652,34 @@ fn mser_truncation(xs: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VecJobSource;
+    use dias_engine::{GangBinPack, JobInstance, JobSpec, StageKind, StageSpec};
+    use dias_stochastic::Dist;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn unbounded_soak_after_an_arrival_warmup_measures_until_the_source_drains() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let jobs = (0..30u64)
+            .map(|i| {
+                let spec = JobSpec::builder(i, usize::from(i % 5 == 0))
+                    .setup(Dist::constant(1.0))
+                    .stage(StageSpec::new(StageKind::Map, 8, Dist::constant(2.0)))
+                    .build();
+                let mut inst = JobInstance::sample(&spec, &mut rng);
+                inst.arrival_secs = i as f64 * 3.0;
+                inst
+            })
+            .collect();
+        let report = SoakExperiment::new(VecJobSource::new(jobs, 2), Box::new(GangBinPack))
+            .jobs(usize::MAX)
+            .warmup(WarmupRule::Arrivals(5))
+            .run()
+            .unwrap();
+        assert_eq!(report.measured_jobs, 25);
+        assert_eq!(report.warmup_jobs, 5);
+    }
 
     #[test]
     fn mser_truncates_a_biased_prefix() {

@@ -11,8 +11,10 @@
 //!   computation depends only on the item and its index, never on which
 //!   thread ran it or when, so results are bitwise-deterministic regardless
 //!   of the thread count.
-//! * [`run_experiments`] — the concrete sweep over [`Experiment`]
-//!   configurations used by the fig7/fig8/fig9/fig11 bench harnesses.
+//! * [`run_differential`] — a `points × replicas` grid of experiment runs
+//!   under common random numbers, with paired contrasts between points;
+//!   [`run_multi_experiments_branch`] serves theta-only grids by suffix
+//!   replay from checkpoints.
 //! * [`replica_seeds`] — deterministic per-replication master seeds derived
 //!   with [`SeedSequence::child`], so replicated experiments stay reproducible
 //!   under any parallelism.
@@ -34,9 +36,7 @@ use dias_des::SeedSequence;
 use dias_models::mc::{McQueue, McResult};
 use dias_models::ModelError;
 
-use crate::{
-    Experiment, ExperimentError, ExperimentReport, JobSource, MultiJobExperiment, MultiJobReport,
-};
+use crate::{ExperimentError, JobSource, MultiJobExperiment, MultiJobReport};
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism (1 when it cannot be determined).
@@ -152,33 +152,6 @@ pub fn run_mc_replicated(
     Ok(merged)
 }
 
-/// Runs every configured [`Experiment`] — one per policy of a figure — to
-/// completion across up to `threads` cores, reports in input order. Results
-/// are identical to running the experiments sequentially.
-pub fn run_experiments<S>(
-    experiments: Vec<Experiment<S>>,
-    threads: usize,
-) -> Vec<Result<ExperimentReport, ExperimentError>>
-where
-    S: JobSource + Send,
-{
-    run_parallel(experiments, threads, |_, e| e.run())
-}
-
-/// Runs every configured [`MultiJobExperiment`] — one per scheduler policy,
-/// drop setting, or load point of a concurrent-workload sweep — across up to
-/// `threads` cores, reports in input order. Each experiment owns its job
-/// source and engine, so results are identical to running them sequentially.
-pub fn run_multi_experiments<S>(
-    experiments: Vec<MultiJobExperiment<S>>,
-    threads: usize,
-) -> Vec<Result<MultiJobReport, ExperimentError>>
-where
-    S: JobSource + Send,
-{
-    run_parallel(experiments, threads, |_, e| e.run())
-}
-
 /// A paired or independent contrast between two sweep points: the mean metric
 /// delta and its 95% confidence half-width over the replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,8 +166,8 @@ pub struct Contrast {
 
 /// The replica grid of a differential sweep: `reports[point][replica]`.
 ///
-/// Produced by [`run_experiments_differential`] /
-/// [`run_multi_experiments_differential`]. When every point's replica `r`
+/// Produced by [`run_differential`] and [`run_multi_experiments_branch`].
+/// When every point's replica `r`
 /// consumed the *same* draw stream (common random numbers — e.g. replays of
 /// one recorded trace, or same-seeded streams whose draws are
 /// policy-independent), [`DifferentialReport::paired_contrast`] cancels the
@@ -295,9 +268,11 @@ fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
     (mean, var)
 }
 
-/// Differential mode of [`run_experiments`]: evaluates a `points × replicas`
-/// grid where `make(point, replica)` builds the experiment for one cell, fanning
-/// cells across up to `threads` cores.
+/// Differential sweep: evaluates `cell(point, replica)` over a
+/// `points × replicas` grid on up to `threads` cores and reassembles the
+/// cells into rows. A cell builds and runs one experiment, e.g.
+/// `|p, r| make(p, r).run()` for an [`Experiment`](crate::Experiment) or a
+/// [`MultiJobExperiment`].
 ///
 /// Common random numbers are the *caller's* contract: for a fixed `replica`,
 /// every point's source must produce the identical draw stream — replays of
@@ -309,37 +284,21 @@ fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
 /// # Errors
 ///
 /// Propagates the first [`ExperimentError`] any cell reports (in grid order).
-pub fn run_experiments_differential<S, F>(
+pub fn run_differential<R: Send>(
     points: usize,
     replicas: usize,
     threads: usize,
-    make: F,
-) -> Result<DifferentialReport<ExperimentReport>, ExperimentError>
-where
-    S: JobSource + Send,
-    F: Fn(usize, usize) -> Experiment<S> + Sync,
-{
-    run_grid(points, replicas, threads, |p, r| make(p, r).run())
-}
-
-/// Differential mode of [`run_multi_experiments`]: the concurrent-workload
-/// counterpart of [`run_experiments_differential`], with the same
-/// common-random-numbers contract on `make`.
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] any cell reports (in grid order).
-pub fn run_multi_experiments_differential<S, F>(
-    points: usize,
-    replicas: usize,
-    threads: usize,
-    make: F,
-) -> Result<DifferentialReport<MultiJobReport>, ExperimentError>
-where
-    S: JobSource + Send,
-    F: Fn(usize, usize) -> MultiJobExperiment<S> + Sync,
-{
-    run_grid(points, replicas, threads, |p, r| make(p, r).run())
+    cell: impl Fn(usize, usize) -> Result<R, ExperimentError> + Sync,
+) -> Result<DifferentialReport<R>, ExperimentError> {
+    let grid: Vec<(usize, usize)> = (0..points)
+        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
+        .collect();
+    let cells = run_parallel(grid, threads, |_, (p, r)| cell(p, r));
+    let mut rows: Vec<Vec<R>> = (0..points).map(|_| Vec::with_capacity(replicas)).collect();
+    for (i, cell) in cells.into_iter().enumerate() {
+        rows[i / replicas].push(cell?);
+    }
+    Ok(DifferentialReport { reports: rows })
 }
 
 /// Work-avoidance accounting of one [`run_multi_experiments_branch`] sweep:
@@ -375,8 +334,8 @@ impl BranchStats {
     }
 }
 
-/// Checkpoint-and-branch mode of [`run_multi_experiments_differential`] for
-/// **theta-only** sweeps: point 0 runs in full once per replica, recording a
+/// Checkpoint-and-branch mode of [`run_differential`] over
+/// [`MultiJobExperiment`] cells for **theta-only** sweeps: point 0 runs in full once per replica, recording a
 /// [`MultiRunTrace`](crate::MultiRunTrace) (a resume checkpoint every `stride` arrivals plus
 /// per-arrival drop signatures); every other point restores the latest
 /// checkpoint at or before its divergence index — the first arrival its drop
@@ -386,9 +345,9 @@ impl BranchStats {
 /// `make(replica)` builds the replica's **base** experiment *without* a drop
 /// vector; the runner applies `point_thetas[p]` itself, so the
 /// identical-except-thetas contract that makes prefix sharing sound holds by
-/// construction. The reports are bit-identical to
-/// [`run_multi_experiments_differential`] over the same grid (the branch
-/// property suite asserts `==` on the grids).
+/// construction. The reports are bit-identical to [`run_differential`]
+/// running every cell in full (the branch property suite asserts `==` on
+/// the grids).
 ///
 /// Configurations that are not [`MultiJobExperiment::branchable`]
 /// (degradation or SLO scoring) conservatively fall back to full replay for
@@ -420,8 +379,8 @@ where
     assert!(stride > 0, "checkpoint stride must be positive");
     let points = point_thetas.len();
     if !make(0).drops(&point_thetas[0]).branchable() {
-        let report = run_multi_experiments_differential(points, replicas, threads, |p, r| {
-            make(r).drops(&point_thetas[p])
+        let report = run_differential(points, replicas, threads, |p, r| {
+            make(r).drops(&point_thetas[p]).run()
         })?;
         return Ok((report, BranchStats::default()));
     }
@@ -468,30 +427,10 @@ where
     Ok((DifferentialReport { reports: rows }, stats))
 }
 
-/// Evaluates `cell(point, replica)` over a `points × replicas` grid on up to
-/// `threads` cores and reassembles the cells into rows, propagating the
-/// first error in grid order.
-fn run_grid<R: Send>(
-    points: usize,
-    replicas: usize,
-    threads: usize,
-    cell: impl Fn(usize, usize) -> Result<R, ExperimentError> + Sync,
-) -> Result<DifferentialReport<R>, ExperimentError> {
-    let grid: Vec<(usize, usize)> = (0..points)
-        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
-        .collect();
-    let cells = run_parallel(grid, threads, |_, (p, r)| cell(p, r));
-    let mut rows: Vec<Vec<R>> = (0..points).map(|_| Vec::with_capacity(replicas)).collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        rows[i / replicas].push(cell?);
-    }
-    Ok(DifferentialReport { reports: rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Policy;
+    use crate::{Experiment, Policy};
 
     #[test]
     fn ordered_results_at_any_thread_count() {
@@ -566,10 +505,11 @@ mod tests {
     fn differential_grid_shape_and_zero_self_contrast() {
         // Two points with the *same* policy and CRN sources: every cell of a
         // replica is the identical run, so the paired contrast is exactly 0.
-        let report = run_experiments_differential(2, 3, 2, |_, r| {
+        let report = run_differential(2, 3, 2, |_, r| {
             Experiment::new(noisy_workload(100 + r as u64), Policy::preemptive(2))
                 .jobs(30)
                 .warmup(4)
+                .run()
         })
         .expect("runs complete");
         assert_eq!(report.points(), 2);
@@ -588,10 +528,11 @@ mod tests {
             Policy::preemptive(2),
             Policy::differential_approximation(&[0.5, 0.0]),
         ];
-        let report = run_experiments_differential(2, 6, 2, |p, r| {
+        let report = run_differential(2, 6, 2, |p, r| {
             Experiment::new(noisy_workload(7 * r as u64 + 1), policies[p].clone())
                 .jobs(30)
                 .warmup(4)
+                .run()
         })
         .expect("runs complete");
         let paired = report.paired_contrast(0, 1, |r| r.mean_response(0));
@@ -609,7 +550,7 @@ mod tests {
     #[test]
     fn differential_grid_is_thread_count_invariant() {
         let run = |threads| {
-            run_experiments_differential(2, 2, threads, |p, r| {
+            run_differential(2, 2, threads, |p, r| {
                 let policy = if p == 0 {
                     Policy::preemptive(2)
                 } else {
@@ -618,6 +559,7 @@ mod tests {
                 Experiment::new(noisy_workload(r as u64), policy)
                     .jobs(20)
                     .warmup(2)
+                    .run()
             })
             .expect("runs complete")
         };

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use dias_core::sweep::{run_multi_experiments_branch, run_multi_experiments_differential};
+use dias_core::sweep::{run_differential, run_multi_experiments_branch};
 use dias_core::{MultiJobExperiment, SprintBudget, SprintPolicy, VecJobSource};
 use dias_des::SeedSequence;
 use dias_engine::{
@@ -116,8 +116,8 @@ proptest! {
         faults in any::<bool>(),
     ) {
         let thetas = grid();
-        let full = run_multi_experiments_differential(thetas.len(), 2, 2, |p, r| {
-            base(seed + r as u64, wide_at, sched, sprint, faults).drops(&thetas[p])
+        let full = run_differential(thetas.len(), 2, 2, |p, r| {
+            base(seed + r as u64, wide_at, sched, sprint, faults).drops(&thetas[p]).run()
         })
         .expect("valid grid");
         for threads in [1, 3] {
@@ -156,8 +156,8 @@ proptest! {
 fn non_branchable_configs_fall_back_to_full_replay() {
     let thetas = grid();
     let with_slos = |r: usize| base(9 + r as u64, 10, 1, false, true).slos(&[400.0, 120.0]);
-    let full = run_multi_experiments_differential(thetas.len(), 2, 2, |p, r| {
-        with_slos(r).drops(&thetas[p])
+    let full = run_differential(thetas.len(), 2, 2, |p, r| {
+        with_slos(r).drops(&thetas[p]).run()
     })
     .expect("valid grid");
     let (branched, stats) =

@@ -4,7 +4,7 @@
 //!
 //! 1. **Replay determinism** — a [`FaultTrace`] is generated once and
 //!    replayed by every sweep point: fanning fault-injected experiments
-//!    across [`run_multi_experiments`] threads must reproduce the sequential
+//!    across [`run_parallel`] threads must reproduce the sequential
 //!    loop bit for bit at any thread count (property-tested over trace
 //!    seeds).
 //! 2. **Zero-fault bit-identity** — an *empty* trace, SLO targets and a
@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use dias_core::sweep::run_multi_experiments;
+use dias_core::sweep::run_parallel;
 use dias_core::{DegradationPolicy, MultiJobExperiment, MultiJobReport, VecJobSource};
 use dias_des::SeedSequence;
 use dias_engine::{
@@ -109,7 +109,7 @@ proptest! {
         prop_assert!(sequential.iter().any(|r| r.failure_evictions > 0 ||
             !r.capacity_timeline.is_empty()));
         for threads in [1, 4] {
-            let swept = run_multi_experiments(experiments(seed), threads);
+            let swept = run_parallel(experiments(seed), threads, |_, e| e.run());
             prop_assert_eq!(swept.len(), sequential.len());
             for (got, want) in swept.iter().zip(&sequential) {
                 let got = got.as_ref().expect("valid experiment");

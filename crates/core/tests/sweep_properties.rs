@@ -1,7 +1,7 @@
 //! Determinism tests of the parallel sweep runner: fanning experiments across
 //! threads must reproduce the sequential loop bit for bit, in input order.
 
-use dias_core::sweep::{replica_seeds, run_experiments, run_parallel};
+use dias_core::sweep::{replica_seeds, run_parallel};
 use dias_core::{Experiment, Policy, VecJobSource};
 use dias_engine::{JobInstance, JobSpec, StageKind, StageSpec};
 use dias_stochastic::Dist;
@@ -53,7 +53,7 @@ fn parallel_sweep_is_bitwise_identical_to_sequential() {
         .map(|s| s.run().expect("valid spec"))
         .collect();
     for threads in [1, 2, 4] {
-        let swept = run_experiments(specs(), threads);
+        let swept = run_parallel(specs(), threads, |_, e| e.run());
         assert_eq!(swept.len(), sequential.len());
         for (i, (got, want)) in swept.iter().zip(&sequential).enumerate() {
             let got = got.as_ref().expect("valid spec");
@@ -67,7 +67,7 @@ fn parallel_sweep_is_bitwise_identical_to_sequential() {
 
 mod multi_sweep {
     use super::workload;
-    use dias_core::sweep::run_multi_experiments;
+    use dias_core::sweep::run_parallel;
     use dias_core::{MultiJobExperiment, MultiJobReport, SprintBudget, SprintPolicy, VecJobSource};
     use dias_engine::{GangBinPack, PriorityPreempt};
 
@@ -78,7 +78,7 @@ mod multi_sweep {
         vec![
             MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack)).jobs(70),
             MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack))
-                .sprint_top_class(true)
+                .sprint(SprintPolicy::unlimited_for_top(2))
                 .jobs(70),
             MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack))
                 .sprint(SprintPolicy::top_class(2, 0.0, budget()))
@@ -113,7 +113,7 @@ mod multi_sweep {
             .map(|e| e.run().expect("valid experiment"))
             .collect();
         for threads in [1, 2, 4] {
-            let swept = run_multi_experiments(experiments(), threads);
+            let swept = run_parallel(experiments(), threads, |_, e| e.run());
             assert_eq!(swept.len(), sequential.len());
             for (got, want) in swept.iter().zip(&sequential) {
                 assert_identical(got.as_ref().expect("valid experiment"), want);
@@ -132,7 +132,7 @@ fn sweep_preserves_input_order_even_with_errors() {
         mk(Policy::non_preemptive(3)),
         mk(Policy::preemptive(2)),
     ];
-    let results = run_experiments(specs, 2);
+    let results = run_parallel(specs, 2, |_, e| e.run());
     assert!(results[0].is_ok());
     assert!(results[1].is_err());
     assert!(results[2].is_ok());

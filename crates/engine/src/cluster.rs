@@ -4,13 +4,13 @@ use serde::{Deserialize, Serialize};
 
 /// CPU frequency level of one frequency domain.
 ///
-/// The paper's implementation sprints the whole cluster at once ("our current
-/// approach sprints all available cores at the same time") — that is the
-/// engine's *global* path ([`ClusterSim::set_frequency`](crate::ClusterSim::set_frequency)),
-/// which applies one level to every domain. The multi-job engine additionally
-/// gives each running job's gang its own domain
-/// ([`ClusterSim::set_job_frequency`](crate::ClusterSim::set_job_frequency)),
-/// so a high-priority job can sprint while its neighbours stay at base.
+/// Every running job's gang is its own frequency domain, starting at
+/// [`FreqLevel::Base`] and switched by
+/// [`ClusterSim::set_job_frequency`](crate::ClusterSim::set_job_frequency),
+/// so a high-priority job can sprint while its neighbours stay at base. The
+/// paper's implementation sprints the whole cluster at once ("our current
+/// approach sprints all available cores at the same time"): one job holding
+/// every slot, switched by that same call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum FreqLevel {
     /// The base (low) frequency — the paper's 800 MHz setting.

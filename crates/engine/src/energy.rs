@@ -76,26 +76,26 @@ impl JobLedger {
 /// busy-slot count per frequency level, so it reads `idle + busy_base ×
 /// rate_base + busy_sprint × rate_sprint`. Grouping the terms by level
 /// changes no bit whenever the products and partial sums are exact, as they
-/// are for the paper's integer wattages. The public calls by job id search
-/// the ledgers; they serve end-of-run books and tests, not the event path.
+/// are for the paper's integer wattages. Only the engine writes the
+/// ledgers; the public calls read or drain them, and the reads by job id
+/// search the ledgers — they serve end-of-run books and tests, not the
+/// event path.
 ///
 /// # Examples
 ///
 /// ```
-/// use dias_engine::{ClusterSpec, EnergyMeter, FreqLevel, JobId};
+/// use dias_engine::{ClusterSpec, EnergyMeter};
 /// use dias_des::SimTime;
 ///
 /// let spec = ClusterSpec::paper_reference();
-/// let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
+/// let meter = EnergyMeter::new(&spec, SimTime::ZERO);
 /// // 10 s fully idle at 10 × 90 W = 9 kJ (no updates needed while idle).
 /// assert!((meter.energy_joules(SimTime::from_secs(10.0)) - 9_000.0).abs() < 1e-6);
-///
-/// // Attribute 20 busy slots to one job for 10 s at 45 W/slot = 9 kJ active.
-/// meter.update_job(SimTime::from_secs(10.0), JobId(1), 20, FreqLevel::Base);
-/// let e = meter.retire_job(SimTime::from_secs(20.0), JobId(1)).unwrap();
-/// assert!((e.active_joules - 9_000.0).abs() < 1e-6);
-/// assert!((e.busy_slot_secs - 200.0).abs() < 1e-6);
+/// assert_eq!(meter.busy_slots(), 0);
 /// ```
+///
+/// The engine's own meter ([`ClusterSim::meter`](crate::ClusterSim::meter))
+/// attributes each run's busy slots to its job; see the crate-level example.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
     spec: ClusterSpec,
@@ -140,18 +140,6 @@ impl EnergyMeter {
         self.power.set(now, p);
     }
 
-    /// Records that `job` occupies `busy` slots at level `freq` from `now`
-    /// on, accruing its segment up to `now` at its *previous* state first.
-    /// Unknown jobs start a fresh ledger. The cluster power integral is
-    /// re-synced to the new ledger state.
-    pub fn update_job(&mut self, now: SimTime, job: JobId, busy: usize, freq: FreqLevel) {
-        let slot = self
-            .slot_of(job)
-            .or_else(|| self.ledgers.iter().position(Option::is_none))
-            .unwrap_or(self.ledgers.len());
-        self.update_ledger(now, slot, job, busy, freq);
-    }
-
     /// Slot of `job`'s ledger, if it is metered.
     fn slot_of(&self, job: JobId) -> Option<usize> {
         self.ledgers
@@ -159,8 +147,10 @@ impl EnergyMeter {
             .position(|l| l.as_ref().is_some_and(|l| l.job == job))
     }
 
-    /// [`EnergyMeter::update_job`] for the job metered in ledger `slot`,
-    /// opening the ledger when the slot is free.
+    /// Records that `job`, metered in ledger `slot`, occupies `busy` slots at
+    /// level `freq` from `now` on, accruing its segment up to `now` at its
+    /// *previous* state first. A free slot opens a fresh ledger. The cluster
+    /// power integral is re-synced to the new ledger state.
     pub(crate) fn update_ledger(
         &mut self,
         now: SimTime,
@@ -194,16 +184,9 @@ impl EnergyMeter {
         self.sync_power(now);
     }
 
-    /// Finalizes `job`'s attribution at `now` and moves it to the finished
-    /// ledger; returns its totals, or `None` for a job never metered. The
+    /// Finalizes the attribution of the job metered in ledger `slot` at `now`
+    /// and moves it to the finished list; the slot becomes free and the
     /// cluster power integral is re-synced without the retired job.
-    pub fn retire_job(&mut self, now: SimTime, job: JobId) -> Option<JobEnergy> {
-        let slot = self.slot_of(job)?;
-        Some(self.retire_ledger(now, slot))
-    }
-
-    /// [`EnergyMeter::retire_job`] for the job metered in ledger `slot`,
-    /// which becomes free.
     pub(crate) fn retire_ledger(&mut self, now: SimTime, slot: usize) -> JobEnergy {
         let mut ledger = self.ledgers[slot].take().expect("ledger slot is live");
         self.busy[level(ledger.freq)] -= ledger.busy;
@@ -286,9 +269,9 @@ mod tests {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
         // 0-10s: idle (900 W). 10-20s: fully busy base (1800 W).
-        meter.update_job(SimTime::from_secs(10.0), JobId(1), 20, FreqLevel::Base);
+        meter.update_ledger(SimTime::from_secs(10.0), 0, JobId(1), 20, FreqLevel::Base);
         // 20-30s: fully busy sprinting (2700 W).
-        meter.update_job(SimTime::from_secs(20.0), JobId(1), 20, FreqLevel::Sprint);
+        meter.update_ledger(SimTime::from_secs(20.0), 0, JobId(1), 20, FreqLevel::Sprint);
         let total = meter.energy_joules(SimTime::from_secs(30.0));
         let expected = 900.0 * 10.0 + 1800.0 * 10.0 + 2700.0 * 10.0;
         assert!((total - expected).abs() < 1e-6, "{total} vs {expected}");
@@ -301,7 +284,7 @@ mod tests {
     fn partial_utilization_scales_linearly() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        meter.update_job(SimTime::ZERO, JobId(1), 10, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 0, JobId(1), 10, FreqLevel::Base);
         let e = meter.energy_joules(SimTime::from_secs(1.0));
         // Half busy: idle 900 + 10 slots * (180-90)/2 per slot = 900 + 450.
         assert!((e - 1350.0).abs() < 1e-9);
@@ -311,11 +294,11 @@ mod tests {
     fn two_jobs_split_the_active_energy() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        meter.update_job(SimTime::ZERO, JobId(1), 8, FreqLevel::Base);
-        meter.update_job(SimTime::ZERO, JobId(2), 4, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 0, JobId(1), 8, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 1, JobId(2), 4, FreqLevel::Base);
         let t = SimTime::from_secs(10.0);
-        let e1 = meter.retire_job(t, JobId(1)).unwrap();
-        let e2 = meter.retire_job(t, JobId(2)).unwrap();
+        let e1 = meter.retire_ledger(t, 0);
+        let e2 = meter.retire_ledger(t, 1);
         // 45 W per busy slot at base.
         assert_eq!(e1.active_joules, 8.0 * 10.0 * 45.0);
         assert_eq!(e2.active_joules, 4.0 * 10.0 * 45.0);
@@ -328,9 +311,9 @@ mod tests {
     fn frequency_switch_splits_job_segments() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        meter.update_job(SimTime::ZERO, JobId(7), 10, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 0, JobId(7), 10, FreqLevel::Base);
         // 4 s at base (45 W/slot), then 4 s sprinting (90 W/slot).
-        meter.update_job(SimTime::from_secs(4.0), JobId(7), 10, FreqLevel::Sprint);
+        meter.update_ledger(SimTime::from_secs(4.0), 0, JobId(7), 10, FreqLevel::Sprint);
         let e = meter.job_energy(JobId(7), SimTime::from_secs(8.0)).unwrap();
         assert_eq!(e.active_joules, 10.0 * 4.0 * 45.0 + 10.0 * 4.0 * 90.0);
         assert_eq!(e.sprint_slot_secs, 40.0);
@@ -342,13 +325,13 @@ mod tests {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
         // Job 1 sprints its 8 slots; job 2 stays at base on 4 slots.
-        meter.update_job(SimTime::ZERO, JobId(1), 8, FreqLevel::Sprint);
-        meter.update_job(SimTime::ZERO, JobId(2), 4, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 0, JobId(1), 8, FreqLevel::Sprint);
+        meter.update_ledger(SimTime::ZERO, 1, JobId(2), 4, FreqLevel::Base);
         // Cluster power: 900 idle + 8×90 sprint + 4×45 base = 1800 W.
         assert_eq!(meter.power_w(), 900.0 + 8.0 * 90.0 + 4.0 * 45.0);
         let end = SimTime::from_secs(10.0);
-        let e1 = meter.retire_job(end, JobId(1)).unwrap();
-        let e2 = meter.retire_job(end, JobId(2)).unwrap();
+        let e1 = meter.retire_ledger(end, 0);
+        let e2 = meter.retire_ledger(end, 1);
         assert_eq!(e1.active_joules, 8.0 * 10.0 * 90.0);
         assert_eq!(e1.sprint_slot_secs, 80.0);
         assert_eq!(e2.active_joules, 4.0 * 10.0 * 45.0);
@@ -365,13 +348,13 @@ mod tests {
     fn attribution_is_lossless_against_cluster_total() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        meter.update_job(SimTime::ZERO, JobId(1), 8, FreqLevel::Base);
-        meter.update_job(SimTime::ZERO, JobId(2), 4, FreqLevel::Base);
-        meter.update_job(SimTime::from_secs(8.0), JobId(1), 8, FreqLevel::Sprint);
-        meter.update_job(SimTime::from_secs(8.0), JobId(2), 4, FreqLevel::Sprint);
+        meter.update_ledger(SimTime::ZERO, 0, JobId(1), 8, FreqLevel::Base);
+        meter.update_ledger(SimTime::ZERO, 1, JobId(2), 4, FreqLevel::Base);
+        meter.update_ledger(SimTime::from_secs(8.0), 0, JobId(1), 8, FreqLevel::Sprint);
+        meter.update_ledger(SimTime::from_secs(8.0), 1, JobId(2), 4, FreqLevel::Sprint);
         let end = SimTime::from_secs(16.0);
-        let e1 = meter.retire_job(end, JobId(1)).unwrap();
-        let e2 = meter.retire_job(end, JobId(2)).unwrap();
+        let e1 = meter.retire_ledger(end, 0);
+        let e2 = meter.retire_ledger(end, 1);
         let idle = spec.cluster_power_w(0, FreqLevel::Base) * 16.0;
         // Dyadic times and the paper's integer powers: exact equality.
         assert_eq!(
@@ -384,19 +367,20 @@ mod tests {
     fn retiring_a_middle_ledger_keeps_the_others_addressable() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        for (job, busy) in [(1, 2), (2, 4), (3, 6)] {
-            meter.update_job(SimTime::ZERO, JobId(job), busy, FreqLevel::Base);
+        for (slot, busy) in [2, 4, 6].into_iter().enumerate() {
+            let job = JobId(slot as u64 + 1);
+            meter.update_ledger(SimTime::ZERO, slot, job, busy, FreqLevel::Base);
         }
-        // Retiring job 1 moves job 3's ledger into its place.
-        meter.retire_job(SimTime::from_secs(1.0), JobId(1)).unwrap();
-        meter.update_job(SimTime::from_secs(1.0), JobId(3), 6, FreqLevel::Sprint);
+        // Retiring job 1 frees its slot; jobs 2 and 3 keep theirs.
+        meter.retire_ledger(SimTime::from_secs(1.0), 0);
+        meter.update_ledger(SimTime::from_secs(1.0), 2, JobId(3), 6, FreqLevel::Sprint);
         assert_eq!(meter.job_freq(JobId(3)), Some(FreqLevel::Sprint));
         assert_eq!(meter.job_freq(JobId(2)), Some(FreqLevel::Base));
         assert_eq!(meter.job_freq(JobId(1)), None);
         assert_eq!(meter.busy_slots(), 10);
         // 900 W idle + 4 base slots at 45 W + 6 sprinting slots at 90 W.
         assert_eq!(meter.power_w(), 900.0 + 4.0 * 45.0 + 6.0 * 90.0);
-        let e3 = meter.retire_job(SimTime::from_secs(2.0), JobId(3)).unwrap();
+        let e3 = meter.retire_ledger(SimTime::from_secs(2.0), 2);
         assert_eq!(e3.active_joules, 6.0 * 45.0 + 6.0 * 90.0);
         assert_eq!(e3.sprint_slot_secs, 6.0);
         assert_eq!(meter.busy_slots(), 4);
@@ -406,8 +390,8 @@ mod tests {
     fn take_finished_drains() {
         let spec = ClusterSpec::paper_reference();
         let mut meter = EnergyMeter::new(&spec, SimTime::ZERO);
-        meter.update_job(SimTime::ZERO, JobId(1), 1, FreqLevel::Base);
-        meter.retire_job(SimTime::from_secs(1.0), JobId(1));
+        meter.update_ledger(SimTime::ZERO, 0, JobId(1), 1, FreqLevel::Base);
+        meter.retire_ledger(SimTime::from_secs(1.0), 0);
         assert_eq!(meter.take_finished().len(), 1);
         assert!(meter.finished_jobs().is_empty());
         // A retired job is still queryable until drained — now it is gone.

@@ -20,8 +20,8 @@
 //!   patches in Spark: a stage with `n` tasks runs only `⌈n(1−θ)⌉` of them,
 //! * **DVFS sprinting** — per-gang frequency domains: each running job's slots
 //!   can sprint individually ([`ClusterSim::set_job_frequency`]), rescaling only
-//!   that job's in-flight tasks; the paper's cluster-global switch
-//!   ([`ClusterSim::set_frequency`]) applies one level to every domain,
+//!   that job's in-flight tasks; every dispatch starts at base frequency, and
+//!   the paper's cluster-wide sprint is the same call on every running job,
 //! * **eviction** — killing a running job through its calendar handles and
 //!   accounting every machine-second it had consumed as waste (the preemptive
 //!   baseline's behaviour), and
@@ -38,7 +38,8 @@
 //! # Examples
 //!
 //! ```
-//! use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobInstance, JobSpec, StageSpec, StageKind};
+//! use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobInstance, JobSpec, StageSpec, StageKind,
+//!                   Submission};
 //! use dias_stochastic::Dist;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -53,8 +54,10 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let instance = JobInstance::sample(&spec, &mut rng);
 //!
+//! // Under the default Fifo scheduler an idle cluster gives the job all 20 slots.
 //! let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-//! sim.start_job(&instance, &[0.0, 0.0]).unwrap();
+//! let sub = sim.submit_job(&instance, &[0.0, 0.0]).unwrap();
+//! assert!(matches!(sub, Submission::Dispatched { .. }));
 //! loop {
 //!     if let EngineEvent::JobFinished { metrics, .. } = sim.advance().unwrap() {
 //!         // 50 tasks of 15 s on 20 slots: 3 waves; plus setup, shuffle, reduce.

@@ -234,10 +234,11 @@ fn largest_gap(total_slots: usize, running: &[RunningView]) -> usize {
 /// engine's historical behaviour.
 ///
 /// A job is placed only on an idle cluster and always receives every slot
-/// (even a one-task stage holds the whole machine, exactly as before);
-/// backfill dispatches strictly in FCFS order. `Fifo` is the default policy
-/// of [`ClusterSim::new`](crate::ClusterSim::new) and is pinned bit-for-bit
-/// to the pre-multi-job engine by the golden trace.
+/// (even a one-task stage holds the whole machine, exactly as before). A job
+/// submitted while another runs waits in the engine's pending queue, and
+/// backfill dispatches the queue strictly in FCFS order. `Fifo` is the
+/// default policy of [`ClusterSim::new`](crate::ClusterSim::new) and is
+/// pinned bit-for-bit to the pre-multi-job engine by the golden trace.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fifo;
 

@@ -11,12 +11,10 @@
 //! their calendar handles (the indexed [`EventQueue`]'s O(log n) cancel).
 //!
 //! Frequency is a *per-gang* property: every running job owns a frequency
-//! domain, switched individually by [`ClusterSim::set_job_frequency`] (only
-//! that job's in-flight completions are rescaled, through their calendar
-//! handles). The paper's cluster-global DVFS survives as
-//! [`ClusterSim::set_frequency`], which applies one level to every domain
-//! *and* to jobs dispatched later — driving only the global switch reproduces
-//! the historical engine bit for bit.
+//! domain, starts at [`FreqLevel::Base`] and is switched individually by
+//! [`ClusterSim::set_job_frequency`] (only that job's in-flight completions
+//! are rescaled, through their calendar handles). The paper's cluster-global
+//! DVFS is that call on every running job; under [`Fifo`] there is only one.
 //!
 //! Capacity is *elastic*: [`ClusterSim::fail_slot`] kills a slot (evicting
 //! the overlapping run to the head of the pending queue, like a preemption
@@ -45,9 +43,6 @@ use crate::{ClusterSpec, EnergyMeter, Fifo, FreqLevel, IdMap, JobEnergy, JobId, 
 /// Errors from driving the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// [`ClusterSim::start_job`] was called but the scheduler could not place
-    /// the job immediately (under [`Fifo`]: a job is already running).
-    Busy,
     /// An operation required a running job but the engine is idle.
     Idle,
     /// The drop-ratio vector does not match the job's stages or is out of range.
@@ -68,7 +63,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Busy => write!(f, "engine is busy with another job"),
             EngineError::Idle => write!(f, "engine is idle"),
             EngineError::BadDrops(msg) => write!(f, "invalid drop ratios: {msg}"),
             EngineError::InvalidSpec(msg) => write!(f, "invalid cluster spec: {msg}"),
@@ -459,16 +453,14 @@ pub struct DispatchRecord {
 /// Driving pattern: the controller compares [`ClusterSim::next_event_time`]
 /// with its own arrival/sprint timers and calls [`ClusterSim::advance`]
 /// whenever the engine holds the earliest event. Jobs enter through
-/// [`ClusterSim::start_job`] (dispatch-or-[`EngineError::Busy`], the paper's
-/// single-job discipline) or [`ClusterSim::submit_job`] (dispatch, queue, or
-/// preempt, per the [`Scheduler`] policy). See the crate-level example.
+/// [`ClusterSim::submit_job`] (dispatch, queue, or preempt, per the
+/// [`Scheduler`] policy; under [`Fifo`] a job dispatches onto the whole
+/// cluster when it is idle and queues otherwise) and leave by completing or
+/// through [`ClusterSim::evict_job`]. See the crate-level example.
 #[derive(Debug)]
 pub struct ClusterSim {
     spec: ClusterSpec,
     time: SimTime,
-    /// Default frequency level: what new dispatches inherit, and the level the
-    /// global [`ClusterSim::set_frequency`] applies to every domain.
-    freq: FreqLevel,
     queue: EventQueue<Internal>,
     runs: RunTable,
     /// What the scheduler sees: one view per run plus the phantom blocked
@@ -497,14 +489,13 @@ struct SlotState {
 }
 
 /// A bitwise-exact snapshot of a [`ClusterSim`]'s mutable state, captured by
-/// [`ClusterSim::checkpoint`] and reinstated by [`ClusterSim::restore`] (or
-/// branched into a fresh sim by [`ClusterSim::branch`]).
+/// [`ClusterSim::checkpoint`] and reinstated by [`ClusterSim::restore`] (into
+/// this sim or a fresh one built with the same spec and scheduler).
 ///
 /// A checkpoint owns everything that evolves during a run: the wall clock,
-/// the default frequency level, the event calendar (a deep
-/// [`EventQueue::snapshot`] with handle generations preserved, so the
-/// calendar handles stored in the run table stay valid), the run and pending
-/// tables, the per-job energy ledgers, the undrained dispatch log, and the
+/// the event calendar (a deep [`EventQueue::snapshot`] with handle
+/// generations preserved, so the calendar handles stored in the run table
+/// stay valid), the run and pending tables, the per-job energy ledgers, the undrained dispatch log, and the
 /// per-slot fault state (health, straggler factors, and the derived
 /// unavailable/straggler counters — the fault *cursor* of a driver-level
 /// fault trace lives with the driver, which snapshots it alongside). It does
@@ -516,7 +507,6 @@ struct SlotState {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     time: SimTime,
-    freq: FreqLevel,
     queue: EventQueue<Internal>,
     runs: RunTable,
     views: Vec<RunningView>,
@@ -579,7 +569,6 @@ impl ClusterSim {
         Ok(ClusterSim {
             spec,
             time: SimTime::ZERO,
-            freq: FreqLevel::Base,
             queue: EventQueue::new(),
             runs: RunTable::new(),
             views: Vec::new(),
@@ -623,26 +612,10 @@ impl ClusterSim {
         self.runs.is_empty() && self.pending.is_empty()
     }
 
-    /// Current *default* frequency level: the level newly dispatched jobs
-    /// inherit and the one the global [`ClusterSim::set_frequency`] last
-    /// applied to every domain. Individual running jobs may sit at a
-    /// different level — see [`ClusterSim::job_frequency`].
-    #[must_use]
-    pub fn frequency(&self) -> FreqLevel {
-        self.freq
-    }
-
     /// Frequency level of `job`'s domain, or `None` when it is not running.
     #[must_use]
     pub fn job_frequency(&self, job: JobId) -> Option<FreqLevel> {
         self.runs.key_of(job).map(|key| self.runs.get(key).freq)
-    }
-
-    /// Id of the earliest-dispatched running job, if any (under [`Fifo`]:
-    /// *the* running job).
-    #[must_use]
-    pub fn running_job(&self) -> Option<JobId> {
-        self.runs.earliest().map(|key| self.runs.get(key).work.job)
     }
 
     /// Ids of all running jobs, in dispatch order.
@@ -695,10 +668,9 @@ impl ClusterSim {
         &self.meter
     }
 
-    /// Mutable access to the energy meter (to drain finished-job
-    /// attributions with [`EnergyMeter::take_finished`]). The engine meters
-    /// its runs itself; metering other jobs through this would take ledger
-    /// slots the engine reserves for its runs.
+    /// Mutable access to the energy meter, to drain finished-job
+    /// attributions with [`EnergyMeter::take_finished`]. Only the engine
+    /// writes the ledgers; the meter's public calls read or drain them.
     pub fn meter_mut(&mut self) -> &mut EnergyMeter {
         &mut self.meter
     }
@@ -756,7 +728,6 @@ impl ClusterSim {
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             time: self.time,
-            freq: self.freq,
             queue: self.queue.snapshot(),
             runs: self.runs.clone(),
             views: self.views.clone(),
@@ -777,7 +748,8 @@ impl ClusterSim {
     /// stateless ([`Fifo`], [`crate::GangBinPack`],
     /// [`crate::PriorityPreempt`]), so any policy-compatible sim restores
     /// exactly. Restoring under a stateful custom scheduler, or into a sim
-    /// with a different spec, is a logic error.
+    /// with a different spec, is a logic error. Restoring into a fresh sim
+    /// branches the run: the two then evolve independently.
     ///
     /// # Panics
     ///
@@ -789,7 +761,6 @@ impl ClusterSim {
             "checkpoint is from a cluster with a different slot count"
         );
         self.time = cp.time;
-        self.freq = cp.freq;
         self.queue = cp.queue.snapshot();
         self.runs = cp.runs.clone();
         self.views = cp.views.clone();
@@ -799,23 +770,6 @@ impl ClusterSim {
         self.slot_states = cp.slot_states.clone();
         self.unavailable = cp.unavailable;
         self.stragglers = cp.stragglers;
-    }
-
-    /// A new independent simulation branched from this one's current state:
-    /// shorthand for building a sim with the same spec and `scheduler`, then
-    /// restoring [`ClusterSim::checkpoint`] into it.
-    ///
-    /// `scheduler` must be the same (stateless) policy this sim runs — see
-    /// [`ClusterSim::restore`] for the determinism rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidSpec`] when the spec fails validation
-    /// (it cannot in practice: this sim was built from the same spec).
-    pub fn branch(&self, scheduler: Box<dyn Scheduler>) -> Result<ClusterSim, EngineError> {
-        let mut sim = ClusterSim::with_scheduler(self.spec.clone(), scheduler)?;
-        sim.restore(&self.checkpoint());
-        Ok(sim)
     }
 
     /// Validates `drops` against `instance` and prepares the post-drop work.
@@ -924,30 +878,6 @@ impl ClusterSim {
         run
     }
 
-    /// Dispatches `instance` with per-stage drop ratios `drops` at the current
-    /// time, or fails with [`EngineError::Busy`] when the scheduler cannot
-    /// place it *right now* — this path never queues and never preempts, so
-    /// under [`Fifo`] it is exactly the historical single-job engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Busy`] when placement fails and
-    /// [`EngineError::BadDrops`] for a malformed drop vector.
-    pub fn start_job(&mut self, instance: &JobInstance, drops: &[f64]) -> Result<(), EngineError> {
-        let work = self.prepare(instance, drops)?;
-        let total = self.spec.slots();
-        match self
-            .scheduler
-            .place(work.class, work.width, total, &self.views)
-        {
-            Some(slots) => {
-                self.dispatch(work, slots);
-                Ok(())
-            }
-            None => Err(EngineError::Busy),
-        }
-    }
-
     /// Hands `instance` to the scheduler: dispatched onto a slot subset,
     /// queued inside the engine until capacity frees, or (under a preempting
     /// policy) dispatched after evicting lower-class jobs, which re-queue at
@@ -1026,11 +956,11 @@ impl ClusterSim {
     }
 
     /// Dispatches prepared work onto `slots` at the current time; the new
-    /// run's frequency domain starts at the cluster's default level and its
-    /// straggler factor at the slowest slot of its range (`x / 1.0 == x`
-    /// bitwise, so a straggler-free dispatch is unchanged).
+    /// run's frequency domain starts at [`FreqLevel::Base`] and its straggler
+    /// factor at the slowest slot of its range (`x / 1.0 == x` bitwise, so a
+    /// straggler-free dispatch is unchanged).
     fn dispatch(&mut self, work: JobWork, slots: SlotRange) {
-        let freq = self.freq;
+        let freq = FreqLevel::Base;
         let slow = self.range_slow(slots);
         let speed = self.spec.speed_at(freq) / slow;
         let job = work.job;
@@ -1057,7 +987,7 @@ impl ClusterSim {
             slow,
             work_done: 0.0,
             sprint_secs: 0.0,
-            sprint_since: (freq == FreqLevel::Sprint).then_some(self.time),
+            sprint_since: None,
             tasks_run: 0,
         });
         debug_assert_eq!(inserted, key);
@@ -1116,20 +1046,6 @@ impl ClusterSim {
             Internal::SerialDone { run } => self.finish_serial(run),
             Internal::TaskDone { run, stage } => self.finish_task(run, stage, handle),
         }
-    }
-
-    /// Evicts the earliest-dispatched running job, losing all its work (the
-    /// preemptive baseline; under [`Fifo`] this is *the* running job). The
-    /// job does **not** re-queue — re-submission is the caller's decision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Idle`] when no job is running.
-    pub fn evict(&mut self) -> Result<EvictedWork, EngineError> {
-        let key = self.runs.earliest().ok_or(EngineError::Idle)?;
-        let (lost, _) = self.do_evict(key);
-        self.backfill();
-        Ok(lost)
     }
 
     /// Evicts a specific running job, losing all its work. The job does not
@@ -1243,30 +1159,15 @@ impl ClusterSim {
         self.meter.update_ledger(now, key, job, busy, freq);
     }
 
-    /// Switches *every* frequency domain (and the default for future
-    /// dispatches) to `freq` — the paper's cluster-global DVFS. Runs already
-    /// at `freq` are untouched; the rest are rescaled exactly as
-    /// [`ClusterSim::set_job_frequency`] would.
-    pub fn set_frequency(&mut self, freq: FreqLevel) {
-        // Dispatch order: the reschedules' order fixes calendar tie-breaks.
-        let mut next = self.runs.earliest();
-        while let Some(key) = next {
-            next = self.runs.next_dispatched(key);
-            let slow = self.runs.get(key).slow;
-            self.retime_run(key, freq, slow);
-        }
-        self.freq = freq;
-    }
-
     /// Switches `job`'s frequency domain to `freq`, rescaling only that job's
     /// in-flight completions in place (other jobs' events and domains stay
-    /// put). The cluster default is unchanged — a job dispatched later still
-    /// starts at the level of the last global [`ClusterSim::set_frequency`].
+    /// put). The paper's whole-cluster sprint is this call on every running
+    /// job. A later attempt of the job starts at [`FreqLevel::Base`] again.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownJob`] when `job` is not running (pending
-    /// jobs have no domain yet; they inherit the default at dispatch).
+    /// jobs have no domain yet; every dispatch starts at base).
     pub fn set_job_frequency(&mut self, job: JobId, freq: FreqLevel) -> Result<(), EngineError> {
         let key = self.run_key(job)?;
         let slow = self.runs.get(key).slow;
@@ -1678,7 +1579,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn constant_job(map_tasks: usize, map_secs: f64) -> JobInstance {
+    pub(super) fn constant_job(map_tasks: usize, map_secs: f64) -> JobInstance {
         let spec = JobSpec::builder(1, 0)
             .input_mb(473.0)
             .setup(Dist::constant(10.0))
@@ -1694,7 +1595,7 @@ mod tests {
         JobInstance::sample(&spec, &mut rng)
     }
 
-    fn run_to_completion(sim: &mut ClusterSim) -> JobRunMetrics {
+    pub(super) fn run_to_completion(sim: &mut ClusterSim) -> JobRunMetrics {
         loop {
             if let EngineEvent::JobFinished { metrics, .. } = sim.advance().unwrap() {
                 return metrics;
@@ -1702,11 +1603,24 @@ mod tests {
         }
     }
 
+    /// A `Fifo` cluster running `job` alone, dispatched onto every slot at
+    /// time zero.
+    pub(super) fn running(job: &JobInstance, drops: &[f64]) -> ClusterSim {
+        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
+        let sub = sim.submit_job(job, drops).unwrap();
+        assert_eq!(
+            sub,
+            Submission::Dispatched {
+                slots: SlotRange::new(0, 20)
+            }
+        );
+        sim
+    }
+
     #[test]
     fn wave_execution_makespan() {
         // 50 constant tasks of 15 s on 20 slots: 3 waves (20, 20, 10) = 45 s.
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(50, 15.0), &[0.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(50, 15.0), &[0.0, 0.0]);
         let m = run_to_completion(&mut sim);
         let expected = 10.0 + 45.0 + 5.0 + 8.0;
         assert!(
@@ -1723,8 +1637,7 @@ mod tests {
     #[test]
     fn dropping_removes_a_wave() {
         // Dropping 20% of 50 tasks leaves 40 = exactly 2 waves.
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(50, 15.0), &[0.2, 0.0]).unwrap();
+        let mut sim = running(&constant_job(50, 15.0), &[0.2, 0.0]);
         let m = run_to_completion(&mut sim);
         assert!((m.execution_secs - (10.0 + 30.0 + 5.0 + 8.0)).abs() < 1e-9);
         assert_eq!(m.tasks_dropped, 10);
@@ -1732,8 +1645,7 @@ mod tests {
 
     #[test]
     fn full_drop_skips_stage_but_keeps_shuffle() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(50, 15.0), &[1.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(50, 15.0), &[1.0, 0.0]);
         let m = run_to_completion(&mut sim);
         assert!((m.execution_secs - (10.0 + 5.0 + 8.0)).abs() < 1e-9);
         assert_eq!(m.tasks_dropped, 50);
@@ -1742,9 +1654,8 @@ mod tests {
 
     #[test]
     fn sprinting_from_start_speeds_everything() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.set_frequency(FreqLevel::Sprint);
-        sim.start_job(&constant_job(50, 15.0), &[0.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(50, 15.0), &[0.0, 0.0]);
+        sim.set_job_frequency(JobId(1), FreqLevel::Sprint).unwrap();
         let m = run_to_completion(&mut sim);
         let expected = (10.0 + 45.0 + 5.0 + 8.0) / 2.5;
         assert!(
@@ -1760,15 +1671,13 @@ mod tests {
 
     #[test]
     fn mid_job_sprint_rescales_remaining_work() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(20, 100.0), &[0.0, 0.0])
-            .unwrap();
+        let mut sim = running(&constant_job(20, 100.0), &[0.0, 0.0]);
         // Setup finishes at t=10; first (only) map wave runs 100 s at base.
         let ev = sim.advance().unwrap();
         assert!(matches!(ev, EngineEvent::SetupFinished { .. }));
         // Sprint halfway through the wave: 50 s of work left -> 20 s at 2.5x.
         sim.idle_until(SimTime::from_secs(60.0));
-        sim.set_frequency(FreqLevel::Sprint);
+        sim.set_job_frequency(JobId(1), FreqLevel::Sprint).unwrap();
         let m = run_to_completion(&mut sim);
         // Map ends at 60 + 50/2.5 = 80; shuffle 5/2.5 = 2; reduce 8/2.5 = 3.2.
         let expected = 80.0 + 2.0 + 3.2;
@@ -1782,37 +1691,58 @@ mod tests {
 
     #[test]
     fn eviction_reports_lost_work() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(50, 15.0), &[0.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(50, 15.0), &[0.0, 0.0]);
         // Let setup finish (t=10), then one task wave partially complete.
         sim.advance().unwrap();
         sim.idle_until(SimTime::from_secs(17.0));
-        let evicted = sim.evict().unwrap();
+        let evicted = sim.evict_job(JobId(1)).unwrap();
         assert!((evicted.wall_secs - 17.0).abs() < 1e-9);
         // Setup 10 + 20 slots * 7 s of partial task work.
         assert!((evicted.work_secs - (10.0 + 140.0)).abs() < 1e-9);
         assert!(sim.is_idle());
         // The engine accepts a new job immediately.
-        sim.start_job(&constant_job(10, 1.0), &[0.0, 0.0]).unwrap();
+        sim.submit_job(&constant_job(10, 1.0), &[0.0, 0.0]).unwrap();
         let m = run_to_completion(&mut sim);
         assert!(m.execution_secs > 0.0);
     }
 
     #[test]
-    fn busy_engine_rejects_second_job() {
+    fn busy_engine_queues_second_job() {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(10, 1.0), &[0.0, 0.0]).unwrap();
-        assert_eq!(
-            sim.start_job(&constant_job(10, 1.0), &[0.0, 0.0]),
-            Err(EngineError::Busy)
-        );
+        let first = narrow_job(1, 0, 10, 1.0);
+        let second = narrow_job(2, 0, 10, 1.0);
+        let sub = sim.submit_job(&first, &[0.0]).unwrap();
+        assert!(matches!(sub, Submission::Dispatched { .. }));
+        let sub = sim.submit_job(&second, &[0.0]).unwrap();
+        assert_eq!(sub, Submission::Queued { evicted: vec![] });
+        assert_eq!(sim.running_jobs(), vec![JobId(1)]);
+        assert_eq!(sim.pending_jobs(), 1);
+        // Fifo dispatches the queued job onto the whole cluster the moment
+        // the first one completes.
+        loop {
+            if let EngineEvent::JobFinished { job, .. } = sim.advance().unwrap() {
+                assert_eq!(job, JobId(1));
+                break;
+            }
+        }
+        let finished_at = sim.now();
+        assert_eq!(sim.running_jobs(), vec![JobId(2)]);
+        assert_eq!(sim.pending_jobs(), 0);
+        let dispatched = sim.take_dispatched();
+        assert_eq!(dispatched.len(), 2);
+        assert_eq!(dispatched[1].job, JobId(2));
+        assert_eq!(dispatched[1].time, finished_at);
+        assert_eq!(dispatched[1].slots, SlotRange::new(0, 20));
     }
 
     #[test]
     fn idle_engine_rejects_operations() {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        assert_eq!(sim.evict(), Err(EngineError::Idle));
-        assert!(sim.advance().is_err());
+        assert_eq!(
+            sim.evict_job(JobId(1)),
+            Err(EngineError::UnknownJob(JobId(1)))
+        );
+        assert_eq!(sim.advance(), Err(EngineError::Idle));
         assert!(sim.next_event_time().is_none());
     }
 
@@ -1821,19 +1751,18 @@ mod tests {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
         let job = constant_job(10, 1.0);
         assert!(matches!(
-            sim.start_job(&job, &[0.0]),
+            sim.submit_job(&job, &[0.0]),
             Err(EngineError::BadDrops(_))
         ));
         assert!(matches!(
-            sim.start_job(&job, &[0.5, 1.5]),
+            sim.submit_job(&job, &[0.5, 1.5]),
             Err(EngineError::BadDrops(_))
         ));
     }
 
     #[test]
     fn event_sequence_is_coherent() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(25, 10.0), &[0.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(25, 10.0), &[0.0, 0.0]);
         let mut seen_setup = false;
         let mut seen_stage0 = false;
         let mut seen_shuffle = false;
@@ -1861,8 +1790,7 @@ mod tests {
 
     #[test]
     fn energy_accounts_for_busy_time() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(20, 10.0), &[0.0, 0.0]).unwrap();
+        let mut sim = running(&constant_job(20, 10.0), &[0.0, 0.0]);
         let m = run_to_completion(&mut sim);
         let energy = sim.energy_joules();
         // Lower bound: idle floor for the whole run. Upper: full power all run.
@@ -1884,8 +1812,7 @@ mod tests {
             .build();
         let mut rng = StdRng::seed_from_u64(9);
         let inst = JobInstance::sample(&spec, &mut rng);
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&inst, &[0.0, 0.0]).unwrap();
+        let mut sim = running(&inst, &[0.0, 0.0]);
         let m = run_to_completion(&mut sim);
         // Work conservation: all sampled work executed.
         assert!((m.work_secs - inst.total_work_secs()).abs() < 1e-6);
@@ -2057,6 +1984,7 @@ mod tests {
 
 #[cfg(test)]
 mod setup_scaling_tests {
+    use super::tests::running;
     use super::*;
     use crate::{JobSpec, StageKind, StageSpec};
     use dias_stochastic::Dist;
@@ -2072,41 +2000,24 @@ mod setup_scaling_tests {
             .build();
         let mut rng = StdRng::seed_from_u64(1);
         let inst = JobInstance::sample(&spec, &mut rng);
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
         // Drop 90% of tasks: kept fraction = 5/50 = 0.1, setup = 10*(0.5+0.05) = 5.5.
-        sim.start_job(&inst, &[0.9]).unwrap();
+        let sim = running(&inst, &[0.9]);
         let first = sim.next_event_time().unwrap();
         assert!((first.as_secs() - 5.5).abs() < 1e-9, "{first}");
         // Without drops the full setup applies.
-        let mut sim2 = ClusterSim::new(ClusterSpec::paper_reference());
-        sim2.start_job(&inst, &[0.0]).unwrap();
+        let sim2 = running(&inst, &[0.0]);
         assert!((sim2.next_event_time().unwrap().as_secs() - 10.0).abs() < 1e-9);
     }
 }
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{constant_job, run_to_completion, running};
     use super::*;
     use crate::{GangBinPack, JobSpec, SlotHealth, StageKind, StageSpec};
     use dias_stochastic::Dist;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn constant_job(map_tasks: usize, map_secs: f64) -> JobInstance {
-        let spec = JobSpec::builder(1, 0)
-            .input_mb(473.0)
-            .setup(Dist::constant(10.0))
-            .shuffle(Dist::constant(5.0))
-            .stage(StageSpec::new(
-                StageKind::Map,
-                map_tasks,
-                Dist::constant(map_secs),
-            ))
-            .stage(StageSpec::new(StageKind::Reduce, 10, Dist::constant(8.0)))
-            .build();
-        let mut rng = StdRng::seed_from_u64(1);
-        JobInstance::sample(&spec, &mut rng)
-    }
 
     fn narrow_job(id: u64, width: usize, secs: f64) -> JobInstance {
         let spec = JobSpec::builder(id, 0)
@@ -2117,20 +2028,10 @@ mod fault_tests {
         JobInstance::sample(&spec, &mut rng)
     }
 
-    fn run_to_completion(sim: &mut ClusterSim) -> JobRunMetrics {
-        loop {
-            if let EngineEvent::JobFinished { metrics, .. } = sim.advance().unwrap() {
-                return metrics;
-            }
-        }
-    }
-
     #[test]
     fn straggler_slows_whole_gang() {
         // 20 map tasks of 100 s on 20 slots under Fifo: one wave.
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(20, 100.0), &[0.0, 0.0])
-            .unwrap();
+        let mut sim = running(&constant_job(20, 100.0), &[0.0, 0.0]);
         sim.advance().unwrap(); // setup done at t = 10
         sim.idle_until(SimTime::from_secs(15.0));
         // One slot at factor 2 halves the whole gang: 95 s left -> 190 s.
@@ -2150,9 +2051,7 @@ mod fault_tests {
 
     #[test]
     fn repair_restores_full_speed() {
-        let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&constant_job(20, 100.0), &[0.0, 0.0])
-            .unwrap();
+        let mut sim = running(&constant_job(20, 100.0), &[0.0, 0.0]);
         sim.advance().unwrap();
         sim.idle_until(SimTime::from_secs(15.0));
         sim.slow_slot(3, 2.0).unwrap();
@@ -2468,9 +2367,9 @@ mod bookkeeping_tests {
             sim.running_jobs(),
             vec![JobId(0), JobId(2), JobId(3), JobId(4)]
         );
-        assert_eq!(sim.running_job(), Some(JobId(0)));
-        sim.evict().unwrap();
-        assert_eq!(sim.running_job(), Some(JobId(2)));
+        // The earliest-dispatched run is job 0, then job 2.
+        sim.evict_job(JobId(0)).unwrap();
+        assert_eq!(sim.running_jobs()[0], JobId(2));
         check(&sim);
     }
 }

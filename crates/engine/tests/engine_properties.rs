@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn work_is_conserved_without_drops((instance, _) in arb_job()) {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        sim.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let metrics = run_job(&mut sim);
         prop_assert!((metrics.work_secs - instance.total_work_secs()).abs() < 1e-6);
         prop_assert_eq!(metrics.tasks_dropped, 0);
@@ -60,7 +60,7 @@ proptest! {
         // Makespan is at least the critical path (setup + longest task per stage +
         // shuffles) and at most the fully serial execution.
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        sim.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let metrics = run_job(&mut sim);
         let serial = instance.total_work_secs();
         let longest_map = instance.task_secs[0].iter().cloned().fold(0.0, f64::max);
@@ -77,11 +77,11 @@ proptest! {
     #[test]
     fn dropping_never_lengthens_execution((instance, _) in arb_job(), theta in 0.0f64..1.0) {
         let mut full = ClusterSim::new(ClusterSpec::paper_reference());
-        full.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        full.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let base = run_job(&mut full);
 
         let mut dropped = ClusterSim::new(ClusterSpec::paper_reference());
-        dropped.start_job(&instance, &[theta, 0.0]).expect("idle engine");
+        dropped.submit_job(&instance, &[theta, 0.0]).expect("idle engine");
         let with_drop = run_job(&mut dropped);
 
         prop_assert!(with_drop.execution_secs <= base.execution_secs + 1e-9);
@@ -91,12 +91,12 @@ proptest! {
     #[test]
     fn sprinting_scales_execution_exactly((instance, _) in arb_job()) {
         let mut base = ClusterSim::new(ClusterSpec::paper_reference());
-        base.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        base.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let slow = run_job(&mut base);
 
         let mut fast_sim = ClusterSim::new(ClusterSpec::paper_reference());
-        fast_sim.set_frequency(FreqLevel::Sprint);
-        fast_sim.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        fast_sim.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        fast_sim.set_job_frequency(instance.spec.id, FreqLevel::Sprint).expect("dispatched");
         let fast = run_job(&mut fast_sim);
 
         let speedup = ClusterSpec::paper_reference().sprint_speedup;
@@ -108,10 +108,10 @@ proptest! {
     #[test]
     fn eviction_accounts_partial_work((instance, _) in arb_job(), frac in 0.05f64..0.95) {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        sim.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         // Advance part-way through the job, then evict between events.
         let mut full = ClusterSim::new(ClusterSpec::paper_reference());
-        full.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        full.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let total = run_job(&mut full).execution_secs;
         let stop_at = dias_des::SimTime::from_secs(total * frac);
         while let Some(t) = sim.next_event_time() {
@@ -126,7 +126,7 @@ proptest! {
             return Ok(()); // job finished before the cut (rounding); nothing to evict
         }
         sim.idle_until(stop_at);
-        let evicted = sim.evict().expect("job was running");
+        let evicted = sim.evict_job(instance.spec.id).expect("job was running");
         prop_assert!((evicted.wall_secs - total * frac).abs() < 1e-6);
         // Lost work can never exceed wall time × slots, nor the job's total work.
         let slots = ClusterSpec::paper_reference().slots() as f64;
@@ -138,7 +138,7 @@ proptest! {
     #[test]
     fn energy_grows_monotonically((instance, _) in arb_job()) {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&instance, &[0.0, 0.0]).expect("idle engine");
+        sim.submit_job(&instance, &[0.0, 0.0]).expect("idle engine");
         let mut last = 0.0;
         loop {
             match sim.advance().expect("running job") {

@@ -122,8 +122,8 @@ fn assert_disjoint(sim: &ClusterSim) -> Result<(), String> {
 /// How the drive loop toggles frequency at event times.
 #[derive(Debug, Clone, Copy)]
 enum Toggle {
-    /// Flip every domain together through the global switch (the paper's
-    /// hardware; the pre-PR5 behaviour).
+    /// Flip every running domain together (the paper's whole-cluster
+    /// switch); jobs dispatched later start at base.
     Global,
     /// Flip one running job's own domain, rotating through the running set —
     /// concurrent jobs end up at heterogeneous levels.
@@ -135,12 +135,15 @@ enum Toggle {
 fn flip(sim: &mut ClusterSim, toggle: Toggle, events: usize) {
     match toggle {
         Toggle::Global => {
-            let next = if sim.frequency() == FreqLevel::Base {
-                FreqLevel::Sprint
-            } else {
-                FreqLevel::Base
+            let running = sim.running_jobs();
+            let next = match running.first().and_then(|&job| sim.job_frequency(job)) {
+                Some(FreqLevel::Base) => FreqLevel::Sprint,
+                _ => FreqLevel::Base,
             };
-            sim.set_frequency(next);
+            for job in running {
+                sim.set_job_frequency(job, next)
+                    .expect("toggled job is running");
+            }
         }
         Toggle::PerJob => {
             let running = sim.running_jobs();
@@ -167,29 +170,8 @@ fn drive(
     toggle_every: usize,
     toggle: Toggle,
 ) -> Result<ClusterSim, String> {
-    let mut sim = ClusterSim::with_scheduler(dyadic_cluster(), scheduler).unwrap();
-    let mut arrival = 0.0f64;
-    let mut events = 0usize;
-    for (id, job) in jobs.iter().enumerate() {
-        arrival += f64::from(job.gap_eighths) / 8.0;
-        // Process engine events that precede the arrival.
-        while let Some(t) = sim.next_event_time() {
-            if t.as_secs() > arrival {
-                break;
-            }
-            sim.advance().expect("running events");
-            events += 1;
-            if toggle_every > 0 && events.is_multiple_of(toggle_every) {
-                flip(&mut sim, toggle, events);
-            }
-            assert_disjoint(&sim)?;
-        }
-        sim.idle_until(SimTime::from_secs(arrival));
-        let inst = instance_of(id as u64, job);
-        sim.submit_job(&inst, &vec![0.0; job.stages.len()])
-            .expect("valid submission");
-        assert_disjoint(&sim)?;
-    }
+    let (mut sim, mut events) =
+        drive_arrivals(jobs, scheduler, toggle_every, toggle, assert_disjoint)?;
     while !sim.is_idle() {
         sim.advance().expect("pending events while jobs run");
         events += 1;
@@ -217,20 +199,24 @@ fn assert_exact_split(sim: &ClusterSim) -> Result<(), String> {
     Ok(())
 }
 
-/// The arrival loop of [`drive`] without the final drain: returns the
-/// mid-flight simulator (jobs running, pending, possibly mid-sprint) and its
-/// event counter — the state the checkpoint property snapshots.
-fn drive_to_final_drain(
+/// The arrival loop of [`drive`]: submits every job at its arrival time,
+/// advancing and toggling through the engine events before it and running
+/// `check` after every state change. Returns the mid-flight simulator (jobs
+/// running, pending, possibly mid-sprint) and its event counter — the state
+/// the checkpoint property snapshots.
+fn drive_arrivals(
     jobs: &[GenJob],
     scheduler: Box<dyn Scheduler>,
     toggle_every: usize,
     toggle: Toggle,
-) -> (ClusterSim, usize) {
+    check: fn(&ClusterSim) -> Result<(), String>,
+) -> Result<(ClusterSim, usize), String> {
     let mut sim = ClusterSim::with_scheduler(dyadic_cluster(), scheduler).unwrap();
     let mut arrival = 0.0f64;
     let mut events = 0usize;
     for (id, job) in jobs.iter().enumerate() {
         arrival += f64::from(job.gap_eighths) / 8.0;
+        // Process engine events that precede the arrival.
         while let Some(t) = sim.next_event_time() {
             if t.as_secs() > arrival {
                 break;
@@ -240,13 +226,15 @@ fn drive_to_final_drain(
             if toggle_every > 0 && events.is_multiple_of(toggle_every) {
                 flip(&mut sim, toggle, events);
             }
+            check(&sim)?;
         }
         sim.idle_until(SimTime::from_secs(arrival));
         let inst = instance_of(id as u64, job);
         sim.submit_job(&inst, &vec![0.0; job.stages.len()])
             .expect("valid submission");
+        check(&sim)?;
     }
-    (sim, events)
+    Ok((sim, events))
 }
 
 /// Drains the simulator to idle (or `stop_after` events), recording every
@@ -358,7 +346,7 @@ proptest! {
             Box::new(GangBinPack)
         };
         let (mut sim, events_at_cp) =
-            drive_to_final_drain(&jobs, scheduler, toggle, Toggle::PerJob);
+            drive_arrivals(&jobs, scheduler, toggle, Toggle::PerJob, |_| Ok(()))?;
         let cp = sim.checkpoint();
         let reference = drain_recording(&mut sim, events_at_cp, toggle, Toggle::PerJob, None);
         let now_ref = sim.now();

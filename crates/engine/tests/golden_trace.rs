@@ -13,12 +13,17 @@
 //! (outright cancellation of all pending completions), and a second job
 //! driven to completion while sprinting.
 //!
+//! The drivers use the engine's general calls: `submit_job` on an idle
+//! `Fifo` cluster, `evict_job`, and `set_job_frequency` on every running job
+//! for the whole-cluster switch (a job that sprints from dispatch is
+//! switched at its submission instant, which accrues nothing at base).
+//!
 //! To re-capture after an *intentional* semantic change, run
 //! `DIAS_GOLDEN_PRINT=1 cargo test -p dias-engine --test golden_trace -- --nocapture`
 //! and replace `EXPECTED` with the printed literals.
 
 use dias_engine::{
-    ClusterSim, ClusterSpec, FreqLevel, GangBinPack, JobInstance, JobSpec, PriorityPreempt,
+    ClusterSim, ClusterSpec, FreqLevel, GangBinPack, JobId, JobInstance, JobSpec, PriorityPreempt,
     StageKind, StageSpec,
 };
 use dias_stochastic::Dist;
@@ -45,6 +50,15 @@ fn variable_job_class(id: u64, seed: u64, class: usize) -> JobInstance {
     JobInstance::sample(&spec, &mut rng)
 }
 
+/// Switches every running job's frequency domain to `freq`, in dispatch
+/// order (the order fixes calendar tie-breaks): the paper's whole-cluster
+/// sprint switch.
+fn set_all(sim: &mut ClusterSim, freq: FreqLevel) {
+    for job in sim.running_jobs() {
+        sim.set_job_frequency(job, freq).unwrap();
+    }
+}
+
 /// Drives the scenario and renders one line per observation.
 fn drive() -> Vec<String> {
     let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
@@ -57,23 +71,23 @@ fn drive() -> Vec<String> {
         ));
     }
 
-    sim.start_job(&variable_job(1, 11), &[0.1, 0.0]).unwrap();
+    sim.submit_job(&variable_job(1, 11), &[0.1, 0.0]).unwrap();
     record(&mut log, "start1", &sim);
 
     // Advance with a sprint window [step 5, step 17) and evict at step 23.
     for step in 0..23 {
         if step == 5 {
-            sim.set_frequency(FreqLevel::Sprint);
+            set_all(&mut sim, FreqLevel::Sprint);
             record(&mut log, "sprint-on", &sim);
         }
         if step == 17 {
-            sim.set_frequency(FreqLevel::Base);
+            set_all(&mut sim, FreqLevel::Base);
             record(&mut log, "sprint-off", &sim);
         }
         let ev = sim.advance().unwrap();
         log.push(format!("ev {:?} e={:?}", ev, sim.energy_joules()));
     }
-    let evicted = sim.evict().unwrap();
+    let evicted = sim.evict_job(JobId(1)).unwrap();
     log.push(format!(
         "evicted wall={:?} work={:?} sprint={:?} e={:?}",
         evicted.wall_secs,
@@ -83,9 +97,9 @@ fn drive() -> Vec<String> {
     ));
 
     // Second job runs entirely at sprint frequency to completion.
-    sim.set_frequency(FreqLevel::Sprint);
     record(&mut log, "sprint-on-2", &sim);
-    sim.start_job(&variable_job(2, 12), &[0.0, 0.5]).unwrap();
+    sim.submit_job(&variable_job(2, 12), &[0.0, 0.5]).unwrap();
+    sim.set_job_frequency(JobId(2), FreqLevel::Sprint).unwrap();
     record(&mut log, "start2", &sim);
     loop {
         let ev = sim.advance().unwrap();
@@ -227,7 +241,7 @@ fn drive_preempt() -> Vec<String> {
     let mut steps = 0;
     while !sim.is_idle() {
         if steps == 8 {
-            sim.set_frequency(FreqLevel::Sprint);
+            set_all(&mut sim, FreqLevel::Sprint);
             log.push(format!(
                 "sprint-on t={:?} e={:?}",
                 sim.now().as_secs(),
@@ -235,7 +249,7 @@ fn drive_preempt() -> Vec<String> {
             ));
         }
         if steps == 16 {
-            sim.set_frequency(FreqLevel::Base);
+            set_all(&mut sim, FreqLevel::Base);
             log.push(format!(
                 "sprint-off t={:?} e={:?}",
                 sim.now().as_secs(),
@@ -252,7 +266,7 @@ fn drive_preempt() -> Vec<String> {
     }
 
     for id in [1u64, 2] {
-        let e = sim.job_energy(dias_engine::JobId(id)).unwrap();
+        let e = sim.job_energy(JobId(id)).unwrap();
         log.push(format!(
             "job{id} active={:?} busy_slot_secs={:?} sprint_slot_secs={:?}",
             e.active_joules, e.busy_slot_secs, e.sprint_slot_secs
@@ -328,10 +342,9 @@ fn drive_domains() -> Vec<String> {
 
     let freqs = |sim: &ClusterSim| {
         format!(
-            "low={:?} high={:?} default={:?}",
-            sim.job_frequency(dias_engine::JobId(1)),
-            sim.job_frequency(dias_engine::JobId(2)),
-            sim.frequency()
+            "low={:?} high={:?}",
+            sim.job_frequency(JobId(1)),
+            sim.job_frequency(JobId(2)),
         )
     };
 
@@ -339,8 +352,7 @@ fn drive_domains() -> Vec<String> {
     while !sim.is_idle() {
         // Mid-stage: the high job's domain sprints alone.
         if steps == 6 {
-            sim.set_job_frequency(dias_engine::JobId(2), FreqLevel::Sprint)
-                .unwrap();
+            sim.set_job_frequency(JobId(2), FreqLevel::Sprint).unwrap();
             log.push(format!(
                 "sprint-high-on t={:?} {} e={:?}",
                 sim.now().as_secs(),
@@ -350,8 +362,7 @@ fn drive_domains() -> Vec<String> {
         }
         // Budget exhausted (driver-emulated): the sprinting domain stops.
         if steps == 12 {
-            sim.set_job_frequency(dias_engine::JobId(2), FreqLevel::Base)
-                .unwrap();
+            sim.set_job_frequency(JobId(2), FreqLevel::Base).unwrap();
             log.push(format!(
                 "budget-exhausted t={:?} {} e={:?}",
                 sim.now().as_secs(),
@@ -365,7 +376,7 @@ fn drive_domains() -> Vec<String> {
     }
 
     for id in [1u64, 2] {
-        let e = sim.job_energy(dias_engine::JobId(id)).unwrap();
+        let e = sim.job_energy(JobId(id)).unwrap();
         log.push(format!(
             "job{id} active={:?} busy_slot_secs={:?} sprint_slot_secs={:?}",
             e.active_joules, e.busy_slot_secs, e.sprint_slot_secs
@@ -491,14 +502,14 @@ const EXPECTED_DOMAINS: &[&str] = &[
     "ev TaskFinished { job: JobId(1), stage: 0, tasks_left: 6 } e=16927.179253232745",
     "ev TaskFinished { job: JobId(2), stage: 0, tasks_left: 5 } e=18613.136840704683",
     "ev TaskFinished { job: JobId(2), stage: 0, tasks_left: 4 } e=18752.215557344272",
-    "sprint-high-on t=13.645059128582355 low=Some(Base) high=Some(Sprint) default=Base e=18752.215557344272",
+    "sprint-high-on t=13.645059128582355 low=Some(Base) high=Some(Sprint) e=18752.215557344272",
     "ev TaskFinished { job: JobId(1), stage: 0, tasks_left: 5 } e=18902.463822745533",
     "ev TaskFinished { job: JobId(1), stage: 0, tasks_left: 4 } e=22225.15936890846",
     "ev TaskFinished { job: JobId(2), stage: 0, tasks_left: 3 } e=22668.256814326774",
     "ev TaskFinished { job: JobId(2), stage: 0, tasks_left: 2 } e=23794.206472575344",
     "ev TaskFinished { job: JobId(2), stage: 0, tasks_left: 1 } e=24194.853082707596",
     "ev StageFinished { job: JobId(2), stage: 0 } e=25738.934524302542",
-    "budget-exhausted t=18.7602105986983 low=Some(Base) high=Some(Base) default=Base e=25738.934524302542",
+    "budget-exhausted t=18.7602105986983 low=Some(Base) high=Some(Base) e=25738.934524302542",
     "ev ShuffleFinished { job: JobId(2), next_stage: 1 } e=28298.077778485705",
     "ev TaskFinished { job: JobId(1), stage: 0, tasks_left: 3 } e=29499.896260454036",
     "ev TaskFinished { job: JobId(1), stage: 0, tasks_left: 2 } e=30873.761998461432",

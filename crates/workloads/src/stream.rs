@@ -35,8 +35,8 @@ pub fn profile_execution(
         let spec = profile.spec(i as u64, 0);
         let instance = JobInstance::sample(&spec, &mut rng);
         let mut sim = ClusterSim::new(cluster.clone());
-        sim.start_job(&instance, drops)
-            .expect("idle engine accepts the job");
+        sim.submit_job(&instance, drops)
+            .expect("drops match the profile's stages");
         loop {
             match sim.advance().expect("running job yields events") {
                 EngineEvent::JobFinished { metrics, .. } => {

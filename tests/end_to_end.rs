@@ -266,7 +266,7 @@ fn engine_work_conservation_under_drops() {
     let instance = JobInstance::sample(&spec, &mut rng);
     for drops in [[0.0, 0.0], [0.3, 0.0], [0.9, 0.5]] {
         let mut sim = ClusterSim::new(ClusterSpec::paper_reference());
-        sim.start_job(&instance, &drops).expect("engine idle");
+        sim.submit_job(&instance, &drops).expect("engine idle");
         let metrics = loop {
             if let EngineEvent::JobFinished { metrics, .. } = sim.advance().expect("running") {
                 break metrics;
