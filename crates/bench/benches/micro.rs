@@ -15,95 +15,10 @@ use dias_models::priority::{mph1_waiting_ph, non_preemptive_means, ClassInput};
 use dias_models::TaskLevelModel;
 use dias_stochastic::{DiscreteDist, MarkedPoisson, Ph, PhSampler};
 
-/// The pre-PR3 event queue: a `BinaryHeap` plus a `HashSet` of live seqs,
-/// cancelling by tombstone and skipping stale entries on pop. Kept as the
-/// "before" side of the `event_queue/*_tombstone` comparisons.
-mod tombstone {
-    use dias_des::SimTime;
-    use std::cmp::Ordering;
-    use std::collections::{BinaryHeap, HashSet};
-
-    struct Entry<E> {
-        time: SimTime,
-        seq: u64,
-        payload: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    pub struct TombstoneQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-        pending: HashSet<u64>,
-    }
-
-    impl<E> TombstoneQueue<E> {
-        pub fn new() -> Self {
-            TombstoneQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                pending: HashSet::new(),
-            }
-        }
-
-        pub fn push(&mut self, time: SimTime, payload: E) -> u64 {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { time, seq, payload });
-            self.pending.insert(seq);
-            seq
-        }
-
-        pub fn cancel(&mut self, handle: u64) -> bool {
-            self.pending.remove(&handle)
-        }
-
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(entry) = self.heap.pop() {
-                if self.pending.remove(&entry.seq) {
-                    return Some((entry.time, entry.payload));
-                }
-            }
-            None
-        }
-    }
-}
-
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_1k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.push(SimTime::from_secs((i % 97) as f64), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-            black_box(sum)
-        });
-    });
-    c.bench_function("event_queue/push_pop_1k_tombstone", |b| {
-        b.iter(|| {
-            let mut q = tombstone::TombstoneQueue::new();
             for i in 0..1000u64 {
                 q.push(SimTime::from_secs((i % 97) as f64), i);
             }
@@ -133,26 +48,9 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         });
     });
-    c.bench_function("event_queue/push_pop_cancel50_1k_tombstone", |b| {
-        b.iter(|| {
-            let mut q = tombstone::TombstoneQueue::new();
-            let handles: Vec<_> = (0..1000u64)
-                .map(|i| q.push(SimTime::from_secs((i % 97) as f64), i))
-                .collect();
-            for h in handles.iter().step_by(2) {
-                q.cancel(*h);
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-            black_box(sum)
-        });
-    });
 
     // Decrease/increase-key churn: every pending event is rescheduled once
-    // (the DVFS rescale pattern, where the tombstone queue had to cancel and
-    // re-push).
+    // (the DVFS rescale pattern).
     c.bench_function("event_queue/reschedule_1k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -168,6 +66,35 @@ fn bench_event_queue(c: &mut Criterion) {
             }
             black_box(sum)
         });
+    });
+
+    // Task hand-off: a finished task's calendar entry goes to the next task
+    // of its stage, 1000 times per iteration, at the depth of the paper's
+    // 20-slot cluster running one job (the engine's commonest event).
+    c.bench_function("event_queue/task_chain_20", |b| {
+        let mut q = EventQueue::new();
+        for i in 0..20u64 {
+            q.push(SimTime::from_secs(i as f64), i);
+        }
+        let mut next = 20u64;
+        b.iter(|| {
+            for _ in 0..1000 {
+                let (t, _, _) = q.peek().expect("the chain never empties");
+                q.replace_top(t + ((next * 37) % 23 + 1) as f64, next);
+                next += 1;
+            }
+            black_box(q.peek_time())
+        });
+    });
+}
+
+fn bench_workloads(c: &mut Criterion) {
+    use dias_core::JobSource;
+    // One arrival of the paper's reference workload: 62 lognormal draws
+    // (setup, shuffle, 50 map and 10 reduce tasks) plus the arrival itself.
+    let mut stream = dias_workloads::reference_two_priority(0.8, 42);
+    c.bench_function("workloads/next_job/reference_two_priority", |b| {
+        b.iter(|| stream.next_job());
     });
 }
 
@@ -745,6 +672,7 @@ fn bench_federation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_workloads,
     bench_ph,
     bench_uniformization_cache,
     bench_sampling,

@@ -287,6 +287,71 @@ impl<E> EventQueue<E> {
         Some((entry.time, handle, payload))
     }
 
+    /// Returns the earliest event, with the handle it is scheduled under,
+    /// without removing it.
+    ///
+    /// A caller that learns from the payload that it will schedule a
+    /// follow-up at once (a finished task handing its slot to the next one)
+    /// then calls [`EventQueue::replace_top`]; any other caller pops.
+    #[must_use]
+    #[inline]
+    pub fn peek(&self) -> Option<(SimTime, EventHandle, &E)> {
+        let entry = self.heap.first()?;
+        let slot = &self.slots[entry.key as usize];
+        let payload = slot.payload.as_ref().expect("queued entry parks a payload");
+        Some((
+            entry.time,
+            EventHandle::new(entry.key, slot.generation),
+            payload,
+        ))
+    }
+
+    /// Removes the earliest event and schedules `payload` at `time`, in one
+    /// sift instead of a pop's and a push's.
+    ///
+    /// Equal to [`EventQueue::pop`] followed by [`EventQueue::push`]: the new
+    /// event takes the next FIFO sequence number and reuses the fired
+    /// event's slot under its next generation, which is the slot the push
+    /// would have taken from the free list, so the returned handle and the
+    /// free list are the same too. Only the heap's layout may differ, and
+    /// pop order is fixed by the unique `(time, seq)` keys, so no caller can
+    /// tell the two apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dias_des::{EventQueue, SimTime};
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.push(SimTime::from_secs(1.0), "task 1");
+    /// q.push(SimTime::from_secs(3.0), "timer");
+    /// let (now, _, _) = q.peek().unwrap();
+    /// // Task 1 is done; task 2 takes its slot for 1.5 s.
+    /// q.replace_top(now + 1.5, "task 2");
+    /// assert_eq!(q.pop(), Some((SimTime::from_secs(2.5), "task 2")));
+    /// assert_eq!(q.pop(), Some((SimTime::from_secs(3.0), "timer")));
+    /// ```
+    #[inline]
+    pub fn replace_top(&mut self, time: SimTime, payload: E) -> EventHandle {
+        let key = self.heap.first().expect("replace_top needs an event").key;
+        let slot = &mut self.slots[key as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        slot.payload = Some(payload);
+        let handle = EventHandle::new(key, slot.generation);
+        self.heap[0] = Entry {
+            time,
+            seq: self.next_seq,
+            key,
+        };
+        self.next_seq += 1;
+        self.sift_down(0);
+        handle
+    }
+
     /// Returns the timestamp of the earliest event without removing it.
     ///
     /// Cancelled events are gone from the calendar, so this is a plain

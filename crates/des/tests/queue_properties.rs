@@ -1,12 +1,19 @@
 //! Model-based property test: [`EventQueue`] against a naive sorted-`Vec`
-//! reference under random push / cancel / reschedule / pop interleavings.
+//! reference under random push / cancel / reschedule / pop / replace-top
+//! interleavings.
 //!
 //! The reference model keeps every live event in a flat `Vec` and re-derives
 //! the pop order by a full scan, so it is obviously correct (if slow). The
 //! indexed heap must agree with it on every observable: pop order (including
 //! equal-timestamp FIFO ties and reschedule's pushed-afresh tie semantics),
 //! the success/failure of every cancel and reschedule (stale handles must be
-//! rejected), and the live-event count after every operation.
+//! rejected), the earliest event and its handle as [`EventQueue::peek`]
+//! reports it, and the live-event count after every operation.
+//!
+//! A twin queue runs the same operations with every
+//! [`EventQueue::replace_top`] spelled as a pop followed by a push; the two
+//! must return the same handle from every push and replace, and pop the same
+//! events under the same handles.
 
 use proptest::prelude::*;
 
@@ -19,6 +26,7 @@ enum Op {
     Cancel { handle_idx: usize },
     Reschedule { handle_idx: usize, time_units: u32 },
     Pop,
+    ReplaceTop { time_units: u32 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -31,6 +39,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             time_units
         }),
         Just(Op::Pop),
+        (0u32..50).prop_map(|time_units| Op::ReplaceTop { time_units }),
     ]
 }
 
@@ -71,33 +80,42 @@ impl NaiveModel {
         true
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        let pos = self
-            .live
+    fn earliest(&self) -> Option<usize> {
+        self.live
             .iter()
             .enumerate()
             .min_by_key(|(_, &(t, s, _))| (t, s))
-            .map(|(pos, _)| pos)?;
-        let (t, _, id) = self.live.remove(pos);
+            .map(|(pos, _)| pos)
+    }
+
+    fn peek(&self) -> Option<(SimTime, u64)> {
+        self.earliest()
+            .map(|pos| (self.live[pos].0, self.live[pos].2))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (t, _, id) = self.live.remove(self.earliest()?);
         Some((t, id))
     }
 }
 
 fn run_scenario(ops: &[Op]) {
     let mut queue: EventQueue<u64> = EventQueue::new();
+    // Runs `queue`'s operations with replace-top spelled pop + push.
+    let mut twin: EventQueue<u64> = EventQueue::new();
     let mut model = NaiveModel::default();
     // Every handle ever issued, including fired/cancelled ones, so the
-    // generated indices regularly hit stale handles.
+    // generated indices regularly hit stale handles. Event `id` was issued
+    // `handles[id]`.
     let mut handles: Vec<(EventHandle, u64)> = Vec::new();
-    let mut next_id = 0u64;
 
     for op in ops {
+        let id = handles.len() as u64;
         match *op {
             Op::Push { time_units } => {
                 let t = SimTime::from_secs(f64::from(time_units));
-                let id = next_id;
-                next_id += 1;
                 let h = queue.push(t, id);
+                assert_eq!(twin.push(t, id), h, "push handles diverged");
                 model.push(t, id);
                 handles.push((h, id));
             }
@@ -112,6 +130,7 @@ fn run_scenario(ops: &[Op]) {
                     expect,
                     "cancel of event {id} disagrees with the model"
                 );
+                assert_eq!(twin.cancel(h), expect);
             }
             Op::Reschedule {
                 handle_idx,
@@ -128,31 +147,52 @@ fn run_scenario(ops: &[Op]) {
                     expect,
                     "reschedule of event {id} disagrees with the model"
                 );
+                assert_eq!(twin.reschedule(h, t), expect);
             }
             Op::Pop => {
-                let got = queue.pop();
-                let want = model.pop();
+                let got = queue.pop_with_handle();
+                assert_eq!(twin.pop_with_handle(), got, "twin pop diverged");
+                let want = model.pop().map(|(t, id)| (t, handles[id as usize].0, id));
                 assert_eq!(got, want, "pop order diverged from the model");
+            }
+            Op::ReplaceTop { time_units } => {
+                let Some((_, fired)) = model.pop() else {
+                    continue;
+                };
+                let t = SimTime::from_secs(f64::from(time_units));
+                let h = queue.replace_top(t, id);
+                let (_, twin_fired, twin_payload) = twin.pop_with_handle().expect("twin holds it");
+                assert_eq!(
+                    (twin_fired, twin_payload),
+                    (handles[fired as usize].0, fired),
+                    "replace-top removed another event than the model's earliest"
+                );
+                assert_eq!(
+                    twin.push(t, id),
+                    h,
+                    "replace-top handle != pop + push handle"
+                );
+                model.push(t, id);
+                handles.push((h, id));
             }
         }
         assert_eq!(queue.len(), model.live.len(), "live counts diverged");
+        let want = model.peek().map(|(t, id)| (t, handles[id as usize].0, id));
         assert_eq!(
-            queue.peek_time(),
-            model
-                .live
-                .iter()
-                .map(|&(t, s, _)| (t, s))
-                .min()
-                .map(|(t, _)| t)
+            queue.peek().map(|(t, h, &id)| (t, h, id)),
+            want,
+            "peek disagrees with the model"
         );
+        assert_eq!(queue.peek_time(), want.map(|(t, _, _)| t));
     }
 
     // Drain: the remaining pop order must match exactly, and every issued
     // handle must be stale afterwards.
     while let Some(want) = model.pop() {
+        assert_eq!(twin.pop(), Some(want), "twin drain order diverged");
         assert_eq!(queue.pop(), Some(want), "drain order diverged");
     }
-    assert!(queue.is_empty());
+    assert!(queue.is_empty() && twin.is_empty());
     assert_eq!(queue.pop(), None);
     for &(h, id) in &handles {
         assert!(
@@ -174,8 +214,8 @@ proptest! {
 }
 
 /// A deterministic dense-tie scenario: many pushes at one timestamp, mixed
-/// with reschedules onto the same timestamp, must interleave exactly like the
-/// model (reschedule = pushed afresh).
+/// with reschedules and replace-tops onto the same timestamp, must interleave
+/// exactly like the model (both = pushed afresh).
 #[test]
 fn equal_timestamp_fifo_with_reschedules() {
     let t = 7u32;
@@ -190,6 +230,9 @@ fn equal_timestamp_fifo_with_reschedules() {
         }
         if i % 5 == 0 {
             ops.push(Op::Pop);
+        }
+        if i % 7 == 0 {
+            ops.push(Op::ReplaceTop { time_units: t });
         }
     }
     run_scenario(&ops);

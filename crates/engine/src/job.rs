@@ -12,7 +12,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dias_stochastic::Dist;
+use dias_stochastic::{CompiledDist, Dist};
 
 /// Unique job identifier within an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -257,24 +257,11 @@ pub struct JobInstance {
 }
 
 impl JobInstance {
-    /// Samples every duration of `spec` once.
+    /// Samples every duration of `spec` once. Same as
+    /// [`JobSampler::new`] followed by [`JobSampler::sample`] under
+    /// `spec.id`, which repeated draws from one template should use instead.
     pub fn sample<R: Rng + ?Sized>(spec: &JobSpec, rng: &mut R) -> Self {
-        let setup_secs = spec.setup.sample(rng);
-        let shuffle_secs = (0..spec.stages.len().saturating_sub(1))
-            .map(|_| spec.shuffle.sample(rng))
-            .collect();
-        let task_secs = spec
-            .stages
-            .iter()
-            .map(|s| (0..s.tasks).map(|_| s.task_work.sample(rng)).collect())
-            .collect();
-        JobInstance {
-            spec: spec.clone(),
-            setup_secs,
-            shuffle_secs,
-            task_secs,
-            arrival_secs: 0.0,
-        }
+        JobSampler::new(spec).sample(spec.id, rng)
     }
 
     /// Priority class shortcut.
@@ -319,6 +306,61 @@ impl JobInstance {
             })
             .sum();
         self.setup_secs + self.shuffle_secs.iter().sum::<f64>() + tasks
+    }
+}
+
+/// A [`JobSpec`] with every distribution compiled once, for drawing many
+/// instances of one template (one priority class of a job stream).
+///
+/// [`JobSampler::sample`] draws the setup, then each shuffle, then each
+/// stage's tasks in stage order: the one draw order every seeded stream in
+/// the workspace is pinned to.
+#[derive(Debug, Clone)]
+pub struct JobSampler {
+    template: JobSpec,
+    setup: CompiledDist,
+    shuffle: CompiledDist,
+    /// Per stage: task count and compiled task-work distribution.
+    stages: Vec<(usize, CompiledDist)>,
+}
+
+impl JobSampler {
+    /// Compiles `template`'s distributions.
+    #[must_use]
+    pub fn new(template: &JobSpec) -> Self {
+        JobSampler {
+            template: template.clone(),
+            setup: template.setup.compile(),
+            shuffle: template.shuffle.compile(),
+            stages: template
+                .stages
+                .iter()
+                .map(|s| (s.tasks, s.task_work.compile()))
+                .collect(),
+        }
+    }
+
+    /// Samples every duration of the template once, as job `id`.
+    pub fn sample<R: Rng + ?Sized>(&self, id: JobId, rng: &mut R) -> JobInstance {
+        let setup_secs = self.setup.sample(rng);
+        let shuffle_secs = (0..self.stages.len().saturating_sub(1))
+            .map(|_| self.shuffle.sample(rng))
+            .collect();
+        let task_secs = self
+            .stages
+            .iter()
+            .map(|&(tasks, work)| (0..tasks).map(|_| work.sample(rng)).collect())
+            .collect();
+        JobInstance {
+            spec: JobSpec {
+                id,
+                ..self.template.clone()
+            },
+            setup_secs,
+            shuffle_secs,
+            task_secs,
+            arrival_secs: 0.0,
+        }
     }
 }
 

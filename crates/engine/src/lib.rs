@@ -116,7 +116,9 @@ mod sim;
 pub use cluster::{ClusterSpec, FreqLevel, PowerModel};
 pub use energy::{EnergyMeter, JobEnergy};
 pub use faults::{FaultEvent, FaultKind, FaultTrace, SlotHealth};
-pub use job::{IdHasher, IdMap, JobId, JobInstance, JobSpec, JobSpecBuilder, StageKind, StageSpec};
+pub use job::{
+    IdHasher, IdMap, JobId, JobInstance, JobSampler, JobSpec, JobSpecBuilder, StageKind, StageSpec,
+};
 pub use sched::{
     Fifo, GangBinPack, PendingView, PriorityPreempt, RunningView, Scheduler, SlotRange,
 };

@@ -191,14 +191,16 @@ enum Phase {
     },
     Stage {
         idx: usize,
-        queue: VecDeque<f64>,
+        /// Index in the stage's task list of the next task to launch; the
+        /// tasks before it run or have finished.
+        next: usize,
         running: Vec<RunningTask>,
     },
 }
 
 /// A calendar entry's payload. Each names its run by [`RunTable`] key, so
 /// processing an event finds the run without searching for it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Internal {
     SerialDone { run: usize },
     TaskDone { run: usize, stage: usize },
@@ -1036,14 +1038,22 @@ impl ClusterSim {
 
     /// Processes the next internal event and reports what happened.
     ///
+    /// The event stays on the calendar until its handler takes it off: a
+    /// finished task that launches the next queued task hands its calendar
+    /// entry over with [`EventQueue::replace_top`], and every other path pops
+    /// it before touching the calendar.
+    ///
     /// # Errors
     ///
     /// Returns [`EngineError::Idle`] when no job is running.
     pub fn advance(&mut self) -> Result<EngineEvent, EngineError> {
-        let (t, handle, ev) = self.queue.pop_with_handle().ok_or(EngineError::Idle)?;
+        let (t, handle, &ev) = self.queue.peek().ok_or(EngineError::Idle)?;
         self.time = t;
         match ev {
-            Internal::SerialDone { run } => self.finish_serial(run),
+            Internal::SerialDone { run } => {
+                self.queue.pop();
+                self.finish_serial(run)
+            }
             Internal::TaskDone { run, stage } => self.finish_task(run, stage, handle),
         }
     }
@@ -1207,6 +1217,8 @@ impl ClusterSim {
         }
     }
 
+    /// Handles the task completion `fired`, which is still the calendar's
+    /// earliest event.
     fn finish_task(
         &mut self,
         key: usize,
@@ -1220,7 +1232,7 @@ impl ClusterSim {
         let (tasks_left, stage_done) = match &mut run.phase {
             Phase::Stage {
                 idx: stage_idx,
-                queue,
+                next,
                 running,
             } if *stage_idx == stage => {
                 // Remove exactly the task whose completion event fired,
@@ -1233,23 +1245,29 @@ impl ClusterSim {
                 let done = running.swap_remove(pos);
                 run.work_done += done.work_left;
                 run.tasks_run += 1;
-                // Launch the next pending task on the freed slot.
-                if let Some(work) = queue.pop_front() {
+                let tasks = &run.work.stage_tasks[stage];
+                // Launch the next pending task on the freed slot, in the
+                // fired event's calendar entry.
+                if let Some(&work) = tasks.get(*next) {
+                    *next += 1;
                     let handle = self
                         .queue
-                        .push(time + work / speed, Internal::TaskDone { run: key, stage });
+                        .replace_top(time + work / speed, Internal::TaskDone { run: key, stage });
                     running.push(RunningTask {
                         work_left: work,
                         since: time,
                         handle,
                     });
+                } else {
+                    self.queue.pop();
                 }
-                (
-                    queue.len() + running.len(),
-                    running.is_empty() && queue.is_empty(),
-                )
+                let queued = tasks.len() - *next;
+                (queued + running.len(), running.is_empty() && queued == 0)
             }
-            _ => return Err(EngineError::Idle),
+            _ => {
+                self.queue.pop();
+                return Err(EngineError::Idle);
+            }
         };
         if !stage_done {
             let (job_busy, freq) = {
@@ -1301,8 +1319,8 @@ impl ClusterSim {
         if stage >= run.work.stage_tasks.len() {
             return Some(self.finish_job(key));
         }
-        let mut queue: VecDeque<f64> = run.work.stage_tasks[stage].iter().copied().collect();
-        if queue.is_empty() {
+        let tasks = &run.work.stage_tasks[stage];
+        if tasks.is_empty() {
             // Entire stage dropped: move straight through its shuffle or finish.
             if stage + 1 < run.work.stage_tasks.len() {
                 let shuffle = run.work.shuffle_secs[stage];
@@ -1321,22 +1339,21 @@ impl ClusterSim {
             }
             return Some(self.finish_job(key));
         }
-        let mut running = Vec::new();
-        while running.len() < slots {
-            let Some(work) = queue.pop_front() else { break };
-            let handle = self
-                .queue
-                .push(time + work / speed, Internal::TaskDone { run: key, stage });
-            running.push(RunningTask {
+        let first_wave = &tasks[..tasks.len().min(slots)];
+        let running: Vec<RunningTask> = first_wave
+            .iter()
+            .map(|&work| RunningTask {
                 work_left: work,
                 since: time,
-                handle,
-            });
-        }
+                handle: self
+                    .queue
+                    .push(time + work / speed, Internal::TaskDone { run: key, stage }),
+            })
+            .collect();
         let job_busy = running.len();
         run.phase = Phase::Stage {
             idx: stage,
-            queue,
+            next: job_busy,
             running,
         };
         self.meter.update_ledger(time, key, job, job_busy, freq);

@@ -12,7 +12,8 @@
 //! * [`MarkedPoisson`] and [`Mmap`] — marked arrival processes with one stream per
 //!   priority class, as in the paper's `MMAP[K]` arrivals.
 //! * [`Dist`] — scalar distributions used by the engine simulator for task execution
-//!   times, with exact means and second moments.
+//!   times, with exact means and second moments; [`Dist::compile`] gives the
+//!   [`CompiledDist`] that repeated draws use.
 //! * [`DiscreteDist`] — distributions over task counts (the paper's `p_m(t)`,
 //!   `p_r(u)`).
 //! * [`fit`] — moment-matching: fit a PH to a target mean and squared coefficient of
@@ -47,7 +48,7 @@ pub use discrete::DiscreteDist;
 pub use evaluator::{PhEvaluator, PhSampler, QUANTILE_SATURATION};
 pub use mmap::{MarkedArrival, MarkedPoisson, MarkedPoissonSampler, Mmap, MmapSampler};
 pub use ph::{Ph, PhError};
-pub use scalar::{Dist, DistSampler, ZipfSampler};
+pub use scalar::{CompiledDist, Dist, DistSampler, ZipfSampler};
 pub use trace::{DrawTrace, RecordingRng, ReplayRng};
 
 /// Draws an exponential variate with the given `rate` using inverse transform.

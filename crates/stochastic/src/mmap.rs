@@ -47,17 +47,18 @@ impl MarkedPoisson {
     ///
     /// # Errors
     ///
-    /// Returns an error string if `rates` is empty, contains a negative rate, or sums
-    /// to zero.
+    /// Returns an error string if `rates` is empty, contains a negative or
+    /// non-finite rate, or sums to zero or to infinity.
     pub fn new(rates: Vec<f64>) -> Result<Self, String> {
         if rates.is_empty() {
             return Err("need at least one class".into());
         }
-        if rates.iter().any(|&r| r < 0.0) {
-            return Err("rates must be non-negative".into());
+        if !rates.iter().all(|r| (0.0..f64::INFINITY).contains(r)) {
+            return Err("rates must be finite and non-negative".into());
         }
-        if rates.iter().sum::<f64>() <= 0.0 {
-            return Err("total rate must be positive".into());
+        let total = rates.iter().sum::<f64>();
+        if !(total > 0.0 && total.is_finite()) {
+            return Err("total rate must be positive and finite".into());
         }
         Ok(MarkedPoisson { rates })
     }
@@ -420,6 +421,13 @@ mod tests {
         assert!(MarkedPoisson::new(vec![]).is_err());
         assert!(MarkedPoisson::new(vec![-1.0]).is_err());
         assert!(MarkedPoisson::new(vec![0.0, 0.0]).is_err());
+        // NaN fails every comparison, so it must be rejected explicitly; an
+        // infinite rate would emit arrivals at t = 0 forever.
+        assert!(MarkedPoisson::new(vec![f64::NAN]).is_err());
+        assert!(MarkedPoisson::new(vec![0.5, f64::NAN]).is_err());
+        assert!(MarkedPoisson::new(vec![f64::INFINITY]).is_err());
+        assert!(MarkedPoisson::new(vec![f64::NEG_INFINITY, 1.0]).is_err());
+        assert!(MarkedPoisson::new(vec![f64::MAX, f64::MAX]).is_err());
     }
 
     #[test]

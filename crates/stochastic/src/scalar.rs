@@ -190,33 +190,43 @@ impl Dist {
         }
     }
 
-    /// Draws a sample.
+    /// Draws a sample. Same as [`Dist::compile`] followed by
+    /// [`CompiledDist::sample`], which repeated draws should use instead.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            Dist::Constant { value } => value,
-            Dist::Exponential { mean } => sample_exp(rng, 1.0 / mean),
-            Dist::Erlang { k, mean } => {
-                let rate = f64::from(k) / mean;
-                (0..k).map(|_| sample_exp(rng, rate)).sum()
-            }
-            Dist::Uniform { lo, hi } => rng.gen_range(lo..hi),
+        self.compile().sample(rng)
+    }
+
+    /// Derives the distribution's sampling parameters once, for repeated
+    /// draws.
+    #[must_use]
+    pub fn compile(&self) -> CompiledDist {
+        let kind = match *self {
+            Dist::Constant { value } => Kind::Constant { value },
+            Dist::Exponential { mean } => Kind::Exponential { rate: 1.0 / mean },
+            Dist::Erlang { k, mean } => Kind::Erlang {
+                k,
+                rate: f64::from(k) / mean,
+            },
+            Dist::Uniform { lo, hi } => Kind::Uniform { lo, hi },
             Dist::LogNormal { mean, scv } => {
                 // If X = exp(μ + σZ): E[X] = exp(μ + σ²/2), SCV = exp(σ²) − 1.
                 let sigma2 = (1.0 + scv).ln();
-                let mu = mean.ln() - 0.5 * sigma2;
-                (mu + sigma2.sqrt() * sample_std_normal(rng)).exp()
+                Kind::LogNormal {
+                    mu: mean.ln() - 0.5 * sigma2,
+                    sigma: sigma2.sqrt(),
+                }
             }
             Dist::HyperExp { mean, scv } => {
                 // Balanced-means 2-phase fit.
                 let p = 0.5 * (1.0 + ((scv - 1.0) / (scv + 1.0)).sqrt());
-                let (p1, r1, r2) = (p, 2.0 * p / mean, 2.0 * (1.0 - p) / mean);
-                if rng.gen::<f64>() < p1 {
-                    sample_exp(rng, r1)
-                } else {
-                    sample_exp(rng, r2)
+                Kind::HyperExp {
+                    p1: p,
+                    r1: 2.0 * p / mean,
+                    r2: 2.0 * (1.0 - p) / mean,
                 }
             }
-        }
+        };
+        CompiledDist { kind }
     }
 
     /// Converts to an equivalent (or moment-matched) phase-type distribution.
@@ -237,21 +247,75 @@ impl Dist {
     }
 }
 
-/// A repeated-draw sampler for one [`Dist`] with precomputed parameters.
+/// A [`Dist`] with its sampling parameters derived once, built by
+/// [`Dist::compile`].
 ///
-/// [`Dist::sample`] re-derives the distribution's sampling parameters on every
-/// call — for a lognormal that is two logarithms and a square root per draw
-/// before any random number is touched. `DistSampler` hoists that work to
-/// construction and, for the lognormal, generates normal variates in pairs,
-/// keeping the otherwise-discarded second one.
+/// [`Dist::sample`] compiles on every call: for a lognormal that is two
+/// logarithms and a square root per draw before any random number is
+/// touched. A `CompiledDist` pays that once. Its draws consume the RNG
+/// exactly as [`Dist::sample`] does and are bit-identical to it for every
+/// shape, so seeded simulations keep their histories whichever they call.
 ///
-/// Draw streams: every shape except the lognormal consumes the RNG exactly as
-/// [`Dist::sample`] does and produces bit-identical values. The lognormal uses
-/// Marsaglia's polar method and keeps both variates of each accepted pair —
-/// roughly 1.3 uniforms and half a `ln`/`sqrt` per draw, and none of
-/// Box–Muller's trigonometry — so its stream differs from per-call sampling;
-/// the distribution is exact either way. Simulations that must preserve their
-/// seeded histories sample through [`Dist::sample`], which is unchanged.
+/// # Examples
+///
+/// ```
+/// use dias_stochastic::Dist;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let d = Dist::lognormal(35.0, 0.08);
+/// let compiled = d.compile();
+/// let mut a = StdRng::seed_from_u64(7);
+/// let mut b = StdRng::seed_from_u64(7);
+/// assert_eq!(compiled.sample(&mut a), d.sample(&mut b));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompiledDist {
+    kind: Kind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Constant { value: f64 },
+    Exponential { rate: f64 },
+    Erlang { k: u32, rate: f64 },
+    Uniform { lo: f64, hi: f64 },
+    LogNormal { mu: f64, sigma: f64 },
+    HyperExp { p1: f64, r1: f64, r2: f64 },
+}
+
+impl CompiledDist {
+    /// Draws a sample.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.kind {
+            Kind::Constant { value } => value,
+            Kind::Exponential { rate } => sample_exp(rng, rate),
+            Kind::Erlang { k, rate } => (0..k).map(|_| sample_exp(rng, rate)).sum(),
+            Kind::Uniform { lo, hi } => rng.gen_range(lo..hi),
+            Kind::LogNormal { mu, sigma } => (mu + sigma * sample_std_normal(rng)).exp(),
+            Kind::HyperExp { p1, r1, r2 } => {
+                if rng.gen::<f64>() < p1 {
+                    sample_exp(rng, r1)
+                } else {
+                    sample_exp(rng, r2)
+                }
+            }
+        }
+    }
+}
+
+/// A repeated-draw sampler for one [`Dist`] that trades stream identity for
+/// speed on the lognormal, and also draws antithetic pairs.
+///
+/// Draw streams: every shape except the lognormal draws through
+/// [`CompiledDist::sample`], bit-identical to [`Dist::sample`]. The
+/// lognormal uses Marsaglia's polar method and keeps both variates of each
+/// accepted pair — roughly 1.3 uniforms and half a `ln`/`sqrt` per draw, and
+/// none of Box–Muller's trigonometry — so its stream differs from
+/// [`Dist::sample`]'s; the distribution is exact either way. Simulations that
+/// must preserve their seeded histories sample through [`CompiledDist`]
+/// (or [`Dist::sample`]).
 ///
 /// # Examples
 ///
@@ -268,113 +332,58 @@ impl Dist {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistSampler {
-    kind: SamplerKind,
-}
-
-#[derive(Debug, Clone)]
-enum SamplerKind {
-    Constant {
-        value: f64,
-    },
-    Exponential {
-        rate: f64,
-    },
-    Erlang {
-        k: u32,
-        rate: f64,
-    },
-    Uniform {
-        lo: f64,
-        hi: f64,
-    },
-    LogNormal {
-        mu: f64,
-        sigma: f64,
-        /// `e^μ`, hoisted for the antithetic pair (`e^μ·t`, `e^μ/t`).
-        scale: f64,
-        /// The second variate of the previous polar pair, if unused.
-        spare: Option<f64>,
-    },
-    HyperExp {
-        p1: f64,
-        r1: f64,
-        r2: f64,
-    },
+    dist: CompiledDist,
+    /// Lognormal only: `e^μ`, hoisted for the antithetic pair (`e^μ·t`,
+    /// `e^μ/t`).
+    scale: f64,
+    /// Lognormal only: the second variate of the previous polar pair, if
+    /// unused.
+    spare: Option<f64>,
 }
 
 impl DistSampler {
     /// Precomputes the sampling parameters of `dist`.
     #[must_use]
     pub fn new(dist: &Dist) -> Self {
-        let kind = match *dist {
-            Dist::Constant { value } => SamplerKind::Constant { value },
-            Dist::Exponential { mean } => SamplerKind::Exponential { rate: 1.0 / mean },
-            Dist::Erlang { k, mean } => SamplerKind::Erlang {
-                k,
-                rate: f64::from(k) / mean,
-            },
-            Dist::Uniform { lo, hi } => SamplerKind::Uniform { lo, hi },
-            Dist::LogNormal { mean, scv } => {
-                let sigma2 = (1.0 + scv).ln();
-                let mu = mean.ln() - 0.5 * sigma2;
-                SamplerKind::LogNormal {
-                    mu,
-                    sigma: sigma2.sqrt(),
-                    scale: mu.exp(),
-                    spare: None,
-                }
-            }
-            Dist::HyperExp { mean, scv } => {
-                let p = 0.5 * (1.0 + ((scv - 1.0) / (scv + 1.0)).sqrt());
-                SamplerKind::HyperExp {
-                    p1: p,
-                    r1: 2.0 * p / mean,
-                    r2: 2.0 * (1.0 - p) / mean,
-                }
+        let dist = dist.compile();
+        let scale = match dist.kind {
+            Kind::LogNormal { mu, .. } => mu.exp(),
+            _ => 1.0,
+        };
+        DistSampler {
+            dist,
+            scale,
+            spare: None,
+        }
+    }
+
+    /// A standard normal variate by Marsaglia's polar method: one log and
+    /// one sqrt per accepted pair, no trigonometry (Box–Muller's `sin_cos`
+    /// is the costliest call in the pair). Acceptance is π/4, so ~2.55
+    /// uniforms per pair; the pair's second variate is kept for the next
+    /// call.
+    fn polar_normal<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        if let Some(z) = self.spare.take() {
+            return z;
+        }
+        let (v1, v2, s) = loop {
+            let v1 = 2.0 * rng.gen::<f64>() - 1.0;
+            let v2 = 2.0 * rng.gen::<f64>() - 1.0;
+            let s = v1 * v1 + v2 * v2;
+            if s < 1.0 && s > 0.0 {
+                break (v1, v2, s);
             }
         };
-        DistSampler { kind }
+        let f = (-2.0 * s.ln() / s).sqrt();
+        self.spare = Some(v2 * f);
+        v1 * f
     }
 
     /// Draws a sample.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        match &mut self.kind {
-            SamplerKind::Constant { value } => *value,
-            SamplerKind::Exponential { rate } => sample_exp(rng, *rate),
-            SamplerKind::Erlang { k, rate } => (0..*k).map(|_| sample_exp(rng, *rate)).sum(),
-            SamplerKind::Uniform { lo, hi } => rng.gen_range(*lo..*hi),
-            SamplerKind::LogNormal {
-                mu, sigma, spare, ..
-            } => {
-                let z = match spare.take() {
-                    Some(z) => z,
-                    None => {
-                        // Marsaglia's polar method: one log + one sqrt per
-                        // accepted pair, no trigonometry (Box–Muller's
-                        // `sin_cos` is the costliest call in the pair).
-                        // Acceptance is π/4, so ~2.55 uniforms per pair.
-                        let (v1, v2, s) = loop {
-                            let v1 = 2.0 * rng.gen::<f64>() - 1.0;
-                            let v2 = 2.0 * rng.gen::<f64>() - 1.0;
-                            let s = v1 * v1 + v2 * v2;
-                            if s < 1.0 && s > 0.0 {
-                                break (v1, v2, s);
-                            }
-                        };
-                        let f = (-2.0 * s.ln() / s).sqrt();
-                        *spare = Some(v2 * f);
-                        v1 * f
-                    }
-                };
-                (*mu + *sigma * z).exp()
-            }
-            SamplerKind::HyperExp { p1, r1, r2 } => {
-                if rng.gen::<f64>() < *p1 {
-                    sample_exp(rng, *r1)
-                } else {
-                    sample_exp(rng, *r2)
-                }
-            }
+        match self.dist.kind {
+            Kind::LogNormal { mu, sigma } => (mu + sigma * self.polar_normal(rng)).exp(),
+            _ => self.dist.sample(rng),
         }
     }
 
@@ -394,54 +403,33 @@ impl DistSampler {
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             (-u.ln() / rate, -(1.0 - u).ln() / rate)
         }
-        match &mut self.kind {
-            SamplerKind::Constant { value } => (*value, *value),
-            SamplerKind::Exponential { rate } => exp_pair(rng, *rate),
-            SamplerKind::Erlang { k, rate } => {
+        match self.dist.kind {
+            Kind::Constant { value } => (value, value),
+            Kind::Exponential { rate } => exp_pair(rng, rate),
+            Kind::Erlang { k, rate } => {
                 let (mut a, mut b) = (0.0, 0.0);
-                for _ in 0..*k {
-                    let (x, y) = exp_pair(rng, *rate);
+                for _ in 0..k {
+                    let (x, y) = exp_pair(rng, rate);
                     a += x;
                     b += y;
                 }
                 (a, b)
             }
-            SamplerKind::Uniform { lo, hi } => {
-                let x = rng.gen_range(*lo..*hi);
-                (x, *lo + *hi - x)
+            Kind::Uniform { lo, hi } => {
+                let x = rng.gen_range(lo..hi);
+                (x, lo + hi - x)
             }
-            SamplerKind::LogNormal {
-                sigma,
-                scale,
-                spare,
-                ..
-            } => {
-                let z = match spare.take() {
-                    Some(z) => z,
-                    None => {
-                        let (v1, v2, s) = loop {
-                            let v1 = 2.0 * rng.gen::<f64>() - 1.0;
-                            let v2 = 2.0 * rng.gen::<f64>() - 1.0;
-                            let s = v1 * v1 + v2 * v2;
-                            if s < 1.0 && s > 0.0 {
-                                break (v1, v2, s);
-                            }
-                        };
-                        let f = (-2.0 * s.ln() / s).sqrt();
-                        *spare = Some(v2 * f);
-                        v1 * f
-                    }
-                };
+            Kind::LogNormal { sigma, .. } => {
                 // One exp serves both halves: e^{μ+σz} = e^μ·t and
                 // e^{μ−σz} = e^μ/t with t = e^{σz}, equal to the direct
                 // forms up to an ulp — far below Monte-Carlo resolution.
-                let t = (*sigma * z).exp();
-                (*scale * t, *scale / t)
+                let t = (sigma * self.polar_normal(rng)).exp();
+                (self.scale * t, self.scale / t)
             }
-            SamplerKind::HyperExp { p1, r1, r2 } => {
+            Kind::HyperExp { p1, r1, r2 } => {
                 let u: f64 = rng.gen();
-                let ra = if u < *p1 { *r1 } else { *r2 };
-                let rb = if 1.0 - u < *p1 { *r1 } else { *r2 };
+                let ra = if u < p1 { r1 } else { r2 };
+                let rb = if 1.0 - u < p1 { r1 } else { r2 };
                 let w: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 (-w.ln() / ra, -(1.0 - w).ln() / rb)
             }

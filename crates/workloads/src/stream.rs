@@ -6,7 +6,7 @@ use rand::RngCore;
 use dias_core::JobSource;
 use dias_des::stats::SampleSet;
 use dias_des::SeedSequence;
-use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobInstance};
+use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobId, JobInstance, JobSampler};
 use dias_stochastic::{sample_exp, DrawTrace, MarkedPoisson, RecordingRng, ReplayRng};
 
 use crate::profiles::JobProfile;
@@ -31,9 +31,9 @@ pub fn profile_execution(
     let seeds = SeedSequence::new(seed);
     let mut rng: StdRng = seeds.stream(&format!("profile/{}", profile.name));
     let mut out = SampleSet::new();
+    let sampler = JobSampler::new(&profile.spec(0, 0));
     for i in 0..n {
-        let spec = profile.spec(i as u64, 0);
-        let instance = JobInstance::sample(&spec, &mut rng);
+        let instance = sampler.sample(JobId(i as u64), &mut rng);
         let mut sim = ClusterSim::new(cluster.clone());
         sim.submit_job(&instance, drops)
             .expect("drops match the profile's stages");
@@ -61,6 +61,8 @@ pub fn profile_execution(
 #[derive(Debug, Clone)]
 pub struct JobStream<R = StdRng> {
     profiles: Vec<JobProfile>,
+    /// `profiles[k]` compiled for class `k`.
+    samplers: Vec<JobSampler>,
     arrivals: MarkedPoisson,
     rng: R,
     now: f64,
@@ -88,6 +90,7 @@ impl JobStream {
         let arrivals = MarkedPoisson::new(rates)?;
         let seeds = SeedSequence::new(seed);
         Ok(JobStream {
+            samplers: samplers(&profiles),
             profiles,
             arrivals,
             rng: seeds.stream("jobstream"),
@@ -152,6 +155,7 @@ impl JobStream {
         );
         JobStream {
             profiles: self.profiles,
+            samplers: self.samplers,
             arrivals: self.arrivals,
             rng: RecordingRng::new(self.rng),
             now: self.now,
@@ -194,13 +198,22 @@ impl<R: RngCore> JobSource for JobStream<R> {
     fn next_job(&mut self) -> Option<JobInstance> {
         let arrival = self.arrivals.sample_next(&mut self.rng, self.now);
         self.now = arrival.time;
-        let id = self.next_id;
+        let id = JobId(self.next_id);
         self.next_id += 1;
-        let spec = self.profiles[arrival.class].spec(id, arrival.class);
-        let mut instance = JobInstance::sample(&spec, &mut self.rng);
+        let mut instance = self.samplers[arrival.class].sample(id, &mut self.rng);
         instance.arrival_secs = arrival.time;
         Some(instance)
     }
+}
+
+/// One compiled job sampler per class: class `k` instantiates
+/// `profiles[k]`.
+fn samplers(profiles: &[JobProfile]) -> Vec<JobSampler> {
+    profiles
+        .iter()
+        .enumerate()
+        .map(|(class, p)| JobSampler::new(&p.spec(0, class)))
+        .collect()
 }
 
 /// A recorded arrival/service draw stream of a [`JobStream`], replayable any
@@ -224,6 +237,7 @@ impl JobStreamTrace {
     pub fn replay(&self) -> JobStream<ReplayRng> {
         JobStream {
             profiles: self.profiles.clone(),
+            samplers: samplers(&self.profiles),
             arrivals: MarkedPoisson::new(self.rates.clone()).expect("recorded rates are valid"),
             rng: self.trace.replay(),
             now: 0.0,
@@ -308,6 +322,8 @@ mod tests {
     fn mismatched_inputs_rejected() {
         assert!(JobStream::with_rates(vec![dataset_147()], vec![0.1, 0.2], 0).is_err());
         assert!(JobStream::with_rates(vec![dataset_147()], vec![-0.1], 0).is_err());
+        assert!(JobStream::with_rates(vec![dataset_147()], vec![f64::NAN], 0).is_err());
+        assert!(JobStream::with_rates(vec![dataset_147()], vec![f64::INFINITY], 0).is_err());
     }
 
     #[test]
