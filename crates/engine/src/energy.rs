@@ -48,11 +48,12 @@ struct JobLedger {
 
 impl JobLedger {
     /// Accrues the segment `[self.last, now)` at the ledger's current level.
-    fn accrue(&mut self, now: SimTime, spec: &ClusterSpec) {
+    /// `slot_w` is [`EnergyMeter`]'s per-level slot draw.
+    fn accrue(&mut self, now: SimTime, slot_w: &[f64; 2]) {
         let dt = now - self.last;
         let slot_secs = self.busy as f64 * dt;
         self.energy.busy_slot_secs += slot_secs;
-        self.energy.active_joules += slot_secs * spec.active_slot_power_w(self.freq);
+        self.energy.active_joules += slot_secs * slot_w[level(self.freq)];
         if self.freq == FreqLevel::Sprint {
             self.energy.sprint_slot_secs += slot_secs;
         }
@@ -98,7 +99,11 @@ impl JobLedger {
 /// attributes each run's busy slots to its job; see the crate-level example.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
-    spec: ClusterSpec,
+    /// The cluster's draw with every slot idle.
+    idle_w: f64,
+    /// The draw one busy slot adds, per level (`[base, sprint]`), derived
+    /// once: every event that changes a job's busy slots reads it.
+    slot_w: [f64; 2],
     power: TimeWeighted,
     /// Ledgers of the metered jobs by slot (`None` marks a free slot). A
     /// ledger keeps its slot until the job retires.
@@ -120,10 +125,14 @@ impl EnergyMeter {
     /// Starts metering an idle cluster at `start`.
     #[must_use]
     pub fn new(spec: &ClusterSpec, start: SimTime) -> Self {
-        let idle_power = spec.cluster_power_w(0, FreqLevel::Base);
+        let idle_w = spec.cluster_power_w(0, FreqLevel::Base);
         EnergyMeter {
-            spec: spec.clone(),
-            power: TimeWeighted::new(start, idle_power),
+            idle_w,
+            slot_w: [
+                spec.active_slot_power_w(FreqLevel::Base),
+                spec.active_slot_power_w(FreqLevel::Sprint),
+            ],
+            power: TimeWeighted::new(start, idle_w),
             ledgers: Vec::new(),
             busy: [0, 0],
             finished: Vec::new(),
@@ -134,9 +143,7 @@ impl EnergyMeter {
     /// busy slot at its domain's rate.
     fn sync_power(&mut self, now: SimTime) {
         let [base, sprint] = self.busy;
-        let p = self.spec.cluster_power_w(0, FreqLevel::Base)
-            + base as f64 * self.spec.active_slot_power_w(FreqLevel::Base)
-            + sprint as f64 * self.spec.active_slot_power_w(FreqLevel::Sprint);
+        let p = self.idle_w + base as f64 * self.slot_w[0] + sprint as f64 * self.slot_w[1];
         self.power.set(now, p);
     }
 
@@ -165,7 +172,7 @@ impl EnergyMeter {
         match &mut self.ledgers[slot] {
             Some(ledger) => {
                 debug_assert_eq!(ledger.job, job, "ledger slot holds another job");
-                ledger.accrue(now, &self.spec);
+                ledger.accrue(now, &self.slot_w);
                 self.busy[level(ledger.freq)] -= ledger.busy;
                 ledger.busy = busy;
                 ledger.freq = freq;
@@ -190,7 +197,7 @@ impl EnergyMeter {
     pub(crate) fn retire_ledger(&mut self, now: SimTime, slot: usize) -> JobEnergy {
         let mut ledger = self.ledgers[slot].take().expect("ledger slot is live");
         self.busy[level(ledger.freq)] -= ledger.busy;
-        ledger.accrue(now, &self.spec);
+        ledger.accrue(now, &self.slot_w);
         self.finished.push((ledger.job, ledger.energy));
         self.sync_power(now);
         ledger.energy
@@ -203,7 +210,7 @@ impl EnergyMeter {
     pub fn job_energy(&self, job: JobId, now: SimTime) -> Option<JobEnergy> {
         if let Some(slot) = self.slot_of(job) {
             let mut l = self.ledgers[slot].clone().expect("found ledger is live");
-            l.accrue(now, &self.spec);
+            l.accrue(now, &self.slot_w);
             return Some(l.energy);
         }
         self.finished

@@ -1,10 +1,12 @@
 //! Concrete job profiles and the paper's workload scenarios.
 //!
-//! A [`JobProfile`] turns into a fresh [`JobSpec`] per arrival. Task times are
-//! lognormal with a small squared coefficient of variation (0.08 by default):
-//! "tasks tend to have fairly similar execution times, leading to an execution in
-//! waves" (§4.2) — similar, not identical, which is also what makes task dropping
-//! shave execution time smoothly rather than only at whole-wave boundaries.
+//! A [`JobProfile`] is a class's [`JobSpec`] template; a job stream compiles
+//! it once into a [`dias_engine::JobSampler`] that draws every arrival. Task
+//! times are lognormal with a small squared coefficient of variation (0.08 by
+//! default): "tasks tend to have fairly similar execution times, leading to an
+//! execution in waves" (§4.2) — similar, not identical, which is also what
+//! makes task dropping shave execution time smoothly rather than only at
+//! whole-wave boundaries.
 
 use serde::{Deserialize, Serialize};
 
