@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the criterion micro benches (including the engine/multi_job/* family
 # and the sweep/branch checkpoint-replay pair), writes a fresh result file
-# (default BENCH_pr10.json at the repo root), and prints a per-benchmark delta
+# (default BENCH_pr17.json at the repo root), and prints a per-benchmark delta
 # table against the committed baseline. Exits non-zero when any benchmark
 # present in the baseline regressed by more than the threshold.
 #
@@ -20,10 +20,10 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-out="${1:-$repo_root/BENCH_pr10.json}"
+out="${1:-$repo_root/BENCH_pr17.json}"
 baseline="${DIAS_BENCH_BASELINE:-BENCH_baseline.json}"
 # Anchor a relative baseline at the repo root so the gate does not depend on
-# the caller's cwd (CI passes DIAS_BENCH_BASELINE=BENCH_pr9.json).
+# the caller's cwd (CI passes DIAS_BENCH_BASELINE=BENCH_pr17.json).
 case "$baseline" in
   /*) ;;
   *) baseline="$repo_root/$baseline" ;;
