@@ -98,6 +98,42 @@ fn bench_workloads(c: &mut Criterion) {
     });
 }
 
+fn bench_faults(c: &mut Criterion) {
+    // The contended soak's crash/repair schedule (20 slots, MTBF 2400 s,
+    // MTTR 150 s) over a tenth of its 1M-job horizon: about 180k events
+    // drawn per slot and merged into one time-sorted trace.
+    c.bench_function("faults/slot_failure_trace/20slots", |b| {
+        b.iter(|| dias_workloads::slot_failure_trace(20, 1.15e7, 2_400.0, 150.0, 1009).len());
+    });
+}
+
+fn bench_stats(c: &mut Criterion) {
+    use dias_des::stats::{SampleStats, StreamingSummary};
+    use rand::{Rng, SeedableRng};
+    // One push into a long-lived soak summary at ε = 0.001 (every 500th
+    // push sorts the insert buffer and folds it into the sketch), cycling
+    // through lognormal response times.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let xs: Vec<f64> = (0..4096)
+        .map(|_| {
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen();
+            (1.5 * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()).exp()
+        })
+        .collect();
+    let mut summary = StreamingSummary::with_epsilon(0.001);
+    for i in 0..100_000 {
+        summary.push(xs[i % xs.len()]);
+    }
+    let mut next = 0;
+    c.bench_function("stats/streaming_summary/push_eps0.001", |b| {
+        b.iter(|| {
+            summary.push(xs[next % xs.len()]);
+            next += 1;
+        });
+    });
+}
+
 fn bench_ph(c: &mut Criterion) {
     let erl = Ph::erlang(8, 2.0).unwrap();
     let hyper = Ph::hyperexponential(&[0.4, 0.6], &[1.0, 5.0]).unwrap();
@@ -673,6 +709,8 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_workloads,
+    bench_faults,
+    bench_stats,
     bench_ph,
     bench_uniformization_cache,
     bench_sampling,

@@ -577,66 +577,80 @@ impl GkSketch {
         }
     }
 
-    /// Folds the insert buffer into the tuple list and compresses.
+    /// Folds the insert buffer into the tuple list and compresses, in one
+    /// backward pass in place.
+    ///
+    /// The sorted buffer is merged with the tuples from the largest value
+    /// down (a buffered value goes after every tuple with `v ≤ x`, so ties
+    /// keep tuples first), and each merged element is handed straight to
+    /// the right-to-left compress. The tuple list is first extended by the
+    /// buffer's length; since the write cursor never passes the unread
+    /// tuples, the result builds up at the back of the list and is then
+    /// moved to the front.
     fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
         }
         self.buf
             .sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let buf = std::mem::take(&mut self.buf);
-        let old = std::mem::take(&mut self.tuples);
-        let mut merged: Vec<GkTuple> = Vec::with_capacity(old.len() + buf.len());
-        let mut old_iter = old.into_iter().peekable();
-        // `n` tracks how many observations the tuple list accounts for as each
-        // buffered element is inserted; the GK insert rule caps the new
-        // tuple's uncertainty at ⌊2εn⌋ − 1 (0 for a new global extreme, whose
-        // rank is known exactly).
-        let mut n = self.count - buf.len() as u64;
-        for x in buf {
-            while old_iter.peek().is_some_and(|t| t.v <= x) {
-                merged.push(old_iter.next().expect("peeked"));
-            }
-            n += 1;
-            let new_min = merged.is_empty();
-            let new_max = old_iter.peek().is_none();
-            let delta = if new_min || new_max {
-                0
+        let old_len = self.tuples.len();
+        let len = old_len + self.buf.len();
+        let cap = (2.0 * self.eps * self.count as f64).floor() as u64;
+        // Observations the tuple list accounts for before the buffer: the
+        // GK insert rule caps the `k`-th buffered value's uncertainty at
+        // ⌊2ε(base + k + 1)⌋ − 1 (0 for a new global extreme, whose rank is
+        // known exactly).
+        let base = self.count - self.buf.len() as u64;
+        self.tuples.resize(
+            len,
+            GkTuple {
+                v: 0.0,
+                g: 0,
+                delta: 0,
+            },
+        );
+        let (mut i, mut j, mut w) = (old_len, self.buf.len(), len);
+        while i + j > 0 {
+            let t = if j > 0 && (i == 0 || self.tuples[i - 1].v <= self.buf[j - 1]) {
+                j -= 1;
+                // A new maximum has no old tuple after it; a new minimum is
+                // the smallest buffered value with no old tuple before it.
+                let extreme = i == old_len || (i == 0 && j == 0);
+                let delta = if extreme {
+                    0
+                } else {
+                    let n = base + j as u64 + 1;
+                    ((2.0 * self.eps * n as f64).floor() as u64).saturating_sub(1)
+                };
+                GkTuple {
+                    v: self.buf[j],
+                    g: 1,
+                    delta,
+                }
             } else {
-                ((2.0 * self.eps * n as f64).floor() as u64).saturating_sub(1)
+                i -= 1;
+                self.tuples[i]
             };
-            merged.push(GkTuple { v: x, g: 1, delta });
+            w = compress_step(&mut self.tuples, w, len, t, i + j == 0, cap);
         }
-        merged.extend(old_iter);
-        self.tuples = merged;
-        self.compress();
+        self.tuples.copy_within(w.., 0);
+        self.tuples.truncate(len - w);
+        self.buf.clear();
     }
 
     /// GK COMPRESS: greedily merges adjacent tuples (right-to-left, each into
     /// its successor) while the invariant `g_i + g_{i+1} + Δ_{i+1} ≤ ⌊2εn⌋`
     /// allows, never touching the first or last tuple (exact extremes).
     fn compress(&mut self) {
-        if self.tuples.len() <= 2 {
-            return;
-        }
         let cap = (2.0 * self.eps * self.count as f64).floor() as u64;
-        let tuples = std::mem::take(&mut self.tuples);
-        let len = tuples.len();
-        let mut rev: Vec<GkTuple> = Vec::with_capacity(len);
-        for (i, t) in tuples.into_iter().enumerate().rev() {
-            if rev.is_empty() || i == 0 {
-                rev.push(t);
-                continue;
-            }
-            let succ = rev.last_mut().expect("non-empty");
-            if t.g + succ.g + succ.delta <= cap {
-                succ.g += t.g;
-            } else {
-                rev.push(t);
-            }
+        let len = self.tuples.len();
+        let mut w = len;
+        for i in (0..len).rev() {
+            let t = self.tuples[i];
+            w = compress_step(&mut self.tuples, w, len, t, i == 0, cap);
         }
-        rev.reverse();
-        self.tuples = rev;
+        self.tuples.copy_within(w.., 0);
+        self.tuples.truncate(len - w);
     }
 
     /// The `q`-quantile for `q ∈ [0, 1]`; 0 when empty.
@@ -762,6 +776,30 @@ impl GkSketch {
         self.tuples = out;
         self.compress();
     }
+}
+
+/// One step of the right-to-left GK COMPRESS over `tuples[w..end]`, the
+/// compressed suffix built so far: `t`, the next tuple leftwards, folds its
+/// `g` into the suffix's first tuple when `t.g + g + Δ ≤ cap`, and is
+/// otherwise written at `w − 1`. The last tuple (the suffix's first write)
+/// and the `first` tuple of the list are always kept. Returns the new `w`.
+fn compress_step(
+    tuples: &mut [GkTuple],
+    w: usize,
+    end: usize,
+    t: GkTuple,
+    first: bool,
+    cap: u64,
+) -> usize {
+    if w < end && !first {
+        let succ = &mut tuples[w];
+        if t.g + succ.g + succ.delta <= cap {
+            succ.g += t.g;
+            return w;
+        }
+    }
+    tuples[w - 1] = t;
+    w - 1
 }
 
 /// O(1)-memory drop-in for [`SampleSet`]: streaming moments plus a

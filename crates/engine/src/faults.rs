@@ -14,7 +14,11 @@
 //! * [`FaultTrace::renewal`] samples an alternating PH up/down renewal
 //!   process per slot (fail at the end of each up period, repair after the
 //!   down period), [`FaultTrace::stragglers`] an alternating normal/slowed
-//!   process.
+//!   process. Both run one generator: each slot's run is drawn in time
+//!   order and the runs are merged by `(time, slot)` through a heap over the
+//!   slot heads, straight into the trace's buffer — O(log slots) per event,
+//!   no sort and no copy. The order equals a stable `(time, slot)` sort of
+//!   the runs concatenated in slot order.
 //! * The engine applies events through
 //!   [`ClusterSim::apply_fault`](crate::ClusterSim::apply_fault) (or the
 //!   individual `fail_slot`/`repair_slot`/`drain_slot`/`slow_slot` calls):
@@ -30,12 +34,15 @@
 //! the others; an *empty* trace leaves the engine bit-identical to today's —
 //! the zero-failure configuration is pinned by the golden traces.
 
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use dias_des::SeedSequence;
 use dias_stochastic::Ph;
+use rand::rngs::StdRng;
 
 use crate::sim::EngineError;
 
@@ -89,7 +96,7 @@ pub struct FaultEvent {
 /// history (the fault analogue of common random numbers).
 #[derive(Debug, Clone, Default)]
 pub struct FaultTrace {
-    events: Arc<[FaultEvent]>,
+    events: Arc<Vec<FaultEvent>>,
 }
 
 impl FaultTrace {
@@ -123,14 +130,9 @@ impl FaultTrace {
                 }
             }
         }
-        events.sort_by(|a, b| {
-            a.at_secs
-                .partial_cmp(&b.at_secs)
-                .expect("event times are finite")
-                .then(a.slot.cmp(&b.slot))
-        });
+        events.sort_by(schedule_order);
         Ok(FaultTrace {
-            events: events.into(),
+            events: Arc::new(events),
         })
     }
 
@@ -142,6 +144,10 @@ impl FaultTrace {
     /// (`faults/up` and `faults/down` under `seeds.child(slot)`), so the
     /// schedule is independent of slot iteration order and adding slots
     /// never perturbs existing ones — replica-pure in the PR 6 sense.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon_secs` is negative or not finite.
     #[must_use]
     pub fn renewal(
         slots: usize,
@@ -150,31 +156,14 @@ impl FaultTrace {
         down: &Ph,
         seeds: SeedSequence,
     ) -> Self {
-        let mut events = Vec::new();
-        for slot in 0..slots {
-            let child = seeds.child(slot as u64);
-            let mut up_rng = child.stream("faults/up");
-            let mut down_rng = child.stream("faults/down");
-            let mut t = up.sample(&mut up_rng);
-            while t < horizon_secs {
-                events.push(FaultEvent {
-                    at_secs: t,
-                    slot,
-                    kind: FaultKind::Fail,
-                });
-                t += down.sample(&mut down_rng);
-                if t >= horizon_secs {
-                    break; // slot stays down past the horizon
-                }
-                events.push(FaultEvent {
-                    at_secs: t,
-                    slot,
-                    kind: FaultKind::Repair,
-                });
-                t += up.sample(&mut up_rng);
-            }
-        }
-        Self::new(events).expect("sampled times are finite and non-negative")
+        Self::alternating(
+            slots,
+            horizon_secs,
+            [up, down],
+            ["faults/up", "faults/down"],
+            [FaultKind::Fail, FaultKind::Repair],
+            seeds,
+        )
     }
 
     /// Samples an alternating normal/slowed process per slot: after each PH
@@ -186,7 +175,8 @@ impl FaultTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is below 1.0 or not finite.
+    /// Panics if `factor` is below 1.0 or not finite, or `horizon_secs` is
+    /// negative or not finite.
     #[must_use]
     pub fn stragglers(
         slots: usize,
@@ -200,45 +190,104 @@ impl FaultTrace {
             factor.is_finite() && factor >= 1.0,
             "straggler factor must be finite and >= 1.0"
         );
-        let mut events = Vec::new();
-        for slot in 0..slots {
-            let child = seeds.child(slot as u64);
-            let mut gap_rng = child.stream("faults/gap");
-            let mut dur_rng = child.stream("faults/duration");
-            let mut t = gap.sample(&mut gap_rng);
-            while t < horizon_secs {
-                events.push(FaultEvent {
-                    at_secs: t,
-                    slot,
-                    kind: FaultKind::Slow { factor },
-                });
-                t += duration.sample(&mut dur_rng);
-                if t >= horizon_secs {
-                    break; // slot straggles past the horizon
-                }
-                events.push(FaultEvent {
-                    at_secs: t,
-                    slot,
-                    kind: FaultKind::Slow { factor: 1.0 },
-                });
-                t += gap.sample(&mut gap_rng);
-            }
-        }
-        Self::new(events).expect("sampled times are finite and non-negative")
+        Self::alternating(
+            slots,
+            horizon_secs,
+            [gap, duration],
+            ["faults/gap", "faults/duration"],
+            [FaultKind::Slow { factor }, FaultKind::Slow { factor: 1.0 }],
+            seeds,
+        )
     }
 
-    /// Merges two schedules into one (stably re-sorted by `(time, slot)`).
+    /// The generator behind [`FaultTrace::renewal`] and
+    /// [`FaultTrace::stragglers`]: per slot, an event of `kinds[0]` after
+    /// each `dists[0]` period and one of `kinds[1]` after each following
+    /// `dists[1]` period, over `[0, horizon_secs)`. Period `i` is drawn from
+    /// the slot's `labels[i]` stream under `seeds.child(slot)`.
+    ///
+    /// Each slot's run is non-decreasing in time (PH draws are
+    /// non-negative), so a min-heap over the slot heads keyed by
+    /// `(time, slot)` emits the stable `(time, slot)` order of all runs: at
+    /// equal times the lower slot goes first, and a slot's own events keep
+    /// their generation order because only its head is in the heap.
+    fn alternating(
+        slots: usize,
+        horizon_secs: f64,
+        dists: [&Ph; 2],
+        labels: [&str; 2],
+        kinds: [FaultKind; 2],
+        seeds: SeedSequence,
+    ) -> Self {
+        assert!(
+            horizon_secs.is_finite() && horizon_secs >= 0.0,
+            "fault horizon must be finite and non-negative"
+        );
+        let samplers = dists.map(Ph::sampler);
+        let mut heads: BinaryHeap<SlotRun> = (0..slots)
+            .filter_map(|slot| {
+                let child = seeds.child(slot as u64);
+                let mut rngs = labels.map(|label| child.stream(label));
+                let at_secs = samplers[0].sample(&mut rngs[0]);
+                (at_secs < horizon_secs).then_some(SlotRun {
+                    at_secs,
+                    slot,
+                    next: 0,
+                    rngs,
+                })
+            })
+            .collect();
+        let mut events = Vec::new();
+        while let Some(mut head) = heads.peek_mut() {
+            assert!(
+                head.at_secs.is_finite() && head.at_secs >= 0.0,
+                "sampled times are finite and non-negative"
+            );
+            events.push(FaultEvent {
+                at_secs: head.at_secs,
+                slot: head.slot,
+                kind: kinds[head.next],
+            });
+            let next = 1 - head.next;
+            head.at_secs += samplers[next].sample(&mut head.rngs[next]);
+            head.next = next;
+            if head.at_secs < horizon_secs {
+                continue; // dropping `head` sifts it into place
+            }
+            PeekMut::pop(head); // the slot's run ends past the horizon
+        }
+        FaultTrace {
+            events: Arc::new(events),
+        }
+    }
+
+    /// Merges two schedules into one, sorted by `(time, slot)`; at equal
+    /// `(time, slot)` this schedule's events come first.
     #[must_use]
     pub fn merge(&self, other: &FaultTrace) -> FaultTrace {
-        let mut events: Vec<FaultEvent> = self.events.iter().copied().collect();
-        events.extend(other.events.iter().copied());
-        Self::new(events).expect("merged events were already validated")
+        let (mut a, mut b) = (
+            self.events.iter().peekable(),
+            other.events.iter().peekable(),
+        );
+        let mut events = Vec::with_capacity(self.len() + other.len());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            let next = if schedule_order(y, x) == Ordering::Less {
+                b.next()
+            } else {
+                a.next()
+            };
+            events.extend(next);
+        }
+        events.extend(a.chain(b));
+        FaultTrace {
+            events: Arc::new(events),
+        }
     }
 
     /// The schedule's events, sorted by `(time, slot)`.
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
-        &self.events
+        self.events.as_slice()
     }
 
     /// Number of scheduled events.
@@ -266,6 +315,50 @@ impl FaultTrace {
         self.events.is_empty()
     }
 }
+
+/// The schedule order: by time, then by slot. Times compare as numbers, so
+/// `-0.0` and `0.0` tie and the slot decides.
+fn schedule_order(a: &FaultEvent, b: &FaultEvent) -> Ordering {
+    a.at_secs
+        .partial_cmp(&b.at_secs)
+        .expect("event times are finite")
+        .then(a.slot.cmp(&b.slot))
+}
+
+/// One slot's place in an alternating run: its next event's time and kind
+/// index, and the two period streams it draws from.
+struct SlotRun {
+    at_secs: f64,
+    slot: usize,
+    next: usize,
+    rngs: [StdRng; 2],
+}
+
+// `BinaryHeap` is a max-heap: order heads by *reversed* `(time, slot)` so
+// the earliest, then lowest slot, sits on top.
+impl Ord for SlotRun {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at_secs
+            .partial_cmp(&self.at_secs)
+            .expect("sampled times are finite")
+            .then(other.slot.cmp(&self.slot))
+    }
+}
+
+impl PartialOrd for SlotRun {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SlotRun {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SlotRun {}
 
 #[cfg(test)]
 mod tests {
@@ -408,6 +501,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn renewal_rejects_an_infinite_horizon() {
+        let ph = Ph::exponential(1.0).unwrap();
+        let _ = FaultTrace::renewal(2, f64::INFINITY, &ph, &ph, SeedSequence::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn renewal_rejects_a_nan_horizon() {
+        let ph = Ph::exponential(1.0).unwrap();
+        let _ = FaultTrace::renewal(2, f64::NAN, &ph, &ph, SeedSequence::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn stragglers_reject_a_negative_horizon() {
+        let ph = Ph::exponential(1.0).unwrap();
+        let _ = FaultTrace::stragglers(2, -1.0, &ph, &ph, 2.0, SeedSequence::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn stragglers_reject_an_infinite_horizon() {
+        let ph = Ph::exponential(1.0).unwrap();
+        let _ = FaultTrace::stragglers(2, f64::INFINITY, &ph, &ph, 2.0, SeedSequence::new(1));
+    }
+
+    #[test]
+    fn zero_horizon_or_no_slots_is_empty() {
+        let ph = Ph::exponential(1.0).unwrap();
+        assert!(FaultTrace::renewal(3, 0.0, &ph, &ph, SeedSequence::new(1)).is_empty());
+        assert!(FaultTrace::renewal(0, 10.0, &ph, &ph, SeedSequence::new(1)).is_empty());
+    }
+
+    #[test]
     fn merge_interleaves_by_time() {
         let a = FaultTrace::new(vec![FaultEvent {
             at_secs: 10.0,
@@ -425,5 +553,22 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.events()[0].slot, 1);
         assert_eq!(m.events()[1].slot, 0);
+    }
+
+    #[test]
+    fn merge_keeps_self_first_on_ties() {
+        let at = |at_secs: f64, kind| {
+            FaultTrace::new(vec![FaultEvent {
+                at_secs,
+                slot: 2,
+                kind,
+            }])
+            .unwrap()
+        };
+        let m = at(0.0, FaultKind::Fail).merge(&at(-0.0, FaultKind::Repair));
+        assert_eq!(m.events()[0].kind, FaultKind::Fail);
+        assert_eq!(m.events()[1].at_secs.to_bits(), (-0.0f64).to_bits());
+        let m = at(-0.0, FaultKind::Repair).merge(&at(0.0, FaultKind::Fail));
+        assert_eq!(m.events()[0].kind, FaultKind::Repair);
     }
 }

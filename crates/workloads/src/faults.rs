@@ -25,7 +25,8 @@ use dias_stochastic::Ph;
 ///
 /// # Panics
 ///
-/// Panics if `mtbf_secs` or `mttr_secs` is not a positive finite number.
+/// Panics if `mtbf_secs` or `mttr_secs` is not a positive finite number, or
+/// `horizon_secs` is negative or not finite.
 #[must_use]
 pub fn slot_failure_trace(
     slots: usize,
@@ -53,8 +54,9 @@ pub fn slot_failure_trace(
 ///
 /// # Panics
 ///
-/// Panics if `gap_secs` or `duration_secs` is not positive finite, or
-/// `factor` is below 1.0 or not finite.
+/// Panics if `gap_secs` or `duration_secs` is not positive finite,
+/// `factor` is below 1.0 or not finite, or `horizon_secs` is negative or not
+/// finite.
 #[must_use]
 pub fn straggler_trace(
     slots: usize,
@@ -93,7 +95,7 @@ pub fn straggler_trace(
 /// # Panics
 ///
 /// Panics if `removed > total_slots`, any duration is not positive finite,
-/// or `down_secs >= period_secs`.
+/// `down_secs >= period_secs`, or `horizon_secs` is negative or not finite.
 #[must_use]
 pub fn autoscaling_trace(
     total_slots: usize,
@@ -113,6 +115,10 @@ pub fn autoscaling_trace(
     assert!(
         down_secs.is_finite() && down_secs > 0.0 && down_secs < period_secs,
         "down window must be positive and shorter than the period"
+    );
+    assert!(
+        horizon_secs.is_finite() && horizon_secs >= 0.0,
+        "fault horizon must be finite and non-negative"
     );
     let mut events = Vec::new();
     let mut start = period_secs;
@@ -185,6 +191,30 @@ mod tests {
         assert!(t.events().iter().all(|e| e.slot >= 16));
         // Events interleave in time order: drain at 300 precedes repair 400.
         assert!(t.events().windows(2).all(|w| w[0].at_secs <= w[1].at_secs));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn autoscaling_rejects_an_infinite_horizon() {
+        let _ = autoscaling_trace(20, 2, 100.0, 50.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn autoscaling_rejects_a_nan_horizon() {
+        let _ = autoscaling_trace(20, 2, 100.0, 50.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn failure_trace_rejects_an_infinite_horizon() {
+        let _ = slot_failure_trace(4, f64::INFINITY, 100.0, 10.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault horizon")]
+    fn straggler_trace_rejects_a_nan_horizon() {
+        let _ = straggler_trace(4, f64::NAN, 100.0, 10.0, 2.0, 1);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the criterion micro benches (including the engine/multi_job/* family
 # and the sweep/branch checkpoint-replay pair), writes a fresh result file
-# (default BENCH_pr17.json at the repo root), and prints a per-benchmark delta
-# table against the committed baseline. Exits non-zero when any benchmark
-# present in the baseline regressed by more than the threshold.
+# (default target/bench_compare.json, which git ignores, so a local run never
+# replaces a committed baseline), and prints a per-benchmark delta table
+# against the committed baseline. Exits non-zero when any benchmark present in
+# the baseline regressed by more than the threshold.
 #
 # The bench suite is run DIAS_BENCH_REPEATS times and each benchmark's
 # *minimum* mean across repeats is what gets recorded and gated: the minimum
@@ -13,15 +14,16 @@
 # Usage: scripts/bench_compare.sh [output-path]
 #
 # Environment:
-#   DIAS_BENCH_BASELINE        baseline file (default: BENCH_baseline.json)
+#   DIAS_BENCH_BASELINE        baseline file (default: BENCH_pr17.json, CI's gate)
 #   DIAS_BENCH_MAX_REGRESSION  allowed slowdown fraction (default: 0.25)
 #   DIAS_BENCH_SAMPLES         per-benchmark sample count (harness default 30)
 #   DIAS_BENCH_REPEATS         full-suite repeats to take the minimum over (default: 3)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-out="${1:-$repo_root/BENCH_pr17.json}"
-baseline="${DIAS_BENCH_BASELINE:-BENCH_baseline.json}"
+out="${1:-$repo_root/target/bench_compare.json}"
+mkdir -p "$(dirname "$out")"
+baseline="${DIAS_BENCH_BASELINE:-BENCH_pr17.json}"
 # Anchor a relative baseline at the repo root so the gate does not depend on
 # the caller's cwd (CI passes DIAS_BENCH_BASELINE=BENCH_pr17.json).
 case "$baseline" in
