@@ -486,8 +486,9 @@ struct GkTuple {
 /// Greenwald–Khanna bound (SIGMOD 2001) — in `O((1/ε)·log(εn))` space.
 ///
 /// Inserts are buffered (capacity `max(256, ⌈1/(2ε)⌉)`) and folded in by a
-/// sort + one-pass merge, so amortized insert cost stays logarithmic rather
-/// than paying an `O(nodes)` memmove per observation. [`GkSketch::merge`]
+/// stable sort and one backward pass that merges and compresses in place,
+/// so amortized insert cost stays logarithmic rather than paying an
+/// `O(nodes)` memmove per observation. [`GkSketch::merge`]
 /// combines two sketches *losslessly with respect to their rank bounds*: each
 /// merged tuple's `[r_min, r_max]` interval is derived from both inputs, so
 /// the merged sketch answers queries with error ≤ `max(ε_a, ε_b)·n`.

@@ -230,28 +230,29 @@ impl FaultTrace {
                 let mut rngs = labels.map(|label| child.stream(label));
                 let at_secs = samplers[0].sample(&mut rngs[0]);
                 (at_secs < horizon_secs).then_some(SlotRun {
-                    at_secs,
-                    slot,
-                    next: 0,
+                    event: FaultEvent {
+                        at_secs,
+                        slot,
+                        kind: kinds[0],
+                    },
+                    phase: 0,
                     rngs,
                 })
             })
             .collect();
         let mut events = Vec::new();
         while let Some(mut head) = heads.peek_mut() {
+            let at_secs = head.event.at_secs;
             assert!(
-                head.at_secs.is_finite() && head.at_secs >= 0.0,
+                at_secs.is_finite() && at_secs >= 0.0,
                 "sampled times are finite and non-negative"
             );
-            events.push(FaultEvent {
-                at_secs: head.at_secs,
-                slot: head.slot,
-                kind: kinds[head.next],
-            });
-            let next = 1 - head.next;
-            head.at_secs += samplers[next].sample(&mut head.rngs[next]);
-            head.next = next;
-            if head.at_secs < horizon_secs {
+            events.push(head.event);
+            let phase = 1 - head.phase;
+            head.event.at_secs += samplers[phase].sample(&mut head.rngs[phase]);
+            head.event.kind = kinds[phase];
+            head.phase = phase;
+            if head.event.at_secs < horizon_secs {
                 continue; // dropping `head` sifts it into place
             }
             PeekMut::pop(head); // the slot's run ends past the horizon
@@ -271,7 +272,7 @@ impl FaultTrace {
         );
         let mut events = Vec::with_capacity(self.len() + other.len());
         while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-            let next = if schedule_order(y, x) == Ordering::Less {
+            let next = if schedule_order(y, x).is_lt() {
                 b.next()
             } else {
                 a.next()
@@ -325,12 +326,12 @@ fn schedule_order(a: &FaultEvent, b: &FaultEvent) -> Ordering {
         .then(a.slot.cmp(&b.slot))
 }
 
-/// One slot's place in an alternating run: its next event's time and kind
-/// index, and the two period streams it draws from.
+/// One slot's place in an alternating run: its next event, that event's
+/// phase (the index into the generator's kinds and period streams), and
+/// the two period streams it draws from.
 struct SlotRun {
-    at_secs: f64,
-    slot: usize,
-    next: usize,
+    event: FaultEvent,
+    phase: usize,
     rngs: [StdRng; 2],
 }
 
@@ -338,11 +339,7 @@ struct SlotRun {
 // the earliest, then lowest slot, sits on top.
 impl Ord for SlotRun {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at_secs
-            .partial_cmp(&self.at_secs)
-            .expect("sampled times are finite")
-            .then(other.slot.cmp(&self.slot))
+        schedule_order(&other.event, &self.event)
     }
 }
 
