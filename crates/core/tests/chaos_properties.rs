@@ -174,6 +174,9 @@ fn failures_surface_in_telemetry_and_degradation_escalates_drops() {
         !fixed.capacity_timeline.is_empty(),
         "faults must be visible"
     );
+    // Literal pins: the number of batches that changed the pool.
+    assert_eq!(fixed.capacity_timeline.len(), 86);
+    assert_eq!(degraded.capacity_timeline.len(), 86);
     // The controller only ever raises the low class's drop fraction above
     // its base, and never touches the exact high class.
     assert!(

@@ -107,7 +107,7 @@ fn assert_close(a: f64, b: f64, what: &str) {
 
 #[test]
 fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
-    for (seed, preempt) in [(11u64, false), (12, true), (13, false)] {
+    for (seed, preempt, changes) in [(11u64, false, 100), (12, true, 94), (13, false, 87)] {
         let scheduler = |p: bool| -> Box<dyn Scheduler> {
             if p {
                 Box::new(PriorityPreempt)
@@ -137,6 +137,7 @@ fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
         assert_eq!(t.failure_evictions, exact.failure_evictions);
         assert_eq!(t.failure_lost_work_secs, exact.failure_lost_work_secs);
         assert_eq!(t.capacity_timeline, exact.capacity_timeline);
+        assert_eq!(t.capacity_timeline.len(), changes, "changes (seed {seed})");
 
         // Per-class energy harvest lives on the driver either way: bitwise.
         for k in 0..2 {
