@@ -20,7 +20,7 @@
 //!    low class absorbs the loss as extra approximation, not collapse.
 //! 2. **Autoscaling square wave** — [`autoscaling_trace`] periodically drains
 //!    the top 4 slots and repairs them: drains never kill work (zero failure
-//!    evictions), capacity ramps are visible in the timeline.
+//!    evictions), capacity ramps are visible as capacity changes.
 //! 3. **Stragglers** — [`straggler_trace`] slows slots 2× for exponential
 //!    episodes: responses stretch with zero evictions (a straggling gang
 //!    waves at its slowest slot).
@@ -80,7 +80,7 @@ fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
         r.failure_evictions,
         r.wasted_work_secs,
         r.failure_lost_work_secs,
-        r.capacity_timeline.len(),
+        r.capacity_changes,
     );
 }
 
@@ -169,11 +169,10 @@ fn main() {
     let worst = &reports[reports.len() - 2];
     compare(
         "failures surface in telemetry",
-        "failure evictions > 0, capacity timeline non-empty",
+        "failure evictions > 0, capacity changes > 0",
         &format!(
             "{} failure evictions, {} capacity changes",
-            worst.failure_evictions,
-            worst.capacity_timeline.len()
+            worst.failure_evictions, worst.capacity_changes
         ),
     );
     // The contract point: the moderate failure rate, where high-class service
@@ -264,7 +263,7 @@ fn main() {
     );
     compare(
         "stragglers do not change the schedulable pool",
-        "empty capacity timeline",
-        &format!("{} capacity changes", straggle.capacity_timeline.len()),
+        "0 capacity changes",
+        &format!("{} capacity changes", straggle.capacity_changes),
     );
 }

@@ -38,10 +38,10 @@ fn main() {
     );
     let jobs = bench_jobs();
     let seed = 42;
-    let stream = || triangle_two_priority(0.8, seed);
+    let stream = triangle_two_priority(0.8, seed);
 
-    // All seven policy points share one identically-seeded stream each and
-    // are independent: a single parallel sweep covers (a) and (b).
+    // All seven policy points replay clones of one stream and are
+    // independent: a single parallel sweep covers (a) and (b).
     let mut reports = run_policies(
         stream,
         vec![

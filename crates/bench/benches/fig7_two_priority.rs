@@ -23,7 +23,7 @@ fn main() {
     );
     let jobs = bench_jobs();
     let seed = 42;
-    let stream = || reference_two_priority(0.8, seed);
+    let stream = reference_two_priority(0.8, seed);
 
     // All four policy points are independent: fan them across cores.
     let mut reports = run_policies(

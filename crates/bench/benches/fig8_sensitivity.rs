@@ -16,16 +16,13 @@ use dias_workloads::{
     equal_size_two_priority, inverted_ratio_two_priority, reference_two_priority,
 };
 
-fn scenario<F>(title: &str, make: F) -> Vec<dias_core::ExperimentReport>
-where
-    F: Fn() -> dias_workloads::JobStream + Copy,
-{
+fn scenario(title: &str, stream: dias_workloads::JobStream) -> Vec<dias_core::ExperimentReport> {
     println!();
     println!("--- {title} ---");
     let jobs = bench_jobs();
     // One sweep per scenario: the four policy points run in parallel.
     let reports = run_policies(
-        make,
+        stream,
         vec![
             Policy::preemptive(2),
             Policy::non_preemptive(2),
@@ -45,13 +42,15 @@ fn main() {
     );
     let seed = 42;
 
-    let a = scenario("(a) equal job sizes (both 473 MB)", || {
-        equal_size_two_priority(0.8, seed)
-    });
-    let b = scenario("(b) high:low arrival ratio 9:1", || {
-        inverted_ratio_two_priority(0.8, seed)
-    });
-    let c = scenario("(c) 50% system load", || reference_two_priority(0.5, seed));
+    let a = scenario(
+        "(a) equal job sizes (both 473 MB)",
+        equal_size_two_priority(0.8, seed),
+    );
+    let b = scenario(
+        "(b) high:low arrival ratio 9:1",
+        inverted_ratio_two_priority(0.8, seed),
+    );
+    let c = scenario("(c) 50% system load", reference_two_priority(0.5, seed));
 
     println!();
     println!("paper-vs-measured checkpoints:");

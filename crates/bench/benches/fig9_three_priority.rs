@@ -20,7 +20,7 @@ fn main() {
     );
     let jobs = bench_jobs();
     let seed = 42;
-    let stream = || three_priority_stream(seed);
+    let stream = three_priority_stream(seed);
 
     // The four policy points are independent: one parallel sweep.
     let mut reports = run_policies(

@@ -14,7 +14,9 @@
 //! * **flat memory**: the live-object high-water mark (engine calendar +
 //!   pending + running + driver metadata + sprint timers + arrival batch +
 //!   sketch nodes + window rows) of the full run must stay < 2× the
-//!   10×-shorter run's — per-job state must die with the job;
+//!   10×-shorter run's — per-job state must die with the job. The mark
+//!   does not see report fields or inputs, so every run also prints the
+//!   process's peak RSS (`VmHWM`) so far;
 //! * **throughput**: simulated completions per wall-clock second, expected
 //!   ≥ 10⁵ on the full-size run.
 //!
@@ -53,6 +55,18 @@ fn base(jobs: usize) -> SoakExperiment<JobStream> {
         .drops(&[0.2, 0.0])
 }
 
+/// The process's peak resident set so far (`VmHWM` in `/proc/self/status`)
+/// in MB, or "n/a" where that file is unreadable.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
+        })
+        .map_or_else(|| "n/a".to_string(), |kb| format!("{:.1} MB", kb / 1024.0))
+}
+
 fn print_soak(label: &str, r: &SoakReport) {
     println!("{label}");
     for (k, name) in ["low", "high"].iter().enumerate() {
@@ -69,13 +83,14 @@ fn print_soak(label: &str, r: &SoakReport) {
         );
     }
     println!(
-        "  {:.2}M events  horizon {:.2e} s  energy {:.2e} kJ  {} windows  warmup cut {}  HWM {} live objects",
+        "  {:.2}M events  horizon {:.2e} s  energy {:.2e} kJ  {} windows  warmup cut {}  HWM {} live objects  process VmHWM {}",
         r.events as f64 / 1e6,
         r.totals.horizon_secs,
         r.totals.energy_joules / 1e3,
         r.windows.len(),
         r.warmup_jobs,
         r.live_high_water,
+        peak_rss(),
     );
     println!(
         "  wall {:.1}s  => {:.2e} simulated jobs/sec",
@@ -123,7 +138,7 @@ fn main() {
         "  {} failure evictions, {:.0} s lost to failures, {} capacity changes\n",
         chaos.totals.failure_evictions,
         chaos.totals.failure_lost_work_secs,
-        chaos.totals.capacity_timeline.len(),
+        chaos.totals.capacity_changes,
     );
 
     // ---- the two pinned claims ----

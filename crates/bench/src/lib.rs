@@ -120,24 +120,22 @@ where
         .expect("experiment configuration is valid")
 }
 
-/// Runs one experiment per policy — each over an identically-seeded fresh
-/// stream — fanned across cores by [`dias_core::sweep`]. Reports come back in
-/// policy order and are bitwise-identical to running [`run_policy`] per
-/// policy sequentially.
-pub fn run_policies<S, F>(
-    make_stream: F,
+/// Runs one experiment per policy — each over its own clone of `stream`,
+/// so every policy sees the same jobs — fanned across cores by
+/// [`dias_core::sweep`]. The stream is built (and calibrated) once by the
+/// caller. Reports come back in policy order and are bitwise-identical to
+/// running [`run_policy`] per policy sequentially.
+pub fn run_policies<S>(
+    stream: S,
     policies: Vec<dias_core::Policy>,
     jobs: usize,
 ) -> Vec<ExperimentReport>
 where
-    S: JobSource + Send,
-    F: Fn() -> S,
+    S: JobSource + Send + Clone,
 {
-    // Streams are built eagerly on the caller's thread; only the experiments
-    // cross threads, so `F` needs no `Sync`.
     let experiments = policies
         .into_iter()
-        .map(|p| dias_core::Experiment::new(make_stream(), p).jobs(jobs))
+        .map(|p| dias_core::Experiment::new(stream.clone(), p).jobs(jobs))
         .collect();
     dias_core::run_parallel(experiments, threads(), |_, e| e.run())
         .into_iter()

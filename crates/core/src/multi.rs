@@ -197,10 +197,12 @@ pub struct MultiJobReport {
     /// Machine-seconds of work destroyed by slot failures (subset of
     /// [`MultiJobReport::wasted_work_secs`]).
     pub failure_lost_work_secs: f64,
-    /// Effective-capacity changes over the run: `(time_secs, effective
-    /// slots)` after every fault batch that changed the schedulable pool.
-    /// Empty for fault-free runs; the run starts at the full slot count.
-    pub capacity_timeline: Vec<(f64, usize)>,
+    /// Fault batches that changed the schedulable pool (the effective slot
+    /// count) over the run; 0 for fault-free runs. The run starts at the full
+    /// slot count, and each change is a pure function of the fault-trace
+    /// prefix applied so far, so the `(time, effective slots)` timeline can
+    /// be rebuilt from the trace without storing it here.
+    pub capacity_changes: u64,
 }
 
 impl MultiJobReport {
@@ -1261,14 +1263,12 @@ impl<S: JobSource> MultiDriver<S> {
             }
         }
         // Degradation reacts to the *batch*, not each event: the
-        // controller sees the post-batch pool once, and the timeline
-        // records one point per change.
+        // controller sees the post-batch pool once, and the report counts
+        // one change per batch that moved it.
         let effective = self.engine.effective_slots();
         if effective != self.last_effective {
             self.last_effective = effective;
-            self.report
-                .capacity_timeline
-                .push((next_t.as_secs(), effective));
+            self.report.capacity_changes += 1;
             if let Some(d) = &self.degrade {
                 self.thetas = Some(d.thetas_for(self.total_slots, effective));
             }

@@ -108,7 +108,7 @@ pub struct SoakWindow {
 #[derive(Debug, Clone)]
 pub struct SoakReport {
     /// Whole-run engine-side totals — horizon, energy split, waste,
-    /// utilization, sprint budget books, capacity timeline — exactly as the
+    /// utilization, sprint budget books, capacity changes — exactly as the
     /// closed driver's [`MultiJobReport`] reports them. Its `per_class`
     /// sample sets are *empty* (the soak records per-class statistics into
     /// [`SoakReport::per_class`] instead); only its scalar energy/eviction
@@ -130,7 +130,11 @@ pub struct SoakReport {
     /// High-water mark of live objects: engine calendar entries + pending +
     /// running jobs + driver metadata + sprint timers + arrival batch +
     /// sketch nodes + window rows. The run-length-independent peak-RSS
-    /// proxy.
+    /// proxy. It counts objects, not bytes, and only those: a buffer held
+    /// in a report field (as in [`SoakReport::totals`]) or in the caller's
+    /// inputs (the fault trace, the job source) is invisible to it, so a
+    /// run whose memory grows that way keeps a flat mark. Read the process's
+    /// peak RSS to see those.
     pub live_high_water: usize,
     /// Engine events processed over the whole run.
     pub events: u64,

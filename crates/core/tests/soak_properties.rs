@@ -7,7 +7,7 @@
 //!    fixed arrival warm-up over a finite source executes the exact
 //!    operation sequence of [`MultiJobExperiment::run`] — so every
 //!    engine-side total (horizon, energy split, waste, utilization, sprint
-//!    budget books, capacity timeline, per-class energy harvest) must be
+//!    budget books, capacity changes, per-class energy harvest) must be
 //!    **bit-identical**, per-class counts exact, and per-class means equal
 //!    up to the Welford-vs-naive-sum summation difference (≤ 1e-9
 //!    relative; the streaming backend accumulates mean/M2 incrementally, so
@@ -136,8 +136,8 @@ fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
         assert_eq!(t.sprint_budget_remaining_j, exact.sprint_budget_remaining_j);
         assert_eq!(t.failure_evictions, exact.failure_evictions);
         assert_eq!(t.failure_lost_work_secs, exact.failure_lost_work_secs);
-        assert_eq!(t.capacity_timeline, exact.capacity_timeline);
-        assert_eq!(t.capacity_timeline.len(), changes, "changes (seed {seed})");
+        assert_eq!(t.capacity_changes, exact.capacity_changes);
+        assert_eq!(t.capacity_changes, changes, "changes (seed {seed})");
 
         // Per-class energy harvest lives on the driver either way: bitwise.
         for k in 0..2 {
