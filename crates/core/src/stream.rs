@@ -130,11 +130,10 @@ pub struct SoakReport {
     /// High-water mark of live objects: engine calendar entries + pending +
     /// running jobs + driver metadata + sprint timers + arrival batch +
     /// sketch nodes + window rows. The run-length-independent peak-RSS
-    /// proxy. It counts objects, not bytes, and only those: a buffer held
-    /// in a report field (as in [`SoakReport::totals`]) or in the caller's
-    /// inputs (the fault trace, the job source) is invisible to it, so a
-    /// run whose memory grows that way keeps a flat mark. Read the process's
-    /// peak RSS to see those.
+    /// proxy. It counts those objects, not bytes, and nothing else: a
+    /// buffer in a report field or in the caller's inputs (the fault trace,
+    /// the job source) is invisible to it, so a run whose memory grows that
+    /// way keeps a flat mark. The process's peak RSS shows those.
     pub live_high_water: usize,
     /// Engine events processed over the whole run.
     pub events: u64,
