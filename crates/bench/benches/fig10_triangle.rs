@@ -11,7 +11,7 @@
 //! The accuracy side of per-stage dropping (the real triangle-count estimator on an
 //! R-MAT web graph) is reported at the end.
 
-use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policy};
+use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
 use dias_core::Policy;
 use dias_workloads::graph::{Graph, GraphConfig};
 use dias_workloads::triangle_two_priority;
@@ -20,21 +20,13 @@ fn main() {
     banner("Figure 10", "triangle count: per-ShuffleMap-stage dropping");
     let jobs = bench_jobs();
     let seed = 42;
-    let stream = || triangle_two_priority(0.8, seed);
-
-    let p = run_policy(stream, Policy::preemptive(2), jobs);
-    let np = run_policy(stream, Policy::non_preemptive(2), jobs);
-    let mut das = Vec::new();
+    let mut policies = vec![Policy::preemptive(2), Policy::non_preemptive(2)];
     for per_stage_pct in [1.0, 2.0, 5.0, 10.0, 20.0] {
-        das.push(run_policy(
-            stream,
-            Policy::da_percent_high_to_low(&[0.0, per_stage_pct]),
-            jobs,
-        ));
+        policies.push(Policy::da_percent_high_to_low(&[0.0, per_stage_pct]));
     }
-
-    let mut others = vec![np];
-    others.extend(das.iter().cloned());
+    let mut others = run_policies(triangle_two_priority(0.8, seed), policies, jobs);
+    let p = others.remove(0);
+    let das = &others[1..];
     print_relative_table(&p, &others, &["low", "high"]);
 
     println!();

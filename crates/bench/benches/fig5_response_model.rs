@@ -10,7 +10,7 @@
 //!
 //! Paper checkpoint: average model error 18.7%.
 
-use dias_bench::{banner, bench_jobs, compare, run_policy, wave_model_for};
+use dias_bench::{banner, bench_jobs, compare, run_policies, wave_model_for};
 use dias_core::Policy;
 use dias_engine::ClusterSpec;
 use dias_models::priority::{non_preemptive_means, ClassInput};
@@ -29,7 +29,14 @@ fn main() {
     let stream = reference_two_priority(0.8, seed);
     let rates = stream.rates().to_vec();
     let profiles = stream.profiles().to_vec();
-    drop(stream);
+    let thetas = [0.0, 0.2, 0.4, 0.6, 0.8];
+
+    // Observation: the engine experiment under DA(0, θ), over one stream.
+    let policies = thetas
+        .iter()
+        .map(|&theta| Policy::differential_approximation(&[theta, 0.0]))
+        .collect();
+    let reports = run_policies(stream, policies, jobs);
 
     println!(
         "{:>6} {:>11} {:>11} {:>12} {:>12}",
@@ -37,7 +44,7 @@ fn main() {
     );
     let mut total_err = 0.0;
     let mut points = 0;
-    for theta in [0.0, 0.2, 0.4, 0.6, 0.8] {
+    for (&theta, report) in thetas.iter().zip(&reports) {
         // Model: wave-level service PH per class, Cobham means.
         let low_ph = wave_model_for(&profiles[0], &cluster, theta, 17)
             .ph()
@@ -50,13 +57,6 @@ fn main() {
             ClassInput::from_ph(rates[1], &high_ph),
         ];
         let model = non_preemptive_means(&inputs).expect("stable configuration");
-
-        // Observation: the engine experiment under DA(0, θ).
-        let report = run_policy(
-            || reference_two_priority(0.8, seed),
-            Policy::differential_approximation(&[theta, 0.0]),
-            jobs,
-        );
 
         let (ml, ol) = (model[0].response, report.mean_response(0));
         let (mh, oh) = (model[1].response, report.mean_response(1));

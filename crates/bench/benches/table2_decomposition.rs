@@ -16,7 +16,7 @@
 //! low-priority execution falls with the drop ratio; queueing falls for *both*
 //! classes as the low class shrinks.
 
-use dias_bench::{banner, bench_jobs, compare, run_policy};
+use dias_bench::{banner, bench_jobs, compare, run_policies};
 use dias_core::{ExperimentReport, Policy, SprintBudget, SprintPolicy};
 use dias_engine::ClusterSpec;
 use dias_workloads::triangle_two_priority;
@@ -44,22 +44,20 @@ fn main() {
     );
     let jobs = bench_jobs();
     let seed = 42;
-    let stream = || triangle_two_priority(0.8, seed);
-
-    let nps = run_policy(
-        stream,
-        Policy::non_preemptive(2).with_sprint(limited_sprint()),
+    let mut reports = run_policies(
+        triangle_two_priority(0.8, seed),
+        vec![
+            Policy::non_preemptive(2).with_sprint(limited_sprint()),
+            Policy::da_percent_high_to_low(&[0.0, 10.0]).with_sprint(limited_sprint()),
+            Policy::da_percent_high_to_low(&[0.0, 20.0]).with_sprint(limited_sprint()),
+        ],
         jobs,
-    );
-    let dias10 = run_policy(
-        stream,
-        Policy::da_percent_high_to_low(&[0.0, 10.0]).with_sprint(limited_sprint()),
-        jobs,
-    );
-    let dias20 = run_policy(
-        stream,
-        Policy::da_percent_high_to_low(&[0.0, 20.0]).with_sprint(limited_sprint()),
-        jobs,
+    )
+    .into_iter();
+    let (nps, dias10, dias20) = (
+        reports.next().expect("3 reports"),
+        reports.next().expect("3 reports"),
+        reports.next().expect("3 reports"),
     );
 
     println!(

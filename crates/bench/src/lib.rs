@@ -107,24 +107,11 @@ pub fn print_relative_table(
     }
 }
 
-/// Runs one policy over a fresh stream built by `make_stream` (streams are consumed
-/// by experiments, so each policy gets an identically-seeded copy).
-pub fn run_policy<S, F>(make_stream: F, policy: dias_core::Policy, jobs: usize) -> ExperimentReport
-where
-    S: JobSource,
-    F: FnOnce() -> S,
-{
-    dias_core::Experiment::new(make_stream(), policy)
-        .jobs(jobs)
-        .run()
-        .expect("experiment configuration is valid")
-}
-
 /// Runs one experiment per policy — each over its own clone of `stream`,
 /// so every policy sees the same jobs — fanned across cores by
 /// [`dias_core::sweep`]. The stream is built (and calibrated) once by the
 /// caller. Reports come back in policy order and are bitwise-identical to
-/// running [`run_policy`] per policy sequentially.
+/// running each experiment sequentially.
 pub fn run_policies<S>(
     stream: S,
     policies: Vec<dias_core::Policy>,

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use dias_engine::{
-    ClusterSpec, EngineError, JobId, JobInstance, PendingView, RunningView, Scheduler, SlotRange,
+    EngineError, JobId, JobInstance, PendingView, RunningView, Scheduler, SlotRange,
 };
 
 use crate::{ClassStats, ExperimentReport, MultiJobExperiment, Policy};
@@ -97,6 +97,14 @@ pub enum ExperimentError {
         /// Measured jobs requested.
         target: usize,
     },
+    /// A run setting is out of its valid range. Every builder stores its
+    /// settings unchecked; the run method reports the first bad one here.
+    InvalidConfig {
+        /// The builder setter (or constructor argument) that set the value.
+        field: &'static str,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -115,6 +123,9 @@ impl fmt::Display for ExperimentError {
                 "measured jobs starved: {measured_done}/{target} completed within the \
                  completion budget (higher-priority load at or above capacity?)"
             ),
+            ExperimentError::InvalidConfig { field, reason } => {
+                write!(f, "invalid `{field}`: {reason}")
+            }
         }
     }
 }
@@ -127,17 +138,26 @@ impl From<EngineError> for ExperimentError {
     }
 }
 
-/// A configured experiment: source + policy + cluster, measuring a fixed
-/// window of the arrival sequence.
+impl ExperimentError {
+    /// An [`ExperimentError::InvalidConfig`] for `field`.
+    pub(crate) fn invalid(field: &'static str, reason: impl Into<String>) -> Self {
+        ExperimentError::InvalidConfig {
+            field,
+            reason: reason.into(),
+        }
+    }
+}
+
+/// A configured experiment: source + policy on the paper's reference
+/// cluster, measuring a fixed window of the arrival sequence.
 ///
-/// See the crate-level example.
+/// It is a [`MultiJobExperiment`] whose scheduler gives each job the whole
+/// cluster, with the policy's drop ratios and sprint policy, plus the
+/// policy's label for the report. See the crate-level example.
 #[derive(Debug)]
 pub struct Experiment<S> {
-    source: S,
-    policy: Policy,
-    cluster: ClusterSpec,
-    jobs: usize,
-    warmup: Option<usize>,
+    inner: MultiJobExperiment<S>,
+    label: String,
 }
 
 impl<S: JobSource> Experiment<S> {
@@ -145,36 +165,31 @@ impl<S: JobSource> Experiment<S> {
     /// jobs (by arrival order) after a 10% warm-up.
     #[must_use]
     pub fn new(source: S, policy: Policy) -> Self {
+        let scheduler = WholeCluster {
+            preemptive: policy.is_preemptive(),
+        };
+        let thetas: Vec<f64> = policy.classes.iter().map(|c| c.theta_droppable).collect();
+        let mut inner = MultiJobExperiment::new(source, Box::new(scheduler)).drops(&thetas);
+        if let Some(sprint) = policy.sprint {
+            inner = inner.sprint(sprint);
+        }
         Experiment {
-            source,
-            policy,
-            cluster: ClusterSpec::paper_reference(),
-            jobs: 1000,
-            warmup: None,
+            inner,
+            label: policy.label,
         }
     }
 
-    /// Sets the number of measured jobs — arrivals `warmup..warmup + n`
-    /// (warm-up defaults to 10% of it unless [`Experiment::warmup`] set it
-    /// explicitly; the two builder calls compose in any order).
+    /// Sets the number of measured jobs (see [`MultiJobExperiment::jobs`]).
     #[must_use]
     pub fn jobs(mut self, n: usize) -> Self {
-        self.jobs = n;
+        self.inner = self.inner.jobs(n);
         self
     }
 
-    /// Overrides the warm-up: the first `n` *arrivals* are processed but not
-    /// measured.
+    /// Overrides the warm-up (see [`MultiJobExperiment::warmup`]).
     #[must_use]
     pub fn warmup(mut self, n: usize) -> Self {
-        self.warmup = Some(n);
-        self
-    }
-
-    /// Overrides the cluster specification.
-    #[must_use]
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.cluster = spec;
+        self.inner = self.inner.warmup(n);
         self
     }
 
@@ -188,50 +203,24 @@ impl<S: JobSource> Experiment<S> {
     /// makes invariants like "DA never touches high-class execution" exact
     /// rather than approximate).
     ///
-    /// The run is a [`MultiJobExperiment`] whose scheduler gives each job
-    /// the whole cluster: the paper's per-priority buffers are the engine's
-    /// pending queue, the dispatcher is the scheduler's class-ordered pick,
-    /// and the sprinter is a [`MultiSprinter`](crate::MultiSprinter) over
-    /// one gang as wide as the cluster.
+    /// The paper's per-priority buffers are the engine's pending queue, the
+    /// dispatcher is the scheduler's class-ordered pick, and the sprinter is
+    /// a [`MultiSprinter`](crate::MultiSprinter) over one gang as wide as
+    /// the cluster.
     ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError::ClassMismatch`] when the policy (or its sprint
-    /// timeouts) and the source disagree on the number of classes, a wrapped
-    /// engine error if dispatching fails, or [`ExperimentError::Starved`] when
-    /// a measured job cannot complete.
+    /// Exactly as [`MultiJobExperiment::run`]: in particular
+    /// [`ExperimentError::ClassMismatch`] when the policy (or its sprint
+    /// timeouts) and the source disagree on the number of classes, and
+    /// [`ExperimentError::InvalidConfig`] naming `drops` when a hand-built
+    /// policy carries a drop ratio outside `[0, 1]`.
     pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
-        let classes = self.source.classes();
-        if self.policy.classes() != classes {
-            return Err(ExperimentError::ClassMismatch {
-                policy: self.policy.classes(),
-                source: classes,
-            });
-        }
-        let thetas: Vec<f64> = self
-            .policy
-            .classes
-            .iter()
-            .map(|c| c.theta_droppable)
-            .collect();
-        let slots = self.cluster.slots();
-        let scheduler = WholeCluster {
-            preemptive: self.policy.is_preemptive(),
-        };
-        let mut multi = MultiJobExperiment::new(self.source, Box::new(scheduler))
-            .cluster(self.cluster)
-            .drops(&thetas)
-            .jobs(self.jobs);
-        if let Some(warmup) = self.warmup {
-            multi = multi.warmup(warmup);
-        }
-        if let Some(sprint) = self.policy.sprint {
-            multi = multi.sprint(sprint);
-        }
-        let r = multi.run()?;
+        let slots = self.inner.cluster.slots();
+        let r = self.inner.run()?;
         let sprint_slot_secs: f64 = r.per_class.iter().map(|c| c.sprint_slot_secs).sum();
         Ok(ExperimentReport {
-            policy: self.policy.label,
+            policy: self.label,
             per_class: r
                 .per_class
                 .into_iter()
@@ -545,7 +534,7 @@ mod whole_cluster_tests {
     use std::collections::VecDeque;
 
     use super::*;
-    use dias_engine::{ClusterSim, JobSpec, StageKind, StageSpec};
+    use dias_engine::{ClusterSim, ClusterSpec, JobSpec, StageKind, StageSpec};
     use dias_stochastic::Dist;
     use proptest::prelude::*;
     use rand::rngs::StdRng;

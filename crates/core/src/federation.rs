@@ -437,21 +437,19 @@ impl FederationReport {
 /// A configured federation: a shared arrival stream sharded across a fleet
 /// of clusters advanced by worker threads with epoch-synchronised exchange.
 ///
-/// Construction mirrors [`MultiJobExperiment`]; the extra knobs are the
-/// shard list, the [`Router`], the epoch length and the fleet-level
-/// couplings (a shared [`SprintPolicy`] and a global power cap, both
-/// partitioned across shards by slot share before the run starts).
+/// Each shard is a [`MultiJobExperiment`] over the shard's private inbox,
+/// built in [`FederationExperiment::new`]; the per-class setters write
+/// through to every shard, and the run checks the shards' settings as
+/// [`MultiJobExperiment::run`] does. The extra knobs are the [`Router`],
+/// the epoch length and the fleet-level couplings (a shared
+/// [`SprintPolicy`] and a global power cap, both partitioned across shards
+/// by slot share when they are set).
 #[derive(Debug)]
 pub struct FederationExperiment<S> {
     source: S,
-    shards: Vec<ClusterSpec>,
-    schedulers: Vec<Box<dyn Scheduler>>,
+    shards: Vec<MultiJobExperiment<ShardInbox>>,
     router: Router,
     epoch_secs: f64,
-    thetas: Option<Vec<f64>>,
-    sprint: Option<SprintPolicy>,
-    power_cap_w: Option<f64>,
-    slos: Option<Vec<f64>>,
     shard_faults: Option<Vec<FaultTrace>>,
     arrivals: usize,
     jobs: usize,
@@ -465,31 +463,55 @@ impl<S: JobSource> FederationExperiment<S> {
     /// Defaults: [`Router::Hash`], 60-second epochs, no drops, no sprint, no
     /// power cap, no faults, and a measurement window covering every
     /// arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new<F>(source: S, shards: Vec<ClusterSpec>, mut scheduler: F) -> Self
+    pub fn new<F>(source: S, shards: Vec<ClusterSpec>, scheduler: F) -> Self
     where
         F: FnMut(usize) -> Box<dyn Scheduler>,
     {
-        assert!(!shards.is_empty(), "federation needs at least one shard");
-        let schedulers = (0..shards.len()).map(&mut scheduler).collect();
+        let classes = source.classes();
+        // Each shard runs the monolithic loop with a degenerate local window;
+        // `ShardDriver` applies the global one.
+        let shards = shards
+            .into_iter()
+            .zip((0..).map(scheduler))
+            .map(|(spec, sched)| {
+                let inbox = ShardInbox {
+                    queue: VecDeque::new(),
+                    classes,
+                };
+                MultiJobExperiment::new(inbox, sched)
+                    .cluster(spec)
+                    .warmup(0)
+                    .jobs(usize::MAX)
+            })
+            .collect();
         FederationExperiment {
             source,
             shards,
-            schedulers,
             router: Router::Hash,
             epoch_secs: 60.0,
-            thetas: None,
-            sprint: None,
-            power_cap_w: None,
-            slos: None,
             shard_faults: None,
             arrivals: usize::MAX,
             jobs: usize::MAX,
             warmup: 0,
         }
+    }
+
+    /// Applies `set` to every shard's experiment, passing the shard's share
+    /// of the fleet's slots.
+    fn each_shard<F>(mut self, set: F) -> Self
+    where
+        F: Fn(MultiJobExperiment<ShardInbox>, f64) -> MultiJobExperiment<ShardInbox>,
+    {
+        let total_slots: usize = self.shards.iter().map(|s| s.cluster.slots()).sum();
+        self.shards = self
+            .shards
+            .into_iter()
+            .map(|s| {
+                let share = s.cluster.slots() as f64 / total_slots as f64;
+                set(s, share)
+            })
+            .collect();
+        self
     }
 
     /// Sets the job-to-shard assignment policy.
@@ -499,19 +521,11 @@ impl<S: JobSource> FederationExperiment<S> {
         self
     }
 
-    /// Sets the epoch length in simulated seconds. Epoch length trades
-    /// barrier frequency against arrival-delivery batching; it never changes
-    /// results.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `secs` is finite and positive.
+    /// Sets the epoch length in simulated seconds, which must be finite and
+    /// positive; the run checks it. Epoch length trades barrier frequency
+    /// against arrival-delivery batching; it never changes results.
     #[must_use]
     pub fn epoch_secs(mut self, secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "epoch length must be finite and positive"
-        );
         self.epoch_secs = secs;
         self
     }
@@ -519,9 +533,8 @@ impl<S: JobSource> FederationExperiment<S> {
     /// Per-class drop ratios, applied identically on every shard (the
     /// deflator is per-job, so sharding does not change its meaning).
     #[must_use]
-    pub fn drops(mut self, thetas: &[f64]) -> Self {
-        self.thetas = Some(thetas.to_vec());
-        self
+    pub fn drops(self, thetas: &[f64]) -> Self {
+        self.each_shard(|s, _| s.drops(thetas))
     }
 
     /// Fleet-wide sprint policy. The budget is partitioned across shards
@@ -529,35 +542,28 @@ impl<S: JobSource> FederationExperiment<S> {
     /// all scale; timeouts are shared verbatim), so the fleet as a whole
     /// honours the stated budget without any runtime negotiation.
     #[must_use]
-    pub fn sprint(mut self, policy: SprintPolicy) -> Self {
-        self.sprint = Some(policy);
-        self
+    pub fn sprint(self, policy: SprintPolicy) -> Self {
+        self.each_shard(|s, share| s.sprint(scale_policy(&policy, share)))
     }
 
     /// Fleet-wide cap on aggregate sprint extra power draw, in watts.
     /// Partitioned across shards by slot share and enforced shard-locally,
     /// so the fleet's total sprint draw never exceeds `cap_w`.
     #[must_use]
-    pub fn power_cap_w(mut self, cap_w: f64) -> Self {
-        self.power_cap_w = Some(cap_w);
-        self
+    pub fn power_cap_w(self, cap_w: f64) -> Self {
+        self.each_shard(|s, share| s.sprint_draw_cap(Some(cap_w * share)))
     }
 
     /// Per-class SLO targets (seconds), shared by every shard.
     #[must_use]
-    pub fn slos(mut self, targets: &[f64]) -> Self {
-        self.slos = Some(targets.to_vec());
-        self
+    pub fn slos(self, targets: &[f64]) -> Self {
+        self.each_shard(|s, _| s.slos(targets))
     }
 
-    /// Per-shard fault schedules, one trace per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces.len()` differs from the shard count.
+    /// Per-shard fault schedules, one trace per shard; the run checks the
+    /// count.
     #[must_use]
     pub fn shard_faults(mut self, traces: Vec<FaultTrace>) -> Self {
-        assert_eq!(traces.len(), self.shards.len(), "one fault trace per shard");
         self.shard_faults = Some(traces);
         self
     }
@@ -593,10 +599,9 @@ impl<S: JobSource> FederationExperiment<S> {
     ///
     /// # Errors
     ///
-    /// Propagates validation and engine errors ([`ExperimentError`]) from
-    /// any shard; the first failing shard in shard order wins.
+    /// As [`FederationExperiment::run_with_log`].
     pub fn run(self, threads: usize) -> Result<FederationReport, ExperimentError> {
-        self.run_inner(threads).map(|(report, _)| report)
+        self.run_with_log(threads).map(|(report, _)| report)
     }
 
     /// Like [`FederationExperiment::run`], additionally returning per-epoch
@@ -604,60 +609,44 @@ impl<S: JobSource> FederationExperiment<S> {
     ///
     /// # Errors
     ///
-    /// Propagates validation and engine errors ([`ExperimentError`]) from
-    /// any shard.
+    /// Returns [`ExperimentError::InvalidConfig`] naming `shards` for an
+    /// empty shard list, `epoch_secs` for an epoch length that is not
+    /// finite and positive, or `shard_faults` when the trace count differs
+    /// from the shard count. Propagates validation and engine errors from
+    /// any shard, exactly as [`MultiJobExperiment::run`]; the first failing
+    /// shard in shard order wins.
     pub fn run_with_log(
-        self,
-        threads: usize,
-    ) -> Result<(FederationReport, FederationRunLog), ExperimentError> {
-        self.run_inner(threads)
-    }
-
-    fn run_inner(
         mut self,
         threads: usize,
     ) -> Result<(FederationReport, FederationRunLog), ExperimentError> {
+        if self.shards.is_empty() {
+            return Err(ExperimentError::invalid(
+                "shards",
+                "a federation needs at least one shard",
+            ));
+        }
+        let secs = self.epoch_secs;
+        if !(secs.is_finite() && secs > 0.0) {
+            let reason = format!("epoch length {secs} is not finite and positive");
+            return Err(ExperimentError::invalid("epoch_secs", reason));
+        }
+        let faults = match self.shard_faults.take() {
+            Some(traces) if traces.len() != self.shards.len() => {
+                let reason = format!("{} traces for {} shards", traces.len(), self.shards.len());
+                return Err(ExperimentError::invalid("shard_faults", reason));
+            }
+            Some(traces) => traces,
+            None => vec![FaultTrace::default(); self.shards.len()],
+        };
         let classes = self.source.classes();
-        let slot_counts: Vec<usize> = self.shards.iter().map(ClusterSpec::slots).collect();
+        let slot_counts: Vec<usize> = self.shards.iter().map(|s| s.cluster.slots()).collect();
         let total_slots: usize = slot_counts.iter().sum();
-        let faults = self
-            .shard_faults
-            .take()
-            .unwrap_or_else(|| vec![FaultTrace::default(); self.shards.len()]);
         let window = (self.warmup, self.warmup.saturating_add(self.jobs));
 
-        // Build every shard's driver: the monolithic experiment over the
-        // shard's private inbox, with the shared couplings pre-partitioned
-        // by slot share (exact no-ops for a single shard, where share = 1).
         let mut drivers: Vec<ShardDriver> = Vec::with_capacity(self.shards.len());
-        for ((spec, sched), trace) in self
-            .shards
-            .drain(..)
-            .zip(self.schedulers.drain(..))
-            .zip(faults)
-        {
-            let share = spec.slots() as f64 / total_slots as f64;
-            let inbox = ShardInbox {
-                queue: VecDeque::new(),
-                classes,
-            };
-            let mut exp = MultiJobExperiment::new(inbox, sched)
-                .cluster(spec)
-                .warmup(0)
-                .jobs(usize::MAX)
-                .faults(trace)
-                .sprint_draw_cap(self.power_cap_w.map(|cap| cap * share));
-            if let Some(thetas) = &self.thetas {
-                exp = exp.drops(thetas);
-            }
-            if let Some(policy) = &self.sprint {
-                exp = exp.sprint(scale_policy(policy, share));
-            }
-            if let Some(targets) = &self.slos {
-                exp = exp.slos(targets);
-            }
+        for (exp, trace) in self.shards.into_iter().zip(faults) {
             drivers.push(ShardDriver {
-                driver: MultiDriver::build(exp)?,
+                driver: MultiDriver::build(exp.faults(trace))?,
                 global_seq: IdMap::default(),
                 routed: 0,
                 window,

@@ -274,7 +274,7 @@ impl MultiJobReport {
 pub struct MultiJobExperiment<S> {
     source: S,
     scheduler: Box<dyn Scheduler>,
-    cluster: ClusterSpec,
+    pub(crate) cluster: ClusterSpec,
     /// Per-class drop ratio applied to droppable stages.
     thetas: Option<Vec<f64>>,
     sprint: Option<SprintPolicy>,
@@ -403,17 +403,9 @@ impl<S: JobSource> MultiJobExperiment<S> {
 
     /// Sets per-class drop ratios for droppable stages, indexed by class
     /// (index 0 = lowest priority) — differential approximation across
-    /// concurrent jobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any ratio is outside `[0, 1]`.
+    /// concurrent jobs. Each ratio must lie in `[0, 1]`; the run checks it.
     #[must_use]
     pub fn drops(mut self, thetas: &[f64]) -> Self {
-        assert!(
-            thetas.iter().all(|t| (0.0..=1.0).contains(t)),
-            "drop ratios must be in [0,1]"
-        );
         self.thetas = Some(thetas.to_vec());
         self
     }
@@ -451,17 +443,10 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// Sets per-class response-time SLO targets in seconds (index 0 = lowest
     /// class). Each completed measured job whose arrival→completion response
     /// is within its class target counts toward
-    /// [`MultiClassStats::slo_attained`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target is not positive.
+    /// [`MultiClassStats::slo_attained`]. Each target must be positive; the
+    /// run checks it.
     #[must_use]
     pub fn slos(mut self, targets: &[f64]) -> Self {
-        assert!(
-            targets.iter().all(|t| *t > 0.0),
-            "SLO targets must be positive"
-        );
         self.slos = Some(targets.to_vec());
         self
     }
@@ -508,8 +493,10 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// # Errors
     ///
     /// Returns [`ExperimentError::ClassMismatch`] when the drop vector or the
-    /// sprint policy and the source disagree on the number of classes, a
-    /// wrapped engine error if submission fails, or
+    /// sprint policy and the source disagree on the number of classes,
+    /// [`ExperimentError::InvalidConfig`] naming `drops` for a ratio outside
+    /// `[0, 1]` (NaN included) or `slos` for a target that is not positive,
+    /// a wrapped engine error if submission fails, or
     /// [`ExperimentError::Starved`] when a measured job cannot complete under
     /// the offered load.
     pub fn run(self) -> Result<MultiJobReport, ExperimentError> {
@@ -894,7 +881,8 @@ pub(crate) struct MultiDriver<S> {
 }
 
 impl<S: JobSource> MultiDriver<S> {
-    /// Validates the experiment and sets up the start-of-run state.
+    /// Validates the experiment and sets up the start-of-run state. This is
+    /// where every builder's per-class settings are checked.
     pub(crate) fn build(mut exp: MultiJobExperiment<S>) -> Result<Self, ExperimentError> {
         let classes = exp.source.classes();
         // Every per-class setting must cover exactly the source's classes.
@@ -909,6 +897,19 @@ impl<S: JobSource> MultiDriver<S> {
                 policy,
                 source: classes,
             });
+        }
+        let bad_theta = exp
+            .thetas
+            .iter()
+            .flatten()
+            .find(|t| !(0.0..=1.0).contains(*t));
+        if let Some(t) = bad_theta {
+            let reason = format!("drop ratio {t} is outside [0, 1]");
+            return Err(ExperimentError::invalid("drops", reason));
+        }
+        if let Some(t) = exp.slos.iter().flatten().find(|t| t.is_nan() || **t <= 0.0) {
+            let reason = format!("SLO target {t} is not positive");
+            return Err(ExperimentError::invalid("slos", reason));
         }
         if let Some(d) = &exp.degrade {
             // The degradation controller owns the drop vector from here on.

@@ -41,12 +41,11 @@
 use std::time::Instant;
 
 use dias_des::stats::{SampleStats, StreamingSummary, DEFAULT_SKETCH_EPSILON};
-use dias_engine::{ClusterSpec, FaultTrace, Scheduler};
+use dias_engine::{FaultTrace, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, NoHook};
 use crate::{
-    DegradationPolicy, ExperimentError, JobSource, MultiClassStats, MultiJobExperiment,
-    MultiJobReport, SprintPolicy,
+    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintPolicy,
 };
 
 /// How a soak decides where measurement starts.
@@ -257,14 +256,10 @@ impl<S: JobSource> SoakExperiment<S> {
     }
 
     /// Sets the batching knob: `k` arrivals are drawn ahead and admitted
-    /// together at the latest of their arrival times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
+    /// together at the latest of their arrival times. `k` must be at least
+    /// 1; the run checks it.
     #[must_use]
     pub fn arrival_batch(mut self, k: usize) -> Self {
-        assert!(k > 0, "arrival batch must admit at least one job");
         self.inner.arrival_batch = k;
         self
     }
@@ -277,31 +272,15 @@ impl<S: JobSource> SoakExperiment<S> {
         self
     }
 
-    /// Sets the quantile sketches' rank-error bound ε.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < eps < 0.5`.
+    /// Sets the quantile sketches' rank-error bound ε, which must lie in
+    /// `(0, 0.5)`; the run checks it.
     #[must_use]
     pub fn epsilon(mut self, eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 0.5, "sketch epsilon must be in (0, 0.5)");
         self.epsilon = eps;
         self
     }
 
-    /// Overrides the cluster specification
-    /// (see [`MultiJobExperiment::cluster`]).
-    #[must_use]
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.inner = self.inner.cluster(spec);
-        self
-    }
-
     /// Sets per-class drop ratios (see [`MultiJobExperiment::drops`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any ratio is outside `[0, 1]`.
     #[must_use]
     pub fn drops(mut self, thetas: &[f64]) -> Self {
         self.inner = self.inner.drops(thetas);
@@ -326,21 +305,9 @@ impl<S: JobSource> SoakExperiment<S> {
 
     /// Sets per-class response-time SLO targets
     /// (see [`MultiJobExperiment::slos`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target is not positive.
     #[must_use]
     pub fn slos(mut self, targets: &[f64]) -> Self {
         self.inner = self.inner.slos(targets);
-        self
-    }
-
-    /// Installs a graceful-degradation controller
-    /// (see [`MultiJobExperiment::degrade`]).
-    #[must_use]
-    pub fn degrade(mut self, policy: DegradationPolicy) -> Self {
-        self.inner = self.inner.degrade(policy);
         self
     }
 
@@ -357,11 +324,24 @@ impl<S: JobSource> SoakExperiment<S> {
     ///
     /// # Errors
     ///
-    /// Exactly as [`MultiJobExperiment::run`]: class-count mismatches,
-    /// wrapped engine errors, or [`ExperimentError::Starved`] when the
-    /// completion budget (64× the measured target) is exhausted before the
-    /// window fills.
+    /// Exactly as [`MultiJobExperiment::run`]: class-count mismatches, bad
+    /// drop ratios or SLO targets, wrapped engine errors, or
+    /// [`ExperimentError::Starved`] when the completion budget (64× the
+    /// measured target) is exhausted before the window fills. Also
+    /// [`ExperimentError::InvalidConfig`] naming `arrival_batch` when it is
+    /// zero, or `epsilon` when ε is not in `(0, 0.5)`.
     pub fn run(self) -> Result<SoakReport, ExperimentError> {
+        if self.inner.arrival_batch == 0 {
+            return Err(ExperimentError::invalid(
+                "arrival_batch",
+                "a release must admit at least one job",
+            ));
+        }
+        let eps = self.epsilon;
+        if !(eps > 0.0 && eps < 0.5) {
+            let reason = format!("sketch rank error {eps} is outside (0, 0.5)");
+            return Err(ExperimentError::invalid("epsilon", reason));
+        }
         let jobs = self.jobs;
         let window_jobs = if self.window_jobs == 0 {
             (jobs / 50).max(1)
