@@ -27,6 +27,14 @@
 //! execution decompositions, resource waste and energy — the measurements behind
 //! every figure of the paper's evaluation.
 //!
+//! [`MultiJobExperiment`] is the one description of a run: source,
+//! scheduler, cluster, per-class θ, sprint policy, faults, SLOs, degradation
+//! and measurement window. The other three builders wrap it: [`Experiment`]
+//! under a whole-cluster scheduler, [`SoakExperiment`] with streaming
+//! measurement, and [`FederationExperiment`] with one per shard. Setters
+//! only store values; a run checks them before it starts and reports a bad
+//! one as [`ExperimentError::InvalidConfig`], naming the setter.
+//!
 //! # Examples
 //!
 //! ```
