@@ -23,26 +23,6 @@ pub struct ClassStats {
     pub evictions: u64,
 }
 
-impl ClassStats {
-    /// Mean slowdown: response divided by final execution, averaged over jobs.
-    /// This is the metric the motivation cites ("the slowdown of priority-0 jobs …
-    /// is 3 times higher than that of priority-6 jobs").
-    #[must_use]
-    pub fn mean_slowdown(&self) -> f64 {
-        let n = self.response.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.response
-            .samples()
-            .iter()
-            .zip(self.execution.samples())
-            .map(|(r, e)| if *e > 0.0 { r / e } else { 1.0 })
-            .sum::<f64>()
-            / n as f64
-    }
-}
-
 /// The full outcome of one experiment run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentReport {
@@ -183,18 +163,6 @@ mod tests {
         assert!((ExperimentReport::relative_difference_pct(40.0, 100.0) + 60.0).abs() < 1e-12);
         assert!((ExperimentReport::relative_difference_pct(180.0, 100.0) - 80.0).abs() < 1e-12);
         assert_eq!(ExperimentReport::relative_difference_pct(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn slowdown_averages_ratios() {
-        let mut c = ClassStats::default();
-        for (r, e) in [(10.0, 5.0), (30.0, 10.0)] {
-            c.response.push(r);
-            c.execution.push(e);
-            c.queueing.push(r - e);
-        }
-        c.completed = 2;
-        assert!((c.mean_slowdown() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   single experiment seed, so every component of a simulation draws from its own
 //!   stream and results are reproducible and insensitive to event interleaving.
 //! * [`stats`] — statistics collectors: running moments, sample sets with exact
-//!   percentiles, time-weighted integrals and histograms.
+//!   percentiles, streaming quantile sketches and time-weighted integrals.
 //!
 //! # Examples
 //!

@@ -253,8 +253,7 @@ impl<E> EventQueue<E> {
     /// Cancels every event of a group of handles — the per-job event-group
     /// operation behind the engine's multi-job eviction, where *one* job's
     /// pending completions must leave the calendar while every other job's
-    /// events stay put (so a whole-queue [`EventQueue::clear`] is not an
-    /// option).
+    /// events stay put.
     ///
     /// Returns how many events were actually cancelled; stale handles are
     /// skipped exactly as in [`EventQueue::cancel`].
@@ -372,17 +371,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Removes every pending event, invalidating their handles.
-    pub fn clear(&mut self) {
-        for entry in self.heap.drain(..) {
-            let slot = &mut self.slots[entry.key as usize];
-            slot.pos = VACANT;
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.payload = None;
-            self.free.push(entry.key);
-        }
     }
 
     /// Heap position of `handle`'s entry, or `None` for fired/cancelled/stale
@@ -540,18 +528,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_queue_and_invalidates_handles() {
-        let mut q = EventQueue::new();
-        let h = q.push(SimTime::ZERO, 1);
-        q.push(SimTime::from_secs(1.0), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert!(!q.cancel(h));
-        assert!(!q.reschedule(h, SimTime::from_secs(9.0)));
     }
 
     #[test]

@@ -67,21 +67,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Half-width of a ~95% confidence interval on the mean (normal approximation).
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            return f64::INFINITY;
-        }
-        1.96 * self.std_dev() / (self.count as f64).sqrt()
-    }
-
     /// Population variance (`M2 / n`); 0 when empty.
     ///
     /// This is the same normalization [`SampleSet::variance`] uses, so exact
@@ -900,7 +885,7 @@ impl SampleStats for StreamingSummary {
 
 /// Integrates a piecewise-constant signal over simulated time.
 ///
-/// Used for utilization, queue-length averages and power-to-energy integration.
+/// The energy meter integrates cluster power with it.
 ///
 /// # Examples
 ///
@@ -912,14 +897,12 @@ impl SampleStats for StreamingSummary {
 /// u.set(SimTime::from_secs(2.0), 1.0); // signal was 0 for 2s
 /// u.set(SimTime::from_secs(6.0), 0.0); // signal was 1 for 4s
 /// assert_eq!(u.integral(SimTime::from_secs(6.0)), 4.0);
-/// assert!((u.time_average(SimTime::from_secs(6.0)) - 4.0 / 6.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeWeighted {
     last_time: SimTime,
     value: f64,
     integral: f64,
-    start: SimTime,
 }
 
 impl TimeWeighted {
@@ -930,7 +913,6 @@ impl TimeWeighted {
             last_time: start,
             value,
             integral: 0.0,
-            start,
         }
     }
 
@@ -946,12 +928,6 @@ impl TimeWeighted {
         self.value = value;
     }
 
-    /// Adds `delta` to the current signal at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
     /// Current signal value.
     #[must_use]
     pub fn value(&self) -> f64 {
@@ -962,96 +938,6 @@ impl TimeWeighted {
     #[must_use]
     pub fn integral(&self, now: SimTime) -> f64 {
         self.integral + self.value * (now - self.last_time)
-    }
-
-    /// Time-average of the signal from start until `now`; 0 over an empty horizon.
-    #[must_use]
-    pub fn time_average(&self, now: SimTime) -> f64 {
-        let horizon = now - self.start;
-        if horizon <= 0.0 {
-            0.0
-        } else {
-            self.integral(now) / horizon
-        }
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `bins == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total number of observations, including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bin counts (excluding under/overflow).
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Fraction of observations at or above `x` (empirical complementary CDF).
-    #[must_use]
-    pub fn ccdf(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut above = self.overflow;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let bin_lo = self.lo + i as f64 * width;
-            if bin_lo >= x {
-                above += c;
-            }
-        }
-        if x <= self.lo {
-            above += self.underflow;
-        }
-        above as f64 / self.count as f64
     }
 }
 
@@ -1344,10 +1230,9 @@ mod tests {
     fn time_weighted_integral() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 2.0);
         tw.set(SimTime::from_secs(3.0), 5.0);
-        tw.add(SimTime::from_secs(4.0), -5.0);
+        tw.set(SimTime::from_secs(4.0), 0.0);
         // 2*3 + 5*1 + 0*...
         assert_eq!(tw.integral(SimTime::from_secs(10.0)), 11.0);
-        assert!((tw.time_average(SimTime::from_secs(10.0)) - 1.1).abs() < 1e-12);
         assert_eq!(tw.value(), 0.0);
     }
 
@@ -1356,19 +1241,5 @@ mod tests {
     fn time_weighted_rejects_backwards_time() {
         let mut tw = TimeWeighted::new(SimTime::from_secs(5.0), 0.0);
         tw.set(SimTime::from_secs(4.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_ccdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.bins().iter().sum::<u64>(), 10);
-        // 5 in-range samples >= 5.0, plus overflow = 6 of 12.
-        assert!((h.ccdf(5.0) - 0.5).abs() < 1e-12);
     }
 }

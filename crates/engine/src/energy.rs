@@ -249,19 +249,19 @@ impl EnergyMeter {
     pub fn busy_slots(&self) -> usize {
         self.busy[0] + self.busy[1]
     }
-
-    /// Frequency level of `job`'s domain, if it is actively metered.
-    #[must_use]
-    pub fn job_freq(&self, job: JobId) -> Option<FreqLevel> {
-        self.slot_of(job)
-            .and_then(|slot| self.ledgers[slot].as_ref())
-            .map(|l| l.freq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Frequency level of `job`'s ledger, if it is actively metered.
+    fn ledger_freq(meter: &EnergyMeter, job: JobId) -> Option<FreqLevel> {
+        meter
+            .slot_of(job)
+            .and_then(|slot| meter.ledgers[slot].as_ref())
+            .map(|l| l.freq)
+    }
 
     #[test]
     fn idle_baseline_energy() {
@@ -283,8 +283,8 @@ mod tests {
         let expected = 900.0 * 10.0 + 1800.0 * 10.0 + 2700.0 * 10.0;
         assert!((total - expected).abs() < 1e-6, "{total} vs {expected}");
         assert_eq!(meter.busy_slots(), 20);
-        assert_eq!(meter.job_freq(JobId(1)), Some(FreqLevel::Sprint));
-        assert_eq!(meter.job_freq(JobId(9)), None);
+        assert_eq!(ledger_freq(&meter, JobId(1)), Some(FreqLevel::Sprint));
+        assert_eq!(ledger_freq(&meter, JobId(9)), None);
     }
 
     #[test]
@@ -381,9 +381,9 @@ mod tests {
         // Retiring job 1 frees its slot; jobs 2 and 3 keep theirs.
         meter.retire_ledger(SimTime::from_secs(1.0), 0);
         meter.update_ledger(SimTime::from_secs(1.0), 2, JobId(3), 6, FreqLevel::Sprint);
-        assert_eq!(meter.job_freq(JobId(3)), Some(FreqLevel::Sprint));
-        assert_eq!(meter.job_freq(JobId(2)), Some(FreqLevel::Base));
-        assert_eq!(meter.job_freq(JobId(1)), None);
+        assert_eq!(ledger_freq(&meter, JobId(3)), Some(FreqLevel::Sprint));
+        assert_eq!(ledger_freq(&meter, JobId(2)), Some(FreqLevel::Base));
+        assert_eq!(ledger_freq(&meter, JobId(1)), None);
         assert_eq!(meter.busy_slots(), 10);
         // 900 W idle + 4 base slots at 45 W + 6 sprinting slots at 90 W.
         assert_eq!(meter.power_w(), 900.0 + 4.0 * 45.0 + 6.0 * 90.0);

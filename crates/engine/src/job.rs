@@ -121,7 +121,7 @@ pub struct JobSpec {
     pub id: JobId,
     /// Priority class (higher = more important).
     pub class: usize,
-    /// Input dataset size in MB (drives HDFS layout and reporting).
+    /// Input dataset size in MB (for reporting; the simulation does not read it).
     pub input_mb: f64,
     /// Setup (overhead) duration distribution — the paper's `O` stage.
     pub setup: Dist,
@@ -151,20 +151,6 @@ impl JobSpec {
             setup_data_fraction: 0.0,
             stages: Vec::new(),
         }
-    }
-
-    /// Mean total work of the job (setup + shuffles + all tasks), in base-frequency
-    /// machine-seconds.
-    #[must_use]
-    pub fn mean_work_secs(&self) -> f64 {
-        let shuffles = self.stages.len().saturating_sub(1) as f64;
-        self.setup.mean()
-            + shuffles * self.shuffle.mean()
-            + self
-                .stages
-                .iter()
-                .map(|s| s.tasks as f64 * s.task_work.mean())
-                .sum::<f64>()
     }
 }
 
@@ -281,32 +267,6 @@ impl JobInstance {
                 .map(|ts| ts.iter().sum::<f64>())
                 .sum::<f64>()
     }
-
-    /// Total sampled work when dropping `drops[i]` of stage `i`'s tasks (the first
-    /// `⌈n(1−θ)⌉` tasks of each stage are kept; selection among identically
-    /// distributed tasks is immaterial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drops.len()` differs from the number of stages.
-    #[must_use]
-    pub fn work_secs_with_drops(&self, drops: &[f64]) -> f64 {
-        assert_eq!(
-            drops.len(),
-            self.task_secs.len(),
-            "one drop ratio per stage"
-        );
-        let tasks: f64 = self
-            .task_secs
-            .iter()
-            .zip(drops)
-            .map(|(ts, &theta)| {
-                let keep = ((ts.len() as f64) * (1.0 - theta)).ceil() as usize;
-                ts.iter().take(keep).sum::<f64>()
-            })
-            .sum();
-        self.setup_secs + self.shuffle_secs.iter().sum::<f64>() + tasks
-    }
 }
 
 /// A [`JobSpec`] with every distribution compiled once, for drawing many
@@ -390,13 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_work_adds_stages() {
-        let s = word_count_spec();
-        let expected = 12.0 + 8.0 + 50.0 * 35.0 + 10.0 * 12.0;
-        assert!((s.mean_work_secs() - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn instance_sampling_shapes() {
         let s = word_count_spec();
         let mut rng = StdRng::seed_from_u64(3);
@@ -404,19 +357,8 @@ mod tests {
         assert_eq!(inst.task_secs.len(), 2);
         assert_eq!(inst.task_secs[0].len(), 50);
         assert_eq!(inst.shuffle_secs.len(), 1);
-        assert!((inst.total_work_secs() - s.mean_work_secs()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drops_reduce_work() {
-        let s = word_count_spec();
-        let mut rng = StdRng::seed_from_u64(3);
-        let inst = JobInstance::sample(&s, &mut rng);
-        let full = inst.work_secs_with_drops(&[0.0, 0.0]);
-        let dropped = inst.work_secs_with_drops(&[0.2, 0.0]);
-        assert!((full - inst.total_work_secs()).abs() < 1e-12);
-        // 10 dropped map tasks at 35 s each.
-        assert!((full - dropped - 350.0).abs() < 1e-9);
+        let expected = 12.0 + 8.0 + 50.0 * 35.0 + 10.0 * 12.0;
+        assert!((inst.total_work_secs() - expected).abs() < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!
 //! The engine's knobs mirror the paper's system:
 //!
-//! * an HDFS-style block/partition layout ([`hdfs`]) mapping input size to per-task
-//!   work,
 //! * **task dropping** at stage start — the `findMissingPartitions()` hook the paper
 //!   patches in Spark: a stage with `n` tasks runs only `⌈n(1−θ)⌉` of them,
 //! * **DVFS sprinting** — per-gang frequency domains: each running job's slots
@@ -108,7 +106,6 @@
 mod cluster;
 mod energy;
 pub mod faults;
-pub mod hdfs;
 mod job;
 pub mod sched;
 mod sim;

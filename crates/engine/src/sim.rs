@@ -56,8 +56,6 @@ pub enum EngineError {
     BadFault(String),
     /// The referenced slot index is outside the cluster.
     UnknownSlot(usize),
-    /// An HDFS layout parameter is malformed (see [`crate::hdfs`]).
-    BadLayout(String),
 }
 
 impl fmt::Display for EngineError {
@@ -69,7 +67,6 @@ impl fmt::Display for EngineError {
             EngineError::UnknownJob(id) => write!(f, "{id} is not running"),
             EngineError::BadFault(msg) => write!(f, "invalid fault: {msg}"),
             EngineError::UnknownSlot(slot) => write!(f, "slot {slot} is outside the cluster"),
-            EngineError::BadLayout(msg) => write!(f, "invalid HDFS layout: {msg}"),
         }
     }
 }
@@ -1395,16 +1392,6 @@ impl ClusterSim {
         Ok(self.slot_states[slot].health)
     }
 
-    /// Straggler factor of slot `slot` (1.0 = full speed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnknownSlot`] when `slot` is out of range.
-    pub fn slot_slow(&self, slot: usize) -> Result<f64, EngineError> {
-        self.check_slot(slot)?;
-        Ok(self.slot_states[slot].slow)
-    }
-
     /// Number of slots currently schedulable ([`SlotHealth::Up`]). Draining
     /// and down slots are excluded; stragglers still count (they are slow,
     /// not gone).
@@ -2072,11 +2059,11 @@ mod fault_tests {
         sim.advance().unwrap();
         sim.idle_until(SimTime::from_secs(15.0));
         sim.slow_slot(3, 2.0).unwrap();
-        assert_eq!(sim.slot_slow(3).unwrap(), 2.0);
+        assert_eq!(sim.slot_states[3].slow, 2.0);
         // Half speed for 10 s (5 s of work), then repaired: 90 s left at full.
         sim.idle_until(SimTime::from_secs(25.0));
         sim.repair_slot(3).unwrap();
-        assert_eq!(sim.slot_slow(3).unwrap(), 1.0);
+        assert_eq!(sim.slot_states[3].slow, 1.0);
         let m = run_to_completion(&mut sim);
         let expected = 115.0 + 5.0 + 8.0;
         assert!(
@@ -2179,7 +2166,7 @@ mod fault_tests {
             kind: FaultKind::Slow { factor: 2.0 },
         };
         sim.apply_fault(&slow).unwrap();
-        assert_eq!(sim.slot_slow(5).unwrap(), 2.0);
+        assert_eq!(sim.slot_states[5].slow, 2.0);
         let repair = FaultEvent {
             at_secs: 0.0,
             slot: 4,

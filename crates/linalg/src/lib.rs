@@ -1,8 +1,8 @@
 //! Small dense linear-algebra toolkit backing the DiAS stochastic models.
 //!
-//! Phase-type distributions and Markovian arrival processes need a handful of dense
-//! operations on modest matrices (tens to a few hundred rows): products, LU solves,
-//! matrix exponentials, Kronecker products and stationary vectors of Markov chains.
+//! Phase-type distributions need a handful of dense operations on modest
+//! matrices (tens to a few hundred rows): products, LU solves, matrix
+//! exponentials and their action by uniformization, and Kronecker products.
 //! This crate implements exactly that set, with no external numeric dependencies.
 //!
 //! # Examples
@@ -19,11 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod markov;
 mod matrix;
 mod uniformized;
 
-pub use markov::{dtmc_stationary, stationary_distribution};
 pub use matrix::{LinalgError, LuFactors, Matrix};
 pub use uniformized::{poisson_truncation, Uniformized, POISSON_TAIL};
 
@@ -44,27 +42,7 @@ pub fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
-/// Scales a slice in place.
-pub fn scale_in_place(a: &mut [f64], s: f64) {
-    for x in a {
-        *x *= s;
-    }
-}
-
-/// `a + s * b`, element-wise, into a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "axpy of unequal lengths");
-    a.iter().zip(b).map(|(x, y)| x + s * y).collect()
-}
-
 /// In-place scaled add: `a += s * b`, element-wise.
-///
-/// The allocation-free companion of [`axpy`] for hot accumulation loops.
 ///
 /// # Panics
 ///
@@ -98,20 +76,16 @@ mod tests {
 
     #[test]
     fn axpy_combines() {
-        assert_eq!(axpy(&[1.0, 1.0], 2.0, &[3.0, 4.0]), vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn scale_mutates() {
-        let mut v = vec![1.0, -2.0];
-        scale_in_place(&mut v, 3.0);
-        assert_eq!(v, vec![3.0, -6.0]);
+        // Six entries: one unrolled chunk of four plus a remainder of two.
+        let mut v = vec![1.0; 6];
+        axpy_in_place(&mut v, 2.0, &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(v, vec![7.0, 9.0, 11.0, 13.0, 15.0, 17.0]);
     }
 
     #[test]
     fn axpy_in_place_matches_axpy() {
         let mut v = vec![1.0, 1.0];
         axpy_in_place(&mut v, 2.0, &[3.0, 4.0]);
-        assert_eq!(v, axpy(&[1.0, 1.0], 2.0, &[3.0, 4.0]));
+        assert_eq!(v, vec![7.0, 9.0]);
     }
 }

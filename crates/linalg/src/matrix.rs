@@ -100,16 +100,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a diagonal matrix from the given entries.
-    #[must_use]
-    pub fn diag(entries: &[f64]) -> Self {
-        let mut m = Matrix::zeros(entries.len(), entries.len());
-        for (i, &e) in entries.iter().enumerate() {
-            m[(i, i)] = e;
-        }
-        m
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -199,17 +189,6 @@ impl Matrix {
         assert_eq!(out.len(), self.cols, "vec_mul output length mismatch");
         out.fill(0.0);
         gaxpy_blocked(out, v, &self.data, self.cols);
-    }
-
-    /// Matrix times column-vector: `self · v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    #[must_use]
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "mul_vec length mismatch");
-        (0..self.rows).map(|i| crate::dot(self.row(i), v)).collect()
     }
 
     /// Sum of each row (`self · 1`).
@@ -302,36 +281,6 @@ impl Matrix {
         assert_eq!(b.len(), self.rows, "solve rhs length mismatch");
         let (lu, perm, _) = self.lu()?;
         Ok(lu_solve(&lu, &perm, b))
-    }
-
-    /// Solves `x · self = b` (row-vector system), i.e. `selfᵀ · xᵀ = bᵀ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the matrix cannot be factorized.
-    pub fn solve_left(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.transpose().solve(b)
-    }
-
-    /// The matrix inverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the matrix cannot be inverted.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.rows;
-        let (lu, perm, _) = self.lu()?;
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = lu_solve(&lu, &perm, &e);
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
     }
 
     /// The determinant.
@@ -671,15 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_self_is_identity() {
-        let a = Matrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]);
-        let inv = a.inverse().unwrap();
-        let prod = &a * &inv;
-        let id = Matrix::identity(2);
-        assert!((&prod - &id).max_abs() < 1e-12);
-    }
-
-    #[test]
     fn determinant_of_triangular() {
         let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![0.0, 3.0]]);
         assert_close(a.determinant(), 6.0, 1e-12);
@@ -693,7 +633,7 @@ mod tests {
 
     #[test]
     fn expm_matches_scalar_exponential() {
-        let a = Matrix::diag(&[1.0, -2.0]);
+        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, -2.0]]);
         let e = a.expm();
         assert_close(e[(0, 0)], 1.0f64.exp(), 1e-10);
         assert_close(e[(1, 1)], (-2.0f64).exp(), 1e-10);
@@ -718,7 +658,7 @@ mod tests {
         let full = a.scaled(t).expm();
         let v = vec![0.3, 0.7];
         let via_action = a.expm_action(&v, t);
-        let via_expm = full.transpose().mul_vec(&v);
+        let via_expm = full.vec_mul(&v);
         for (x, y) in via_action.iter().zip(&via_expm) {
             assert_close(*x, *y, 1e-10);
         }
@@ -759,7 +699,8 @@ mod tests {
     fn vec_mul_and_mul_vec() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.vec_mul(&[1.0, 1.0]), vec![4.0, 6.0]);
-        assert_eq!(a.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
+        // The column product `a · v` is `v · aᵀ`.
+        assert_eq!(a.transpose().vec_mul(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub struct Uniformized {
     vk: Vec<f64>,
     /// Scratch: the next Poisson term, ping-ponged with `vk`.
     vk_next: Vec<f64>,
-    /// Scratch for grid evaluation: per-grid-point running Poisson weights.
-    weights: Vec<f64>,
-    /// Scratch for grid evaluation: per-grid-point accumulated Poisson mass.
-    cums: Vec<f64>,
 }
 
 impl Uniformized {
@@ -87,8 +83,6 @@ impl Uniformized {
             lambda,
             vk: vec![0.0; n],
             vk_next: vec![0.0; n],
-            weights: Vec::new(),
-            cums: Vec::new(),
         }
     }
 
@@ -111,7 +105,7 @@ impl Uniformized {
     }
 
     /// Advances the cached term `vk ← vk · P` (ping-pong through the scratch
-    /// buffer). Used by both the single-point and the grid evaluation.
+    /// buffer).
     fn advance(&mut self) {
         self.p.vec_mul_into(&self.vk, &mut self.vk_next);
         std::mem::swap(&mut self.vk, &mut self.vk_next);
@@ -167,94 +161,6 @@ impl Uniformized {
         self.apply_into(v, t, &mut out);
         out
     }
-
-    /// Evaluates `v · exp(A t)` for every `t` in the ascending grid `ts`,
-    /// writing grid point `j` to `out[j*n .. (j+1)*n]` (row-major).
-    ///
-    /// The Poisson terms `v · P^k` do not depend on `t`, so the grid shares a
-    /// single pass over the powers: each term is computed once and folded into
-    /// every grid point that still needs it. Results are identical to calling
-    /// [`Uniformized::apply_into`] per grid point, at the cost of a single
-    /// point (the largest `t`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ts` is not ascending, any `t < 0`, `v.len() != self.order()`,
-    /// or `out.len() != ts.len() * self.order()`.
-    pub fn apply_grid_into(&mut self, v: &[f64], ts: &[f64], out: &mut [f64]) {
-        let n = self.order();
-        assert_eq!(v.len(), n, "vector length mismatch");
-        assert_eq!(out.len(), ts.len() * n, "output length mismatch");
-        assert!(
-            ts.windows(2).all(|w| w[0] <= w[1]),
-            "grid must be ascending"
-        );
-        if ts.is_empty() {
-            return;
-        }
-        assert!(ts[0] >= 0.0, "time must be non-negative");
-
-        // Per-grid-point running weight and accumulated mass; a negative
-        // weight marks a converged (or underflowed) point.
-        self.weights.clear();
-        self.cums.clear();
-        let mut active = 0usize;
-        let mut kmax_global = 0usize;
-        for (j, &t) in ts.iter().enumerate() {
-            let lt = self.lambda * t;
-            let w0 = (-lt).exp();
-            let row = &mut out[j * n..(j + 1) * n];
-            if t == 0.0 {
-                row.copy_from_slice(v);
-                self.weights.push(-1.0);
-                self.cums.push(1.0);
-                continue;
-            }
-            if w0 == 0.0 {
-                row.fill(0.0);
-                self.weights.push(-1.0);
-                self.cums.push(1.0);
-                continue;
-            }
-            for (o, x) in row.iter_mut().zip(v) {
-                *o = x * w0;
-            }
-            self.weights.push(w0);
-            self.cums.push(w0);
-            active += 1;
-            kmax_global = kmax_global.max(poisson_kmax(lt));
-        }
-
-        self.vk.copy_from_slice(v);
-        for k in 1..=kmax_global {
-            if active == 0 {
-                break;
-            }
-            self.advance();
-            for (j, &t) in ts.iter().enumerate() {
-                if self.weights[j] < 0.0 {
-                    continue;
-                }
-                let lt = self.lambda * t;
-                if k > poisson_kmax(lt) {
-                    self.weights[j] = -1.0;
-                    active -= 1;
-                    continue;
-                }
-                let mut weight = self.weights[j];
-                weight *= lt / k as f64;
-                self.weights[j] = weight;
-                if weight > 0.0 {
-                    axpy_in_place(&mut out[j * n..(j + 1) * n], weight, &self.vk);
-                    self.cums[j] += weight;
-                }
-                if 1.0 - self.cums[j] < POISSON_TAIL {
-                    self.weights[j] = -1.0;
-                    active -= 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_pointwise_application() {
-        let a = sub_generator();
-        let mut op = Uniformized::new(&a);
-        let v = [0.6, 0.1, 0.3];
-        let ts = [0.0, 0.05, 0.4, 1.1, 2.0, 8.0];
-        let mut grid = vec![0.0; ts.len() * 3];
-        op.apply_grid_into(&v, &ts, &mut grid);
-        for (j, &t) in ts.iter().enumerate() {
-            let mut single = [0.0; 3];
-            op.apply_into(&v, t, &mut single);
-            assert_eq!(&grid[j * 3..(j + 1) * 3], &single, "t = {t}");
-        }
-    }
-
-    #[test]
     fn underflowed_horizon_is_zero() {
         let a = sub_generator();
         let mut op = Uniformized::new(&a);
@@ -316,14 +207,5 @@ mod tests {
             let _ = op.apply(&v, 2.3);
         }
         assert_eq!(op.apply(&v, 0.9), first);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn grid_rejects_descending_times() {
-        let a = sub_generator();
-        let mut op = Uniformized::new(&a);
-        let mut out = vec![0.0; 6];
-        op.apply_grid_into(&[1.0, 0.0, 0.0], &[2.0, 1.0], &mut out);
     }
 }

@@ -73,12 +73,6 @@ impl OverheadProfile {
         assert!((0.0..=1.0).contains(&theta), "theta must be in [0,1]");
         (self.intercept + self.slope * theta).max(1e-6)
     }
-
-    /// The corresponding exponential rate `µ_o(θ) = 1 / mean`.
-    #[must_use]
-    pub fn rate_at(&self, theta: f64) -> f64 {
-        1.0 / self.mean_at(theta)
-    }
 }
 
 #[cfg(test)]
@@ -92,12 +86,6 @@ mod tests {
         assert!((p.mean_at(0.9) - 6.0).abs() < 1e-12);
         // Midpoint.
         assert!((p.mean_at(0.45) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_is_reciprocal() {
-        let p = OverheadProfile::from_two_points(10.0, 5.0).unwrap();
-        assert!((p.rate_at(0.0) - 0.1).abs() < 1e-12);
     }
 
     #[test]

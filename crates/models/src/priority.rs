@@ -214,15 +214,6 @@ pub fn mph1_waiting_ph(lambda: f64, service: &Ph) -> Result<Ph, ModelError> {
     Ph::new(alpha, t).map_err(ModelError::from)
 }
 
-/// Exact response-time distribution of the M/PH/1 FCFS queue: waiting ⊛ service.
-///
-/// # Errors
-///
-/// Propagates errors from [`mph1_waiting_ph`].
-pub fn mph1_response_ph(lambda: f64, service: &Ph) -> Result<Ph, ModelError> {
-    Ok(mph1_waiting_ph(lambda, service)?.convolve(service))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +343,7 @@ mod tests {
     #[test]
     fn mph1_response_p95_sane() {
         let service = Ph::erlang(2, 2.0).unwrap();
-        let resp = mph1_response_ph(0.5, &service).unwrap();
+        let resp = mph1_waiting_ph(0.5, &service).unwrap().convolve(&service);
         let p95 = resp.quantile(0.95);
         assert!(
             p95 > resp.mean(),

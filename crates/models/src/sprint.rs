@@ -51,17 +51,6 @@ impl SprintEffect {
             self.timeout + (base_service - self.timeout) / self.speedup
         }
     }
-
-    /// Seconds spent sprinting for a job whose base-speed service time is
-    /// `base_service` (the wall-clock sprint duration, for budget accounting).
-    #[must_use]
-    pub fn sprint_seconds(&self, base_service: f64) -> f64 {
-        if base_service <= self.timeout {
-            0.0
-        } else {
-            (base_service - self.timeout) / self.speedup
-        }
-    }
 }
 
 /// First two moments `(E[S'], E[S'²])` of the sprinted service time for a
@@ -105,8 +94,6 @@ mod tests {
         let e = SprintEffect::new(65.0, 2.5);
         assert_eq!(e.apply(50.0), 50.0);
         assert!((e.apply(165.0) - (65.0 + 40.0)).abs() < 1e-12);
-        assert_eq!(e.sprint_seconds(65.0), 0.0);
-        assert!((e.sprint_seconds(165.0) - 40.0).abs() < 1e-12);
     }
 
     #[test]

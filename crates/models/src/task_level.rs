@@ -73,25 +73,6 @@ impl TaskLevelModel {
         }
     }
 
-    /// Returns a copy with all stage rates multiplied by `factor` — the oracle model
-    /// of sprinting at a uniform effective speedup (paper §4, "effective sprinting
-    /// rates").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 0`.
-    #[must_use]
-    pub fn with_rates_scaled(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "rate factor must be positive");
-        TaskLevelModel {
-            setup_rate: self.setup_rate * factor,
-            map_task_rate: self.map_task_rate * factor,
-            shuffle_rate: self.shuffle_rate * factor,
-            reduce_task_rate: self.reduce_task_rate * factor,
-            ..self.clone()
-        }
-    }
-
     fn validate(&self) -> Result<(), ModelError> {
         if self.slots == 0 {
             return Err(ModelError::BadParameter("slots must be >= 1".into()));
@@ -295,14 +276,6 @@ mod tests {
         .unwrap();
         let expected = 0.5 * analytic_mean(&m, 30, 10) + 0.5 * analytic_mean(&m, 50, 10);
         assert!((m.mean_processing_time().unwrap() - expected).abs() < 1e-8);
-    }
-
-    #[test]
-    fn rate_scaling_shrinks_mean() {
-        let m = base_model();
-        let fast = m.with_rates_scaled(2.5);
-        let ratio = m.mean_processing_time().unwrap() / fast.mean_processing_time().unwrap();
-        assert!((ratio - 2.5).abs() < 1e-8);
     }
 
     #[test]

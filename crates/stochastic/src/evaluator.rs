@@ -438,12 +438,6 @@ impl PhSampler {
         self.phases.len()
     }
 
-    /// The precomputed exit rate of each phase (`a = −A·1`).
-    #[must_use]
-    pub fn exit_rate(&self, phase: usize) -> f64 {
-        self.phases[phase].exit
-    }
-
     /// Draws a sample by simulating the underlying Markov chain, without
     /// allocating.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

@@ -9,8 +9,8 @@
 //!   hyperexponential, Coxian), closure operations (convolution, mixture, scaling,
 //!   minimum/maximum), exact moments, CDF evaluation by uniformization, quantiles,
 //!   equilibrium and overshoot distributions, and sampling.
-//! * [`MarkedPoisson`] and [`Mmap`] — marked arrival processes with one stream per
-//!   priority class, as in the paper's `MMAP[K]` arrivals.
+//! * [`MarkedPoisson`] — marked Poisson arrivals with one stream per priority
+//!   class: the case of the paper's `MMAP[K]` arrivals that its experiments use.
 //! * [`Dist`] — scalar distributions used by the engine simulator for task execution
 //!   times, with exact means and second moments; [`Dist::compile`] gives the
 //!   [`CompiledDist`] that repeated draws use.
@@ -46,7 +46,7 @@ mod trace;
 
 pub use discrete::DiscreteDist;
 pub use evaluator::{PhEvaluator, PhSampler, QUANTILE_SATURATION};
-pub use mmap::{MarkedArrival, MarkedPoisson, MarkedPoissonSampler, Mmap, MmapSampler};
+pub use mmap::{MarkedArrival, MarkedPoisson, MarkedPoissonSampler};
 pub use ph::{Ph, PhError};
 pub use scalar::{CompiledDist, Dist, DistSampler, ZipfSampler};
 pub use trace::{DrawTrace, RecordingRng, ReplayRng};

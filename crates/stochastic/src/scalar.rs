@@ -228,23 +228,6 @@ impl Dist {
         };
         CompiledDist { kind }
     }
-
-    /// Converts to an equivalent (or moment-matched) phase-type distribution.
-    ///
-    /// Constant and lognormal shapes are approximated via [`crate::fit::ph_from_mean_scv`];
-    /// exponential, Erlang and hyperexponential are exact.
-    #[must_use]
-    pub fn to_ph(&self) -> crate::Ph {
-        match *self {
-            Dist::Exponential { mean } => {
-                crate::Ph::exponential(1.0 / mean).expect("positive rate")
-            }
-            Dist::Erlang { k, mean } => {
-                crate::Ph::erlang(k as usize, f64::from(k) / mean).expect("valid erlang")
-            }
-            _ => crate::fit::ph_from_mean_scv(self.mean(), self.scv().max(1e-4)),
-        }
-    }
 }
 
 /// A [`Dist`] with its sampling parameters derived once, built by
@@ -558,30 +541,6 @@ mod tests {
             let s = d.scaled(0.4);
             assert!((s.mean() - 0.4 * d.mean()).abs() < 1e-12);
             assert!((s.scv() - d.scv()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn to_ph_matches_moments() {
-        for d in [
-            Dist::exponential(2.0),
-            Dist::erlang(3, 1.5),
-            Dist::hyperexp(1.0, 3.0),
-            Dist::lognormal(2.0, 0.3),
-        ] {
-            let ph = d.to_ph();
-            assert!(
-                (ph.mean() - d.mean()).abs() / d.mean() < 1e-6,
-                "{d:?} mean {} vs {}",
-                ph.mean(),
-                d.mean()
-            );
-            assert!(
-                (ph.scv() - d.scv()).abs() < 0.02 + 1e-6,
-                "{d:?} scv {} vs {}",
-                ph.scv(),
-                d.scv()
-            );
         }
     }
 

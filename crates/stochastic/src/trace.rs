@@ -39,12 +39,6 @@ impl<R: RngCore> RecordingRng<R> {
             words: Vec::new(),
         }
     }
-
-    /// Number of words recorded so far.
-    #[must_use]
-    pub fn recorded(&self) -> usize {
-        self.words.len()
-    }
 }
 
 impl RecordingRng<StdRng> {

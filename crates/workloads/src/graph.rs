@@ -28,18 +28,8 @@ pub struct GraphConfig {
 }
 
 impl GraphConfig {
-    /// The SNAP Google web graph's scale, as used by the paper.
-    #[must_use]
-    pub fn google_web() -> Self {
-        GraphConfig {
-            nodes: 875_713,
-            edges: 5_105_039,
-            quadrants: (0.57, 0.19, 0.19),
-            seed: 13,
-        }
-    }
-
-    /// A 1:100 scaled version with the same density and skew, fast enough for
+    /// The SNAP Google web graph the paper uses (875,713 nodes, 5,105,039
+    /// edges) scaled 1:100 with the same density and skew, fast enough for
     /// tests and repeated accuracy sweeps.
     #[must_use]
     pub fn google_web_scaled() -> Self {
@@ -207,21 +197,6 @@ impl Graph {
         };
         (estimate, rel_err)
     }
-
-    /// Splits the edge list into `partitions` round-robin partitions (the edge RDD).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions == 0`.
-    #[must_use]
-    pub fn edge_partitions(&self, partitions: usize) -> Vec<Vec<(u32, u32)>> {
-        assert!(partitions > 0, "need at least one partition");
-        let mut out = vec![Vec::new(); partitions];
-        for (i, &e) in self.edges.iter().enumerate() {
-            out[i % partitions].push(e);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -320,13 +295,5 @@ mod tests {
             / runs as f64;
         let rel = (mean - exact).abs() / exact;
         assert!(rel < 0.15, "estimator bias {rel}");
-    }
-
-    #[test]
-    fn edge_partitions_cover() {
-        let g = Graph::generate(&small());
-        let parts = g.edge_partitions(7);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(total, g.edges().len());
     }
 }

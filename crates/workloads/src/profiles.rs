@@ -120,15 +120,6 @@ impl JobProfile {
         }
         b.build()
     }
-
-    /// Mean total task work (excluding setup/shuffle), in machine-seconds.
-    #[must_use]
-    pub fn mean_task_work(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.tasks as f64 * s.task_work.mean())
-            .sum()
-    }
 }
 
 /// Fig. 4's dataset "147": the 1117 MB StackExchange dump used for low-priority

@@ -7,7 +7,7 @@ use dias_core::JobSource;
 use dias_des::stats::SampleSet;
 use dias_des::SeedSequence;
 use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobId, JobInstance, JobSampler};
-use dias_stochastic::{sample_exp, DrawTrace, MarkedPoisson, RecordingRng, ReplayRng};
+use dias_stochastic::{DrawTrace, MarkedPoisson, RecordingRng, ReplayRng};
 
 use crate::profiles::JobProfile;
 
@@ -258,14 +258,6 @@ impl JobStreamTrace {
     }
 }
 
-/// Draws `n` exponential inter-arrival gaps with the given rate — exposed for
-/// workload tooling and tests.
-#[must_use]
-pub fn exponential_gaps(rate: f64, n: usize, seed: u64) -> Vec<f64> {
-    let mut rng: StdRng = SeedSequence::new(seed).stream("gaps");
-    (0..n).map(|_| sample_exp(&mut rng, rate)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,12 +359,5 @@ mod tests {
         let mut s = JobStream::with_rates(vec![dataset_147()], vec![0.01], 3).unwrap();
         let _ = s.next_job();
         let _ = s.recording();
-    }
-
-    #[test]
-    fn exponential_gaps_have_right_mean() {
-        let gaps = exponential_gaps(0.5, 20_000, 7);
-        let mean: f64 = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
     }
 }

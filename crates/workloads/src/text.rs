@@ -107,16 +107,6 @@ impl Corpus {
         self.topics.len()
     }
 
-    /// Posts of one topic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topic` is out of range.
-    #[must_use]
-    pub fn posts(&self, topic: usize) -> &[String] {
-        &self.topics[topic]
-    }
-
     /// Splits every topic's posts into `partitions` round-robin partitions — the
     /// RDD partitioning the word-count job maps over.
     #[must_use]
@@ -131,17 +121,6 @@ impl Corpus {
             }
         }
         out
-    }
-
-    /// Approximate corpus size in MB (for engine-profile calibration).
-    #[must_use]
-    pub fn size_mb(&self) -> f64 {
-        let bytes: usize = self
-            .topics
-            .iter()
-            .flat_map(|t| t.iter().map(String::len))
-            .sum();
-        bytes as f64 / 1e6
     }
 }
 
@@ -281,16 +260,15 @@ mod tests {
     fn corpus_has_expected_shape() {
         let c = Corpus::generate(&small_corpus());
         assert_eq!(c.topics(), 4);
-        assert_eq!(c.posts(0).len(), 120);
-        assert!(c.posts(0)[0].starts_with("<row "));
-        assert!(c.size_mb() > 0.0);
+        assert_eq!(c.topics[0].len(), 120);
+        assert!(c.topics[0][0].starts_with("<row "));
     }
 
     #[test]
     fn corpus_is_deterministic() {
         let a = Corpus::generate(&small_corpus());
         let b = Corpus::generate(&small_corpus());
-        assert_eq!(a.posts(2)[5], b.posts(2)[5]);
+        assert_eq!(a.topics[2][5], b.topics[2][5]);
     }
 
     #[test]
