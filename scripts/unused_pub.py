@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lists public library functions that nothing outside tests reaches.
 
-    scripts/unused_pub.py [--all]
+    python3 scripts/unused_pub.py
 
 Scans every `pub fn` declared in `crates/*/src` outside `#[cfg(test)]` code.
 A function counts as reached when its name appears, as a whole word, in the
@@ -12,9 +12,8 @@ its own definition, its docs, a doctest or a unit test is unreached.
 
 Items listed in `scripts/unused_pub_allow.txt` (one `path::name` per line,
 followed by ` # reason`) are kept on purpose. The script prints every other
-unreached item and exits 1 if there is any. `--all` also prints the allowed
-ones. An allowlist entry that is reached again, or gone, is reported as
-stale and also fails the run. The match is by name, so a function shares
+unreached item and exits 1 if there is any. An allowlist entry that is
+reached again, or gone, is reported as stale and also fails the run. The match is by name, so a function shares
 its mentions with every other item of the same name: dead code that shares
 a name with live code goes unnoticed.
 """
@@ -27,7 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOW = ROOT / "scripts" / "unused_pub_allow.txt"
 REACHED = ["crates/*/src", "crates/bench/benches", "src", "examples", "benchmark/src"]
 
-PUB_FN = re.compile(r"\bpub\s+(?:const\s+|unsafe\s+|async\s+|extern\s+\"C\"\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+PUB_FN = re.compile(r"\bpub\s+(?:const\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 FN_DECL = re.compile(r"\bfn\s+[A-Za-z_][A-Za-z0-9_]*")
 PUB_USE = re.compile(r"\bpub(?:\([^)]*\))?\s+use\b[^;]*;")
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
@@ -115,16 +114,12 @@ def blank_pattern(code, pattern):
 
 
 def main():
-    show_all = "--all" in sys.argv[1:]
-    allowed = {}
-    for raw in ALLOW.read_text().splitlines() if ALLOW.exists() else []:
-        entry = raw.split("#", 1)[0].strip()
-        if entry:
-            allowed[entry] = raw.split("#", 1)[1].strip() if "#" in raw else ""
+    lines = ALLOW.read_text().splitlines() if ALLOW.exists() else []
+    allowed = {entry for entry in (line.split("#", 1)[0].strip() for line in lines) if entry}
 
     files = sorted({p for pat in REACHED for p in ROOT.glob(pat + "/**/*.rs")})
-    declared = []  # (item, file:line)
-    mentions = {}
+    declared = []  # (item, name, file:line)
+    mentioned = set()
     for path in files:
         rel = path.relative_to(ROOT).as_posix()
         code = blank_cfg_test(blank_comments_and_literals(path.read_text()))
@@ -134,17 +129,13 @@ def main():
                 module = rel.split("/")[1] + "::" + pathlib.Path(rel).stem
                 declared.append((module + "::" + m.group(1), m.group(1), f"{rel}:{line}"))
         code = blank_pattern(blank_pattern(code, PUB_USE), FN_DECL)
-        for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", code):
-            mentions[word] = mentions.get(word, 0) + 1
+        mentioned.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", code))
 
-    unreached = [(item, where) for item, name, where in declared if not mentions.get(name)]
+    unreached = [(item, where) for item, name, where in declared if name not in mentioned]
     bad = [(item, where) for item, where in unreached if item not in allowed]
-    for item, where in unreached:
-        if item not in allowed:
-            print(f"{where}: {item} is public but nothing outside tests calls it")
-        elif show_all:
-            print(f"{where}: {item} (allowed: {allowed[item]})")
-    stale = sorted(set(allowed) - {item for item, _ in unreached})
+    for item, where in bad:
+        print(f"{where}: {item} is public but nothing outside tests calls it")
+    stale = sorted(allowed - {item for item, _ in unreached})
     for item in stale:
         print(f"{ALLOW.relative_to(ROOT)}: {item} is reached or gone; drop it from the allowlist")
     if bad or stale:
