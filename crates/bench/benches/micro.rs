@@ -101,9 +101,14 @@ fn bench_workloads(c: &mut Criterion) {
 fn bench_faults(c: &mut Criterion) {
     // The contended soak's crash/repair schedule (20 slots, MTBF 2400 s,
     // MTTR 150 s) over a tenth of its 1M-job horizon: about 180k events
-    // drawn per slot and merged into one time-sorted trace.
+    // drawn per slot and merged in time order, read through a cursor as the
+    // driver reads it.
     c.bench_function("faults/slot_failure_trace/20slots", |b| {
-        b.iter(|| dias_workloads::slot_failure_trace(20, 1.15e7, 2_400.0, 150.0, 1009).len());
+        b.iter(|| {
+            dias_workloads::slot_failure_trace(20, 1.15e7, 2_400.0, 150.0, 1009)
+                .cursor()
+                .count()
+        });
     });
 }
 

@@ -30,8 +30,8 @@ use std::collections::BinaryHeap;
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
-    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultTrace,
-    FreqLevel, IdMap, JobId, JobInstance, Scheduler, Submission,
+    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultCursor,
+    FaultTrace, FreqLevel, IdMap, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -433,7 +433,9 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// event → budget depletion → sprint timers → faults → arrival).
     /// Failure victims re-queue at the head of the pending queue and are
     /// accounted as failure evictions. An empty trace (the default)
-    /// reproduces the fault-free run bit for bit.
+    /// reproduces the fault-free run bit for bit. The run reads the trace
+    /// through a [`FaultTrace::cursor`], so a generated trace is drawn as
+    /// the run goes and never stored.
     #[must_use]
     pub fn faults(mut self, trace: FaultTrace) -> Self {
         self.faults = trace;
@@ -679,8 +681,9 @@ struct MultiCheckpoint<S> {
     timers: TimerHeap,
     timer_seq: u64,
     sprinter: Option<MultiSprinter>,
-    /// The fault-trace cursor (cf. [`FaultTrace::index_at`]).
-    fault_idx: usize,
+    /// The driver's place in the fault schedule: a clone continues bit for
+    /// bit, so a branch resumes the identical failure history.
+    faults: FaultCursor,
     last_effective: usize,
     measured_done: usize,
     total_completions: usize,
@@ -786,7 +789,7 @@ impl<S: Clone> RunHook<S> for TraceHook<S> {
                 timers: driver.timers.clone(),
                 timer_seq: driver.timer_seq,
                 sprinter: driver.sprinter.clone(),
-                fault_idx: driver.fault_idx,
+                faults: driver.faults.clone(),
                 last_effective: driver.last_effective,
                 measured_done: driver.measured_done,
                 total_completions: driver.total_completions,
@@ -847,7 +850,6 @@ pub(crate) struct MultiDriver<S> {
     thetas: Option<Vec<f64>>,
     pub(crate) slos: Option<Vec<f64>>,
     degrade: Option<DegradationPolicy>,
-    faults: FaultTrace,
     cluster: ClusterSpec,
     pub(crate) classes: usize,
     warmup: usize,
@@ -864,7 +866,7 @@ pub(crate) struct MultiDriver<S> {
     /// Sequence number of the next armed timer.
     timer_seq: u64,
     sprinter: Option<MultiSprinter>,
-    fault_idx: usize,
+    faults: FaultCursor,
     last_effective: usize,
     /// The release buffer: up to `arrival_batch` drawn arrivals, released
     /// together at the latest arrival time they hold.
@@ -933,7 +935,6 @@ impl<S: JobSource> MultiDriver<S> {
             thetas: exp.thetas,
             slos: exp.slos,
             degrade: exp.degrade,
-            faults: exp.faults,
             cluster: exp.cluster,
             classes,
             warmup,
@@ -950,7 +951,7 @@ impl<S: JobSource> MultiDriver<S> {
             timers: TimerHeap::new(),
             timer_seq: 0,
             sprinter,
-            fault_idx: 0,
+            faults: exp.faults.cursor(),
             last_effective: total_slots,
             arrivals: Vec::with_capacity(exp.arrival_batch),
             arrival_batch: exp.arrival_batch,
@@ -978,7 +979,7 @@ impl<S: JobSource> MultiDriver<S> {
         self.timers = cp.timers.clone();
         self.timer_seq = cp.timer_seq;
         self.sprinter = cp.sprinter.clone();
-        self.fault_idx = cp.fault_idx;
+        self.faults.clone_from(&cp.faults);
         self.last_effective = cp.last_effective;
         self.arrival_seq = cp.arrival_idx;
         self.measured_done = cp.measured_done;
@@ -1045,10 +1046,7 @@ impl<S: JobSource> MultiDriver<S> {
         // jobs running/pending): once the run is winding down, a tail of
         // repairs must not stretch the horizon with phantom idle time.
         let fault_t = if !self.arrivals.is_empty() || !self.engine.is_idle() {
-            self.faults
-                .events()
-                .get(self.fault_idx)
-                .map(|e| SimTime::from_secs(e.at_secs))
+            self.faults.peek().map(|e| SimTime::from_secs(e.at_secs))
         } else {
             None
         };
@@ -1254,11 +1252,11 @@ impl<S: JobSource> MultiDriver<S> {
     /// the failure counters.
     fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
         self.engine.idle_until(next_t);
-        while let Some(e) = self.faults.events().get(self.fault_idx).copied() {
+        while let Some(&e) = self.faults.peek() {
             if SimTime::from_secs(e.at_secs) != next_t {
                 break;
             }
-            self.fault_idx += 1;
+            self.faults.advance();
             for (victim, lost) in self.engine.apply_fault(&e)? {
                 self.book_eviction(next_t, victim, lost, true);
             }

@@ -5,20 +5,22 @@
 //! clusters lose slots (crashes, maintenance drains, autoscaling) and grow
 //! stragglers. This module makes capacity a *scheduled* quantity:
 //!
-//! * A [`FaultTrace`] is an immutable, time-sorted list of [`FaultEvent`]s —
-//!   the fault analogue of the PR 6 `DrawTrace`: generated (or recorded)
-//!   once, cheap to clone (the events are `Arc`-shared), and replayed
-//!   bit-identically by every sweep point and at any thread count. All
-//!   randomness happens at *generation* time, through per-slot
-//!   [`SeedSequence`] streams; application is pure replay.
+//! * A [`FaultTrace`] is an immutable, time-sorted schedule of
+//!   [`FaultEvent`]s — the fault analogue of the PR 6 `DrawTrace`: cheap to
+//!   clone (the schedule is `Arc`-shared) and replayed bit-identically by
+//!   every sweep point and at any thread count. All randomness happens at
+//!   *generation* time, through per-slot [`SeedSequence`] streams;
+//!   application is pure replay. A trace is read through a [`FaultCursor`].
 //! * [`FaultTrace::renewal`] samples an alternating PH up/down renewal
 //!   process per slot (fail at the end of each up period, repair after the
 //!   down period), [`FaultTrace::stragglers`] an alternating normal/slowed
-//!   process. Both run one generator: each slot's run is drawn in time
-//!   order and the runs are merged by `(time, slot)` through a heap over the
-//!   slot heads, straight into the trace's buffer — O(log slots) per event,
-//!   no sort and no copy. The order equals a stable `(time, slot)` sort of
-//!   the runs concatenated in slot order.
+//!   process. Both return a *generated* trace that stores its description,
+//!   not its events: a cursor draws each slot's run in time order and merges
+//!   the runs by `(time, slot)` through a heap over the slot heads —
+//!   O(log slots) per event and O(slots) state, however long the horizon.
+//!   The order equals a stable `(time, slot)` sort of the runs concatenated
+//!   in slot order. [`FaultTrace::events`] materializes the same events
+//!   once, for readers that want a slice.
 //! * The engine applies events through
 //!   [`ClusterSim::apply_fault`](crate::ClusterSim::apply_fault) (or the
 //!   individual `fail_slot`/`repair_slot`/`drain_slot`/`slow_slot` calls):
@@ -36,12 +38,12 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use dias_des::SeedSequence;
-use dias_stochastic::Ph;
+use dias_stochastic::{Ph, PhSampler};
 use rand::rngs::StdRng;
 
 use crate::sim::EngineError;
@@ -89,14 +91,41 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// How many events a streaming [`FaultCursor`] generates per refill of its
+/// buffer. Refilling in chunks keeps the driver's per-arm peek a slice index
+/// instead of a heap operation.
+const CHUNK: usize = 512;
+
 /// An immutable, time-sorted fault schedule.
 ///
-/// Cheap to clone — the events are `Arc`-shared, so one trace fans out to
-/// many concurrent sweep points, each replaying the identical failure
-/// history (the fault analogue of common random numbers).
+/// A trace is either *stored* or *generated*. A stored trace holds its
+/// events: [`FaultTrace::new`], [`FaultTrace::merge`] and explicit
+/// schedules such as the autoscaling square wave. A generated trace
+/// ([`FaultTrace::renewal`], [`FaultTrace::stragglers`]) holds only its
+/// description: two compiled PH samplers, their stream labels and event
+/// kinds, the horizon, the slot count and the seeds. Its
+/// [`cursor`](FaultTrace::cursor) draws the events in order on demand, with
+/// O(slots) state, and [`events`](FaultTrace::events) materializes them
+/// once, on first call, by draining the same generator.
+///
+/// Cheap to clone — clones share the description and any materialized
+/// events through an `Arc`, so one trace fans out to many concurrent sweep
+/// points, each replaying the identical failure history (the fault analogue
+/// of common random numbers).
 #[derive(Debug, Clone, Default)]
 pub struct FaultTrace {
-    events: Arc<Vec<FaultEvent>>,
+    schedule: Arc<Schedule>,
+}
+
+/// What a [`FaultTrace`] shares with its clones and cursors.
+#[derive(Debug, Default)]
+struct Schedule {
+    /// The events in schedule order: set at construction for a stored
+    /// trace, and by the first [`FaultTrace::events`] call for a generated
+    /// one.
+    events: OnceLock<Vec<FaultEvent>>,
+    /// The description of a generated trace; `None` for a stored one.
+    generator: Option<Alternating>,
 }
 
 impl FaultTrace {
@@ -131,9 +160,17 @@ impl FaultTrace {
             }
         }
         events.sort_by(schedule_order);
-        Ok(FaultTrace {
-            events: Arc::new(events),
-        })
+        Ok(FaultTrace::stored(events))
+    }
+
+    /// A stored trace over `events`, already in schedule order.
+    fn stored(events: Vec<FaultEvent>) -> Self {
+        FaultTrace {
+            schedule: Arc::new(Schedule {
+                events: OnceLock::from(events),
+                generator: None,
+            }),
+        }
     }
 
     /// Samples an alternating PH up/down renewal process per slot over
@@ -144,6 +181,8 @@ impl FaultTrace {
     /// (`faults/up` and `faults/down` under `seeds.child(slot)`), so the
     /// schedule is independent of slot iteration order and adding slots
     /// never perturbs existing ones — replica-pure in the PR 6 sense.
+    ///
+    /// The trace is generated: nothing is drawn until it is read.
     ///
     /// # Panics
     ///
@@ -171,7 +210,7 @@ impl FaultTrace {
     /// recovers (`Slow { factor: 1.0 }`).
     ///
     /// Seeding follows [`FaultTrace::renewal`] (per-slot `faults/gap` and
-    /// `faults/duration` streams).
+    /// `faults/duration` streams), and so does the generation on demand.
     ///
     /// # Panics
     ///
@@ -200,22 +239,13 @@ impl FaultTrace {
         )
     }
 
-    /// The generator behind [`FaultTrace::renewal`] and
-    /// [`FaultTrace::stragglers`]: per slot, an event of `kinds[0]` after
-    /// each `dists[0]` period and one of `kinds[1]` after each following
-    /// `dists[1]` period, over `[0, horizon_secs)`. Period `i` is drawn from
-    /// the slot's `labels[i]` stream under `seeds.child(slot)`.
-    ///
-    /// Each slot's run is non-decreasing in time (PH draws are
-    /// non-negative), so a min-heap over the slot heads keyed by
-    /// `(time, slot)` emits the stable `(time, slot)` order of all runs: at
-    /// equal times the lower slot goes first, and a slot's own events keep
-    /// their generation order because only its head is in the heap.
+    /// The generated trace behind [`FaultTrace::renewal`] and
+    /// [`FaultTrace::stragglers`] (see [`Alternating`]).
     fn alternating(
         slots: usize,
         horizon_secs: f64,
         dists: [&Ph; 2],
-        labels: [&str; 2],
+        labels: [&'static str; 2],
         kinds: [FaultKind; 2],
         seeds: SeedSequence,
     ) -> Self {
@@ -223,54 +253,29 @@ impl FaultTrace {
             horizon_secs.is_finite() && horizon_secs >= 0.0,
             "fault horizon must be finite and non-negative"
         );
-        let samplers = dists.map(Ph::sampler);
-        let mut heads: BinaryHeap<SlotRun> = (0..slots)
-            .filter_map(|slot| {
-                let child = seeds.child(slot as u64);
-                let mut rngs = labels.map(|label| child.stream(label));
-                let at_secs = samplers[0].sample(&mut rngs[0]);
-                (at_secs < horizon_secs).then_some(SlotRun {
-                    event: FaultEvent {
-                        at_secs,
-                        slot,
-                        kind: kinds[0],
-                    },
-                    phase: 0,
-                    rngs,
-                })
-            })
-            .collect();
-        let mut events = Vec::new();
-        while let Some(mut head) = heads.peek_mut() {
-            let at_secs = head.event.at_secs;
-            assert!(
-                at_secs.is_finite() && at_secs >= 0.0,
-                "sampled times are finite and non-negative"
-            );
-            events.push(head.event);
-            let phase = 1 - head.phase;
-            head.event.at_secs += samplers[phase].sample(&mut head.rngs[phase]);
-            head.event.kind = kinds[phase];
-            head.phase = phase;
-            if head.event.at_secs < horizon_secs {
-                continue; // dropping `head` sifts it into place
-            }
-            PeekMut::pop(head); // the slot's run ends past the horizon
-        }
         FaultTrace {
-            events: Arc::new(events),
+            schedule: Arc::new(Schedule {
+                events: OnceLock::new(),
+                generator: Some(Alternating {
+                    samplers: dists.map(|d| d.sampler().clone()),
+                    labels,
+                    kinds,
+                    horizon_secs,
+                    slots,
+                    seeds,
+                }),
+            }),
         }
     }
 
-    /// Merges two schedules into one, sorted by `(time, slot)`; at equal
-    /// `(time, slot)` this schedule's events come first.
+    /// Merges two schedules into one stored trace, sorted by `(time, slot)`;
+    /// at equal `(time, slot)` this schedule's events come first.
+    /// Materializes both inputs.
     #[must_use]
     pub fn merge(&self, other: &FaultTrace) -> FaultTrace {
-        let (mut a, mut b) = (
-            self.events.iter().peekable(),
-            other.events.iter().peekable(),
-        );
-        let mut events = Vec::with_capacity(self.len() + other.len());
+        let (a, b) = (self.events(), other.events());
+        let mut events = Vec::with_capacity(a.len() + b.len());
+        let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
         while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
             let next = if schedule_order(y, x).is_lt() {
                 b.next()
@@ -280,40 +285,200 @@ impl FaultTrace {
             events.extend(next);
         }
         events.extend(a.chain(b));
-        FaultTrace {
-            events: Arc::new(events),
-        }
+        FaultTrace::stored(events)
     }
 
     /// The schedule's events, sorted by `(time, slot)`.
+    ///
+    /// A generated trace is materialized by the first call, and its clones
+    /// share the result. A driver reads through [`FaultTrace::cursor`]
+    /// instead, which holds O(slots) state rather than O(events).
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
-        self.events.as_slice()
+        self.schedule.events.get_or_init(|| {
+            let mut events = Vec::new();
+            if let Some(generator) = &self.schedule.generator {
+                generator.fill(&mut generator.heads(), &mut events, usize::MAX);
+            }
+            events
+        })
     }
 
-    /// Number of scheduled events.
+    /// Number of scheduled events. Materializes a generated trace.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The fault cursor at time `secs`: the index of the first event firing
-    /// at or after that timestamp.
-    ///
-    /// This is the cursor a checkpointing driver stores alongside its engine
-    /// [`Checkpoint`](crate::Checkpoint) — a branch that resumes a run at
-    /// `secs` picks up the trace at exactly this index, so the replayed fault
-    /// schedule is bit-identical to an uninterrupted run's.
-    #[must_use]
-    pub fn index_at(&self, secs: f64) -> usize {
-        self.events.partition_point(|e| e.at_secs < secs)
+        self.events().len()
     }
 
     /// Whether the schedule is empty (engine behaviour is then bit-identical
-    /// to a cluster without fault injection).
+    /// to a cluster without fault injection). A generated trace answers from
+    /// its slots' first events, without materializing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        match (self.schedule.events.get(), &self.schedule.generator) {
+            (Some(events), _) => events.is_empty(),
+            (None, Some(generator)) => generator.heads().is_empty(),
+            (None, None) => true,
+        }
+    }
+
+    /// A cursor at the start of the schedule. It reads the stored events in
+    /// place when the trace is stored or already materialized; otherwise it
+    /// generates the events as it goes.
+    #[must_use]
+    pub fn cursor(&self) -> FaultCursor {
+        let stream = match (self.schedule.events.get(), &self.schedule.generator) {
+            (None, Some(generator)) => {
+                let mut stream = Stream {
+                    heads: generator.heads(),
+                    chunk: Vec::with_capacity(CHUNK),
+                };
+                stream.refill(generator);
+                Some(stream)
+            }
+            _ => None,
+        };
+        FaultCursor {
+            schedule: Arc::clone(&self.schedule),
+            pos: 0,
+            stream,
+        }
+    }
+}
+
+/// A reading position in a [`FaultTrace`], moving forward in schedule
+/// order.
+///
+/// On a stored or materialized trace it is an index into the shared
+/// events. On a generated one it streams: it holds each slot's next event
+/// in a heap (O(slots)) and a buffer of up to 512 generated events, refilled
+/// from the heap when read to its end. A clone continues bit for bit like
+/// the original, so a checkpoint that clones the cursor resumes the fault
+/// schedule exactly where the run left it.
+#[derive(Debug, Clone)]
+pub struct FaultCursor {
+    schedule: Arc<Schedule>,
+    /// Index of the next event: into the stored events, or, while
+    /// streaming, into the stream's buffer.
+    pos: usize,
+    /// The generator state of a streaming cursor.
+    stream: Option<Stream>,
+}
+
+impl FaultCursor {
+    /// The next event, or `None` past the end of the schedule.
+    #[must_use]
+    pub fn peek(&self) -> Option<&FaultEvent> {
+        let events = match &self.stream {
+            Some(stream) => &stream.chunk,
+            None => self.schedule.events.get().map_or(&[][..], Vec::as_slice),
+        };
+        events.get(self.pos)
+    }
+
+    /// Moves past the next event; does nothing at the end of the schedule.
+    pub fn advance(&mut self) {
+        match (&mut self.stream, &self.schedule.generator) {
+            (Some(stream), Some(generator)) if self.pos + 1 >= stream.chunk.len() => {
+                stream.refill(generator);
+                self.pos = 0;
+            }
+            _ => self.pos += 1,
+        }
+    }
+}
+
+impl Iterator for FaultCursor {
+    type Item = FaultEvent;
+
+    fn next(&mut self) -> Option<FaultEvent> {
+        let event = self.peek().copied();
+        self.advance();
+        event
+    }
+}
+
+/// A streaming cursor's generator state.
+#[derive(Debug, Clone)]
+struct Stream {
+    /// Each unfinished slot's next event, earliest `(time, slot)` on top.
+    heads: BinaryHeap<SlotRun>,
+    /// The events generated ahead of the cursor, in schedule order.
+    chunk: Vec<FaultEvent>,
+}
+
+impl Stream {
+    /// Replaces the buffer with the next [`CHUNK`] events (fewer at the end
+    /// of the schedule).
+    fn refill(&mut self, generator: &Alternating) {
+        self.chunk.clear();
+        generator.fill(&mut self.heads, &mut self.chunk, CHUNK);
+    }
+}
+
+/// The description of a generated trace: per slot, an event of `kinds[0]`
+/// after each `samplers[0]` period and one of `kinds[1]` after each
+/// following `samplers[1]` period, over `[0, horizon_secs)`. Period `i` is
+/// drawn from the slot's `labels[i]` stream under `seeds.child(slot)`.
+///
+/// Each slot's run is non-decreasing in time (PH draws are non-negative),
+/// so a min-heap over the slot heads keyed by `(time, slot)` emits the
+/// stable `(time, slot)` order of all runs: at equal times the lower slot
+/// goes first, and a slot's own events keep their generation order because
+/// only its head is in the heap.
+#[derive(Debug)]
+struct Alternating {
+    samplers: [PhSampler; 2],
+    labels: [&'static str; 2],
+    kinds: [FaultKind; 2],
+    horizon_secs: f64,
+    slots: usize,
+    seeds: SeedSequence,
+}
+
+impl Alternating {
+    /// Every slot's first event that falls inside the horizon, heaped.
+    fn heads(&self) -> BinaryHeap<SlotRun> {
+        (0..self.slots)
+            .filter_map(|slot| {
+                let child = self.seeds.child(slot as u64);
+                let mut rngs = self.labels.map(|label| child.stream(label));
+                let at_secs = self.samplers[0].sample(&mut rngs[0]);
+                (at_secs < self.horizon_secs).then_some(SlotRun {
+                    event: FaultEvent {
+                        at_secs,
+                        slot,
+                        kind: self.kinds[0],
+                    },
+                    phase: 0,
+                    rngs,
+                })
+            })
+            .collect()
+    }
+
+    /// Appends the next `max` events of the schedule (fewer at its end) to
+    /// `out`, advancing `heads` past them: O(log slots) per event.
+    fn fill(&self, heads: &mut BinaryHeap<SlotRun>, out: &mut Vec<FaultEvent>, max: usize) {
+        for _ in 0..max {
+            let Some(mut head) = heads.peek_mut() else {
+                break;
+            };
+            let at_secs = head.event.at_secs;
+            assert!(
+                at_secs.is_finite() && at_secs >= 0.0,
+                "sampled times are finite and non-negative"
+            );
+            out.push(head.event);
+            let phase = 1 - head.phase;
+            head.event.at_secs += self.samplers[phase].sample(&mut head.rngs[phase]);
+            head.event.kind = self.kinds[phase];
+            head.phase = phase;
+            if head.event.at_secs < self.horizon_secs {
+                continue; // dropping `head` sifts it into place
+            }
+            PeekMut::pop(head); // the slot's run ends past the horizon
+        }
     }
 }
 
@@ -329,6 +494,7 @@ fn schedule_order(a: &FaultEvent, b: &FaultEvent) -> Ordering {
 /// One slot's place in an alternating run: its next event, that event's
 /// phase (the index into the generator's kinds and period streams), and
 /// the two period streams it draws from.
+#[derive(Debug, Clone)]
 struct SlotRun {
     event: FaultEvent,
     phase: usize,
@@ -389,25 +555,44 @@ mod tests {
     }
 
     #[test]
-    fn index_at_is_the_resume_cursor() {
-        let trace = FaultTrace::new(
-            [2.0, 2.0, 5.0, 9.0]
-                .iter()
-                .enumerate()
-                .map(|(slot, &at_secs)| FaultEvent {
-                    at_secs,
-                    slot,
-                    kind: FaultKind::Fail,
-                })
-                .collect(),
-        )
-        .unwrap();
-        assert_eq!(trace.index_at(0.0), 0);
-        assert_eq!(trace.index_at(2.0), 0, "events at the timestamp replay");
-        assert_eq!(trace.index_at(2.5), 2);
-        assert_eq!(trace.index_at(5.0), 2);
-        assert_eq!(trace.index_at(100.0), 4);
-        assert_eq!(FaultTrace::empty().index_at(3.0), 0);
+    fn generated_traces_stream_until_events_is_called() {
+        let ph = Ph::exponential(1.0).unwrap();
+        let trace = FaultTrace::renewal(4, 1_000.0, &ph, &ph, SeedSequence::new(2));
+        let clone = trace.clone();
+        assert!(!trace.is_empty());
+        let streamed: Vec<FaultEvent> = trace.cursor().collect();
+        assert!(streamed.len() > 2 * CHUNK, "the stream crosses refills");
+        assert!(
+            trace.schedule.events.get().is_none(),
+            "reading through a cursor stores nothing"
+        );
+        assert_eq!(clone.events(), streamed.as_slice());
+        assert!(
+            trace.schedule.events.get().is_some(),
+            "clones share the materialized events"
+        );
+        assert!(
+            trace.cursor().stream.is_none(),
+            "later cursors read them in place"
+        );
+    }
+
+    #[test]
+    fn cursors_stop_at_the_end() {
+        fn shareable<T: Clone + std::fmt::Debug + Send + Sync>() {}
+        shareable::<FaultTrace>();
+        shareable::<FaultCursor>();
+        let ph = Ph::exponential(1.0).unwrap();
+        for trace in [
+            FaultTrace::default(),
+            FaultTrace::renewal(3, 0.0, &ph, &ph, SeedSequence::new(1)),
+            FaultTrace::renewal(3, 2.0, &ph, &ph, SeedSequence::new(1)),
+        ] {
+            let mut cursor = trace.cursor();
+            cursor.by_ref().for_each(drop);
+            cursor.advance();
+            assert_eq!(cursor.peek(), None);
+        }
     }
 
     #[test]

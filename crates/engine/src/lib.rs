@@ -112,7 +112,7 @@ mod sim;
 
 pub use cluster::{ClusterSpec, FreqLevel, PowerModel};
 pub use energy::{EnergyMeter, JobEnergy};
-pub use faults::{FaultEvent, FaultKind, FaultTrace, SlotHealth};
+pub use faults::{FaultCursor, FaultEvent, FaultKind, FaultTrace, SlotHealth};
 pub use job::{
     IdHasher, IdMap, JobId, JobInstance, JobSampler, JobSpec, JobSpecBuilder, StageKind, StageSpec,
 };

@@ -241,8 +241,8 @@ fn assert_exact_split(sim: &ClusterSim) -> Result<(), String> {
 
 /// The arrival loop of [`drive_with_faults`] without the final drain:
 /// returns the mid-flight simulator, its step counter and the fault cursor —
-/// the index into `faults` a checkpointing driver stores (cf.
-/// [`dias_engine::FaultTrace::index_at`]).
+/// the index into `faults` of the next action, the position a checkpointing
+/// driver stores (cf. [`dias_engine::FaultCursor`]).
 fn drive_to_final_drain(
     jobs: &[GenJob],
     faults: &[FaultAction],

@@ -8,7 +8,10 @@
 //! `f64::to_bits` of each event's time, its slot, a kind code and the
 //! straggler factor's bits over the whole trace; the count and the first and
 //! last events are pinned as literals so a diverging schedule names where it
-//! diverged.
+//! diverged. Every pin holds three ways: drained through a
+//! [`FaultTrace::cursor`] before anything materializes the trace (a
+//! generated trace then streams), through [`FaultTrace::events`], and
+//! through a cursor after; a cursor cloned mid-trace continues bit for bit.
 //!
 //! The model checks compare the generators against the straightforward
 //! builder kept below as the reference: generate every slot's alternating
@@ -24,7 +27,7 @@
 use proptest::prelude::*;
 
 use dias_des::SeedSequence;
-use dias_engine::{FaultEvent, FaultKind, FaultTrace};
+use dias_engine::{FaultCursor, FaultEvent, FaultKind, FaultTrace};
 use dias_linalg::Matrix;
 use dias_stochastic::Ph;
 use dias_workloads::{autoscaling_trace, slot_failure_trace, straggler_trace};
@@ -50,29 +53,55 @@ fn words(ev: &FaultEvent) -> [u64; 4] {
 /// A trace's pin: event count, digest, first and last event words.
 type Pin = (usize, u64, [u64; 4], [u64; 4]);
 
-fn pin(trace: &FaultTrace) -> Pin {
-    let events = trace.events();
+fn pin(events: &[[u64; 4]]) -> Pin {
     let hash = events
         .iter()
-        .flat_map(words)
-        .fold(0xcbf2_9ce4_8422_2325, fold);
-    (
-        events.len(),
-        hash,
-        words(&events[0]),
-        words(&events[events.len() - 1]),
-    )
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &w| fold(h, w));
+    (events.len(), hash, events[0], events[events.len() - 1])
 }
 
+/// Drains `cursor`, cloning it after `split` events and checking that the
+/// clone yields the same rest bit for bit; returns every event's words.
+fn drain_split(mut cursor: FaultCursor, split: usize) -> Vec<[u64; 4]> {
+    let mut got: Vec<[u64; 4]> = cursor.by_ref().take(split).map(|e| words(&e)).collect();
+    let clone = cursor.clone();
+    let rest: Vec<[u64; 4]> = cursor.map(|e| words(&e)).collect();
+    let cloned: Vec<[u64; 4]> = clone.map(|e| words(&e)).collect();
+    assert_eq!(
+        cloned, rest,
+        "a cursor cloned after {split} events diverged"
+    );
+    got.extend(rest);
+    got
+}
+
+/// Checks `trace` against its pin, read three ways: drained through a
+/// cursor before `events()` materializes the shared trace (a generated
+/// trace streams), through `events()`, and through a cursor after. The
+/// cursors are cloned at the end of the first streamed chunk.
 fn check(name: &str, trace: &FaultTrace, want: Pin) {
-    let got = pin(trace);
-    if std::env::var_os("DIAS_GOLDEN_PRINT").is_some() {
-        println!("{name}: {got:#x?}");
+    let streamed = drain_split(trace.cursor(), 512);
+    let stored: Vec<[u64; 4]> = trace.events().iter().map(words).collect();
+    let reread = drain_split(trace.cursor(), 512);
+    for (how, events) in [
+        ("a streamed cursor", streamed),
+        ("events()", stored),
+        ("a cursor after events()", reread),
+    ] {
+        let got = pin(&events);
+        if std::env::var_os("DIAS_GOLDEN_PRINT").is_some() {
+            println!("{name} via {how}: {got:#x?}");
+        }
+        assert_eq!(got.0, want.0, "{name} via {how}: event count diverged");
+        assert_eq!(got.2, want.2, "{name} via {how}: first event diverged");
+        assert_eq!(got.3, want.3, "{name} via {how}: last event diverged");
+        assert_eq!(
+            got.1, want.1,
+            "{name} via {how}: digest diverged: {:#018x}",
+            got.1
+        );
     }
-    assert_eq!(got.0, want.0, "{name}: event count diverged");
-    assert_eq!(got.2, want.2, "{name}: first event diverged");
-    assert_eq!(got.3, want.3, "{name}: last event diverged");
-    assert_eq!(got.1, want.1, "{name}: digest diverged: {:#018x}", got.1);
 }
 
 /// A PH that returns exactly 0.0 with probability `atom` and is otherwise
@@ -224,11 +253,15 @@ fn reference_merge(a: &FaultTrace, b: &FaultTrace) -> FaultTrace {
     FaultTrace::new([a.events(), b.events()].concat()).unwrap()
 }
 
-/// Event-by-event bitwise equality (`==` on `f64` would equate `±0.0`).
+/// Event-by-event bitwise equality (`==` on `f64` would equate `±0.0`) of
+/// `got` with `want`'s events. `got` is read through a cursor first (cloned
+/// halfway, so a generated trace's clone is checked mid-stream), then
+/// through `events()`.
 fn assert_same_bits(got: &FaultTrace, want: &FaultTrace) {
-    let got: Vec<[u64; 4]> = got.events().iter().map(words).collect();
     let want: Vec<[u64; 4]> = want.events().iter().map(words).collect();
-    assert_eq!(got, want);
+    assert_eq!(drain_split(got.cursor(), want.len() / 2), want);
+    let stored: Vec<[u64; 4]> = got.events().iter().map(words).collect();
+    assert_eq!(stored, want);
 }
 
 /// The PH shapes the model check draws from: exponential, Erlang,

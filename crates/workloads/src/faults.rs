@@ -12,8 +12,11 @@
 //!   "elastic capacity" shape of a scale-down/scale-up loop, with drains (not
 //!   kills) so in-flight work finishes first.
 //!
-//! All three return plain [`FaultTrace`]s: `Arc`-shared, time-sorted, and
-//! replayed bit-identically by every sweep point and thread count.
+//! All three return [`FaultTrace`]s: `Arc`-shared, time-sorted, and
+//! replayed bit-identically by every sweep point and thread count. The two
+//! random ones are generated traces, which draw their events as a
+//! [`FaultTrace::cursor`] reads them and store nothing; the square wave is
+//! stored.
 
 use dias_des::SeedSequence;
 use dias_engine::{FaultEvent, FaultKind, FaultTrace};
