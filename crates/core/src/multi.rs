@@ -1822,4 +1822,51 @@ mod tests {
         let total: u64 = report.per_class.iter().map(|c| c.completed).sum();
         assert_eq!(total, 20);
     }
+
+    #[test]
+    fn every_checkpoint_resumes_to_the_uninterrupted_report() {
+        use crate::{SprintBudget, SprintPolicy};
+        use dias_des::SeedSequence;
+        use dias_stochastic::Ph;
+        // Preemption, a budget that runs dry and slot failures: every arm of
+        // the arbiter and every piece of run state is in play at the
+        // checkpoints, so a field a checkpoint misses shows up as a diff.
+        // Only 4 of the 20 slots fail, so the pool is often whole again and
+        // a stale capacity mark would miscount a change.
+        let up = Ph::exponential(1.0 / 100.0).expect("valid rate");
+        let down = Ph::exponential(1.0 / 30.0).expect("valid rate");
+        let exp = || {
+            MultiJobExperiment::new(workload(90, 5.0, 8.0), Box::new(PriorityPreempt))
+                .drops(&[0.3, 0.0])
+                .sprint(SprintPolicy::top_class(
+                    2,
+                    2.0,
+                    SprintBudget::limited(5_000.0, 10.0),
+                ))
+                .faults(FaultTrace::renewal(
+                    4,
+                    600.0,
+                    &up,
+                    &down,
+                    SeedSequence::new(11),
+                ))
+                .jobs(75)
+                .warmup(5)
+        };
+        let full = exp().run().unwrap();
+        assert!(full.evictions > 0 && full.failure_evictions > 0);
+        assert!(full.sprint_budget_spent_j > 0.0);
+        let (recorded, mut trace) = exp().run_recording(8).unwrap();
+        assert_eq!(recorded, full);
+        let recorded_checkpoints = trace.checkpoints();
+        assert!(recorded_checkpoints >= 8, "{recorded_checkpoints}");
+        // `run_from` under the reference thetas resumes from the latest
+        // checkpoint; dropping it each round walks back through all of them.
+        let everything = trace.arrivals();
+        while let Some((arrival_idx, _)) = trace.resume_point(everything) {
+            let resumed = exp().run_from(&trace).unwrap();
+            assert!(resumed == full, "resume at arrival {arrival_idx} diverged");
+            trace.checkpoints.pop();
+        }
+    }
 }
