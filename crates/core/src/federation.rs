@@ -26,12 +26,12 @@
 //!    starts. The epoch exchange reads telemetry; it never moves joules
 //!    between shards, so no result can depend on barrier timing.
 //! 3. **Epoch boundaries are inert.** The coordinator delivers arrivals that
-//!    fall before the epoch horizon and lets each shard run its own event
-//!    arbiter (`MultiDriver` arms, identical to the monolithic
-//!    [`MultiJobExperiment`] loop) strictly below the horizon. Shards are
-//!    never idled *to* the horizon, and the run ends when every shard drains
-//!    — never at a boundary — so the choice of `epoch_secs` changes wall
-//!    clock, not results.
+//!    fall before the epoch horizon and lets each shard run the one arbiter
+//!    loop (`MultiDriver::run_until`, the monolithic [`MultiJobExperiment`]
+//!    loop under a global-window recorder) strictly below the horizon.
+//!    Shards are never idled *to* the horizon, and the run ends when every
+//!    shard drains — never at a boundary — so the choice of `epoch_secs`
+//!    changes wall clock, not results.
 //!
 //! A single-shard federation is bit-identical to [`MultiJobExperiment`] on
 //! the same stream: the slot share is exactly 1.0 (budget scaling is a
@@ -72,11 +72,12 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use dias_des::SimTime;
 use dias_engine::{ClusterSpec, FaultTrace, IdMap, JobInstance, Scheduler};
 
-use crate::multi::{CompletionObs, MultiDriver, NoHook};
+use crate::multi::{CompletionObs, MultiDriver, Recorder};
 use crate::sweep::run_parallel;
 use crate::{
     ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintBudget,
@@ -207,66 +208,57 @@ impl JobSource for ShardInbox {
 }
 
 /// One worker's owned state: a full `MultiDriver` over the shard's inbox,
-/// plus the global-window bookkeeping the monolithic driver does internally.
+/// plus the global-window recorder it runs under.
 ///
 /// The shard driver is built with a degenerate local measurement window
-/// (warmup 0, unbounded jobs) and does the *global* windowing itself: the
-/// coordinator stamps every delivered job with its global arrival sequence
-/// number, and completions are recorded into the shard report only when that
-/// global number falls inside the federation's `warmup..warmup+jobs` window
-/// — exactly the monolithic criterion.
+/// (warmup 0, unbounded jobs) and leaves the *global* windowing to its
+/// [`GlobalWindow`] recorder.
 struct ShardDriver {
     driver: MultiDriver<ShardInbox>,
-    /// Global arrival sequence number of every job currently routed here and
-    /// not yet completed.
-    global_seq: IdMap<usize>,
+    window: GlobalWindow,
     /// Jobs ever routed to this shard.
     routed: u64,
-    /// Global measurement window (`warmup..warmup + jobs`).
-    window: (usize, usize),
 }
 
 impl ShardDriver {
     /// Accepts one routed job carrying its global arrival index.
     fn deliver(&mut self, seq: usize, inst: JobInstance) {
         self.routed += 1;
-        self.global_seq.insert(inst.spec.id, seq);
-        self.driver.source.queue.push_back(inst);
+        self.window.global_seq.insert(inst.spec.id, seq);
+        self.driver.run.source.queue.push_back(inst);
         self.driver.top_up_arrivals();
     }
+}
 
-    /// Sim time of this shard's next event, if any work remains.
-    fn peek(&mut self) -> Option<SimTime> {
-        self.driver.next_arm().map(|(t, _)| t)
+/// A shard's recorder. The coordinator stamps every delivered job with its
+/// global arrival sequence number, and a completion is recorded into the
+/// shard report only when that number falls inside the federation's
+/// `warmup..warmup + jobs` window — exactly the monolithic criterion.
+///
+/// A shard stops at each epoch horizon, never on a count, so the recorder
+/// never ends the run; the degenerate local window leaves the starvation
+/// watchdog's cap at `usize::MAX` (the coordinator delivers finite epochs).
+struct GlobalWindow {
+    /// Global arrival sequence number of every job currently routed here and
+    /// not yet completed.
+    global_seq: IdMap<usize>,
+    /// Global measurement window (`warmup..warmup + jobs`).
+    measured: Range<usize>,
+}
+
+impl Recorder<ShardInbox> for GlobalWindow {
+    fn progress(&self, driver: &MultiDriver<ShardInbox>) -> (usize, usize) {
+        (driver.run.measured_done, usize::MAX)
     }
 
-    /// Runs the shard's arbiter over every event strictly before `horizon`.
-    /// Identical to the monolithic drive loop except that recording uses the
-    /// global window and there is no starvation watchdog (the coordinator
-    /// delivers finite epochs).
-    fn advance_until(&mut self, horizon: SimTime) -> Result<(), ExperimentError> {
-        loop {
-            let Some((next_t, arm)) = self.driver.next_arm() else {
-                return Ok(());
-            };
-            if next_t >= horizon {
-                return Ok(());
-            }
-            if let Some(obs) = self.driver.step(next_t, arm, &mut NoHook)? {
-                self.observe(&obs);
-            }
-        }
-    }
-
-    /// Records a completion when its *global* arrival index is measured.
-    fn observe(&mut self, obs: &CompletionObs) {
+    fn record(&mut self, driver: &mut MultiDriver<ShardInbox>, obs: &CompletionObs) {
         let seq = self
             .global_seq
             .remove(&obs.job)
             .expect("completed job was delivered to this shard");
-        if (self.window.0..self.window.1).contains(&seq) {
-            let slo = self.driver.slos.as_ref().map(|s| s[obs.class]);
-            self.driver.report.per_class[obs.class].record(obs, slo);
+        if self.measured.contains(&seq) {
+            driver.run.measured_done += 1;
+            driver.run.report.per_class[obs.class].record(obs, driver.slos.as_deref());
         }
     }
 }
@@ -469,7 +461,7 @@ impl<S: JobSource> FederationExperiment<S> {
     {
         let classes = source.classes();
         // Each shard runs the monolithic loop with a degenerate local window;
-        // `ShardDriver` applies the global one.
+        // its `GlobalWindow` recorder applies the global one.
         let shards = shards
             .into_iter()
             .zip((0..).map(scheduler))
@@ -641,15 +633,17 @@ impl<S: JobSource> FederationExperiment<S> {
         let classes = self.source.classes();
         let slot_counts: Vec<usize> = self.shards.iter().map(|s| s.cluster.slots()).collect();
         let total_slots: usize = slot_counts.iter().sum();
-        let window = (self.warmup, self.warmup.saturating_add(self.jobs));
+        let measured = self.warmup..self.warmup.saturating_add(self.jobs);
 
         let mut drivers: Vec<ShardDriver> = Vec::with_capacity(self.shards.len());
         for (exp, trace) in self.shards.into_iter().zip(faults) {
             drivers.push(ShardDriver {
                 driver: MultiDriver::build(exp.faults(trace))?,
-                global_seq: IdMap::default(),
+                window: GlobalWindow {
+                    global_seq: IdMap::default(),
+                    measured: measured.clone(),
+                },
                 routed: 0,
-                window,
             });
         }
 
@@ -669,7 +663,7 @@ impl<S: JobSource> FederationExperiment<S> {
             // sound because the barrier itself has no simulation effect.
             let mut min_t = next.as_ref().map(|j| SimTime::from_secs(j.arrival_secs));
             for shard in &mut drivers {
-                if let Some(t) = shard.peek() {
+                if let Some((t, _)) = shard.driver.next_arm() {
                     min_t = Some(min_t.map_or(t, |m| m.min(t)));
                 }
             }
@@ -708,7 +702,7 @@ impl<S: JobSource> FederationExperiment<S> {
             // the worker pool. Shards share nothing mutable, so lane count
             // and scheduling order cannot influence any shard's evolution.
             let results = run_parallel(drivers.iter_mut().collect(), threads, |_, shard| {
-                shard.advance_until(horizon)
+                shard.driver.run_until(horizon, &mut shard.window)
             });
             for result in results {
                 result?;
@@ -725,8 +719,8 @@ impl<S: JobSource> FederationExperiment<S> {
                 sprint_spent_j: 0.0,
             };
             for shard in &drivers {
-                record.completions += shard.driver.total_completions;
-                record.events += shard.driver.events_done();
+                record.completions += shard.driver.run.total_completions;
+                record.events += shard.driver.run.events_done;
                 record.sprint_spent_j += shard.driver.sprint_spent_j();
             }
             log.epochs.push(record);

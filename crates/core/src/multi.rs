@@ -31,7 +31,7 @@ use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
     Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultCursor,
-    FaultTrace, FreqLevel, IdMap, JobId, JobInstance, Scheduler, Submission,
+    FaultTrace, FreqLevel, IdMap, JobEnergy, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -94,8 +94,9 @@ impl<B: SampleStats> MultiClassStats<B> {
     /// Folds one measured completion into the class statistics — the single
     /// recording path shared by the closed driver (exact backend) and the
     /// open-system soak (streaming backend), so the two can never drift in
-    /// what they count. `slo` is the class's response-time target, if any.
-    pub(crate) fn record(&mut self, obs: &CompletionObs, slo: Option<f64>) {
+    /// what they count. `slos` are the per-class response-time targets, if
+    /// any.
+    pub(crate) fn record(&mut self, obs: &CompletionObs, slos: Option<&[f64]>) {
         self.completed += 1;
         self.response.push(obs.response);
         self.execution.push(obs.execution);
@@ -105,11 +106,7 @@ impl<B: SampleStats> MultiClassStats<B> {
         self.drop_fraction.push(obs.drop_fraction);
         self.evictions += u64::from(obs.evictions);
         self.failure_evictions += u64::from(obs.failure_evictions);
-        if let Some(target) = slo {
-            if obs.response <= target {
-                self.slo_attained += 1;
-            }
-        }
+        self.slo_attained += u64::from(obs.meets_slo(slos));
     }
 
     /// Expected relative analysis error (%) for the class's mean drop
@@ -337,10 +334,12 @@ type TimerHeap = BinaryHeap<Reverse<SprintTimer>>;
 /// One arm of the driver's event arbiter, in the loop's fixed tie order:
 /// engine event → budget depletion → sprint timers → faults → arrival.
 /// [`MultiDriver::next_arm`] picks the arm, [`MultiDriver::step`] executes
-/// it. Every driver in the crate — closed run, soak, federation shard and,
-/// through a whole-cluster scheduler, the paper's one-job
-/// [`Experiment`](crate::Experiment) — runs on this one pair, so the tie
-/// order is written down once.
+/// it, and [`MultiDriver::run_until`] is the one loop over the pair. Every
+/// driver in the crate — closed run, soak, federation shard and, through a
+/// whole-cluster scheduler, the paper's one-job
+/// [`Experiment`](crate::Experiment) — runs that loop with its own
+/// [`Recorder`], so the tie order, the stop rule and the starvation
+/// watchdog are each written down once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LoopArm {
     /// The engine's next calendar event.
@@ -502,9 +501,7 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// [`ExperimentError::Starved`] when a measured job cannot complete under
     /// the offered load.
     pub fn run(self) -> Result<MultiJobReport, ExperimentError> {
-        let mut driver = MultiDriver::build(self)?;
-        driver.drive(&mut NoHook)?;
-        Ok(driver.finalize())
+        MultiDriver::build(self)?.run_closed()
     }
 }
 
@@ -522,46 +519,59 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
         self.degrade.is_none() && self.slos.is_none()
     }
 
+    /// The `InvalidConfig` a branch runner returns for a configuration that
+    /// is not [`MultiJobExperiment::branchable`], naming the setting that
+    /// disables branching.
+    fn check_branchable(&self) -> Result<(), ExperimentError> {
+        let field = match (&self.degrade, &self.slos) {
+            (None, None) => return Ok(()),
+            (Some(_), _) => "degrade",
+            (None, Some(_)) => "slos",
+        };
+        let reason = "degradation/SLO runs conservatively disable branching";
+        Err(ExperimentError::invalid(field, reason))
+    }
+
     /// Runs exactly like [`MultiJobExperiment::run`] while recording a
     /// branchable [`MultiRunTrace`]: a resume checkpoint every `stride`
-    /// arrivals (engine snapshot, driver books, fault cursor, and the cloned
-    /// source — its replay RNG positioned at the checkpoint's draw offset)
-    /// plus a per-arrival drop signature for divergence detection.
+    /// arrivals (a clone of the driver's run state — books, fault cursor and
+    /// the source, its replay RNG positioned at the checkpoint's draw offset
+    /// — plus an engine checkpoint) and a per-arrival drop signature for
+    /// divergence detection.
     ///
     /// Recording does not perturb the run: the returned report is
     /// bit-identical to what [`MultiJobExperiment::run`] produces.
     ///
     /// # Errors
     ///
-    /// Exactly as [`MultiJobExperiment::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero or the configuration is not
-    /// [`MultiJobExperiment::branchable`].
+    /// As [`MultiJobExperiment::run`], plus [`ExperimentError::InvalidConfig`]
+    /// naming `stride` when it is zero, or `degrade` or `slos` when the
+    /// configuration is not [`MultiJobExperiment::branchable`].
     pub fn run_recording(
         self,
         stride: usize,
     ) -> Result<(MultiJobReport, MultiRunTrace<S>), ExperimentError> {
-        assert!(stride > 0, "checkpoint stride must be positive");
-        assert!(
-            self.branchable(),
-            "degradation/SLO runs conservatively disable branching"
-        );
+        if stride == 0 {
+            return Err(ExperimentError::invalid(
+                "stride",
+                "checkpoint stride must be positive",
+            ));
+        }
+        self.check_branchable()?;
         let thetas = self.thetas.clone();
         let mut driver = MultiDriver::build(self)?;
-        let mut hook = TraceHook {
+        let mut recording = Recording {
             stride,
             checkpoints: Vec::new(),
             signatures: Vec::new(),
         };
-        driver.drive(&mut hook)?;
-        let events_total = driver.events_done;
+        driver.run_until(SimTime::FAR_FUTURE, &mut recording)?;
+        let events_total = driver.run.events_done;
         let report = driver.finalize();
         let trace = MultiRunTrace {
             thetas,
-            checkpoints: hook.checkpoints,
-            signatures: hook.signatures,
+            checkpoints: recording.checkpoints,
+            signatures: recording.signatures,
             events_total,
         };
         Ok((report, trace))
@@ -582,31 +592,21 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
     ///
     /// # Errors
     ///
-    /// Exactly as [`MultiJobExperiment::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is not [`MultiJobExperiment::branchable`].
+    /// As [`MultiJobExperiment::run`], plus [`ExperimentError::InvalidConfig`]
+    /// naming `degrade` or `slos` when the configuration is not
+    /// [`MultiJobExperiment::branchable`].
     pub fn run_from(self, trace: &MultiRunTrace<S>) -> Result<MultiJobReport, ExperimentError> {
-        assert!(
-            self.branchable(),
-            "degradation/SLO runs conservatively disable branching"
-        );
+        self.check_branchable()?;
         let divergence = trace.divergence_index(self.thetas.as_deref());
-        let Some(cp) = trace
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|c| c.arrival_idx <= divergence)
-        else {
+        let Some(cp) = trace.checkpoint_before(divergence) else {
             // Nothing recorded before the divergence (empty trace): replay in
             // full.
             return self.run();
         };
         let mut driver = MultiDriver::build(self)?;
-        driver.resume(cp);
-        driver.drive(&mut NoHook)?;
-        Ok(driver.finalize())
+        driver.engine.restore(&cp.1);
+        driver.run.clone_from(&cp.0);
+        driver.run_closed()
     }
 }
 
@@ -661,34 +661,11 @@ fn keep_count(n: usize, theta: f64) -> usize {
 }
 
 /// A resume point of a recorded reference run, captured immediately before
-/// arrival `arrival_idx` was submitted: the engine snapshot plus every piece
-/// of driver state the loop carries across iterations.
-struct MultiCheckpoint<S> {
-    /// Arrivals already submitted when the checkpoint was taken (also the
-    /// sequence number of the first drawn arrival).
-    arrival_idx: usize,
-    /// Engine events the reference run had processed — what a branch that
-    /// resumes here skips re-simulating.
-    events_done: u64,
-    engine: EngineCheckpoint,
-    /// The source cloned at the boundary: its RNG sits exactly at the
-    /// checkpoint's draw offset, so the remaining arrival stream replays bit
-    /// for bit (see [`dias_stochastic::DrawTrace::replay_from`]).
-    source: S,
-    /// The already-drawn instances about to be submitted.
-    arrivals: Vec<JobInstance>,
-    meta: IdMap<JobMeta>,
-    timers: TimerHeap,
-    timer_seq: u64,
-    sprinter: Option<MultiSprinter>,
-    /// The driver's place in the fault schedule: a clone continues bit for
-    /// bit, so a branch resumes the identical failure history.
-    faults: FaultCursor,
-    last_effective: usize,
-    measured_done: usize,
-    total_completions: usize,
-    report: MultiJobReport,
-}
+/// the drawn arrivals were submitted: a clone of the driver's run state and
+/// an engine checkpoint. Resuming is the reverse: restore both, keep the
+/// resuming experiment's configuration (its divergent thetas are exactly the
+/// point of branching).
+struct MultiCheckpoint<S>(RunState<S>, EngineCheckpoint);
 
 /// The branchable record of one reference run, produced by
 /// [`MultiJobExperiment::run_recording`]: resume checkpoints at arrival
@@ -742,59 +719,74 @@ impl<S> MultiRunTrace<S> {
     /// it.
     #[must_use]
     pub fn resume_point(&self, divergence: usize) -> Option<(usize, u64)> {
+        self.checkpoint_before(divergence)
+            .map(|c| (c.0.arrival_seq, c.0.events_done))
+    }
+
+    /// The latest checkpoint at or before arrival `divergence`.
+    fn checkpoint_before(&self, divergence: usize) -> Option<&MultiCheckpoint<S>> {
         self.checkpoints
             .iter()
             .rev()
-            .find(|c| c.arrival_idx <= divergence)
-            .map(|c| (c.arrival_idx, c.events_done))
+            .find(|c| c.0.arrival_seq <= divergence)
     }
 }
 
-/// Observer of the driver loop's arrival boundaries; the recording run plugs
-/// [`TraceHook`] in, plain runs pay nothing through [`NoHook`].
-pub(crate) trait RunHook<S> {
-    /// Called at the top of the arrival arm, *before* the drawn arrivals in
-    /// [`MultiDriver::arrivals`] are submitted.
-    fn on_arrival(&mut self, driver: &MultiDriver<S>);
+/// What a caller of [`MultiDriver::run_until`] adds to the one loop: how a
+/// completion is recorded, when the run has what it came for, and what it
+/// observes at an arrival boundary and after each step. The loop is
+/// monomorphized over it, so the hooks a recorder leaves out cost nothing.
+///
+/// The defaults are the closed run's ([`Closed`]): measured completions go
+/// into the driver's exact per-class report until `jobs` of them are in.
+pub(crate) trait Recorder<S> {
+    /// Measured completions so far and the count that ends the run. A run
+    /// that starves reports both in [`ExperimentError::Starved`].
+    fn progress(&self, driver: &MultiDriver<S>) -> (usize, usize) {
+        (driver.run.measured_done, driver.jobs)
+    }
+
+    /// Records one completion. By default an unmeasured (warm-up) one is
+    /// dropped here, after its side effects in [`MultiDriver::step`].
+    fn record(&mut self, driver: &mut MultiDriver<S>, obs: &CompletionObs) {
+        if obs.measured {
+            driver.run.measured_done += 1;
+            driver.run.report.per_class[obs.class].record(obs, driver.slos.as_deref());
+        }
+    }
+
+    /// Called at an arrival boundary, *before* the drawn arrivals in the
+    /// driver's release buffer are submitted: the state branch re-execution
+    /// resumes from.
+    fn on_arrival(&mut self, _driver: &MultiDriver<S>) {}
+
+    /// Called after every step.
+    fn after_step(&mut self, _driver: &MultiDriver<S>) {}
 }
 
-/// The no-op hook of a plain run.
-pub(crate) struct NoHook;
+/// The closed run's recorder: the trait's defaults.
+struct Closed;
 
-impl<S> RunHook<S> for NoHook {
-    fn on_arrival(&mut self, _: &MultiDriver<S>) {}
-}
+impl<S> Recorder<S> for Closed {}
 
-/// Records the branchable trace: every arrival's signature, and a full
-/// checkpoint every `stride` arrivals (always including arrival 0, so a
-/// resume point at or before any divergence index exists).
-struct TraceHook<S> {
+/// The closed run that also records the branchable trace: every arrival's
+/// signature, and a checkpoint every `stride` arrivals (always including
+/// arrival 0, so a resume point at or before any divergence index exists).
+struct Recording<S> {
     stride: usize,
     checkpoints: Vec<MultiCheckpoint<S>>,
     signatures: Vec<ArrivalSignature>,
 }
 
-impl<S: Clone> RunHook<S> for TraceHook<S> {
+impl<S: Clone> Recorder<S> for Recording<S> {
     fn on_arrival(&mut self, driver: &MultiDriver<S>) {
         self.signatures
-            .extend(driver.arrivals.iter().map(ArrivalSignature::of));
-        if driver.arrival_seq.is_multiple_of(self.stride) {
-            self.checkpoints.push(MultiCheckpoint {
-                arrival_idx: driver.arrival_seq,
-                events_done: driver.events_done,
-                engine: driver.engine.checkpoint(),
-                source: driver.source.clone(),
-                arrivals: driver.arrivals.clone(),
-                meta: driver.meta.clone(),
-                timers: driver.timers.clone(),
-                timer_seq: driver.timer_seq,
-                sprinter: driver.sprinter.clone(),
-                faults: driver.faults.clone(),
-                last_effective: driver.last_effective,
-                measured_done: driver.measured_done,
-                total_completions: driver.total_completions,
-                report: driver.report.clone(),
-            });
+            .extend(driver.run.arrivals.iter().map(ArrivalSignature::of));
+        if driver.run.arrival_seq.is_multiple_of(self.stride) {
+            self.checkpoints.push(MultiCheckpoint(
+                driver.run.clone(),
+                driver.engine.checkpoint(),
+            ));
         }
     }
 }
@@ -837,14 +829,22 @@ pub(crate) struct CompletionObs {
     pub(crate) completed_at_secs: f64,
 }
 
-/// The closed-loop driver behind [`MultiJobExperiment::run`], factored out so
-/// a run can be checkpointed at arrival boundaries and resumed from one.
+impl CompletionObs {
+    /// Whether the response met the class's target in `slos` (false without
+    /// targets).
+    pub(crate) fn meets_slo(&self, slos: Option<&[f64]>) -> bool {
+        slos.is_some_and(|s| self.response <= s[self.class])
+    }
+}
+
+/// The driver behind every run in the crate: the experiment's fixed
+/// configuration, the engine, and the run state the loop carries from one
+/// step to the next.
 ///
-/// Everything the loop carries across iterations lives in a field here;
-/// [`TraceHook`] clones the lot into a [`MultiCheckpoint`] and
-/// [`MultiDriver::resume`] puts it back. Callers loop over
-/// [`MultiDriver::next_arm`] and [`MultiDriver::step`]; they differ only in
-/// how they record completions and when they stop.
+/// [`MultiDriver::run_until`] is the one loop; callers differ only in the
+/// [`Recorder`] they hand it. A checkpoint is a clone of [`RunState`] plus an
+/// engine [`EngineCheckpoint`], so a piece of state added to either is
+/// captured and restored without further edits.
 pub(crate) struct MultiDriver<S> {
     // Immutable configuration.
     thetas: Option<Vec<f64>>,
@@ -855,31 +855,48 @@ pub(crate) struct MultiDriver<S> {
     warmup: usize,
     target: usize,
     jobs: usize,
-    completion_cap: usize,
+    /// Termination guard: the run fails as starved once more completions
+    /// than this went by without the recorder's count being reached.
+    pub(crate) completion_cap: usize,
     total_slots: usize,
-    // Mutable run state (captured wholesale by checkpoints).
-    pub(crate) source: S,
+    arrival_batch: usize,
     pub(crate) engine: ClusterSim,
+    pub(crate) run: RunState<S>,
+    /// Per-arrival drop-signature scratch, reused across admissions so the
+    /// hot path stops allocating once millions of jobs flow through a shard
+    /// (cleared and refilled in [`MultiDriver::admit`]; never checkpointed).
+    drops_scratch: Vec<f64>,
+}
+
+/// Everything the loop carries across iterations besides the engine — what
+/// a [`MultiCheckpoint`] clones.
+#[derive(Clone)]
+pub(crate) struct RunState<S> {
+    /// The arrival stream. A clone taken at an arrival boundary sits exactly
+    /// at that boundary's draw offset, so the remaining stream replays bit
+    /// for bit (see [`dias_stochastic::DrawTrace::replay_from`]).
+    pub(crate) source: S,
     pub(crate) report: MultiJobReport,
     meta: IdMap<JobMeta>,
     timers: TimerHeap,
     /// Sequence number of the next armed timer.
     timer_seq: u64,
     sprinter: Option<MultiSprinter>,
+    /// The driver's place in the fault schedule: a clone continues bit for
+    /// bit, so a branch resumes the identical failure history.
     faults: FaultCursor,
     last_effective: usize,
     /// The release buffer: up to `arrival_batch` drawn arrivals, released
     /// together at the latest arrival time they hold.
     arrivals: Vec<JobInstance>,
-    arrival_batch: usize,
+    /// Arrivals submitted so far (also the sequence number of the next).
     arrival_seq: usize,
-    measured_done: usize,
+    /// Completions recorded into `report`'s per-class statistics.
+    pub(crate) measured_done: usize,
     pub(crate) total_completions: usize,
-    events_done: u64,
-    /// Per-arrival drop-signature scratch, reused across admissions so the
-    /// hot path stops allocating once millions of jobs flow through a shard
-    /// (cleared and refilled in [`MultiDriver::admit`]; never checkpointed).
-    drops_scratch: Vec<f64>,
+    /// Engine events processed so far — what a branch resuming here skips
+    /// re-simulating.
+    pub(crate) events_done: u64,
 }
 
 impl<S: JobSource> MultiDriver<S> {
@@ -940,73 +957,77 @@ impl<S: JobSource> MultiDriver<S> {
             warmup,
             target,
             jobs: exp.jobs,
-            // Termination guard, as in `Experiment::run`: under saturating
-            // higher-class load a measured job may never complete.
+            // Under saturating higher-class load a measured job may never
+            // complete.
             completion_cap: target.saturating_mul(64).saturating_add(1024),
             total_slots,
-            source: exp.source,
-            engine,
-            report,
-            meta: IdMap::default(),
-            timers: TimerHeap::new(),
-            timer_seq: 0,
-            sprinter,
-            faults: exp.faults.cursor(),
-            last_effective: total_slots,
-            arrivals: Vec::with_capacity(exp.arrival_batch),
             arrival_batch: exp.arrival_batch,
-            arrival_seq: 0,
-            measured_done: 0,
-            total_completions: 0,
-            events_done: 0,
+            engine,
+            run: RunState {
+                source: exp.source,
+                report,
+                meta: IdMap::default(),
+                timers: TimerHeap::new(),
+                timer_seq: 0,
+                sprinter,
+                faults: exp.faults.cursor(),
+                last_effective: total_slots,
+                arrivals: Vec::with_capacity(exp.arrival_batch),
+                arrival_seq: 0,
+                measured_done: 0,
+                total_completions: 0,
+                events_done: 0,
+            },
             drops_scratch: Vec::new(),
         };
         driver.top_up_arrivals();
         Ok(driver)
     }
 
-    /// Reinstates a checkpoint: engine and driver state revert to the arrival
-    /// boundary, configuration fields keep this experiment's values (the
-    /// divergent thetas are exactly the point of branching).
-    fn resume(&mut self, cp: &MultiCheckpoint<S>)
-    where
-        S: Clone,
-    {
-        self.engine.restore(&cp.engine);
-        self.source = cp.source.clone();
-        self.arrivals.clone_from(&cp.arrivals);
-        self.meta = cp.meta.clone();
-        self.timers = cp.timers.clone();
-        self.timer_seq = cp.timer_seq;
-        self.sprinter = cp.sprinter.clone();
-        self.faults.clone_from(&cp.faults);
-        self.last_effective = cp.last_effective;
-        self.arrival_seq = cp.arrival_idx;
-        self.measured_done = cp.measured_done;
-        self.total_completions = cp.total_completions;
-        self.events_done = cp.events_done;
-        self.report = cp.report.clone();
-    }
-
-    /// The closed loop: [`MultiDriver::next_arm`] arbitration and
-    /// [`MultiDriver::step`] execution, until the measured window completes
-    /// or the source drains.
-    fn drive<H: RunHook<S>>(&mut self, hook: &mut H) -> Result<(), ExperimentError> {
-        while self.measured_done < self.jobs {
-            if self.total_completions > self.completion_cap {
+    /// The one arbiter loop: [`MultiDriver::next_arm`] arbitration and
+    /// [`MultiDriver::step`] execution of every event strictly before
+    /// `horizon`, until the recorder's count is reached or no event remains
+    /// (source exhausted, engine drained). Runs that are not cut into epochs
+    /// pass [`SimTime::FAR_FUTURE`].
+    ///
+    /// # Errors
+    ///
+    /// Engine errors, or [`ExperimentError::Starved`] once more than
+    /// `completion_cap` completions went by short of the recorder's count.
+    pub(crate) fn run_until<R: Recorder<S>>(
+        &mut self,
+        horizon: SimTime,
+        recorder: &mut R,
+    ) -> Result<(), ExperimentError> {
+        loop {
+            let (measured_done, target) = recorder.progress(self);
+            if measured_done >= target {
+                return Ok(());
+            }
+            if self.run.total_completions > self.completion_cap {
                 return Err(ExperimentError::Starved {
-                    measured_done: self.measured_done,
-                    target: self.jobs,
+                    measured_done,
+                    target,
                 });
             }
-            let Some((next_t, arm)) = self.next_arm() else {
-                break; // source exhausted, engine drained
+            let Some((next_t, arm)) = self.next_arm().filter(|&(t, _)| t < horizon) else {
+                return Ok(());
             };
-            if let Some(obs) = self.step(next_t, arm, hook)? {
-                self.record_completion(&obs);
+            if arm == LoopArm::Arrival {
+                recorder.on_arrival(self);
             }
+            if let Some(obs) = self.step(next_t, arm)? {
+                recorder.record(self, &obs);
+            }
+            recorder.after_step(self);
         }
-        Ok(())
+    }
+
+    /// Runs the closed loop to the end of the measured window and closes the
+    /// books.
+    fn run_closed(mut self) -> Result<MultiJobReport, ExperimentError> {
+        self.run_until(SimTime::FAR_FUTURE, &mut Closed)?;
+        Ok(self.finalize())
     }
 
     /// The event arbiter: which composable source — engine calendar, budget
@@ -1017,11 +1038,11 @@ impl<S: JobSource> MultiDriver<S> {
     /// Tie-breaking at equal timestamps is fixed — engine event, then budget
     /// depletion, then sprint timers, then faults, then the release — so
     /// runs are deterministic whatever the configuration. This is the only
-    /// place the order is written down: every driver loops over this and
-    /// [`MultiDriver::step`].
+    /// place the order is written down.
     pub(crate) fn next_arm(&mut self) -> Option<(SimTime, LoopArm)> {
         let engine_t = self.engine.next_event_time();
         let depletion_t = self
+            .run
             .sprinter
             .as_ref()
             .and_then(MultiSprinter::depletion_time);
@@ -1030,8 +1051,9 @@ impl<S: JobSource> MultiDriver<S> {
         // timer must not keep the clock running past the last real event,
         // or a finite source's horizon (and idle energy) would grow a
         // phantom tail. The first live timer on top is the earliest one.
-        while let Some(Reverse(t)) = self.timers.peek() {
+        while let Some(Reverse(t)) = self.run.timers.peek() {
             let live = self
+                .run
                 .meta
                 .get(&t.job)
                 .is_some_and(|m| m.attempt == t.attempt)
@@ -1039,14 +1061,17 @@ impl<S: JobSource> MultiDriver<S> {
             if live {
                 break;
             }
-            self.timers.pop();
+            self.run.timers.pop();
         }
-        let timer_t = self.timers.peek().map(|Reverse(t)| t.at);
+        let timer_t = self.run.timers.peek().map(|Reverse(t)| t.at);
         // Fault events only matter while work remains (arrivals ahead or
         // jobs running/pending): once the run is winding down, a tail of
         // repairs must not stretch the horizon with phantom idle time.
-        let fault_t = if !self.arrivals.is_empty() || !self.engine.is_idle() {
-            self.faults.peek().map(|e| SimTime::from_secs(e.at_secs))
+        let fault_t = if !self.run.arrivals.is_empty() || !self.engine.is_idle() {
+            self.run
+                .faults
+                .peek()
+                .map(|e| SimTime::from_secs(e.at_secs))
         } else {
             None
         };
@@ -1054,6 +1079,7 @@ impl<S: JobSource> MultiDriver<S> {
         // wait for it, and that wait is charged to their response times
         // (arrival timestamps stay truthful).
         let release_t = self
+            .run
             .arrivals
             .iter()
             .map(|j| SimTime::from_secs(j.arrival_secs))
@@ -1078,18 +1104,17 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Executes one arbitrated arm at its event time. Completions surface as
-    /// [`CompletionObs`] for the caller to record (closed loop: per-class
-    /// exact stats; soak: streaming windows; federation: global-window shard
-    /// accounting).
+    /// [`CompletionObs`] for the [`Recorder`] to record (closed loop:
+    /// per-class exact stats; soak: streaming windows; federation:
+    /// global-window shard accounting).
     ///
     /// The arms that can place jobs — a departure's backfill, a fault
     /// batch, a release — end by draining the engine's dispatch log; task
     /// events and frequency switches never dispatch.
-    pub(crate) fn step<H: RunHook<S>>(
+    fn step(
         &mut self,
         next_t: SimTime,
         arm: LoopArm,
-        hook: &mut H,
     ) -> Result<Option<CompletionObs>, ExperimentError> {
         match arm {
             LoopArm::Engine => {
@@ -1114,17 +1139,14 @@ impl<S: JobSource> MultiDriver<S> {
             }
             LoopArm::Arrival => {
                 // Hand the released arrivals straight to the engine's
-                // scheduler. The hook observes the pre-submission state —
-                // this is the checkpoint boundary branch re-execution
-                // resumes at.
-                hook.on_arrival(self);
-                let mut release = std::mem::take(&mut self.arrivals);
+                // scheduler.
+                let mut release = std::mem::take(&mut self.run.arrivals);
                 for instance in release.drain(..) {
                     self.admit(instance, next_t)?;
                 }
                 self.drain_dispatches();
                 // The emptied buffer keeps its allocation for the next draw.
-                self.arrivals = release;
+                self.run.arrivals = release;
                 self.top_up_arrivals();
                 Ok(None)
             }
@@ -1135,9 +1157,9 @@ impl<S: JobSource> MultiDriver<S> {
     /// `arrival_batch` of them or the source runs dry. The federation
     /// coordinator calls this after routing new jobs into a shard's inbox.
     pub(crate) fn top_up_arrivals(&mut self) {
-        while self.arrivals.len() < self.arrival_batch {
-            match self.source.next_job() {
-                Some(j) => self.arrivals.push(j),
+        while self.run.arrivals.len() < self.arrival_batch {
+            match self.run.source.next_job() {
+                Some(j) => self.run.arrivals.push(j),
                 None => break,
             }
         }
@@ -1146,25 +1168,27 @@ impl<S: JobSource> MultiDriver<S> {
     /// Advances the engine one event and, when a job finished, observes it:
     /// completion counters, work/energy books, and the metadata-derived
     /// response decomposition. Recording the observation into per-class
-    /// statistics is the caller's half ([`MultiDriver::record_completion`]
-    /// for the closed loop, window accountants for the soak), so the energy
-    /// ledger drain and the statistics pushes touch disjoint accumulators in
-    /// either composition.
+    /// statistics is the [`Recorder`]'s half, so the energy ledger drain and
+    /// the statistics pushes touch disjoint accumulators whoever records.
     fn handle_engine_event(
         &mut self,
         next_t: SimTime,
     ) -> Result<Option<CompletionObs>, ExperimentError> {
         let event = self.engine.advance()?;
-        self.events_done += 1;
+        self.run.events_done += 1;
         let EngineEvent::JobFinished { job, metrics } = event else {
             return Ok(None);
         };
-        if let Some(s) = self.sprinter.as_mut() {
+        if let Some(s) = self.run.sprinter.as_mut() {
             s.stop(next_t, job);
         }
-        self.total_completions += 1;
-        self.report.total_work_secs += metrics.work_secs;
-        let m = self.meta.remove(&job).expect("finished job was submitted");
+        self.run.total_completions += 1;
+        self.run.report.total_work_secs += metrics.work_secs;
+        let m = self
+            .run
+            .meta
+            .remove(&job)
+            .expect("finished job was submitted");
         let response = self.engine.now().as_secs() - m.arrival_secs;
         // Queueing straight from the engine's dispatch log: plain waiting
         // before the first attempt, plus the re-execution loss preemption
@@ -1191,27 +1215,15 @@ impl<S: JobSource> MultiDriver<S> {
             failure_evictions: m.failure_evictions,
             completed_at_secs: self.engine.now().as_secs(),
         };
-        harvest_energy(&mut self.engine, &self.meta, m.class, job, &mut self.report);
+        self.harvest_energy(m.class, job);
         Ok(Some(obs))
-    }
-
-    /// Folds a measured completion into the exact per-class report — the
-    /// closed loop's recording half. Unmeasured (warm-up) completions are
-    /// dropped here, after their side effects in
-    /// [`MultiDriver::handle_engine_event`] already happened.
-    fn record_completion(&mut self, obs: &CompletionObs) {
-        if !obs.measured {
-            return;
-        }
-        self.measured_done += 1;
-        let slo = self.slos.as_ref().map(|s| s[obs.class]);
-        self.report.per_class[obs.class].record(obs, slo);
     }
 
     /// Budget dry: every sprinting domain drops to base together.
     fn handle_depletion(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self
+            .run
             .sprinter
             .as_mut()
             .expect("depletion implies a sprinter");
@@ -1226,13 +1238,13 @@ impl<S: JobSource> MultiDriver<S> {
     /// still runs and the budget has joules left.
     fn handle_timers(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
-        let s = self.sprinter.as_mut().expect("timers imply a sprinter");
-        while let Some(&Reverse(t)) = self.timers.peek() {
+        let s = self.run.sprinter.as_mut().expect("timers imply a sprinter");
+        while let Some(&Reverse(t)) = self.run.timers.peek() {
             if t.at != next_t {
                 break;
             }
-            self.timers.pop();
-            let Some(m) = self.meta.get(&t.job) else {
+            self.run.timers.pop();
+            let Some(m) = self.run.meta.get(&t.job) else {
                 continue;
             };
             if m.attempt != t.attempt || self.engine.job_frequency(t.job) != Some(FreqLevel::Base) {
@@ -1252,11 +1264,11 @@ impl<S: JobSource> MultiDriver<S> {
     /// the failure counters.
     fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
         self.engine.idle_until(next_t);
-        while let Some(&e) = self.faults.peek() {
+        while let Some(&e) = self.run.faults.peek() {
             if SimTime::from_secs(e.at_secs) != next_t {
                 break;
             }
-            self.faults.advance();
+            self.run.faults.advance();
             for (victim, lost) in self.engine.apply_fault(&e)? {
                 self.book_eviction(next_t, victim, lost, true);
             }
@@ -1265,9 +1277,9 @@ impl<S: JobSource> MultiDriver<S> {
         // controller sees the post-batch pool once, and the report counts
         // one change per batch that moved it.
         let effective = self.engine.effective_slots();
-        if effective != self.last_effective {
-            self.last_effective = effective;
-            self.report.capacity_changes += 1;
+        if effective != self.run.last_effective {
+            self.run.last_effective = effective;
+            self.run.report.capacity_changes += 1;
             if let Some(d) = &self.degrade {
                 self.thetas = Some(d.thetas_for(self.total_slots, effective));
             }
@@ -1294,12 +1306,12 @@ impl<S: JobSource> MultiDriver<S> {
             );
         self.engine.idle_until(next_t);
         let submission = self.engine.submit_job(&instance, &self.drops_scratch)?;
-        self.meta.insert(
+        self.run.meta.insert(
             instance.spec.id,
             JobMeta {
                 class,
                 arrival_secs: instance.arrival_secs,
-                seq: self.arrival_seq,
+                seq: self.run.arrival_seq,
                 evictions: 0,
                 failure_evictions: 0,
                 attempt: 0,
@@ -1308,7 +1320,7 @@ impl<S: JobSource> MultiDriver<S> {
                 width: 0,
             },
         );
-        self.arrival_seq += 1;
+        self.run.arrival_seq += 1;
         // A preempting scheduler reports destroyed work whether or
         // not the arrival was ultimately placed.
         let evicted = match submission {
@@ -1326,28 +1338,39 @@ impl<S: JobSource> MultiDriver<S> {
     /// sprinting victim stops draining the budget; its timer dies with the
     /// attempt) and the energy ledger that retired with it.
     fn book_eviction(&mut self, next_t: SimTime, victim: JobId, lost: EvictedWork, failure: bool) {
-        self.report.evictions += 1;
-        self.report.wasted_work_secs += lost.work_secs;
+        self.run.report.evictions += 1;
+        self.run.report.wasted_work_secs += lost.work_secs;
         if failure {
-            self.report.failure_evictions += 1;
-            self.report.failure_lost_work_secs += lost.work_secs;
+            self.run.report.failure_evictions += 1;
+            self.run.report.failure_lost_work_secs += lost.work_secs;
         }
-        if let Some(s) = self.sprinter.as_mut() {
+        if let Some(s) = self.run.sprinter.as_mut() {
             s.stop(next_t, victim);
         }
         let mut class = 0;
-        if let Some(vm) = self.meta.get_mut(&victim) {
+        if let Some(vm) = self.run.meta.get_mut(&victim) {
             vm.evictions += 1;
             vm.failure_evictions += u32::from(failure);
             class = vm.class;
         }
-        harvest_energy(
-            &mut self.engine,
-            &self.meta,
-            class,
-            victim,
-            &mut self.report,
-        );
+        self.harvest_energy(class, victim);
+    }
+
+    /// Drains newly retired per-job energy ledgers into the per-class totals.
+    ///
+    /// `expected_class` short-circuits the common case (the ledger just
+    /// retired belongs to the job we processed); ledgers of other jobs
+    /// drained in the same sweep resolve their class through the job
+    /// metadata.
+    fn harvest_energy(&mut self, expected_class: usize, expected_job: JobId) {
+        for (job, energy) in self.engine.meter_mut().take_finished() {
+            let class = if job == expected_job {
+                expected_class
+            } else {
+                self.run.meta.get(&job).map_or(expected_class, |m| m.class)
+            };
+            self.run.report.add_energy(class, &energy);
+        }
     }
 
     /// Drains the engine's dispatch log: every placement (arrival, backfill,
@@ -1355,6 +1378,7 @@ impl<S: JobSource> MultiDriver<S> {
     fn drain_dispatches(&mut self) {
         for d in self.engine.take_dispatched() {
             let m = self
+                .run
                 .meta
                 .get_mut(&d.job)
                 .expect("dispatched job was submitted");
@@ -1365,23 +1389,18 @@ impl<S: JobSource> MultiDriver<S> {
             }
             m.last_dispatch = secs;
             m.width = d.slots.count;
-            if let Some(s) = self.sprinter.as_ref() {
+            if let Some(s) = self.run.sprinter.as_ref() {
                 if let Some(timeout) = s.timeout_for(m.class) {
-                    self.timers.push(Reverse(SprintTimer {
+                    self.run.timers.push(Reverse(SprintTimer {
                         at: d.time + timeout,
-                        seq: self.timer_seq,
+                        seq: self.run.timer_seq,
                         job: d.job,
                         attempt: m.attempt,
                     }));
-                    self.timer_seq += 1;
+                    self.run.timer_seq += 1;
                 }
             }
         }
-    }
-
-    /// Engine events processed so far.
-    pub(crate) fn events_done(&self) -> u64 {
-        self.events_done
     }
 
     /// Joules the sprint budget has spent so far (0 without a sprint policy).
@@ -1389,7 +1408,10 @@ impl<S: JobSource> MultiDriver<S> {
     /// this is a telemetry-grade lower bound, exact again at
     /// [`MultiDriver::finalize`].
     pub(crate) fn sprint_spent_j(&self) -> f64 {
-        self.sprinter.as_ref().map_or(0.0, MultiSprinter::spent_j)
+        self.run
+            .sprinter
+            .as_ref()
+            .map_or(0.0, MultiSprinter::spent_j)
     }
 
     /// Live driver+engine objects right now: calendar entries, pending and
@@ -1400,9 +1422,9 @@ impl<S: JobSource> MultiDriver<S> {
         self.engine.pending_events()
             + self.engine.pending_jobs()
             + self.engine.running_count()
-            + self.meta.len()
-            + self.timers.len()
-            + self.arrivals.len()
+            + self.run.meta.len()
+            + self.run.timers.len()
+            + self.run.arrivals.len()
     }
 
     /// Closes the books: in-flight energy attribution, horizon, utilization
@@ -1415,61 +1437,43 @@ impl<S: JobSource> MultiDriver<S> {
         // drained at eviction time, so `job_energy` is None for them here.)
         // Summation order is arrival order — a HashMap walk would randomize
         // float rounding across identically seeded runs.
-        let mut leftover: Vec<(&JobId, &JobMeta)> = self.meta.iter().collect();
+        let mut leftover: Vec<(&JobId, &JobMeta)> = self.run.meta.iter().collect();
         leftover.sort_by_key(|(_, m)| m.seq);
         for (job, m) in leftover {
             if let Some(energy) = self.engine.job_energy(*job) {
-                let stats = &mut self.report.per_class[m.class];
-                stats.active_energy_joules += energy.active_joules;
-                stats.busy_slot_secs += energy.busy_slot_secs;
-                stats.sprint_slot_secs += energy.sprint_slot_secs;
-                self.report.busy_slot_secs += energy.busy_slot_secs;
+                self.run.report.add_energy(m.class, &energy);
             }
         }
 
         let horizon = self.engine.now().as_secs();
-        self.report.horizon_secs = horizon;
-        self.report.energy_joules = self.engine.energy_joules();
-        self.report.idle_energy_joules = self.cluster.cluster_power_w(0, FreqLevel::Base) * horizon;
-        if let Some(s) = self.sprinter.as_mut() {
+        self.run.report.horizon_secs = horizon;
+        self.run.report.energy_joules = self.engine.energy_joules();
+        self.run.report.idle_energy_joules =
+            self.cluster.cluster_power_w(0, FreqLevel::Base) * horizon;
+        if let Some(s) = self.run.sprinter.as_mut() {
             s.advance_to(self.engine.now());
-            self.report.sprint_budget_spent_j = s.spent_j();
-            self.report.sprint_budget_replenished_j = s.replenished_j();
-            self.report.sprint_budget_remaining_j = s.budget_j();
+            self.run.report.sprint_budget_spent_j = s.spent_j();
+            self.run.report.sprint_budget_replenished_j = s.replenished_j();
+            self.run.report.sprint_budget_remaining_j = s.budget_j();
         }
         let capacity = horizon * self.cluster.slots() as f64;
-        self.report.utilization = if capacity > 0.0 {
-            (self.report.busy_slot_secs / capacity).min(1.0)
+        self.run.report.utilization = if capacity > 0.0 {
+            (self.run.report.busy_slot_secs / capacity).min(1.0)
         } else {
             0.0
         };
-        self.report
+        self.run.report
     }
 }
 
-/// Drains newly retired per-job energy ledgers into the per-class totals.
-///
-/// `expected_class` short-circuits the common case (the ledger just retired
-/// belongs to the job we processed); ledgers of other jobs drained in the
-/// same sweep resolve their class through `meta`.
-fn harvest_energy(
-    engine: &mut ClusterSim,
-    meta: &IdMap<JobMeta>,
-    expected_class: usize,
-    expected_job: JobId,
-    report: &mut MultiJobReport,
-) {
-    for (job, energy) in engine.meter_mut().take_finished() {
-        let class = if job == expected_job {
-            expected_class
-        } else {
-            meta.get(&job).map_or(expected_class, |m| m.class)
-        };
-        let stats = &mut report.per_class[class];
+impl MultiJobReport {
+    /// Attributes one job's energy ledger to class `class`.
+    fn add_energy(&mut self, class: usize, energy: &JobEnergy) {
+        let stats = &mut self.per_class[class];
         stats.active_energy_joules += energy.active_joules;
         stats.busy_slot_secs += energy.busy_slot_secs;
         stats.sprint_slot_secs += energy.sprint_slot_secs;
-        report.busy_slot_secs += energy.busy_slot_secs;
+        self.busy_slot_secs += energy.busy_slot_secs;
     }
 }
 

@@ -6,12 +6,12 @@
 //! job in exact [`SampleSet`](dias_des::stats::SampleSet)s — fine for a few
 //! hundred thousand jobs, fatal for the ROADMAP's "heavy traffic from
 //! millions of users". [`SoakExperiment`] is the open-system counterpart: it
-//! runs the same `MultiDriver` arbiter loop over a continuous
+//! runs the one `MultiDriver::run_until` arbiter loop over a continuous
 //! marked-Poisson [`JobSource`] (e.g.
-//! `dias_workloads::heterogeneous_width_two_priority`) and records
-//! completions into [`StreamingSummary`] backends — exact count/mean/M2 plus
-//! a Greenwald–Khanna quantile sketch with rank error ≤ εn — so per-class
-//! state stays bounded however long the run.
+//! `dias_workloads::heterogeneous_width_two_priority`) under its own
+//! recorder, which folds completions into [`StreamingSummary`] backends —
+//! exact count/mean/M2 plus a Greenwald–Khanna quantile sketch with rank
+//! error ≤ εn — so per-class state stays bounded however long the run.
 //!
 //! Three knobs shape a soak:
 //!
@@ -40,10 +40,11 @@
 
 use std::time::Instant;
 
-use dias_des::stats::{SampleStats, StreamingSummary, DEFAULT_SKETCH_EPSILON};
+use dias_des::stats::{SampleStats, StreamingMoments, StreamingSummary, DEFAULT_SKETCH_EPSILON};
+use dias_des::SimTime;
 use dias_engine::{FaultTrace, Scheduler};
 
-use crate::multi::{CompletionObs, MultiDriver, NoHook};
+use crate::multi::{CompletionObs, MultiDriver, Recorder};
 use crate::{
     ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintPolicy,
 };
@@ -366,44 +367,42 @@ impl<S: JobSource> SoakExperiment<S> {
         let arrival_batch = self.inner.arrival_batch;
         let exp = self.inner.jobs(driver_jobs).warmup(driver_warmup);
         let mut driver = MultiDriver::build(exp)?;
-        let completion_cap = calibration
+        driver.completion_cap = calibration
             .saturating_add(driver_warmup)
             .saturating_add(jobs)
             .saturating_mul(64)
             .saturating_add(1024);
-        let mut books = SoakBooks::new(
-            driver.classes,
-            self.epsilon,
-            driver.slos.clone(),
+        let mut books = SoakBooks {
+            slos: driver.slos.clone(),
+            epsilon: eps,
+            jobs,
             window_jobs,
-            calibration,
-        );
+            calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
+            lifetime: (0..driver.classes)
+                .map(|_| MultiClassStats {
+                    response: StreamingSummary::with_epsilon(eps),
+                    queueing: StreamingSummary::with_epsilon(eps),
+                    dispatch_wait: StreamingSummary::with_epsilon(eps),
+                    reexec_loss: StreamingSummary::with_epsilon(eps),
+                    execution: StreamingSummary::with_epsilon(eps),
+                    drop_fraction: StreamingSummary::with_epsilon(eps),
+                    ..Default::default()
+                })
+                .collect(),
+            window: window_classes(driver.classes, eps),
+            ..SoakBooks::default()
+        };
 
         let wall_start = Instant::now();
-        let mut live_high_water = 0usize;
-        while books.measured < jobs {
-            if driver.total_completions > completion_cap {
-                return Err(ExperimentError::Starved {
-                    measured_done: books.measured,
-                    target: jobs,
-                });
-            }
-            let Some((next_t, arm)) = driver.next_arm() else {
-                break; // source exhausted, engine drained
-            };
-            if let Some(obs) = driver.step(next_t, arm, &mut NoHook)? {
-                books.observe(&obs, driver.engine.energy_joules());
-            }
-            live_high_water = live_high_water.max(driver.live_objects() + books.live_nodes());
-        }
+        driver.run_until(SimTime::FAR_FUTURE, &mut books)?;
         // A finite source can drain mid-calibration: measure what the buffer
         // holds rather than discarding it wholesale.
         books.resolve_calibration();
         books.close_window_if_open(driver.engine.energy_joules());
 
         let wall_clock_secs = wall_start.elapsed().as_secs_f64();
-        let events = driver.events_done();
-        let simulated = driver.total_completions as f64;
+        let events = driver.run.events_done;
+        let simulated = driver.run.total_completions as f64;
         let totals = driver.finalize();
         Ok(SoakReport {
             totals,
@@ -412,7 +411,7 @@ impl<S: JobSource> SoakExperiment<S> {
             measured_jobs: books.measured as u64,
             warmup_jobs: books.warmup_jobs,
             arrival_batch,
-            live_high_water,
+            live_high_water: books.live_high_water,
             events,
             wall_clock_secs,
             sim_jobs_per_sec: if wall_clock_secs > 0.0 {
@@ -424,17 +423,20 @@ impl<S: JobSource> SoakExperiment<S> {
     }
 }
 
-/// The soak's measurement-side state: warm-up machinery, lifetime streaming
-/// statistics, and the currently open window.
+/// The soak's recorder: warm-up machinery, lifetime streaming statistics,
+/// the currently open window and the live-object high-water mark.
+#[derive(Default)]
 struct SoakBooks {
     slos: Option<Vec<f64>>,
     epsilon: f64,
+    /// Measured completions the soak runs for.
+    jobs: usize,
     window_jobs: usize,
     /// `Some(buffer)` while MSER calibration is still collecting; `None`
     /// under [`WarmupRule::Arrivals`] or once the truncation resolved.
     calibrating: Option<(usize, Vec<CompletionObs>)>,
     lifetime: Vec<MultiClassStats<StreamingSummary>>,
-    window: Vec<MultiClassStats<StreamingSummary>>,
+    window: Vec<WindowClass>,
     windows: Vec<SoakWindow>,
     window_count: usize,
     window_start_secs: f64,
@@ -442,37 +444,26 @@ struct SoakBooks {
     energy_mark: f64,
     measured: usize,
     warmup_jobs: u64,
+    live_high_water: usize,
 }
 
-impl SoakBooks {
-    fn new(
-        classes: usize,
-        epsilon: f64,
-        slos: Option<Vec<f64>>,
-        window_jobs: usize,
-        calibration: usize,
-    ) -> Self {
-        SoakBooks {
-            slos,
-            epsilon,
-            window_jobs,
-            calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
-            lifetime: streaming_classes(classes, epsilon),
-            window: streaming_classes(classes, epsilon),
-            windows: Vec::new(),
-            window_count: 0,
-            window_start_secs: 0.0,
-            window_end_secs: 0.0,
-            energy_mark: 0.0,
-            measured: 0,
-            warmup_jobs: 0,
-        }
+/// One class's accumulators in the open window: only what closing it reads.
+struct WindowClass {
+    response: StreamingSummary,
+    drop_fraction: StreamingMoments,
+    slo_attained: u64,
+}
+
+impl<S: JobSource> Recorder<S> for SoakBooks {
+    fn progress(&self, _: &MultiDriver<S>) -> (usize, usize) {
+        (self.measured, self.jobs)
     }
 
     /// Routes one completion: warm-up discard, calibration buffering, or
-    /// measurement. `energy_now` is the engine's cumulative energy at the
-    /// completion, consumed when this observation closes a window.
-    fn observe(&mut self, obs: &CompletionObs, energy_now: f64) {
+    /// measurement. The engine's cumulative energy at the completion is
+    /// consumed when this observation closes a window.
+    fn record(&mut self, driver: &mut MultiDriver<S>, obs: &CompletionObs) {
+        let energy_now = driver.engine.energy_joules();
         if !obs.measured {
             // Outside the driver's arrival window (fixed warm-up mode).
             self.warmup_jobs += 1;
@@ -486,10 +477,18 @@ impl SoakBooks {
             }
             return;
         }
-        self.record(obs);
+        self.measure(obs);
         self.close_windows_if_full(energy_now);
     }
 
+    fn after_step(&mut self, driver: &MultiDriver<S>) {
+        self.live_high_water = self
+            .live_high_water
+            .max(driver.live_objects() + self.live_nodes());
+    }
+}
+
+impl SoakBooks {
     /// Ends MSER calibration: picks the truncation over the pooled response
     /// series and retro-records the kept suffix in completion order.
     fn resolve_calibration(&mut self) {
@@ -500,14 +499,19 @@ impl SoakBooks {
         let truncate = mser_truncation(&responses);
         self.warmup_jobs += truncate as u64;
         for obs in &buffer[truncate..] {
-            self.record(obs);
+            self.measure(obs);
         }
     }
 
-    fn record(&mut self, obs: &CompletionObs) {
-        let slo = self.slos.as_ref().map(|s| s[obs.class]);
-        self.lifetime[obs.class].record(obs, slo);
-        self.window[obs.class].record(obs, slo);
+    /// Folds one measured completion into the lifetime statistics and the
+    /// open window.
+    fn measure(&mut self, obs: &CompletionObs) {
+        let slos = self.slos.as_deref();
+        self.lifetime[obs.class].record(obs, slos);
+        let w = &mut self.window[obs.class];
+        w.response.push(obs.response);
+        w.drop_fraction.push(obs.drop_fraction);
+        w.slo_attained += u64::from(obs.meets_slo(slos));
         if self.window_count == 0 {
             self.window_start_secs = obs.completed_at_secs;
         }
@@ -539,7 +543,7 @@ impl SoakBooks {
             .window
             .iter()
             .map(|c| SoakWindowClass {
-                completed: c.completed,
+                completed: c.response.count(),
                 mean_response: c.response.mean(),
                 p50_response: c.response.quantile(0.5),
                 p95_response: c.response.quantile(0.95),
@@ -558,49 +562,42 @@ impl SoakBooks {
         });
         self.energy_mark = energy_now;
         self.window_count -= take;
-        let classes = self.window.len();
-        self.window = streaming_classes(classes, self.epsilon);
+        self.window = window_classes(self.window.len(), self.epsilon);
         self.window_start_secs = self.window_end_secs;
     }
 
     /// Live measurement-side objects: sketch nodes (lifetime + open window),
     /// the calibration buffer, and the closed windows' scalar rows.
     fn live_nodes(&self) -> usize {
-        streaming_nodes(&self.lifetime)
-            + streaming_nodes(&self.window)
+        let lifetime: usize = self
+            .lifetime
+            .iter()
+            .map(|c| {
+                c.response.live_nodes()
+                    + c.queueing.live_nodes()
+                    + c.dispatch_wait.live_nodes()
+                    + c.reexec_loss.live_nodes()
+                    + c.execution.live_nodes()
+                    + c.drop_fraction.live_nodes()
+            })
+            .sum();
+        let window: usize = self.window.iter().map(|c| c.response.live_nodes()).sum();
+        lifetime
+            + window
             + self.calibrating.as_ref().map_or(0, |(_, b)| b.len())
             + self.windows.len() * (1 + self.window.len())
     }
 }
 
-/// Fresh per-class streaming accumulators at rank-error bound `eps`.
-fn streaming_classes(classes: usize, eps: f64) -> Vec<MultiClassStats<StreamingSummary>> {
+/// Fresh open-window accumulators at rank-error bound `eps`.
+fn window_classes(classes: usize, eps: f64) -> Vec<WindowClass> {
     (0..classes)
-        .map(|_| MultiClassStats {
+        .map(|_| WindowClass {
             response: StreamingSummary::with_epsilon(eps),
-            queueing: StreamingSummary::with_epsilon(eps),
-            dispatch_wait: StreamingSummary::with_epsilon(eps),
-            reexec_loss: StreamingSummary::with_epsilon(eps),
-            execution: StreamingSummary::with_epsilon(eps),
-            drop_fraction: StreamingSummary::with_epsilon(eps),
-            ..Default::default()
+            drop_fraction: StreamingMoments::new(),
+            slo_attained: 0,
         })
         .collect()
-}
-
-/// Total live sketch nodes across a per-class accumulator set.
-fn streaming_nodes(stats: &[MultiClassStats<StreamingSummary>]) -> usize {
-    stats
-        .iter()
-        .map(|c| {
-            c.response.live_nodes()
-                + c.queueing.live_nodes()
-                + c.dispatch_wait.live_nodes()
-                + c.reexec_loss.live_nodes()
-                + c.execution.live_nodes()
-                + c.drop_fraction.live_nodes()
-        })
-        .sum()
 }
 
 /// MSER truncation point of a completion-ordered series: the `d ≤ n/2`

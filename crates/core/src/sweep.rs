@@ -355,12 +355,10 @@ impl BranchStats {
 ///
 /// # Errors
 ///
-/// Propagates the first [`ExperimentError`] any cell reports (reference
-/// replicas first, then suffix cells in grid order).
-///
-/// # Panics
-///
-/// Panics if `point_thetas` is empty or `stride` is zero.
+/// Returns [`ExperimentError::InvalidConfig`] naming `point_thetas` when it
+/// is empty or `stride` when it is zero. Otherwise propagates the first
+/// [`ExperimentError`] any cell reports (reference replicas first, then
+/// suffix cells in grid order).
 pub fn run_multi_experiments_branch<S, F>(
     point_thetas: &[Vec<f64>],
     replicas: usize,
@@ -372,11 +370,18 @@ where
     S: JobSource + Clone + Send + Sync,
     F: Fn(usize) -> MultiJobExperiment<S> + Sync,
 {
-    assert!(
-        !point_thetas.is_empty(),
-        "a branch sweep needs a reference point"
-    );
-    assert!(stride > 0, "checkpoint stride must be positive");
+    if point_thetas.is_empty() {
+        return Err(ExperimentError::invalid(
+            "point_thetas",
+            "a branch sweep needs a reference point",
+        ));
+    }
+    if stride == 0 {
+        return Err(ExperimentError::invalid(
+            "stride",
+            "checkpoint stride must be positive",
+        ));
+    }
     let points = point_thetas.len();
     if !make(0).drops(&point_thetas[0]).branchable() {
         let report = run_differential(points, replicas, threads, |p, r| {

@@ -1,16 +1,18 @@
 //! Invalid run settings come back as `ExperimentError::InvalidConfig`.
 //!
 //! Every setter of the four builders stores its value unchecked; the run
-//! method checks it and names the setter in the error. Each case below sends
-//! one invalid value through every builder that accepts it and runs it under
+//! method checks it and names the setter in the error. The branch runners
+//! name their own arguments the same way. Each case below sends one invalid
+//! value through every builder or runner that accepts it and runs it under
 //! `catch_unwind`, so a panic anywhere fails the test.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dias_core::federation::FederationExperiment;
+use dias_core::sweep::run_multi_experiments_branch;
 use dias_core::{
-    ClassPolicy, Experiment, ExperimentError, MultiJobExperiment, Policy, Scheduling,
-    SoakExperiment, VecJobSource, WarmupRule,
+    ClassPolicy, DegradationPolicy, Experiment, ExperimentError, MultiJobExperiment, Policy,
+    Scheduling, SoakExperiment, VecJobSource, WarmupRule,
 };
 use dias_engine::{
     ClusterSpec, FaultTrace, GangBinPack, JobInstance, JobSpec, StageKind, StageSpec,
@@ -138,11 +140,41 @@ fn federation_shape() {
 }
 
 #[test]
+fn branch_runner_settings() {
+    assert_invalid("stride", "recording stride 0", || multi().run_recording(0));
+    assert_invalid("point_thetas", "branch sweep without points", || {
+        run_multi_experiments_branch(&[], 1, 1, 4, |_| multi())
+    });
+    assert_invalid("stride", "branch sweep stride 0", || {
+        run_multi_experiments_branch(&[vec![0.0, 0.0]], 1, 1, 0, |_| multi())
+    });
+    // Degradation and SLO scoring disable branching; the runners that need a
+    // branchable configuration name the setting that disabled it.
+    let (_, trace) = multi().run_recording(4).expect("branchable reference");
+    let degrade = || DegradationPolicy::new(&[0.2, 0.0], &[0.8, 0.0]);
+    assert_invalid("degrade", "recording a degrading run", || {
+        multi().degrade(degrade()).run_recording(4)
+    });
+    assert_invalid("degrade", "resuming a degrading run", || {
+        multi().degrade(degrade()).run_from(&trace)
+    });
+    let targets = [100.0, 100.0];
+    assert_invalid("slos", "recording an SLO run", || {
+        multi().slos(&targets).run_recording(4)
+    });
+    assert_invalid("slos", "resuming an SLO run", || {
+        multi().slos(&targets).run_from(&trace)
+    });
+}
+
+#[test]
 fn boundary_values_run() {
     for theta in [0.0, 1.0] {
         assert!(multi().drops(&[theta, 0.0]).run().is_ok(), "θ={theta}");
     }
     assert!(soak().arrival_batch(1).epsilon(0.49).run().is_ok());
+    let (_, trace) = multi().run_recording(1).expect("stride 1 records");
+    assert!(multi().drops(&[0.5, 0.0]).run_from(&trace).is_ok());
     assert!(fleet(2)
         .shard_faults(vec![FaultTrace::empty(); 2])
         .epoch_secs(1e-3)

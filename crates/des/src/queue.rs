@@ -87,6 +87,12 @@ struct Slot<E> {
 /// pending event to a new timestamp in place — the operations the engine's
 /// eviction and DVFS paths hammer.
 ///
+/// A clone is the branch primitive of checkpoint/restore simulation: it
+/// copies the handle table with its generations and the FIFO sequence
+/// counter, so every [`EventHandle`] issued before the clone resolves to the
+/// same event in both queues, and identical operation sequences on the two
+/// then pop bit-identical streams.
+///
 /// # Examples
 ///
 /// ```
@@ -135,35 +141,6 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             next_seq: 0,
         }
-    }
-
-    /// An owned deep copy of the calendar — the branch primitive for
-    /// checkpoint/restore simulation.
-    ///
-    /// The heap slab, parked payloads, handle table (slot positions *and*
-    /// generations) and the FIFO sequence counter are all copied verbatim, so
-    /// every [`EventHandle`] issued by this queue stays valid in the snapshot
-    /// and resolves to the same event. From here on the two queues evolve
-    /// independently; identical operation sequences produce bit-identical pop
-    /// streams.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dias_des::{EventQueue, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// let h = q.push(SimTime::from_secs(2.0), "task");
-    /// let mut branch = q.snapshot();
-    /// assert!(branch.cancel(h)); // pre-snapshot handles work in the branch
-    /// assert!(q.cancel(h)); // ...without disturbing the original
-    /// ```
-    #[must_use]
-    pub fn snapshot(&self) -> Self
-    where
-        E: Clone,
-    {
-        self.clone()
     }
 
     /// Schedules `payload` to fire at `time` and returns a handle for later
@@ -604,7 +581,7 @@ mod tests {
             .map(|i| q.push(SimTime::from_secs(f64::from((i * 13) % 20)), i))
             .collect();
         // Fire the three time-0 events and cancel a few others so the
-        // snapshot sees reused slots and a non-trivial free list.
+        // clone sees reused slots and a non-trivial free list.
         q.pop();
         q.pop();
         q.pop();
@@ -612,7 +589,7 @@ mod tests {
         q.cancel(handles[11]);
         q.push(SimTime::from_secs(0.5), 99);
 
-        let mut branch = q.snapshot();
+        let mut branch = q.clone();
         // Pre-snapshot handles resolve to the same events in the branch...
         assert!(branch.reschedule(handles[3], SimTime::from_secs(0.25)));
         assert_eq!(branch.pop(), Some((SimTime::from_secs(0.25), 3)));
@@ -632,7 +609,7 @@ mod tests {
     fn snapshot_and_original_diverge_independently() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(1.0), "shared");
-        let mut branch = q.snapshot();
+        let mut branch = q.clone();
         // New pushes after the snapshot get distinct slots per queue; FIFO
         // sequence numbers continue from the same counter in both.
         let hq = q.push(SimTime::from_secs(1.0), "orig");

@@ -21,7 +21,7 @@ use crate::SimTime;
 ///     w.push(x);
 /// }
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.variance() - 4.571428571428571).abs() < 1e-12);
+/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Welford {
@@ -55,16 +55,6 @@ impl Welford {
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Unbiased sample variance; 0 with fewer than two observations.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
     }
 
     /// Population variance (`M2 / n`); 0 when empty.
@@ -953,9 +943,9 @@ mod tests {
             w.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-12);
+        assert!((w.population_variance() - var).abs() < 1e-12);
     }
 
     #[test]
@@ -975,7 +965,7 @@ mod tests {
         }
         a.merge(&b);
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
+        assert!((a.population_variance() - all.population_variance()).abs() < 1e-9);
         assert_eq!(a.count(), all.count());
     }
 

@@ -459,6 +459,16 @@ pub struct DispatchRecord {
 #[derive(Debug)]
 pub struct ClusterSim {
     spec: ClusterSpec,
+    scheduler: Box<dyn Scheduler>,
+    /// Everything that evolves during a run; [`ClusterSim::checkpoint`] is
+    /// its clone.
+    state: SimState,
+}
+
+/// The mutable half of a [`ClusterSim`]: the fixed spec and the scheduler
+/// stay outside it.
+#[derive(Debug, Clone)]
+struct SimState {
     time: SimTime,
     queue: EventQueue<Internal>,
     runs: RunTable,
@@ -466,7 +476,6 @@ pub struct ClusterSim {
     /// ranges, sorted by slot start and updated in place.
     views: Vec<RunningView>,
     pending: PendingQueue,
-    scheduler: Box<dyn Scheduler>,
     meter: EnergyMeter,
     dispatched: Vec<DispatchRecord>,
     /// Per-slot fault state, indexed by slot. All-`Up`/`1.0` on a healthy
@@ -492,44 +501,18 @@ struct SlotState {
 /// this sim or a fresh one built with the same spec and scheduler).
 ///
 /// A checkpoint owns everything that evolves during a run: the wall clock,
-/// the event calendar (a deep [`EventQueue::snapshot`] with handle
-/// generations preserved, so the calendar handles stored in the run table
-/// stay valid), the run and pending tables, the per-job energy ledgers, the undrained dispatch log, and the
-/// per-slot fault state (health, straggler factors, and the derived
-/// unavailable/straggler counters — the fault *cursor* of a driver-level
-/// fault trace lives with the driver, which snapshots it alongside). It does
-/// **not** capture the cluster spec or the scheduler: both are fixed at
-/// construction and the shipped schedulers are stateless.
+/// the event calendar (cloned with its handle generations, so the calendar
+/// handles stored in the run table stay valid), the run and pending tables,
+/// the per-job energy ledgers, the undrained dispatch log, and the per-slot
+/// fault state (the fault *cursor* of a driver-level fault trace lives with
+/// the driver, which clones it alongside). It does **not** capture the
+/// cluster spec or the scheduler: both are fixed at construction and the
+/// shipped schedulers are stateless.
 ///
 /// Checkpoints are plain owned data — `Clone`, `Send` and `Sync` — so one
 /// reference run can fan out to many concurrent branches.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
-    time: SimTime,
-    queue: EventQueue<Internal>,
-    runs: RunTable,
-    views: Vec<RunningView>,
-    pending: PendingQueue,
-    meter: EnergyMeter,
-    dispatched: Vec<DispatchRecord>,
-    slot_states: Vec<SlotState>,
-    unavailable: usize,
-    stragglers: usize,
-}
-
-impl Checkpoint {
-    /// The simulated time the checkpoint was taken at.
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// Number of events pending in the captured calendar.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-}
+pub struct Checkpoint(SimState);
 
 /// Priority class of the phantom "blocked" views fault injection inserts for
 /// out-of-service slots: never a legal preemption victim (no arriving class
@@ -567,23 +550,25 @@ impl ClusterSim {
         let slots = spec.slots();
         Ok(ClusterSim {
             spec,
-            time: SimTime::ZERO,
-            queue: EventQueue::new(),
-            runs: RunTable::new(),
-            views: Vec::new(),
-            pending: PendingQueue::default(),
             scheduler,
-            meter,
-            dispatched: Vec::new(),
-            slot_states: vec![
-                SlotState {
-                    health: SlotHealth::Up,
-                    slow: 1.0,
-                };
-                slots
-            ],
-            unavailable: 0,
-            stragglers: 0,
+            state: SimState {
+                time: SimTime::ZERO,
+                queue: EventQueue::new(),
+                runs: RunTable::new(),
+                views: Vec::new(),
+                pending: PendingQueue::default(),
+                meter,
+                dispatched: Vec::new(),
+                slot_states: vec![
+                    SlotState {
+                        health: SlotHealth::Up,
+                        slow: 1.0,
+                    };
+                    slots
+                ],
+                unavailable: 0,
+                stragglers: 0,
+            },
         })
     }
 
@@ -596,7 +581,7 @@ impl ClusterSim {
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.time
+        self.state.time
     }
 
     /// The cluster specification.
@@ -608,21 +593,25 @@ impl ClusterSim {
     /// Whether no job is running or waiting in the engine.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.runs.is_empty() && self.pending.is_empty()
+        self.state.runs.is_empty() && self.state.pending.is_empty()
     }
 
     /// Frequency level of `job`'s domain, or `None` when it is not running.
     #[must_use]
     pub fn job_frequency(&self, job: JobId) -> Option<FreqLevel> {
-        self.runs.key_of(job).map(|key| self.runs.get(key).freq)
+        self.state
+            .runs
+            .key_of(job)
+            .map(|key| self.state.runs.get(key).freq)
     }
 
     /// Ids of all running jobs, in dispatch order.
     #[must_use]
     pub fn running_jobs(&self) -> Vec<JobId> {
-        self.runs
+        self.state
+            .runs
             .in_dispatch_order()
-            .map(|key| self.runs.get(key).work.job)
+            .map(|key| self.state.runs.get(key).work.job)
             .collect()
     }
 
@@ -633,17 +622,18 @@ impl ClusterSim {
     /// would be pure overhead.
     #[must_use]
     pub fn running_count(&self) -> usize {
-        self.runs.len()
+        self.state.runs.len()
     }
 
     /// Current slot assignments, one per running job, in dispatch order.
     /// Scheduler policies must keep these ranges pairwise disjoint.
     #[must_use]
     pub fn assignments(&self) -> Vec<(JobId, SlotRange)> {
-        self.runs
+        self.state
+            .runs
             .in_dispatch_order()
             .map(|key| {
-                let r = self.runs.get(key);
+                let r = self.state.runs.get(key);
                 (r.work.job, r.slots)
             })
             .collect()
@@ -652,32 +642,32 @@ impl ClusterSim {
     /// Jobs waiting in the engine's pending queue for slots.
     #[must_use]
     pub fn pending_jobs(&self) -> usize {
-        self.pending.len()
+        self.state.pending.len()
     }
 
     /// Total energy consumed so far, in joules.
     #[must_use]
     pub fn energy_joules(&self) -> f64 {
-        self.meter.energy_joules(self.time)
+        self.state.meter.energy_joules(self.state.time)
     }
 
     /// The energy meter, for per-job attribution queries.
     #[must_use]
     pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
+        &self.state.meter
     }
 
     /// Mutable access to the energy meter, to drain finished-job
     /// attributions with [`EnergyMeter::take_finished`]. Only the engine
     /// writes the ledgers; the meter's public calls read or drain them.
     pub fn meter_mut(&mut self) -> &mut EnergyMeter {
-        &mut self.meter
+        &mut self.state.meter
     }
 
     /// Energy attributed to `job` as of now (running or finished).
     #[must_use]
     pub fn job_energy(&self, job: JobId) -> Option<JobEnergy> {
-        self.meter.job_energy(job, self.time)
+        self.state.meter.job_energy(job, self.state.time)
     }
 
     /// Advances the wall clock to `now` without processing events (used by the
@@ -687,17 +677,17 @@ impl ClusterSim {
     ///
     /// Panics if `now` is before the current time or an engine event precedes it.
     pub fn idle_until(&mut self, now: SimTime) {
-        assert!(now >= self.time, "time must not run backwards");
-        if let Some(t) = self.queue.peek_time() {
+        assert!(now >= self.state.time, "time must not run backwards");
+        if let Some(t) = self.state.queue.peek_time() {
             assert!(now <= t, "cannot skip over a pending engine event");
         }
-        self.time = now;
+        self.state.time = now;
     }
 
     /// Number of events pending in the engine's internal calendar.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.state.queue.len()
     }
 
     /// Drains the log of job-attempt dispatches since the last call, in
@@ -709,34 +699,20 @@ impl ClusterSim {
     /// per-attempt sprint timers) harvest them here; callers that ignore the
     /// log pay one `Vec` push per dispatch.
     pub fn take_dispatched(&mut self) -> Vec<DispatchRecord> {
-        std::mem::take(&mut self.dispatched)
+        std::mem::take(&mut self.state.dispatched)
     }
 
     /// Captures the simulation's complete mutable state as an owned
-    /// [`Checkpoint`].
-    ///
-    /// The snapshot owns the event calendar (handle generations preserved —
-    /// see [`EventQueue::snapshot`] — so the calendar handles inside the run
-    /// table stay valid), the run and pending tables, the per-job energy
-    /// ledgers, the undrained dispatch log, per-slot fault state and the
-    /// per-gang frequency domains. Restoring it into a sim built with the
-    /// same spec and scheduler is bitwise-exact: the branch's event stream,
-    /// dispatch log and energy books replay identically to an uninterrupted
-    /// run.
+    /// [`Checkpoint`]: the clock, the event calendar (handle generations
+    /// preserved, so the calendar handles inside the run table stay valid),
+    /// the run and pending tables, the per-job energy ledgers, the undrained
+    /// dispatch log, per-slot fault state and the per-gang frequency domains.
+    /// Restoring it into a sim built with the same spec and scheduler is
+    /// bitwise-exact: the branch's event stream, dispatch log and energy
+    /// books replay identically to an uninterrupted run.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            time: self.time,
-            queue: self.queue.snapshot(),
-            runs: self.runs.clone(),
-            views: self.views.clone(),
-            pending: self.pending.clone(),
-            meter: self.meter.clone(),
-            dispatched: self.dispatched.clone(),
-            slot_states: self.slot_states.clone(),
-            unavailable: self.unavailable,
-            stragglers: self.stragglers,
-        }
+        Checkpoint(self.state.clone())
     }
 
     /// Reinstates a state captured by [`ClusterSim::checkpoint`], overwriting
@@ -755,20 +731,11 @@ impl ClusterSim {
     /// Panics if the checkpoint's slot count does not match this sim's spec.
     pub fn restore(&mut self, cp: &Checkpoint) {
         assert_eq!(
-            cp.slot_states.len(),
+            cp.0.slot_states.len(),
             self.spec.slots(),
             "checkpoint is from a cluster with a different slot count"
         );
-        self.time = cp.time;
-        self.queue = cp.queue.snapshot();
-        self.runs = cp.runs.clone();
-        self.views = cp.views.clone();
-        self.pending = cp.pending.clone();
-        self.meter = cp.meter.clone();
-        self.dispatched = cp.dispatched.clone();
-        self.slot_states = cp.slot_states.clone();
-        self.unavailable = cp.unavailable;
-        self.stragglers = cp.stragglers;
+        self.state.clone_from(&cp.0);
     }
 
     /// Validates `drops` against `instance` and prepares the post-drop work.
@@ -835,20 +802,20 @@ impl ClusterSim {
     /// places on an empty view set) treats any capacity loss as a full
     /// outage — the paper's whole-cluster gang semantics.
     fn refresh_phantoms(&mut self) {
-        self.views.retain(|v| v.job != BLOCKED_SLOT_JOB);
+        self.state.views.retain(|v| v.job != BLOCKED_SLOT_JOB);
         let mut s = 0;
-        let n = self.slot_states.len();
+        let n = self.state.slot_states.len();
         while s < n {
-            if self.slot_states[s].health == SlotHealth::Up {
+            if self.state.slot_states[s].health == SlotHealth::Up {
                 s += 1;
                 continue;
             }
             let start = s;
-            while s < n && self.slot_states[s].health != SlotHealth::Up {
+            while s < n && self.state.slot_states[s].health != SlotHealth::Up {
                 s += 1;
             }
-            let pos = view_pos(&self.views, start, BLOCKED_SLOT_JOB);
-            self.views.insert(
+            let pos = view_pos(&self.state.views, start, BLOCKED_SLOT_JOB);
+            self.state.views.insert(
                 pos,
                 RunningView {
                     job: BLOCKED_SLOT_JOB,
@@ -862,18 +829,19 @@ impl ClusterSim {
 
     /// Key of the run holding slot `slot`, if any.
     fn run_on_slot(&self, slot: usize) -> Option<usize> {
-        self.views
+        self.state
+            .views
             .iter()
             .find(|v| v.job != BLOCKED_SLOT_JOB && v.slots.start <= slot && slot < v.slots.end())
-            .and_then(|v| self.runs.key_of(v.job))
+            .and_then(|v| self.state.runs.key_of(v.job))
     }
 
     /// Takes run `key` out of the run table and the scheduler's views.
     fn remove_run(&mut self, key: usize) -> Run {
-        let run = self.runs.remove(key);
-        let pos = view_pos(&self.views, run.slots.start, run.work.job);
-        debug_assert_eq!(self.views[pos].job, run.work.job);
-        self.views.remove(pos);
+        let run = self.state.runs.remove(key);
+        let pos = view_pos(&self.state.views, run.slots.start, run.work.job);
+        debug_assert_eq!(self.state.views[pos].job, run.work.job);
+        self.state.views.remove(pos);
         run
     }
 
@@ -895,9 +863,9 @@ impl ClusterSim {
         let mut evicted: Vec<(JobId, EvictedWork)> = Vec::new();
 
         loop {
-            if let Some(slots) = self
-                .scheduler
-                .place(work.class, work.width, total, &self.views)
+            if let Some(slots) =
+                self.scheduler
+                    .place(work.class, work.width, total, &self.state.views)
             {
                 self.dispatch(work, slots);
                 if !evicted.is_empty() {
@@ -914,15 +882,15 @@ impl ClusterSim {
             }
             let victim = self
                 .scheduler
-                .victim(work.class, work.width, total, &self.views);
+                .victim(work.class, work.width, total, &self.state.views);
             // Only a still-running, strictly lower-class job is a legal
             // victim; anything else ends the eviction loop and queues the
             // arrival (guards against non-terminating scheduler answers).
             let Some(key) = victim
-                .and_then(|v| self.runs.key_of(v))
-                .filter(|&key| self.runs.get(key).work.class < work.class)
+                .and_then(|v| self.state.runs.key_of(v))
+                .filter(|&key| self.state.runs.get(key).work.class < work.class)
             else {
-                self.pending.push_back(work);
+                self.state.pending.push_back(work);
                 if !evicted.is_empty() {
                     // Defensive: victims were evicted but the arrival still
                     // cannot be placed. Re-offer the freed capacity to the
@@ -933,10 +901,10 @@ impl ClusterSim {
                 }
                 return Ok(Submission::Queued { evicted });
             };
-            let job = self.runs.get(key).work.job;
+            let job = self.state.runs.get(key).work.job;
             let (lost, requeue) = self.do_evict(key);
             evicted.push((job, lost));
-            self.pending.push_front(requeue);
+            self.state.pending.push_front(requeue);
         }
     }
 
@@ -944,12 +912,12 @@ impl ClusterSim {
     /// (a gang's waves are as slow as their slowest slot). 1.0 when no slot
     /// anywhere straggles — the fault-free fast path.
     fn range_slow(&self, slots: SlotRange) -> f64 {
-        if self.stragglers == 0 {
+        if self.state.stragglers == 0 {
             return 1.0;
         }
         let mut slow = 1.0f64;
-        for s in slots.start..slots.end().min(self.slot_states.len()) {
-            slow = slow.max(self.slot_states[s].slow);
+        for s in slots.start..slots.end().min(self.state.slot_states.len()) {
+            slow = slow.max(self.state.slot_states[s].slow);
         }
         slow
     }
@@ -964,24 +932,26 @@ impl ClusterSim {
         let speed = self.spec.speed_at(freq) / slow;
         let job = work.job;
         let class = work.class;
-        let key = self.runs.next_key();
-        let handle = self.queue.push(
-            self.time + work.setup_secs / speed,
+        let key = self.state.runs.next_key();
+        let handle = self.state.queue.push(
+            self.state.time + work.setup_secs / speed,
             Internal::SerialDone { run: key },
         );
         let setup_secs = work.setup_secs;
-        self.meter.update_ledger(self.time, key, job, 1, freq);
-        let inserted = self.runs.insert(Run {
+        self.state
+            .meter
+            .update_ledger(self.state.time, key, job, 1, freq);
+        let inserted = self.state.runs.insert(Run {
             work,
             slots,
             phase: Phase::Serial {
                 is_setup: true,
                 next_stage: 0,
                 work_left: setup_secs,
-                since: self.time,
+                since: self.state.time,
                 handle,
             },
-            started: self.time,
+            started: self.state.time,
             freq,
             slow,
             work_done: 0.0,
@@ -990,19 +960,19 @@ impl ClusterSim {
             tasks_run: 0,
         });
         debug_assert_eq!(inserted, key);
-        let pos = view_pos(&self.views, slots.start, job);
-        self.views.insert(
+        let pos = view_pos(&self.state.views, slots.start, job);
+        self.state.views.insert(
             pos,
             RunningView {
                 job,
                 class,
                 slots,
-                started: self.time,
+                started: self.state.time,
             },
         );
-        self.dispatched.push(DispatchRecord {
+        self.state.dispatched.push(DispatchRecord {
             job,
-            time: self.time,
+            time: self.state.time,
             slots,
         });
     }
@@ -1011,14 +981,14 @@ impl ClusterSim {
     /// declines (called after every departure).
     fn backfill(&mut self) {
         let total = self.spec.slots();
-        while !self.pending.is_empty() {
+        while !self.state.pending.is_empty() {
             let Some((idx, slots)) =
                 self.scheduler
-                    .pick_next(&self.pending.views, total, &self.views)
+                    .pick_next(&self.state.pending.views, total, &self.state.views)
             else {
                 return;
             };
-            let work = self.pending.remove(idx);
+            let work = self.state.pending.remove(idx);
             self.dispatch(work, slots);
         }
     }
@@ -1030,7 +1000,7 @@ impl ClusterSim {
     /// events here).
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.state.queue.peek_time()
     }
 
     /// Processes the next internal event and reports what happened.
@@ -1044,11 +1014,11 @@ impl ClusterSim {
     ///
     /// Returns [`EngineError::Idle`] when no job is running.
     pub fn advance(&mut self) -> Result<EngineEvent, EngineError> {
-        let (t, handle, &ev) = self.queue.peek().ok_or(EngineError::Idle)?;
-        self.time = t;
+        let (t, handle, &ev) = self.state.queue.peek().ok_or(EngineError::Idle)?;
+        self.state.time = t;
         match ev {
             Internal::SerialDone { run } => {
-                self.queue.pop();
+                self.state.queue.pop();
                 self.finish_serial(run)
             }
             Internal::TaskDone { run, stage } => self.finish_task(run, stage, handle),
@@ -1084,22 +1054,24 @@ impl ClusterSim {
                 handle,
                 ..
             } => {
-                let elapsed_work = ((self.time - *since) * speed).min(*work_left);
+                let elapsed_work = ((self.state.time - *since) * speed).min(*work_left);
                 run.work_done += elapsed_work;
-                self.queue.cancel(*handle);
+                self.state.queue.cancel(*handle);
             }
             Phase::Stage { running, .. } => {
                 for task in running {
-                    run.work_done += ((self.time - task.since) * speed).min(task.work_left);
+                    run.work_done += ((self.state.time - task.since) * speed).min(task.work_left);
                 }
-                self.queue.cancel_many(running.iter().map(|t| t.handle));
+                self.state
+                    .queue
+                    .cancel_many(running.iter().map(|t| t.handle));
             }
         }
-        let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.time - s);
-        self.meter.retire_ledger(self.time, key);
+        let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.state.time - s);
+        self.state.meter.retire_ledger(self.state.time, key);
         self.complete_drains(run.slots);
         let lost = EvictedWork {
-            wall_secs: self.time - run.started,
+            wall_secs: self.state.time - run.started,
             work_secs: run.work_done,
             sprint_secs,
         };
@@ -1119,13 +1091,13 @@ impl ClusterSim {
     /// straggling rescales *time*, not power, so the energy ledger only sees
     /// the (possibly unchanged) frequency level.
     fn retime_run(&mut self, key: usize, freq: FreqLevel, slow: f64) {
-        let run = self.runs.get_mut(key);
+        let run = self.state.runs.get_mut(key);
         if run.freq == freq && run.slow == slow {
             return;
         }
         let old_speed = self.spec.speed_at(run.freq) / run.slow;
         let new_speed = self.spec.speed_at(freq) / slow;
-        let now = self.time;
+        let now = self.state.time;
 
         // Account sprint wall-time before the switch.
         if run.freq == FreqLevel::Sprint {
@@ -1144,7 +1116,9 @@ impl ClusterSim {
                 run.work_done += done;
                 *work_left -= done;
                 *since = now;
-                self.queue.reschedule(*handle, now + *work_left / new_speed);
+                self.state
+                    .queue
+                    .reschedule(*handle, now + *work_left / new_speed);
             }
             Phase::Stage { running, .. } => {
                 for task in running.iter_mut() {
@@ -1152,7 +1126,8 @@ impl ClusterSim {
                     run.work_done += done;
                     task.work_left -= done;
                     task.since = now;
-                    self.queue
+                    self.state
+                        .queue
                         .reschedule(task.handle, now + task.work_left / new_speed);
                 }
             }
@@ -1163,7 +1138,7 @@ impl ClusterSim {
         run.freq = freq;
         run.slow = slow;
         let (job, busy) = (run.work.job, run.busy());
-        self.meter.update_ledger(now, key, job, busy, freq);
+        self.state.meter.update_ledger(now, key, job, busy, freq);
     }
 
     /// Switches `job`'s frequency domain to `freq`, rescaling only that job's
@@ -1177,17 +1152,20 @@ impl ClusterSim {
     /// jobs have no domain yet; every dispatch starts at base).
     pub fn set_job_frequency(&mut self, job: JobId, freq: FreqLevel) -> Result<(), EngineError> {
         let key = self.run_key(job)?;
-        let slow = self.runs.get(key).slow;
+        let slow = self.state.runs.get(key).slow;
         self.retime_run(key, freq, slow);
         Ok(())
     }
 
     fn run_key(&self, job: JobId) -> Result<usize, EngineError> {
-        self.runs.key_of(job).ok_or(EngineError::UnknownJob(job))
+        self.state
+            .runs
+            .key_of(job)
+            .ok_or(EngineError::UnknownJob(job))
     }
 
     fn finish_serial(&mut self, key: usize) -> Result<EngineEvent, EngineError> {
-        let run = self.runs.get_mut(key);
+        let run = self.state.runs.get_mut(key);
         let job = run.work.job;
         let (is_setup, next_stage) = match &run.phase {
             Phase::Serial {
@@ -1222,8 +1200,8 @@ impl ClusterSim {
         stage: usize,
         fired: EventHandle,
     ) -> Result<EngineEvent, EngineError> {
-        let time = self.time;
-        let run = self.runs.get_mut(key);
+        let time = self.state.time;
+        let run = self.state.runs.get_mut(key);
         let job = run.work.job;
         let speed = self.spec.speed_at(run.freq) / run.slow;
         let (tasks_left, stage_done) = match &mut run.phase {
@@ -1248,6 +1226,7 @@ impl ClusterSim {
                 if let Some(&work) = tasks.get(*next) {
                     *next += 1;
                     let handle = self
+                        .state
                         .queue
                         .replace_top(time + work / speed, Internal::TaskDone { run: key, stage });
                     running.push(RunningTask {
@@ -1256,23 +1235,24 @@ impl ClusterSim {
                         handle,
                     });
                 } else {
-                    self.queue.pop();
+                    self.state.queue.pop();
                 }
                 let queued = tasks.len() - *next;
                 (queued + running.len(), running.is_empty() && queued == 0)
             }
             _ => {
-                self.queue.pop();
+                self.state.queue.pop();
                 return Err(EngineError::Idle);
             }
         };
         if !stage_done {
             let (job_busy, freq) = {
-                let run = self.runs.get(key);
+                let run = self.state.runs.get(key);
                 (run.busy(), run.freq)
             };
-            self.meter
-                .update_ledger(self.time, key, job, job_busy, freq);
+            self.state
+                .meter
+                .update_ledger(self.state.time, key, job, job_busy, freq);
             return Ok(EngineEvent::TaskFinished {
                 job,
                 stage,
@@ -1280,24 +1260,26 @@ impl ClusterSim {
             });
         }
         // Stage complete: shuffle to the next stage or finish the job.
-        let run = self.runs.get_mut(key);
+        let run = self.state.runs.get_mut(key);
         let total_stages = run.work.stage_tasks.len();
         if stage + 1 < total_stages {
             let shuffle = run.work.shuffle_secs[stage];
             let freq = run.freq;
-            let handle = self.queue.push(
-                self.time + shuffle / speed,
+            let handle = self.state.queue.push(
+                self.state.time + shuffle / speed,
                 Internal::SerialDone { run: key },
             );
-            let run = self.runs.get_mut(key);
+            let run = self.state.runs.get_mut(key);
             run.phase = Phase::Serial {
                 is_setup: false,
                 next_stage: stage + 1,
                 work_left: shuffle,
-                since: self.time,
+                since: self.state.time,
                 handle,
             };
-            self.meter.update_ledger(self.time, key, job, 1, freq);
+            self.state
+                .meter
+                .update_ledger(self.state.time, key, job, 1, freq);
             Ok(EngineEvent::StageFinished { job, stage })
         } else {
             Ok(self.finish_job(key))
@@ -1307,8 +1289,8 @@ impl ClusterSim {
     /// Begins stage `stage` of run `key`; returns `Some(JobFinished)` if the
     /// job ends instead (e.g. every remaining stage was dropped empty).
     fn enter_stage(&mut self, key: usize, stage: usize) -> Option<EngineEvent> {
-        let time = self.time;
-        let run = self.runs.get_mut(key);
+        let time = self.state.time;
+        let run = self.state.runs.get_mut(key);
         let freq = run.freq;
         let speed = self.spec.speed_at(freq) / run.slow;
         let job = run.work.job;
@@ -1322,6 +1304,7 @@ impl ClusterSim {
             if stage + 1 < run.work.stage_tasks.len() {
                 let shuffle = run.work.shuffle_secs[stage];
                 let handle = self
+                    .state
                     .queue
                     .push(time + shuffle / speed, Internal::SerialDone { run: key });
                 run.phase = Phase::Serial {
@@ -1331,7 +1314,7 @@ impl ClusterSim {
                     since: time,
                     handle,
                 };
-                self.meter.update_ledger(time, key, job, 1, freq);
+                self.state.meter.update_ledger(time, key, job, 1, freq);
                 return None;
             }
             return Some(self.finish_job(key));
@@ -1343,6 +1326,7 @@ impl ClusterSim {
                 work_left: work,
                 since: time,
                 handle: self
+                    .state
                     .queue
                     .push(time + work / speed, Internal::TaskDone { run: key, stage }),
             })
@@ -1353,7 +1337,9 @@ impl ClusterSim {
             next: job_busy,
             running,
         };
-        self.meter.update_ledger(time, key, job, job_busy, freq);
+        self.state
+            .meter
+            .update_ledger(time, key, job, job_busy, freq);
         None
     }
 
@@ -1361,13 +1347,13 @@ impl ClusterSim {
     /// backfills pending jobs into the freed capacity.
     fn finish_job(&mut self, key: usize) -> EngineEvent {
         let run = self.remove_run(key);
-        let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.time - s);
-        self.meter.retire_ledger(self.time, key);
+        let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.state.time - s);
+        self.state.meter.retire_ledger(self.state.time, key);
         self.complete_drains(run.slots);
         let event = EngineEvent::JobFinished {
             job: run.work.job,
             metrics: JobRunMetrics {
-                execution_secs: self.time - run.started,
+                execution_secs: self.state.time - run.started,
                 work_secs: run.work_done,
                 sprint_secs,
                 tasks_run: run.tasks_run,
@@ -1389,7 +1375,7 @@ impl ClusterSim {
     /// Returns [`EngineError::UnknownSlot`] when `slot` is out of range.
     pub fn slot_health(&self, slot: usize) -> Result<SlotHealth, EngineError> {
         self.check_slot(slot)?;
-        Ok(self.slot_states[slot].health)
+        Ok(self.state.slot_states[slot].health)
     }
 
     /// Number of slots currently schedulable ([`SlotHealth::Up`]). Draining
@@ -1397,7 +1383,7 @@ impl ClusterSim {
     /// not gone).
     #[must_use]
     pub fn effective_slots(&self) -> usize {
-        self.spec.slots() - self.unavailable
+        self.spec.slots() - self.state.unavailable
     }
 
     /// Kills slot `slot`: any run overlapping it is evicted (its partial
@@ -1417,9 +1403,9 @@ impl ClusterSim {
         self.check_slot(slot)?;
         let mut victims = Vec::new();
         while let Some(key) = self.run_on_slot(slot) {
-            let job = self.runs.get(key).work.job;
+            let job = self.state.runs.get(key).work.job;
             let (lost, work) = self.do_evict(key);
-            self.pending.push_front(work);
+            self.state.pending.push_front(work);
             victims.push((job, lost));
         }
         self.set_health(slot, SlotHealth::Down);
@@ -1454,7 +1440,7 @@ impl ClusterSim {
     /// Returns [`EngineError::UnknownSlot`] when `slot` is out of range.
     pub fn drain_slot(&mut self, slot: usize) -> Result<bool, EngineError> {
         self.check_slot(slot)?;
-        if self.slot_states[slot].health == SlotHealth::Down {
+        if self.state.slot_states[slot].health == SlotHealth::Down {
             return Ok(true);
         }
         if self.run_on_slot(slot).is_some() {
@@ -1519,13 +1505,13 @@ impl ClusterSim {
     /// Transitions slot `slot` to `health`, keeping the `unavailable`
     /// (non-[`SlotHealth::Up`]) count in sync.
     fn set_health(&mut self, slot: usize, health: SlotHealth) {
-        let state = &mut self.slot_states[slot];
-        let was_up = state.health == SlotHealth::Up;
+        let entry = &mut self.state.slot_states[slot];
+        let was_up = entry.health == SlotHealth::Up;
         let is_up = health == SlotHealth::Up;
-        state.health = health;
+        entry.health = health;
         match (was_up, is_up) {
-            (true, false) => self.unavailable += 1,
-            (false, true) => self.unavailable -= 1,
+            (true, false) => self.state.unavailable += 1,
+            (false, true) => self.state.unavailable -= 1,
             _ => return,
         }
         self.refresh_phantoms();
@@ -1534,13 +1520,13 @@ impl ClusterSim {
     /// Sets slot `slot`'s straggler factor, keeping the `stragglers` count
     /// in sync (the count gates the zero-fault fast path in `range_slow`).
     fn set_slow(&mut self, slot: usize, factor: f64) {
-        let state = &mut self.slot_states[slot];
+        let state = &mut self.state.slot_states[slot];
         let was_slow = state.slow != 1.0;
         let is_slow = factor != 1.0;
         state.slow = factor;
         match (was_slow, is_slow) {
-            (false, true) => self.stragglers += 1,
-            (true, false) => self.stragglers -= 1,
+            (false, true) => self.state.stragglers += 1,
+            (true, false) => self.state.stragglers -= 1,
             _ => {}
         }
     }
@@ -1551,7 +1537,7 @@ impl ClusterSim {
         self.set_slow(slot, factor);
         if let Some(key) = self.run_on_slot(slot) {
             let (slots, freq) = {
-                let run = self.runs.get(key);
+                let run = self.state.runs.get(key);
                 (run.slots, run.freq)
             };
             let slow = self.range_slow(slots);
@@ -1564,11 +1550,11 @@ impl ClusterSim {
     /// `do_evict` and `finish_job` *before* backfill, so the scheduler never
     /// re-places work onto a slot that was waiting for its occupant to leave.
     fn complete_drains(&mut self, slots: SlotRange) {
-        if self.unavailable == 0 {
+        if self.state.unavailable == 0 {
             return;
         }
         for slot in slots.start..slots.end() {
-            if self.slot_states[slot].health == SlotHealth::Draining {
+            if self.state.slot_states[slot].health == SlotHealth::Draining {
                 self.set_health(slot, SlotHealth::Down);
             }
         }
@@ -2059,11 +2045,11 @@ mod fault_tests {
         sim.advance().unwrap();
         sim.idle_until(SimTime::from_secs(15.0));
         sim.slow_slot(3, 2.0).unwrap();
-        assert_eq!(sim.slot_states[3].slow, 2.0);
+        assert_eq!(sim.state.slot_states[3].slow, 2.0);
         // Half speed for 10 s (5 s of work), then repaired: 90 s left at full.
         sim.idle_until(SimTime::from_secs(25.0));
         sim.repair_slot(3).unwrap();
-        assert_eq!(sim.slot_states[3].slow, 1.0);
+        assert_eq!(sim.state.slot_states[3].slow, 1.0);
         let m = run_to_completion(&mut sim);
         let expected = 115.0 + 5.0 + 8.0;
         assert!(
@@ -2166,7 +2152,7 @@ mod fault_tests {
             kind: FaultKind::Slow { factor: 2.0 },
         };
         sim.apply_fault(&slow).unwrap();
-        assert_eq!(sim.slot_states[5].slow, 2.0);
+        assert_eq!(sim.state.slot_states[5].slow, 2.0);
         let repair = FaultEvent {
             at_secs: 0.0,
             slot: 4,
@@ -2196,15 +2182,22 @@ mod bookkeeping_tests {
         // Run table: the dispatch list holds every live entry exactly once,
         // and keys, job index and count agree.
         let live: Vec<(usize, &Run)> = sim
+            .state
             .runs
             .in_dispatch_order()
-            .map(|key| (key, sim.runs.get(key)))
+            .map(|key| (key, sim.state.runs.get(key)))
             .collect();
-        assert_eq!(live.len(), sim.runs.len());
-        let occupied = sim.runs.entries.iter().filter(|e| e.run.is_some()).count();
+        assert_eq!(live.len(), sim.state.runs.len());
+        let occupied = sim
+            .state
+            .runs
+            .entries
+            .iter()
+            .filter(|e| e.run.is_some())
+            .count();
         assert_eq!(occupied, live.len());
         for &(key, run) in &live {
-            assert_eq!(sim.runs.key_of(run.work.job), Some(key));
+            assert_eq!(sim.state.runs.key_of(run.work.job), Some(key));
         }
 
         // Views: one per run plus the phantoms, sorted by (start, job).
@@ -2218,14 +2211,14 @@ mod bookkeeping_tests {
             })
             .collect();
         let mut s = 0;
-        let n = sim.slot_states.len();
+        let n = sim.state.slot_states.len();
         while s < n {
-            if sim.slot_states[s].health == SlotHealth::Up {
+            if sim.state.slot_states[s].health == SlotHealth::Up {
                 s += 1;
                 continue;
             }
             let start = s;
-            while s < n && sim.slot_states[s].health != SlotHealth::Up {
+            while s < n && sim.state.slot_states[s].health != SlotHealth::Up {
                 s += 1;
             }
             expected.push(RunningView {
@@ -2236,22 +2229,22 @@ mod bookkeeping_tests {
             });
         }
         expected.sort_by_key(|v| (v.slots.start, v.job));
-        assert_eq!(sim.views, expected);
+        assert_eq!(sim.state.views, expected);
 
         // Pending views mirror the queue.
-        let pending: Vec<PendingView> = sim.pending.works.iter().map(JobWork::view).collect();
-        assert_eq!(sim.pending.views, pending);
+        let pending: Vec<PendingView> = sim.state.pending.works.iter().map(JobWork::view).collect();
+        assert_eq!(sim.state.pending.views, pending);
 
         // Meter: busy slots and power from the runs themselves (integer
         // wattages, so the grouped sum is exact).
         let busy: usize = live.iter().map(|(_, r)| r.busy()).sum();
-        assert_eq!(sim.meter.busy_slots(), busy);
+        assert_eq!(sim.state.meter.busy_slots(), busy);
         let power = live
             .iter()
             .fold(sim.spec.cluster_power_w(0, FreqLevel::Base), |p, (_, r)| {
                 p + r.busy() as f64 * sim.spec.active_slot_power_w(r.freq)
             });
-        assert_eq!(sim.meter.power_w(), power);
+        assert_eq!(sim.state.meter.power_w(), power);
         for (_, r) in &live {
             assert_eq!(sim.job_frequency(r.work.job), Some(r.freq));
         }

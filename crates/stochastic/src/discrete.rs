@@ -63,22 +63,6 @@ impl DiscreteDist {
         DiscreteDist { probs }
     }
 
-    /// Uniform over `{lo, …, hi}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= lo <= hi`.
-    #[must_use]
-    pub fn uniform(lo: usize, hi: usize) -> Self {
-        assert!(lo >= 1 && lo <= hi, "need 1 <= lo <= hi");
-        let mut probs = vec![0.0; hi];
-        let p = 1.0 / (hi - lo + 1) as f64;
-        for entry in probs.iter_mut().take(hi).skip(lo - 1) {
-            *entry = p;
-        }
-        DiscreteDist { probs }
-    }
-
     /// A binomial-like spread: truncated discretized normal around `center` with
     /// the given relative spread, clipped to `{1, …, max}`. Handy for "about 50
     /// partitions, give or take" task counts.
@@ -189,15 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_support() {
-        let d = DiscreteDist::uniform(3, 6);
-        assert_eq!(d.max_value(), 6);
-        assert_eq!(d.pmf(2), 0.0);
-        assert!((d.pmf(4) - 0.25).abs() < 1e-12);
-        assert!((d.mean() - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn around_is_centered() {
         let d = DiscreteDist::around(50, 0.1, 80);
         assert!((d.mean() - 50.0).abs() < 0.5);
@@ -222,14 +197,14 @@ mod tests {
 
     #[test]
     fn expectation_functional() {
-        let d = DiscreteDist::uniform(1, 3);
+        let d = DiscreteDist::from_weights(&[1.0, 1.0, 1.0]).unwrap();
         let second_moment = d.expect(|v| (v * v) as f64);
         assert!((second_moment - (1.0 + 4.0 + 9.0) / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn support_iterator_skips_zeros() {
-        let d = DiscreteDist::uniform(2, 3);
+        let d = DiscreteDist::from_weights(&[0.0, 1.0, 1.0]).unwrap();
         let support: Vec<usize> = d.support().map(|(v, _)| v).collect();
         assert_eq!(support, vec![2, 3]);
     }
