@@ -540,7 +540,8 @@ impl<S: JobSource> FederationExperiment<S> {
 
     /// Fleet-wide cap on aggregate sprint extra power draw, in watts.
     /// Partitioned across shards by slot share and enforced shard-locally,
-    /// so the fleet's total sprint draw never exceeds `cap_w`.
+    /// so the fleet's total sprint draw never exceeds `cap_w`. The cap must
+    /// not be negative or NaN; the run checks it.
     #[must_use]
     pub fn power_cap_w(self, cap_w: f64) -> Self {
         self.each_shard(|s, share| s.sprint_draw_cap(Some(cap_w * share)))
@@ -603,8 +604,9 @@ impl<S: JobSource> FederationExperiment<S> {
     ///
     /// Returns [`ExperimentError::InvalidConfig`] naming `shards` for an
     /// empty shard list, `epoch_secs` for an epoch length that is not
-    /// finite and positive, or `shard_faults` when the trace count differs
-    /// from the shard count. Propagates validation and engine errors from
+    /// finite and positive, `shard_faults` when the trace count differs
+    /// from the shard count, or `power_cap_w` for a negative or NaN cap.
+    /// Propagates validation and engine errors from
     /// any shard, exactly as [`MultiJobExperiment::run`]; the first failing
     /// shard in shard order wins.
     pub fn run_with_log(

@@ -35,7 +35,9 @@ use dias_engine::{
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
-use crate::{DegradationPolicy, ExperimentError, JobSource, MultiSprinter, SprintPolicy};
+use crate::{
+    DegradationPolicy, ExperimentError, JobSource, MultiSprinter, SprintBudget, SprintPolicy,
+};
 
 /// Per-class outcomes of a [`MultiJobExperiment`].
 ///
@@ -496,8 +498,10 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// Returns [`ExperimentError::ClassMismatch`] when the drop vector or the
     /// sprint policy and the source disagree on the number of classes,
     /// [`ExperimentError::InvalidConfig`] naming `drops` for a ratio outside
-    /// `[0, 1]` (NaN included) or `slos` for a target that is not positive,
-    /// a wrapped engine error if submission fails, or
+    /// `[0, 1]` (NaN included), `slos` for a target that is not positive,
+    /// `sprint` for a hand-built policy with a negative or NaN timeout or
+    /// budget figure, or `source` for a job whose class the source does not
+    /// declare, a wrapped engine error if submission fails, or
     /// [`ExperimentError::Starved`] when a measured job cannot complete under
     /// the offered load.
     pub fn run(self) -> Result<MultiJobReport, ExperimentError> {
@@ -658,6 +662,28 @@ impl ArrivalSignature {
 /// detection never disagrees with the simulation.
 fn keep_count(n: usize, theta: f64) -> usize {
     ((n as f64) * (1.0 - theta)).ceil() as usize
+}
+
+/// What is wrong with a sprint policy, if anything: a negative or NaN
+/// timeout or budget figure. These are the rules [`SprintPolicy::top_class`]
+/// and [`SprintBudget::limited`] assert, checked here for hand-built
+/// policies, except that a zero budget stays valid (it never sprints).
+fn sprint_policy_error(policy: &SprintPolicy) -> Option<String> {
+    let bad = |x: f64| x.is_nan() || x < 0.0;
+    if let Some(t) = policy.timeouts.iter().flatten().find(|t| bad(**t)) {
+        return Some(format!("sprint timeout {t} is negative or NaN"));
+    }
+    match policy.budget {
+        SprintBudget::Limited {
+            initial_j,
+            replenish_w,
+            cap_j,
+        } if bad(initial_j) || bad(replenish_w) || bad(cap_j) => Some(format!(
+            "budget {initial_j} J, replenish {replenish_w} W, cap {cap_j} J: \
+             a figure is negative or NaN"
+        )),
+        _ => None,
+    }
 }
 
 /// A resume point of a recorded reference run, captured immediately before
@@ -929,6 +955,14 @@ impl<S: JobSource> MultiDriver<S> {
         if let Some(t) = exp.slos.iter().flatten().find(|t| t.is_nan() || **t <= 0.0) {
             let reason = format!("SLO target {t} is not positive");
             return Err(ExperimentError::invalid("slos", reason));
+        }
+        if let Some(reason) = exp.sprint.as_ref().and_then(sprint_policy_error) {
+            return Err(ExperimentError::invalid("sprint", reason));
+        }
+        // Only the federation sets the cap (its share of `power_cap_w`).
+        if let Some(cap) = exp.sprint_draw_cap_w.filter(|c| c.is_nan() || *c < 0.0) {
+            let reason = format!("power cap {cap} W is negative or NaN");
+            return Err(ExperimentError::invalid("power_cap_w", reason));
         }
         if let Some(d) = &exp.degrade {
             // The degradation controller owns the drop vector from here on.
@@ -1291,7 +1325,13 @@ impl<S: JobSource> MultiDriver<S> {
     /// and accounts any preemption evictions it causes.
     fn admit(&mut self, instance: JobInstance, next_t: SimTime) -> Result<(), ExperimentError> {
         let class = instance.class();
-        assert!(class < self.classes, "job class out of range");
+        if class >= self.classes {
+            let reason = format!(
+                "job {} has class {class}, but the source declares {} classes",
+                instance.spec.id.0, self.classes
+            );
+            return Err(ExperimentError::invalid("source", reason));
+        }
         // Per-stage drop vector under the class's theta (droppable stages
         // only, as in `Policy::drops_for`), built into the reused scratch.
         let theta = self.thetas.as_deref().map_or(0.0, |t| t[class]);
