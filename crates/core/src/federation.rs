@@ -298,7 +298,7 @@ pub struct FederationRunLog {
 
 /// The outcome of a federation run.
 ///
-/// Compares with `==` bit-exactly; the federation property suite relies on
+/// Compares with `==` bit-exactly; the conformance oracle relies on
 /// runs at different thread counts and epoch lengths producing reports that
 /// are identical float for float. Everything in here is therefore a pure
 /// function of (stream, shards, router, couplings) — per-epoch telemetry

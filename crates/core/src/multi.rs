@@ -157,9 +157,9 @@ impl MultiClassStats<SampleSet> {
 
 /// The full outcome of one multi-job run.
 ///
-/// Reports compare with `==` bit-exactly: the branch-equivalence property
-/// suite relies on a resumed suffix replay producing a report identical to a
-/// full run's, float for float.
+/// Reports compare with `==` bit-exactly: the conformance oracle relies on
+/// a resumed suffix replay producing a report identical to a full run's,
+/// float for float.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiJobReport {
     /// Label of the scheduler policy that produced this report.

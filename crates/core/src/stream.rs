@@ -321,7 +321,7 @@ impl<S: JobSource> SoakExperiment<S> {
     /// loop exactly — same draw order, same tie order (engine event → budget
     /// depletion → sprint timers → faults → release), same books — so the
     /// engine-side totals are bit-identical to [`MultiJobExperiment::run`]'s
-    /// (asserted by `crates/core/tests/soak_properties.rs`).
+    /// (asserted by `crates/core/tests/conformance.rs`).
     ///
     /// # Errors
     ///

@@ -346,8 +346,8 @@ impl BranchStats {
 /// vector; the runner applies `point_thetas[p]` itself, so the
 /// identical-except-thetas contract that makes prefix sharing sound holds by
 /// construction. The reports are bit-identical to [`run_differential`]
-/// running every cell in full (the branch property suite asserts `==` on
-/// the grids).
+/// running every cell in full (the conformance oracle in
+/// `crates/core/tests/conformance.rs` asserts `==` on the grids).
 ///
 /// Configurations that are not [`MultiJobExperiment::branchable`]
 /// (degradation or SLO scoring) conservatively fall back to full replay for

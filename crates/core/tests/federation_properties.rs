@@ -1,134 +1,16 @@
-//! Determinism pins of the sharded federation.
+//! Routing properties of the sharded federation.
 //!
-//! The PR 10 tentpole's contract: a [`FederationExperiment`] — clusters
-//! sharded across worker threads, arrivals routed by a stream-pure
-//! [`Router`], couplings partitioned up front, exchange only at epoch
-//! barriers — produces a [`FederationReport`] that is **bitwise identical**
-//! across thread counts *and* epoch lengths, with sprint budgets, a global
-//! power cap and per-shard fault traces all in play. A single-shard
-//! federation is bit-identical to the monolithic [`MultiJobExperiment`].
+//! That a fleet reports `==` across thread counts and epoch lengths, that a
+//! one-shard fleet is the closed run and that the partitioned sprint books
+//! balance is asserted over generated scenarios by `conformance.rs`. This
+//! suite checks the router on its own, without a simulation.
 
 use proptest::prelude::*;
 
-use dias_core::federation::{FederationExperiment, Router, RouterCursor};
-use dias_core::{MultiJobExperiment, SprintBudget, SprintPolicy, VecJobSource};
-use dias_des::SeedSequence;
-use dias_engine::{
-    ClusterSpec, FaultTrace, GangBinPack, JobInstance, JobSpec, PriorityPreempt, Scheduler,
-    StageKind, StageSpec,
-};
-use dias_stochastic::{Dist, Ph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dias_core::federation::{Router, RouterCursor};
 
-/// Two-class workload with heterogeneous stage widths (4–24 tasks), the
-/// PR 5 shape that makes bin-packing decisions non-trivial.
-fn workload(seed: u64, n: u64, gap: f64) -> VecJobSource {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jobs = (0..n)
-        .map(|i| {
-            let class = usize::from(i % 6 == 0);
-            let width = [4usize, 8, 16, 24][(i % 4) as usize];
-            let spec = JobSpec::builder(i, class)
-                .setup(Dist::constant(0.5))
-                .shuffle(Dist::constant(0.25))
-                .stage(StageSpec::new(
-                    StageKind::Map,
-                    width,
-                    Dist::exponential(2.0),
-                ))
-                .stage(StageSpec::new(StageKind::Reduce, 4, Dist::constant(1.0)))
-                .build();
-            let mut inst = JobInstance::sample(&spec, &mut rng);
-            inst.arrival_secs = i as f64 * gap;
-            inst
-        })
-        .collect();
-    VecJobSource::new(jobs, 2)
-}
-
-/// A shard spec: the paper cluster resized to `workers` two-core servers.
-fn shard_spec(workers: usize) -> ClusterSpec {
-    ClusterSpec {
-        workers,
-        ..ClusterSpec::paper_reference()
-    }
-}
-
-/// A PH up/down renewal failure schedule sized to one shard.
-fn renewal_trace(slots: usize, seed: u64) -> FaultTrace {
-    let up = Ph::exponential(1.0 / 150.0).expect("valid rate");
-    let down = Ph::exponential(1.0 / 40.0).expect("valid rate");
-    FaultTrace::renewal(slots, 300.0, &up, &down, SeedSequence::new(seed))
-}
-
-fn scheduler(idx: usize) -> Box<dyn Scheduler> {
-    if idx == 0 {
-        Box::new(GangBinPack)
-    } else {
-        Box::new(PriorityPreempt)
-    }
-}
-
-fn router_of(idx: usize) -> Router {
-    if idx == 0 {
-        Router::Hash
-    } else {
-        Router::LeastLoaded
-    }
-}
-
-/// A fleet of heterogeneous shard widths, so slot-share partitioning and
-/// least-loaded normalisation both see unequal weights.
-fn fleet() -> Vec<ClusterSpec> {
-    vec![
-        shard_spec(10),
-        shard_spec(6),
-        shard_spec(14),
-        shard_spec(10),
-    ]
-}
-
-/// One fully loaded federation: sprint budget, power cap, drops, SLOs and
-/// per-shard fault traces.
-fn federation(
-    seed: u64,
-    n: u64,
-    gap: f64,
-    sched: usize,
-    router: usize,
-    epoch_secs: f64,
-    faults: bool,
-) -> FederationExperiment<VecJobSource> {
-    let shards = fleet();
-    let traces = shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if faults {
-                renewal_trace(s.slots(), seed ^ (i as u64).wrapping_mul(0x9e37))
-            } else {
-                FaultTrace::default()
-            }
-        })
-        .collect();
-    // Mixed per-shard engine policies, rotated by `sched` so both scheduler
-    // assignments get exercised.
-    FederationExperiment::new(workload(seed, n, gap), shards, move |i| {
-        scheduler((i + sched) % 2)
-    })
-    .router(router_of(router))
-    .epoch_secs(epoch_secs)
-    .drops(&[0.2, 0.0])
-    .slos(&[90.0, 45.0])
-    .sprint(SprintPolicy::top_class(
-        2,
-        5.0,
-        SprintBudget::limited(30_000.0, 90.0),
-    ))
-    .power_cap_w(2_000.0)
-    .shard_faults(traces)
-}
+mod common;
+use common::{Scenario, Widths};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -139,160 +21,28 @@ proptest! {
     #[test]
     fn routers_are_replay_identical_and_prefix_stable(
         seed in 0u64..1000,
-        router in 0usize..2,
+        least_loaded in any::<bool>(),
         cut in 1usize..30,
     ) {
+        let router = if least_loaded { Router::LeastLoaded } else { Router::Hash };
         let slots = [20usize, 12, 28, 20];
-        let mut source = workload(seed, 30, 3.0);
-        let mut jobs = Vec::new();
-        while let Some(j) = dias_core::JobSource::next_job(&mut source) {
-            jobs.push(j);
+        let jobs = Scenario {
+            arrivals: 30,
+            gap: 3.0,
+            widths: Widths::Cycle(&[4, 8, 16, 24]),
+            ..Scenario::new(seed)
         }
-        let mut a = RouterCursor::new(router_of(router), &slots);
-        let mut b = RouterCursor::new(router_of(router), &slots);
+        .instances();
+        let mut a = RouterCursor::new(router, &slots);
+        let mut b = RouterCursor::new(router, &slots);
         let picks_a: Vec<usize> = jobs.iter().map(|j| a.route(j)).collect();
         let picks_b: Vec<usize> = jobs.iter().map(|j| b.route(j)).collect();
         prop_assert_eq!(&picks_a, &picks_b);
         prop_assert!(picks_a.iter().all(|&s| s < slots.len()));
         // Prefix stability: a cursor that only ever sees the first `cut`
         // jobs makes the same decisions the full replay made for them.
-        let cut = cut.min(jobs.len());
-        let mut c = RouterCursor::new(router_of(router), &slots);
+        let mut c = RouterCursor::new(router, &slots);
         let prefix: Vec<usize> = jobs[..cut].iter().map(|j| c.route(j)).collect();
         prop_assert_eq!(&picks_a[..cut], &prefix[..]);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The acceptance pin: one federation, bitwise-identical reports at 1,
-    /// 2, 4 and 8 threads and across epoch lengths, with sprint budgets,
-    /// a power cap and fault traces in play. Same-epoch runs must also agree
-    /// on the per-epoch telemetry log.
-    #[test]
-    fn federation_is_bitwise_identical_across_threads_and_epochs(
-        seed in 0u64..1000,
-        sched in 0usize..2,
-        router in 0usize..2,
-        faults in any::<bool>(),
-    ) {
-        let build = |epoch: f64| federation(seed, 36, 2.5, sched, router, epoch, faults);
-        let (reference, ref_log) = build(12.0).run_with_log(1).expect("valid federation");
-        for threads in [2usize, 4, 8] {
-            let (report, log) = build(12.0).run_with_log(threads).expect("valid federation");
-            prop_assert!(report == reference, "report diverged at {} threads", threads);
-            prop_assert!(log == ref_log, "epoch log diverged at {} threads", threads);
-        }
-        for epoch in [3.0, 65.0, 1000.0] {
-            let report = build(epoch).run(4).expect("valid federation");
-            prop_assert!(
-                report == reference,
-                "report diverged at epoch length {}",
-                epoch
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A single-shard federation is the monolithic experiment, bit for bit:
-    /// same shard report on every shared metric and same fleet-level
-    /// aggregates, at any epoch length and thread count.
-    #[test]
-    fn single_shard_federation_matches_the_monolithic_experiment(
-        seed in 0u64..1000,
-        sched in 0usize..2,
-        epoch_idx in 0usize..3,
-        threads in 1usize..5,
-        sprint in any::<bool>(),
-        faults in any::<bool>(),
-    ) {
-        let n = 30u64;
-        let epoch = [4.0, 30.0, 500.0][epoch_idx];
-        let spec = shard_spec(10);
-        let policy = SprintPolicy::top_class(2, 5.0, SprintBudget::limited(30_000.0, 90.0));
-
-        let mut mono = MultiJobExperiment::new(workload(seed, n, 3.0), scheduler(sched))
-            .cluster(spec.clone())
-            .warmup(0)
-            .jobs(n as usize)
-            .drops(&[0.2, 0.0])
-            .slos(&[90.0, 45.0]);
-        if sprint {
-            mono = mono.sprint(policy.clone());
-        }
-        if faults {
-            mono = mono.faults(renewal_trace(spec.slots(), seed ^ 0x5eed));
-        }
-        let mono = mono.run().expect("valid experiment");
-
-        let mut fed = FederationExperiment::new(
-            workload(seed, n, 3.0),
-            vec![spec.clone()],
-            |_| scheduler(sched),
-        )
-        .epoch_secs(epoch)
-        .drops(&[0.2, 0.0])
-        .slos(&[90.0, 45.0]);
-        if sprint {
-            fed = fed.sprint(policy);
-        }
-        if faults {
-            fed = fed.shard_faults(vec![renewal_trace(spec.slots(), seed ^ 0x5eed)]);
-        }
-        let fed = fed.run(threads).expect("valid federation");
-
-        prop_assert_eq!(fed.routed_jobs.clone(), vec![n]);
-        prop_assert!(
-            fed.shards[0] == mono,
-            "single-shard federation diverged from the monolithic run\nfed:  {:?}\nmono: {:?}",
-            fed.shards[0],
-            mono
-        );
-        prop_assert_eq!(fed.horizon_secs.to_bits(), mono.horizon_secs.to_bits());
-        prop_assert_eq!(fed.energy_joules.to_bits(), mono.energy_joules.to_bits());
-        prop_assert_eq!(fed.utilization.to_bits(), mono.utilization.to_bits());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The partitioned sprint budget keeps honest books: what the fleet
-    /// spent never exceeds the initial budget plus what replenished, the
-    /// shard sums match the fleet totals exactly, and the global-window
-    /// measurement covers every delivered job when the window is unbounded.
-    #[test]
-    fn budget_books_and_measurement_window_are_conserved(
-        seed in 0u64..1000,
-        router in 0usize..2,
-    ) {
-        let n = 36u64;
-        let (report, log) = federation(seed, n, 2.5, 0, router, 20.0, false)
-            .run_with_log(4)
-            .expect("valid federation");
-        prop_assert_eq!(report.routed_jobs.iter().sum::<u64>(), n);
-        prop_assert_eq!(report.completed(), n);
-        let initial = 30_000.0;
-        prop_assert!(
-            report.sprint_budget_spent_j <= initial + report.sprint_budget_replenished_j + 1e-6,
-            "spent {} exceeds initial {} + replenished {}",
-            report.sprint_budget_spent_j,
-            initial,
-            report.sprint_budget_replenished_j
-        );
-        let shard_spent: f64 = report.shards.iter().map(|s| s.sprint_budget_spent_j).sum();
-        prop_assert_eq!(shard_spent.to_bits(), report.sprint_budget_spent_j.to_bits());
-        // Epoch telemetry is cumulative and monotone.
-        for pair in log.epochs.windows(2) {
-            prop_assert!(pair[1].delivered >= pair[0].delivered);
-            prop_assert!(pair[1].completions >= pair[0].completions);
-            prop_assert!(pair[1].events >= pair[0].events);
-        }
-        let last = log.epochs.last().expect("at least one epoch");
-        prop_assert_eq!(last.delivered, n as usize);
     }
 }

@@ -1,132 +1,21 @@
-//! Determinism tests of the parallel sweep runner: fanning experiments across
+//! Determinism tests of the parallel sweep runner: fanning work across
 //! threads must reproduce the sequential loop bit for bit, in input order.
+//! That a sweep of experiments does so is asserted over generated scenarios
+//! by `conformance.rs`.
 
-use dias_core::sweep::{replica_seeds, run_parallel};
-use dias_core::{Experiment, Policy, VecJobSource};
-use dias_engine::{JobInstance, JobSpec, StageKind, StageSpec};
-use dias_stochastic::Dist;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dias_core::sweep::run_parallel;
+use dias_core::{Experiment, Policy};
 
-/// Two-class workload with exponential task times; every 8th job is high
-/// priority.
-fn workload(seed: u64, n: u64, gap: f64) -> VecJobSource {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jobs = (0..n)
-        .map(|i| {
-            let class = usize::from(i % 8 == 0);
-            let spec = JobSpec::builder(i, class)
-                .setup(Dist::constant(1.0))
-                .shuffle(Dist::constant(0.5))
-                .stage(StageSpec::new(StageKind::Map, 30, Dist::exponential(2.0)))
-                .stage(StageSpec::new(StageKind::Reduce, 6, Dist::constant(1.0)))
-                .build();
-            let mut inst = JobInstance::sample(&spec, &mut rng);
-            inst.arrival_secs = i as f64 * gap;
-            inst
-        })
-        .collect();
-    VecJobSource::new(jobs, 2)
-}
-
-fn specs() -> Vec<Experiment<VecJobSource>> {
-    let seeds = replica_seeds(7, 3);
-    let mut specs: Vec<Experiment<VecJobSource>> = seeds
-        .iter()
-        .map(|&s| Experiment::new(workload(s, 120, 7.0), Policy::non_preemptive(2)).jobs(90))
-        .collect();
-    specs.push(Experiment::new(workload(seeds[0], 120, 7.0), Policy::preemptive(2)).jobs(90));
-    specs.push(
-        Experiment::new(
-            workload(seeds[0], 120, 7.0),
-            Policy::da_percent_high_to_low(&[0.0, 20.0]),
-        )
-        .jobs(90),
-    );
-    specs
-}
-
-#[test]
-fn parallel_sweep_is_bitwise_identical_to_sequential() {
-    let sequential: Vec<_> = specs()
-        .into_iter()
-        .map(|s| s.run().expect("valid spec"))
-        .collect();
-    for threads in [1, 2, 4] {
-        let swept = run_parallel(specs(), threads, |_, e| e.run());
-        assert_eq!(swept.len(), sequential.len());
-        for (i, (got, want)) in swept.iter().zip(&sequential).enumerate() {
-            let got = got.as_ref().expect("valid spec");
-            assert_eq!(
-                got, want,
-                "spec {i} diverged from the sequential run at {threads} threads"
-            );
-        }
-    }
-}
-
-mod multi_sweep {
-    use super::workload;
-    use dias_core::sweep::run_parallel;
-    use dias_core::{MultiJobExperiment, MultiJobReport, SprintBudget, SprintPolicy, VecJobSource};
-    use dias_engine::{GangBinPack, PriorityPreempt};
-
-    /// The per-gang sprint frontier points the `multi_job` harness sweeps:
-    /// no sprint, unlimited, budgeted-from-dispatch, budgeted-after-timeout.
-    fn experiments() -> Vec<MultiJobExperiment<VecJobSource>> {
-        let budget = || SprintBudget::limited(30_000.0, 90.0);
-        vec![
-            MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack)).jobs(70),
-            MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack))
-                .sprint(SprintPolicy::unlimited_for_top(2))
-                .jobs(70),
-            MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(GangBinPack))
-                .sprint(SprintPolicy::top_class(2, 0.0, budget()))
-                .jobs(70),
-            MultiJobExperiment::new(workload(5, 100, 6.0), Box::new(PriorityPreempt))
-                .sprint(SprintPolicy::top_class(2, 30.0, budget()))
-                .jobs(70),
-        ]
-    }
-
-    /// Bitwise comparison of the measurement surface of two reports.
-    fn assert_identical(a: &MultiJobReport, b: &MultiJobReport) {
-        assert_eq!(a.scheduler, b.scheduler);
-        assert_eq!(a.horizon_secs, b.horizon_secs);
-        assert_eq!(a.energy_joules, b.energy_joules);
-        assert_eq!(a.sprint_budget_spent_j, b.sprint_budget_spent_j);
-        assert_eq!(a.sprint_budget_remaining_j, b.sprint_budget_remaining_j);
-        for (ca, cb) in a.per_class.iter().zip(&b.per_class) {
-            assert_eq!(ca.response.samples(), cb.response.samples());
-            assert_eq!(ca.queueing.samples(), cb.queueing.samples());
-            assert_eq!(ca.dispatch_wait.samples(), cb.dispatch_wait.samples());
-            assert_eq!(ca.reexec_loss.samples(), cb.reexec_loss.samples());
-            assert_eq!(ca.active_energy_joules, cb.active_energy_joules);
-            assert_eq!(ca.sprint_slot_secs, cb.sprint_slot_secs);
-        }
-    }
-
-    #[test]
-    fn multi_sweep_with_sprint_policies_is_bitwise_deterministic() {
-        let sequential: Vec<MultiJobReport> = experiments()
-            .into_iter()
-            .map(|e| e.run().expect("valid experiment"))
-            .collect();
-        for threads in [1, 2, 4] {
-            let swept = run_parallel(experiments(), threads, |_, e| e.run());
-            assert_eq!(swept.len(), sequential.len());
-            for (got, want) in swept.iter().zip(&sequential) {
-                assert_identical(got.as_ref().expect("valid experiment"), want);
-            }
-        }
-    }
-}
+mod common;
+use common::Scenario;
 
 #[test]
 fn sweep_preserves_input_order_even_with_errors() {
     // The middle spec fails (policy classes ≠ source classes); its error must
     // land at its own index, leaving the neighbors intact.
-    let mk = |policy| Experiment::new(workload(3, 60, 8.0), policy).jobs(40);
+    let source = Scenario::new(3).with(|s| (s.arrivals, s.gap) = (60, 8.0));
+    let source = source.source();
+    let mk = |policy| Experiment::new(source.clone(), policy).jobs(40);
     let specs = vec![
         mk(Policy::non_preemptive(2)),
         mk(Policy::non_preemptive(3)),
