@@ -1,14 +1,48 @@
-//! Literal pins of checkpoint-and-branch divergence detection.
+//! Checkpoint-and-branch replay of θ grids.
 //!
-//! That a branch grid equals full replay, at any stride and thread count,
-//! and falls back to full replay when the scenario is not branchable, is
-//! asserted over generated scenarios by `conformance.rs`. This suite pins
-//! where one recorded trace places the divergence of each θ point.
+//! A branch grid equals full replay at any stride and thread count, and
+//! falls back to full replay when the scenario is not branchable. A literal
+//! pin places the divergence of each θ point in one recorded trace.
 
+use proptest::prelude::*;
+
+use dias_core::DegradationPolicy;
 use dias_stochastic::Dist;
 
 mod common;
+use common::oracle::{arb_scenario, branch_grid_matches_full_replay, cases};
 use common::{Scenario, Widths};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// Without SLOs or degradation a scenario branches, and its grid equals
+    /// full replay at strides 1–5 and threads 1 and 3.
+    #[test]
+    fn branch_sweep_is_bitwise_identical_to_full_replay(s in arb_scenario()) {
+        let s = s.with(|s| (s.slos, s.degrade) = (None, None));
+        prop_assert!(s.multi().branchable());
+        branch_grid_matches_full_replay(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+
+    /// SLO counting or a degradation controller disables branching: the
+    /// grid falls back to full replay with default stats.
+    #[test]
+    fn non_branchable_configs_fall_back_to_full_replay(
+        (s, slos) in (arb_scenario(), any::<bool>()),
+    ) {
+        let s = s.with(|s| {
+            if slos {
+                (s.slos, s.degrade) = (Some(vec![400.0, 120.0]), None);
+            } else {
+                let degrade = DegradationPolicy::new(&[0.2, 0.0], &[0.8, 0.0]);
+                (s.slos, s.degrade) = (None, Some(degrade));
+            }
+        });
+        prop_assert!(!s.multi().branchable());
+        branch_grid_matches_full_replay(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+}
 
 /// Work-avoidance telemetry: an identical sweep point skips its whole
 /// prefix, and with stride-1 checkpoints the skipped-arrival count reaches

@@ -1,16 +1,32 @@
-//! Fault-path pins of the multi-job driver.
+//! Fault-path tests of the multi-job driver.
 //!
-//! That a fault-injected sweep reproduces the sequential loop bit for bit
-//! at any thread count is asserted over generated scenarios by
-//! `conformance.rs`. This suite pins two things about faults themselves:
-//! an empty trace, SLO counting and an idle degradation controller leave
-//! the fault-free run bit-identical, and a fixed failure schedule changes
-//! the slot pool a pinned number of times.
+//! A fault-injected sweep reproduces the sequential loop bit for bit at any
+//! thread count. Two pins about faults themselves: an empty trace, SLO
+//! counting and an idle degradation controller leave the fault-free run
+//! bit-identical, and a fixed failure schedule changes the slot pool a
+//! pinned number of times.
+
+use proptest::prelude::*;
 
 use dias_core::DegradationPolicy;
 
 mod common;
+use common::oracle::{arb_scenario, cases, multi_sweep_matches_sequential, renewal};
 use common::{Faults, Scenario};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// Closed multi-job runs under a renewal failure schedule, swept at 1,
+    /// 2 and 4 threads, equal the sequential loop, and the schedule changes
+    /// the slot pool.
+    #[test]
+    fn chaos_sweep_is_bitwise_deterministic_across_thread_counts(s in arb_scenario()) {
+        let faults = renewal(&s);
+        let s = s.with(|s| s.faults = faults);
+        multi_sweep_matches_sequential(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+}
 
 #[test]
 fn empty_trace_slos_and_idle_degradation_are_bit_identical_to_plain_run() {

@@ -5,10 +5,12 @@
 //! only some drivers read (release batch, sketch ε, epoch length, power cap,
 //! checkpoint stride). Every source and driver builder the suites use comes
 //! from it, so two drivers handed the same scenario run the same simulation.
-//! `conformance.rs` generates scenarios and runs each down every driver
-//! path; the named suites build their pinned cases here too.
+//! [`oracle`] generates scenarios and checks each identity between two
+//! driver paths; the named suites build their pinned cases here too.
 
 #![allow(dead_code)] // each suite uses its own subset
+
+pub mod oracle;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

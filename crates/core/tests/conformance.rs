@@ -1,13 +1,12 @@
-//! The conformance oracle: every driver path runs the same simulation.
+//! The conformance oracle, run over generated scenarios.
 //!
 //! The closed multi-job run, the soak, a federation shard, branch replay and
 //! the paper's one-job `Experiment` share one arbiter loop and differ only
-//! in what they record. [`conform`] runs one [`Scenario`] down each path and
-//! asserts the identities between them; [`arb_scenario`] generates the
-//! scenarios, and [`rejects`] checks that a malformed one comes back as
-//! `InvalidConfig` naming its field from every path that reads it, never as
-//! a panic. A new driver path is registered here: build it from `Scenario`
-//! and assert its identity in `conform`.
+//! in what they record. `common::oracle` holds one check per identity
+//! between two paths and [`conform`], which runs a [`Scenario`] down every
+//! path; this suite runs it over [`arb_scenario`]. [`rejects`] checks that a
+//! malformed scenario comes back as `InvalidConfig` naming its field from
+//! every path that reads it, never as a panic.
 //!
 //! Cross-path identities cannot see the tie order of the arbiter, because
 //! every path shares it; `tie_order_is_pinned` pins one scenario in which
@@ -15,61 +14,14 @@
 
 use proptest::prelude::*;
 
-use dias_core::federation::Router;
-use dias_core::sweep::{run_differential, run_multi_experiments_branch, run_parallel};
-use dias_core::{
-    BranchStats, DegradationPolicy, MultiClassStats, MultiJobReport, SprintBudget, SprintPolicy,
-    WarmupRule,
-};
-use dias_des::stats::SampleStats;
+use dias_core::sweep::run_multi_experiments_branch;
+use dias_core::{SprintBudget, SprintPolicy};
 use dias_engine::{ClusterSpec, FaultEvent, FaultKind};
 use dias_stochastic::Dist;
 
 mod common;
+use common::oracle::{arb_scenario, cases, conform, FLEET};
 use common::{assert_invalid, top_sprint, Faults, Scenario, Widths};
-
-/// The 4-shard fleet: unequal shard widths, so slot-share partitioning and
-/// least-loaded routing see unequal weights.
-const FLEET: [usize; 4] = [10, 6, 14, 10];
-
-/// Runs a valid `s` down every driver path and asserts each cross-path
-/// identity.
-fn conform(s: &Scenario) -> Result<(), String> {
-    // A sweep at any thread count equals the sequential loop, in order.
-    let replica = |r: u64| s.clone().with(|s| s.seed += r);
-    let replicas: Vec<Scenario> = (0..3).map(replica).collect();
-    let multi_seq: Vec<_> = replicas.iter().map(|r| r.multi().run()).collect();
-    let paper_seq: Vec<_> = replicas.iter().map(|r| r.experiment().run()).collect();
-    for threads in [1, 2, 4] {
-        let swept = run_parallel(replicas.clone(), threads, |_, r| r.multi().run());
-        prop_assert!(swept == multi_seq, "sweep at {} threads", threads);
-        let swept = run_parallel(replicas.clone(), threads, |_, r| r.experiment().run());
-        prop_assert!(swept == paper_seq, "paper sweep at {} threads", threads);
-    }
-    let closed = multi_seq[0].as_ref().map_err(|e| e.to_string())?;
-    // A renewal schedule must change the pool, or its checks are vacuous.
-    let faulted = matches!(s.faults, Faults::Renewal(..));
-    prop_assert!(
-        !faulted || closed.capacity_changes > 0,
-        "no capacity change"
-    );
-
-    // The soak and the fleet have no degradation setting.
-    let plain = s.clone().with(|s| s.degrade = None);
-    soak_matches_closed(&plain)?;
-    for batch in [1, 3, 16] {
-        let batched = plain.clone().with(|s| s.batch = batch);
-        let mser = WarmupRule::Mser {
-            calibration: s.warmup + 10,
-        };
-        let rerun = || batched.soak().warmup(mser).run();
-        let (a, b) = (rerun().map_err(|e| e.to_string())?, rerun().expect("rerun"));
-        prop_assert!(a.same_simulation(&b), "soak reruns at batch {}", batch);
-    }
-    single_shard_matches_closed(&plain)?;
-    fleet_is_deterministic(&plain)?;
-    branch_grid_matches_full_replay(s)
-}
 
 /// Every path that reads `field` returns `InvalidConfig` naming it.
 fn rejects(s: &Scenario, field: &'static str) {
@@ -94,249 +46,6 @@ fn rejects(s: &Scenario, field: &'static str) {
             run_multi_experiments_branch(&grid, 1, 1, s.stride, |_| s.multi())
         });
     }
-}
-
-/// A soak at batch 1 under a fixed arrival warm-up runs the closed run's
-/// operation sequence: engine-side totals bit for bit, per-class counts
-/// exact, means to summation order, p95 inside the sketch's ε rank bracket.
-fn soak_matches_closed(s: &Scenario) -> Result<(), String> {
-    let exact = &s.multi().run().map_err(|e| e.to_string())?;
-    let soak = s.clone().with(|s| s.batch = 1).soak().run();
-    let soak = soak.map_err(|e| e.to_string())?;
-    let engine_side = |r: &MultiJobReport| {
-        let totals = [
-            r.horizon_secs,
-            r.energy_joules,
-            r.idle_energy_joules,
-            r.wasted_work_secs,
-            r.total_work_secs,
-            r.busy_slot_secs,
-            r.utilization,
-            r.sprint_budget_spent_j,
-            r.sprint_budget_replenished_j,
-            r.sprint_budget_remaining_j,
-            r.failure_lost_work_secs,
-        ];
-        let classes = r
-            .per_class
-            .iter()
-            .flat_map(|c| [c.active_energy_joules, c.busy_slot_secs, c.sprint_slot_secs]);
-        let bits: Vec<u64> = totals
-            .into_iter()
-            .chain(classes)
-            .map(f64::to_bits)
-            .collect();
-        (bits, [r.evictions, r.failure_evictions, r.capacity_changes])
-    };
-    prop_assert_eq!(engine_side(&soak.totals), engine_side(exact));
-    let measured: u64 = exact.per_class.iter().map(|c| c.completed).sum();
-    prop_assert_eq!(soak.measured_jobs, measured);
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-    for (k, (sc, e)) in soak.per_class.iter().zip(&exact.per_class).enumerate() {
-        prop_assert_eq!(counts(sc), counts(e));
-        let means = [
-            (sc.response.mean(), e.response.mean()),
-            (sc.queueing.mean(), e.queueing.mean()),
-            (sc.execution.mean(), e.execution.mean()),
-            (sc.dispatch_wait.mean(), e.dispatch_wait.mean()),
-            (sc.drop_fraction.mean(), e.drop_fraction.mean()),
-        ];
-        for (a, b) in means {
-            prop_assert!(close(a, b), "class {} mean {} vs {}", k, a, b);
-        }
-        if e.completed == 0 {
-            continue;
-        }
-        prop_assert_eq!(sc.response.max(), e.response.max());
-        // The sketch returns an order statistic within ε·n ranks of p95.
-        let mut sorted = e.response.samples().to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len() as f64;
-        let (rank, eps) = ((0.95 * n).ceil().max(1.0), s.epsilon * n);
-        let lo = sorted[((rank - eps).ceil().max(1.0) as usize) - 1];
-        let hi = sorted[((rank + eps).floor().min(n).max(1.0) as usize) - 1];
-        let p95 = sc.response.p95();
-        prop_assert!(
-            lo <= p95 && p95 <= hi,
-            "p95[{}] {} not in [{}, {}]",
-            k,
-            p95,
-            lo,
-            hi
-        );
-    }
-    Ok(())
-}
-
-/// A class's completion counts, which every driver books exactly.
-fn counts<B: SampleStats>(c: &MultiClassStats<B>) -> [u64; 5] {
-    let (n, evicted) = (c.response.count(), c.evictions);
-    [n, c.completed, evicted, c.failure_evictions, c.slo_attained]
-}
-
-/// A one-shard federation whose window reaches the end of the source is the
-/// closed run, bit for bit.
-fn single_shard_matches_closed(s: &Scenario) -> Result<(), String> {
-    let whole = s
-        .clone()
-        .with(|w| (w.warmup, w.jobs, w.power_cap_w) = (0, w.arrivals as usize, None));
-    let mono = whole.multi().run().map_err(|e| e.to_string())?;
-    let fed = whole.fleet(&[whole.cluster.workers]).run(2);
-    let fed = fed.map_err(|e| e.to_string())?;
-    prop_assert_eq!(&fed.routed_jobs, &vec![s.arrivals]);
-    // Without faults every job completes inside the unbounded window.
-    let drained = matches!(s.faults, Faults::None);
-    prop_assert!(
-        !drained || fed.completed() == s.arrivals,
-        "window lost jobs"
-    );
-    prop_assert!(
-        fed.shards[0] == mono,
-        "1-shard fleet diverged from the closed run"
-    );
-    let fleet = [fed.horizon_secs, fed.energy_joules, fed.utilization].map(f64::to_bits);
-    let closed = [mono.horizon_secs, mono.energy_joules, mono.utilization].map(f64::to_bits);
-    prop_assert_eq!(fleet, closed);
-    Ok(())
-}
-
-/// A 4-shard fleet reports `==` at any thread count and epoch length, and
-/// the same epoch log at equal epoch length; its sprint books balance.
-fn fleet_is_deterministic(s: &Scenario) -> Result<(), String> {
-    let at = |epoch: f64| s.clone().with(|s| s.epoch_secs = epoch).fleet(&FLEET);
-    let (reference, ref_log) = at(12.0).run_with_log(1).map_err(|e| e.to_string())?;
-    for threads in [2, 4, 8] {
-        let (report, log) = at(12.0).run_with_log(threads).map_err(|e| e.to_string())?;
-        prop_assert!(report == reference, "fleet report at {} threads", threads);
-        prop_assert!(log == ref_log, "epoch log at {} threads", threads);
-    }
-    for epoch in [3.0, 65.0, 1000.0] {
-        let report = at(epoch).run(4).map_err(|e| e.to_string())?;
-        prop_assert!(report == reference, "fleet report at epoch {}", epoch);
-    }
-    prop_assert_eq!(reference.routed_jobs.iter().sum::<u64>(), s.arrivals);
-    let shard_spent: f64 = reference
-        .shards
-        .iter()
-        .map(|r| r.sprint_budget_spent_j)
-        .sum();
-    prop_assert_eq!(
-        shard_spent.to_bits(),
-        reference.sprint_budget_spent_j.to_bits()
-    );
-    if let Some(SprintBudget::Limited { initial_j, .. }) = s.sprint.as_ref().map(|p| p.budget) {
-        let books = initial_j + reference.sprint_budget_replenished_j + 1e-6;
-        prop_assert!(reference.sprint_budget_spent_j <= books, "fleet overspent");
-    }
-    for pair in ref_log.epochs.windows(2) {
-        prop_assert!(pair[1].delivered >= pair[0].delivered);
-        prop_assert!(pair[1].completions >= pair[0].completions);
-        prop_assert!(pair[1].events >= pair[0].events);
-    }
-    prop_assert_eq!(
-        ref_log.epochs.last().map(|e| e.delivered),
-        Some(s.arrivals as usize)
-    );
-    Ok(())
-}
-
-/// Branch replay of a θ grid equals full replay of every cell at strides
-/// 1–5 and threads 1 and 3; a scenario that is not branchable falls back to
-/// full replay with default stats.
-fn branch_grid_matches_full_replay(s: &Scenario) -> Result<(), String> {
-    let t = s.thetas.clone().unwrap_or_else(|| vec![0.0; 2]);
-    let low = |d: f64| vec![t[0] + d, t[1]];
-    // Reference, a late-diverging twin, an identical point, an early one.
-    let grid = [t.clone(), low(0.05), t.clone(), low(0.25)];
-    let base = s.clone().with(|s| s.thetas = None);
-    let base = |r: usize| base.clone().with(|s| s.seed += r as u64).multi();
-    let full = run_differential(grid.len(), 2, 2, |p, r| base(r).drops(&grid[p]).run())
-        .map_err(|e| e.to_string())?;
-    for threads in [1, 3] {
-        let (branched, stats) = run_multi_experiments_branch(&grid, 2, threads, s.stride, base)
-            .map_err(|e| e.to_string())?;
-        for p in 0..grid.len() {
-            prop_assert!(
-                branched.point(p) == full.point(p),
-                "point {} at {} threads",
-                p,
-                threads
-            );
-        }
-        if s.multi().branchable() {
-            prop_assert_eq!(stats.suffix_cells, (grid.len() - 1) * 2);
-            prop_assert!(stats.events_skipped <= stats.events_full);
-        } else {
-            prop_assert_eq!(stats, BranchStats::default());
-        }
-    }
-    Ok(())
-}
-
-/// Scenarios in the shapes of the driver suites: stream shape, scheduler,
-/// θ, sprint, faults, SLOs or degradation, window, stride and fleet knobs.
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (
-        (0u64..1000, 0usize..4, 30u64..50, 0usize..4),
-        (
-            any::<bool>(),
-            0usize..4,
-            0usize..5,
-            any::<bool>(),
-            0usize..3,
-        ),
-        (0usize..12, 0usize..20, 1usize..6, 0usize..3, any::<bool>()),
-    )
-        .prop_map(|(stream, run, knobs)| {
-            let (seed, shape, arrivals, gap) = stream;
-            let (preempt, theta, sprint, faults, scored) = run;
-            let (warmup, tail, stride, epoch, least_loaded) = knobs;
-            let mut s = Scenario {
-                arrivals,
-                gap: [2.5, 3.0, 6.0, 7.0][gap],
-                preempt,
-                thetas: [None, Some(0.05), Some(0.2), Some(0.3)][theta].map(|t| vec![t, 0.0]),
-                sprint: [
-                    None,
-                    Some(SprintPolicy::unlimited_for_top(2)),
-                    top_sprint(0.0, 30_000.0, 90.0),
-                    top_sprint(5.0, 30_000.0, 90.0),
-                    top_sprint(10.0, 60_000.0, 40.0),
-                ][sprint]
-                    .clone(),
-                faults: if faults {
-                    Faults::Renewal(150.0, 40.0, 10.0 * arrivals as f64, seed ^ 0x5eed)
-                } else {
-                    Faults::None
-                },
-                slos: (scored == 1).then(|| vec![400.0, 120.0]),
-                degrade: (scored == 2).then(|| DegradationPolicy::new(&[0.2, 0.0], &[0.8, 0.0])),
-                warmup,
-                jobs: (arrivals as usize - warmup).saturating_sub(tail).max(1),
-                window_jobs: 7,
-                stride,
-                epoch_secs: [4.0, 30.0, 500.0][epoch],
-                router: [Router::Hash, Router::LeastLoaded][usize::from(least_loaded)],
-                power_cap_w: (sprint > 0 && least_loaded).then_some(2_000.0),
-                ..Scenario::new(seed)
-            };
-            // The stream shapes of the suites this oracle replaced.
-            match shape {
-                0 => {}
-                1 => s.widths = Widths::WideAt(seed % 40),
-                2 => {
-                    (s.high_every, s.setup, s.shuffle) = (6, 0.5, 0.25);
-                    s.widths = Widths::Cycle(&[4, 8, 16, 24]);
-                    s.reduce = Some((4, Dist::constant(1.0)));
-                }
-                _ => {
-                    (s.high_every, s.setup, s.shuffle) = (6, 0.5, 0.25);
-                    s.widths = Widths::WideEvery(11);
-                    s.reduce = Some((4, Dist::exponential(1.0)));
-                }
-            }
-            s
-        })
 }
 
 /// A valid scenario without SLOs or degradation with one malformed
@@ -383,12 +92,6 @@ fn arb_malformed() -> impl Strategy<Value = (Scenario, &'static str)> {
         }
         (s, field)
     })
-}
-
-/// `PROPTEST_CASES`, or `default` when it is unset.
-fn cases(default: u32) -> u32 {
-    let var = std::env::var("PROPTEST_CASES");
-    var.map_or(default, |v| v.parse().unwrap_or(default))
 }
 
 proptest! {

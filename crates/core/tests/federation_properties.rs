@@ -1,16 +1,51 @@
-//! Routing properties of the sharded federation.
+//! Properties of the sharded federation.
 //!
-//! That a fleet reports `==` across thread counts and epoch lengths, that a
-//! one-shard fleet is the closed run and that the partitioned sprint books
-//! balance is asserted over generated scenarios by `conformance.rs`. This
-//! suite checks the router on its own, without a simulation.
+//! A fleet reports `==` across thread counts and epoch lengths, a one-shard
+//! fleet is the closed run, and the partitioned sprint books balance. The
+//! router is also checked on its own, without a simulation.
 
 use proptest::prelude::*;
 
 use dias_core::federation::{Router, RouterCursor};
 
 mod common;
-use common::{Scenario, Widths};
+use common::oracle::{
+    arb_scenario, cases, fleet_books_balance, fleet_is_deterministic, fleet_reference,
+    single_shard_matches_closed, without_degradation,
+};
+use common::{Faults, Scenario, Widths};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// A 4-shard fleet reports `==` at 1, 2, 4 and 8 threads and at epoch
+    /// lengths 3 s to 1000 s, and logs the same epochs at equal length.
+    #[test]
+    fn federation_is_bitwise_identical_across_threads_and_epochs(s in arb_scenario()) {
+        let s = without_degradation(&s);
+        fleet_is_deterministic(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+
+    /// A one-shard fleet whose window reaches the end of the source is the
+    /// closed run, bit for bit.
+    #[test]
+    fn single_shard_federation_matches_the_monolithic_experiment(s in arb_scenario()) {
+        let s = without_degradation(&s);
+        single_shard_matches_closed(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+
+    /// The partitioned sprint budget keeps honest books, and without faults
+    /// a window that spans the whole source measures every delivered job.
+    #[test]
+    fn budget_books_and_measurement_window_are_conserved(s in arb_scenario()) {
+        let s = without_degradation(&s).with(|s| {
+            (s.warmup, s.jobs, s.faults) = (0, s.arrivals as usize, Faults::None);
+        });
+        let (report, log) = fleet_reference(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+        fleet_books_balance(&s, &report, &log).map_err(|e| format!("{e}\n{s:?}"))?;
+        prop_assert_eq!(report.completed(), s.arrivals);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

@@ -1,10 +1,13 @@
 //! Pins and properties of the open-system soak driver.
 //!
 //! `conformance.rs` asserts over generated scenarios that a batch-1 soak
-//! runs the closed run's operation sequence and that reruns agree. This
-//! suite pins three such runs and checks what only the soak has: release
-//! batching, windows that concatenate to the lifetime books, and a flat
-//! live-object high-water mark.
+//! runs the closed run's operation sequence. This suite checks that reruns
+//! agree at any release batch, pins three batch-1 runs against the closed
+//! run, and checks what only the soak has: release batching, windows that
+//! concatenate to the lifetime books, and a flat live-object high-water
+//! mark.
+
+use proptest::prelude::*;
 
 use dias_core::{JobSource, MultiJobReport, SoakExperiment, WarmupRule};
 use dias_des::stats::SampleStats;
@@ -14,7 +17,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
+use common::oracle::{arb_scenario, cases, soak_reruns_are_deterministic, without_degradation};
 use common::{top_sprint, Faults, Scenario, Widths};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// Two soak runs under MSER warm-up are the same simulation at release
+    /// batches 1, 3 and 16.
+    #[test]
+    fn soak_reruns_are_bitwise_deterministic_at_any_batch(s in arb_scenario()) {
+        let s = without_degradation(&s);
+        soak_reruns_are_deterministic(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+}
 
 /// The soak suite's stream: every 6th job high, 8-task maps except every
 /// 11th job's 24, and an exponential 4-task reduce, under `GangBinPack`.

@@ -1,13 +1,48 @@
 //! Determinism tests of the parallel sweep runner: fanning work across
 //! threads must reproduce the sequential loop bit for bit, in input order.
-//! That a sweep of experiments does so is asserted over generated scenarios
-//! by `conformance.rs`.
+
+use proptest::prelude::*;
 
 use dias_core::sweep::run_parallel;
 use dias_core::{Experiment, Policy};
 
 mod common;
+use common::oracle::{arb_scenario, cases, paper_sweep_matches_sequential};
 use common::Scenario;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// The paper's one-job `Experiment`, preemptive or not and with or
+    /// without drops, swept at 1, 2 and 4 threads equals the sequential
+    /// loop.
+    #[test]
+    fn parallel_sweep_is_bitwise_identical_to_sequential(s in arb_scenario()) {
+        paper_sweep_matches_sequential(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+    }
+}
+
+mod multi_sweep {
+    use proptest::prelude::*;
+
+    use super::common::oracle::{
+        arb_scenario, cases, multi_sweep_matches_sequential, sprint, SPRINTS,
+    };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+        /// Closed multi-job runs under an unlimited or a budgeted sprint
+        /// policy, swept at 1, 2 and 4 threads, equal the sequential loop.
+        #[test]
+        fn multi_sweep_with_sprint_policies_is_bitwise_deterministic(
+            (s, k) in (arb_scenario(), 1usize..SPRINTS),
+        ) {
+            let s = s.with(|s| s.sprint = sprint(k));
+            multi_sweep_matches_sequential(&s).map_err(|e| format!("{e}\n{s:?}"))?;
+        }
+    }
+}
 
 #[test]
 fn sweep_preserves_input_order_even_with_errors() {
