@@ -15,6 +15,7 @@ pub mod oracle;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dias_core::federation::{FederationExperiment, Router};
+use dias_core::sweep::run_multi_experiments_branch;
 use dias_core::{
     ClassPolicy, DegradationPolicy, Experiment, ExperimentError, JobSource, MultiJobExperiment,
     Policy, Scheduling, SoakExperiment, SprintBudget, SprintPolicy, VecJobSource, WarmupRule,
@@ -296,6 +297,19 @@ pub fn top_sprint(timeout: f64, initial_j: f64, replenish_w: f64) -> Option<Spri
     Some(SprintPolicy::top_class(2, timeout, budget))
 }
 
+/// A hand-built policy that sprints the top of two classes `timeout`
+/// seconds after dispatch from a limited budget, unchecked by
+/// `SprintPolicy::top_class` and `SprintBudget::limited`.
+pub fn hand_sprint(timeout: f64, initial_j: f64, replenish_w: f64) -> SprintPolicy {
+    let (cap_j, timeouts) = (30_000.0, vec![None, Some(timeout)]);
+    let budget = SprintBudget::Limited {
+        initial_j,
+        replenish_w,
+        cap_j,
+    };
+    SprintPolicy { timeouts, budget }
+}
+
 /// `PriorityPreempt` when `preempt` is set, `GangBinPack` otherwise.
 pub fn scheduler(preempt: bool) -> Box<dyn Scheduler> {
     if preempt {
@@ -337,5 +351,32 @@ pub fn assert_invalid<T>(
         }
         Err(e) => panic!("{what}: expected InvalidConfig on `{field}`, got {e}"),
         Ok(_) => panic!("{what}: expected InvalidConfig on `{field}`, got a report"),
+    }
+}
+
+/// Every path that reads `field` returns `InvalidConfig` naming it: the
+/// closed run, the soak, a 4-shard fleet, the paper's `Experiment`, a
+/// recording run and a branch sweep, as each reads the field.
+pub fn rejects(s: &Scenario, field: &'static str) {
+    let reads = |fields: &[&str]| fields.contains(&field);
+    let common = ["drops", "slos", "sprint", "source"];
+    if reads(&common) {
+        assert_invalid(field, "closed", || s.multi().run());
+    }
+    if reads(&common) || reads(&["arrival_batch", "epsilon"]) {
+        assert_invalid(field, "soak", || s.soak().run());
+    }
+    if reads(&common) || reads(&["epoch_secs", "power_cap_w"]) {
+        assert_invalid(field, "fleet", || s.fleet(&oracle::FLEET).run(2));
+    }
+    if reads(&["drops", "sprint", "source"]) {
+        assert_invalid(field, "paper", || s.experiment().run());
+    }
+    if reads(&["drops", "sprint", "source", "stride", "slos"]) {
+        assert_invalid(field, "recording", || s.multi().run_recording(s.stride));
+        let grid = [s.thetas.clone().unwrap_or_else(|| vec![0.0; 2])];
+        assert_invalid(field, "branch", || {
+            run_multi_experiments_branch(&grid, 1, 1, s.stride, |_| s.multi())
+        });
     }
 }

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use dias_core::federation::{FederationExperiment, FederationReport, FederationRunLog, Router};
 use dias_core::sweep::{run_differential, run_multi_experiments_branch, run_parallel};
 use dias_core::{
-    BranchStats, DegradationPolicy, MultiClassStats, MultiJobReport, SprintBudget, SprintPolicy,
-    WarmupRule,
+    BranchStats, DegradationPolicy, ExperimentError, MultiClassStats, MultiJobReport, SprintBudget,
+    SprintPolicy, WarmupRule,
 };
 use dias_des::stats::SampleStats;
 use dias_stochastic::Dist;
@@ -47,17 +47,25 @@ fn replicas(s: &Scenario) -> Vec<Scenario> {
     (0..3).map(|r| s.clone().with(|s| s.seed += r)).collect()
 }
 
+/// Fails on the first run of `runs` that returned an error, so that two
+/// sweeps that fail alike never pass as equal.
+fn succeeded<T>(runs: &[Result<T, ExperimentError>]) -> Result<(), String> {
+    runs.iter()
+        .try_for_each(|r| r.as_ref().map(drop).map_err(|e| e.to_string()))
+}
+
 /// A sweep of closed multi-job runs at 1, 2 and 4 threads equals the
 /// sequential loop, in order; under a renewal schedule the pool changes, or
 /// the fault checks are vacuous.
 pub fn multi_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
     let replicas = replicas(s);
     let sequential: Vec<_> = replicas.iter().map(|r| r.multi().run()).collect();
+    succeeded(&sequential)?;
     for threads in [1, 2, 4] {
         let swept = run_parallel(replicas.clone(), threads, |_, r| r.multi().run());
         prop_assert!(swept == sequential, "sweep at {} threads", threads);
     }
-    let closed = sequential[0].as_ref().map_err(|e| e.to_string())?;
+    let closed = sequential[0].as_ref().expect("succeeded");
     let faulted = matches!(s.faults, Faults::Renewal(..));
     prop_assert!(
         !faulted || closed.capacity_changes > 0,
@@ -71,6 +79,7 @@ pub fn multi_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
 pub fn paper_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
     let replicas = replicas(s);
     let sequential: Vec<_> = replicas.iter().map(|r| r.experiment().run()).collect();
+    succeeded(&sequential)?;
     for threads in [1, 2, 4] {
         let swept = run_parallel(replicas.clone(), threads, |_, r| r.experiment().run());
         prop_assert!(swept == sequential, "paper sweep at {} threads", threads);
@@ -81,8 +90,9 @@ pub fn paper_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
 /// A soak at batch 1 under a fixed arrival warm-up runs the closed run's
 /// operation sequence: engine-side totals bit for bit, per-class counts
 /// exact, means to summation order, p95 inside the sketch's ε rank bracket.
-pub fn soak_matches_closed(s: &Scenario) -> Result<(), String> {
-    let exact = &s.multi().run().map_err(|e| e.to_string())?;
+/// Returns the closed run's report.
+pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
+    let exact = s.multi().run().map_err(|e| e.to_string())?;
     let soak = s.clone().with(|s| s.batch = 1).soak().run();
     let soak = soak.map_err(|e| e.to_string())?;
     let engine_side = |r: &MultiJobReport| {
@@ -110,7 +120,7 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<(), String> {
             .collect();
         (bits, [r.evictions, r.failure_evictions, r.capacity_changes])
     };
-    prop_assert_eq!(engine_side(&soak.totals), engine_side(exact));
+    prop_assert_eq!(engine_side(&soak.totals), engine_side(&exact));
     let measured: u64 = exact.per_class.iter().map(|c| c.completed).sum();
     prop_assert_eq!(soak.measured_jobs, measured);
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
@@ -147,7 +157,7 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<(), String> {
             hi
         );
     }
-    Ok(())
+    Ok(exact)
 }
 
 /// A class's completion counts, which every driver books exactly.

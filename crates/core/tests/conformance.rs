@@ -4,49 +4,22 @@
 //! the paper's one-job `Experiment` share one arbiter loop and differ only
 //! in what they record. `common::oracle` holds one check per identity
 //! between two paths and [`conform`], which runs a [`Scenario`] down every
-//! path; this suite runs it over [`arb_scenario`]. [`rejects`] checks that a
-//! malformed scenario comes back as `InvalidConfig` naming its field from
-//! every path that reads it, never as a panic.
+//! path; this suite runs it over [`arb_scenario`]. Generated malformed
+//! scenarios must come back as `InvalidConfig` naming their field from every
+//! path that reads it (`common::rejects`), never as a panic.
 //!
 //! Cross-path identities cannot see the tie order of the arbiter, because
 //! every path shares it; `tie_order_is_pinned` pins one scenario in which
-//! each adjacent pair of arms ties and the order decides the outcome.
+//! each adjacent pair of arms ties.
 
 use proptest::prelude::*;
 
-use dias_core::sweep::run_multi_experiments_branch;
-use dias_core::{SprintBudget, SprintPolicy};
 use dias_engine::{ClusterSpec, FaultEvent, FaultKind};
 use dias_stochastic::Dist;
 
 mod common;
-use common::oracle::{arb_scenario, cases, conform, FLEET};
-use common::{assert_invalid, top_sprint, Faults, Scenario, Widths};
-
-/// Every path that reads `field` returns `InvalidConfig` naming it.
-fn rejects(s: &Scenario, field: &'static str) {
-    let reads = |fields: &[&str]| fields.contains(&field);
-    let common = ["drops", "slos", "sprint", "source"];
-    if reads(&common) {
-        assert_invalid(field, "closed", || s.multi().run());
-    }
-    if reads(&common) || reads(&["arrival_batch", "epsilon"]) {
-        assert_invalid(field, "soak", || s.soak().run());
-    }
-    if reads(&common) || reads(&["epoch_secs", "power_cap_w"]) {
-        assert_invalid(field, "fleet", || s.fleet(&FLEET).run(2));
-    }
-    if reads(&["drops", "sprint", "source"]) {
-        assert_invalid(field, "paper", || s.experiment().run());
-    }
-    if reads(&["drops", "sprint", "source", "stride", "slos"]) {
-        assert_invalid(field, "recording", || s.multi().run_recording(s.stride));
-        let grid = [s.thetas.clone().unwrap_or_else(|| vec![0.0; 2])];
-        assert_invalid(field, "branch", || {
-            run_multi_experiments_branch(&grid, 1, 1, s.stride, |_| s.multi())
-        });
-    }
-}
+use common::oracle::{arb_scenario, cases, conform};
+use common::{hand_sprint, rejects, top_sprint, Faults, Scenario, Widths};
 
 /// A valid scenario without SLOs or degradation with one malformed
 /// setting, and the field the run must name.
@@ -78,15 +51,7 @@ fn arb_malformed() -> impl Strategy<Value = (Scenario, &'static str)> {
             "epsilon" => s.epsilon = [0.0, 0.5, nan, -0.1][v],
             "epoch_secs" => s.epoch_secs = [0.0, nan, f64::INFINITY, -1.0][v],
             "stride" => s.stride = 0,
-            "sprint" => {
-                let budget = SprintBudget::Limited {
-                    initial_j,
-                    replenish_w,
-                    cap_j: 1e4,
-                };
-                let timeouts = vec![None, Some(timeout)];
-                s.sprint = Some(SprintPolicy { timeouts, budget });
-            }
+            "sprint" => s.sprint = Some(hand_sprint(timeout, initial_j, replenish_w)),
             "power_cap_w" => s.power_cap_w = Some([nan, -1.0][v % 2]),
             _ => s.high_class = 2,
         }
@@ -110,13 +75,20 @@ proptest! {
 
 /// The arbiter's tie order (engine event, budget depletion, sprint timers,
 /// faults, release), pinned on whole-second inputs where each adjacent pair
-/// ties and the order decides the outcome: thirteen 2-task high-class jobs
-/// on 4 slots sprint at 2× from a 90 J budget while slots fail, straggle and
-/// are repaired. All five arms tie at 4 s, timers and faults at 4 and 6 s,
-/// the engine and depletion at 4, 8, 33 and 43 s, depletion and a timer at
-/// 35 s. Swapping engine and depletion, or timers and faults, reorders the
-/// first completions; depletion and timers, the last three; a release
-/// before the fault batch at 4 s puts job 2 on the failing slot.
+/// ties: thirteen 2-task high-class jobs on 4 slots sprint at 2× from a 90 J
+/// budget while slots fail, straggle and are repaired. All five arms tie at
+/// 4 s, timers and faults at 4 and 6 s, the engine and depletion at 4, 8, 33
+/// and 43 s, depletion and a timer at 35 s. A release before the fault batch
+/// at 4 s puts job 2 on the failing slot (an eviction); timers after faults
+/// reorder the first completions. The other two pairs are told apart only by
+/// rounding. A depletion stops sprints whose budget is spent, and neither an
+/// engine event nor a timer at the same instant can spend budget or start a
+/// sprint on an empty one, so in exact arithmetic either order runs the same
+/// simulation. Engine after depletion moves the last bits of the budget
+/// spent; a timer before depletion those of the energy and the budget
+/// spent, because the depletion at 35 s leaves float residue in the budget
+/// and the timer then starts a near-zero sprint on it. Once that residue is
+/// gone, the depletion/timer pair is no longer pinned.
 #[test]
 fn tie_order_is_pinned() {
     let slow = FaultKind::Slow { factor: 2.0 };

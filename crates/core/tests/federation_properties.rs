@@ -11,7 +11,7 @@ use dias_core::federation::{Router, RouterCursor};
 mod common;
 use common::oracle::{
     arb_scenario, cases, fleet_books_balance, fleet_is_deterministic, fleet_reference,
-    single_shard_matches_closed, without_degradation,
+    single_shard_matches_closed, sprint, without_degradation, SPRINTS,
 };
 use common::{Faults, Scenario, Widths};
 
@@ -34,11 +34,15 @@ proptest! {
         single_shard_matches_closed(&s).map_err(|e| format!("{e}\n{s:?}"))?;
     }
 
-    /// The partitioned sprint budget keeps honest books, and without faults
-    /// a window that spans the whole source measures every delivered job.
+    /// The partitioned sprint budget, limited and under a power cap, keeps
+    /// honest books, and without faults a window that spans the whole
+    /// source measures every delivered job.
     #[test]
-    fn budget_books_and_measurement_window_are_conserved(s in arb_scenario()) {
+    fn budget_books_and_measurement_window_are_conserved(
+        (s, k) in (arb_scenario(), 2usize..SPRINTS),
+    ) {
         let s = without_degradation(&s).with(|s| {
+            (s.sprint, s.power_cap_w) = (sprint(k), Some(2_000.0));
             (s.warmup, s.jobs, s.faults) = (0, s.arrivals as usize, Faults::None);
         });
         let (report, log) = fleet_reference(&s).map_err(|e| format!("{e}\n{s:?}"))?;

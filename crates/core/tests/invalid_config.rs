@@ -3,17 +3,17 @@
 //! Every setter of the four builders stores its value unchecked; the run
 //! method checks it and names the setter in the error. The branch runners
 //! name their own arguments the same way. Each case below sends one invalid
-//! value through every builder or runner that accepts it and runs it under
-//! `catch_unwind`, so a panic anywhere fails the test. `conformance.rs`
-//! generates such settings too; these are the named cases.
+//! value through every builder or runner that accepts it (`common::rejects`)
+//! and runs it under `catch_unwind`, so a panic anywhere fails the test.
+//! `conformance.rs` generates such settings too; these are the named cases.
 
 use dias_core::sweep::run_multi_experiments_branch;
-use dias_core::{DegradationPolicy, SprintBudget, SprintPolicy};
+use dias_core::DegradationPolicy;
 use dias_engine::FaultTrace;
 use dias_stochastic::Dist;
 
 mod common;
-use common::{assert_invalid, Scenario, Widths};
+use common::{assert_invalid, hand_sprint, rejects, Scenario, Widths};
 
 /// Twenty small two-class jobs two seconds apart, ten measured from the
 /// first, on one paper cluster per shard.
@@ -33,35 +33,25 @@ fn small() -> Scenario {
     }
 }
 
-/// Runs `s` down the closed run, the soak and a two-shard fleet, and asserts
-/// each names `field`.
-#[track_caller]
-fn assert_every_driver_rejects(field: &str, what: &str, s: &Scenario) {
-    assert_invalid(field, &format!("multi {what}"), || s.multi().run());
-    assert_invalid(field, &format!("soak {what}"), || s.soak().run());
-    assert_invalid(field, &format!("fleet {what}"), || {
-        s.fleet(&[10, 10]).run(1)
-    });
-}
-
 #[test]
 fn drop_ratio_outside_unit_interval() {
+    // The `Policy` constructors check θ themselves; a hand-built policy
+    // reaches the paper's run unchecked.
     for theta in [f64::NAN, -0.1, 1.5] {
-        let s = small().with(|s| s.thetas = Some(vec![theta, 0.0]));
-        assert_every_driver_rejects("drops", &format!("θ={theta}"), &s);
-        // The `Policy` constructors check θ themselves; a hand-built policy
-        // reaches the run unchecked.
-        assert_invalid("drops", &format!("paper θ={theta}"), || {
-            s.experiment().run()
-        });
+        rejects(
+            &small().with(|s| s.thetas = Some(vec![theta, 0.0])),
+            "drops",
+        );
     }
 }
 
 #[test]
 fn slo_target_not_positive() {
     for target in [0.0, f64::NAN] {
-        let s = small().with(|s| s.slos = Some(vec![100.0, target]));
-        assert_every_driver_rejects("slos", &format!("SLO={target}"), &s);
+        rejects(
+            &small().with(|s| s.slos = Some(vec![100.0, target])),
+            "slos",
+        );
     }
 }
 
@@ -70,14 +60,6 @@ fn slo_target_not_positive() {
 /// first dispatch of the sprinting class.
 #[test]
 fn sprint_policy_negative_or_nan() {
-    let policy = |timeout: f64, initial_j: f64, replenish_w: f64| SprintPolicy {
-        timeouts: vec![None, Some(timeout)],
-        budget: SprintBudget::Limited {
-            initial_j,
-            replenish_w,
-            cap_j: 30_000.0,
-        },
-    };
     let nan = f64::NAN;
     for (timeout, initial_j, replenish_w) in [
         (nan, 30_000.0, 90.0),
@@ -87,44 +69,31 @@ fn sprint_policy_negative_or_nan() {
         (0.0, 30_000.0, nan),
         (0.0, 30_000.0, -1.0),
     ] {
-        let what = format!("T={timeout} budget={initial_j} J replenish={replenish_w} W");
-        let s = small().with(|s| s.sprint = Some(policy(timeout, initial_j, replenish_w)));
-        assert_every_driver_rejects("sprint", &what, &s);
-        assert_invalid("sprint", &format!("paper {what}"), || s.experiment().run());
+        let policy = hand_sprint(timeout, initial_j, replenish_w);
+        rejects(&small().with(|s| s.sprint = Some(policy)), "sprint");
     }
 }
 
 #[test]
 fn job_class_outside_the_source() {
-    let s = small().with(|s| s.high_class = 2);
-    assert_every_driver_rejects("source", "class 2 of 2", &s);
+    rejects(&small().with(|s| s.high_class = 2), "source");
 }
 
 #[test]
 fn soak_arrival_batch_and_epsilon() {
-    assert_invalid("arrival_batch", "batch 0", || {
-        small().with(|s| s.batch = 0).soak().run()
-    });
+    rejects(&small().with(|s| s.batch = 0), "arrival_batch");
     for epsilon in [0.0, 0.5] {
-        assert_invalid("epsilon", &format!("ε={epsilon}"), || {
-            small().with(|s| s.epsilon = epsilon).soak().run()
-        });
+        rejects(&small().with(|s| s.epsilon = epsilon), "epsilon");
     }
 }
 
 #[test]
 fn federation_shape() {
     for epoch_secs in [0.0, f64::NAN, f64::INFINITY] {
-        assert_invalid("epoch_secs", &format!("epoch {epoch_secs}"), || {
-            let s = small().with(|s| s.epoch_secs = epoch_secs);
-            s.fleet(&[10, 10]).run(1)
-        });
+        rejects(&small().with(|s| s.epoch_secs = epoch_secs), "epoch_secs");
     }
     for cap in [f64::NAN, -1.0] {
-        assert_invalid("power_cap_w", &format!("power cap {cap}"), || {
-            let s = small().with(|s| s.power_cap_w = Some(cap));
-            s.fleet(&[10, 10]).run(1)
-        });
+        rejects(&small().with(|s| s.power_cap_w = Some(cap)), "power_cap_w");
     }
     assert_invalid("shards", "no shards", || small().fleet(&[]).run(1));
     assert_invalid("shard_faults", "one trace for two shards", || {

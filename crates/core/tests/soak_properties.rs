@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use dias_core::{JobSource, MultiJobReport, SoakExperiment, WarmupRule};
+use dias_core::{JobSource, SoakExperiment, WarmupRule};
 use dias_des::stats::SampleStats;
 use dias_engine::{GangBinPack, JobInstance, JobSpec, StageKind, StageSpec};
 use dias_stochastic::Dist;
@@ -17,7 +17,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::oracle::{arb_scenario, cases, soak_reruns_are_deterministic, without_degradation};
+use common::oracle::{
+    arb_scenario, cases, soak_matches_closed, soak_reruns_are_deterministic, without_degradation,
+};
 use common::{top_sprint, Faults, Scenario, Widths};
 
 proptest! {
@@ -47,11 +49,11 @@ fn stream(seed: u64, arrivals: u64, gap: f64) -> Scenario {
     }
 }
 
-/// Drops, sprinting, faults and SLOs at once: the closed run and the batch-1
-/// soak agree bit for bit on engine-side totals, exactly on the measured
-/// count, and on the pinned number of capacity changes.
+/// Drops, sprinting, faults and SLOs at once: the batch-1 soak runs the
+/// closed run's operation sequence (see `soak_matches_closed`), and the
+/// fault schedule changes the slot pool a pinned number of times.
 #[test]
-fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
+fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() -> Result<(), String> {
     for (seed, preempt, changes) in [(11u64, false, 100), (12, true, 94), (13, false, 87)] {
         let s = Scenario {
             preempt,
@@ -63,19 +65,12 @@ fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
             slos: Some(vec![400.0, 150.0]),
             ..stream(seed, 400, 6.0)
         };
-        let exact = s.multi().run().expect("closed run");
-        let streamed = s.soak().run().expect("soak run");
+        let exact = soak_matches_closed(&s).map_err(|e| format!("seed {seed}: {e}"))?;
         assert_eq!(exact.capacity_changes, changes, "seed {seed}");
-        assert_eq!(streamed.totals.capacity_changes, changes, "seed {seed}");
-        let totals = |r: &MultiJobReport| {
-            let spent = r.sprint_budget_spent_j;
-            [r.horizon_secs, r.energy_joules, r.wasted_work_secs, spent].map(f64::to_bits)
-        };
-        assert_eq!(totals(&streamed.totals), totals(&exact), "seed {seed}");
         let measured: u64 = exact.per_class.iter().map(|c| c.completed).sum();
-        assert_eq!(streamed.measured_jobs, measured, "seed {seed}");
         assert!(measured > 0, "no measured completions (seed {seed})");
     }
+    Ok(())
 }
 
 #[test]
