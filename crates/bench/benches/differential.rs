@@ -2,15 +2,15 @@
 //!
 //! PR 5's sweep path estimates the effect of a policy change by running each
 //! policy point on independently seeded job streams and differencing the means.
-//! The differential path records each replica's draw stream once
-//! ([`dias_workloads::JobStreamTrace`]) and replays the *identical* stream at
-//! every policy point, so policy deltas are paired contrasts: the arrival noise
-//! cancels and the confidence interval on the delta tightens.
+//! The differential path seeds one stream per replica and runs a clone of it
+//! at every policy point, so each point sees the *identical* jobs and policy
+//! deltas are paired contrasts: the arrival noise cancels and the confidence
+//! interval on the delta tightens.
 //!
 //! Reported numbers:
 //!
-//! * wall-clock of the two grid runs (same experiment count, so similar —
-//!   recording/replay overhead is the difference);
+//! * wall-clock of the two grid runs (same experiment count and the same
+//!   stream code, so they should be close);
 //! * the 95% CI half-width of the policy delta under pairing vs independent
 //!   replication at the *same* replica count;
 //! * the equal-precision speedup: CI half-width scales as `1/√R`, so matching
@@ -20,22 +20,20 @@
 use std::time::Instant;
 
 use dias_bench::{banner, compare, scaled};
-use dias_core::{
-    run_differential, DifferentialReport, Experiment, ExperimentReport, JobSource, Policy,
-};
-use dias_workloads::{reference_two_priority, JobStreamTrace};
+use dias_core::{run_differential, DifferentialReport, Experiment, ExperimentReport, Policy};
+use dias_workloads::{reference_two_priority, JobStream};
 
 fn main() {
     banner(
         "sweep/differential",
-        "CRN trace replay vs independent replication",
+        "CRN stream clones vs independent replication",
     );
     let jobs = scaled(600);
     let replicas = 6;
     let threads = dias_bench::threads();
     // Three sweep points: the preemptive baseline and two neighbouring drop
     // ratios. The headline contrast is the *sweep derivative* DA(0,30) vs
-    // DA(0,50) — same discipline, nearby θ — where the replayed stream makes
+    // DA(0,50) — same discipline, nearby θ — where the shared stream makes
     // the two runs strongly correlated and pairing shines.
     let policies = [
         Policy::preemptive(2),
@@ -47,20 +45,13 @@ fn main() {
         policies.len()
     );
 
-    // Differential mode: record each replica's stream once, replay everywhere.
+    // Differential mode: one seeded stream per replica, cloned at every point.
     let start = Instant::now();
-    let traces: Vec<JobStreamTrace> = (0..replicas)
-        .map(|r| {
-            let mut stream = reference_two_priority(0.8, 101 + r as u64).recording();
-            // Materialize the measured prefix so replays serve it from the trace.
-            for _ in 0..jobs {
-                let _ = stream.next_job();
-            }
-            stream.into_trace()
-        })
+    let streams: Vec<JobStream> = (0..replicas)
+        .map(|r| reference_two_priority(0.8, 101 + r as u64))
         .collect();
     let paired_report = run_differential(policies.len(), replicas, threads, |p, r| {
-        Experiment::new(traces[r].replay(), policies[p].clone())
+        Experiment::new(streams[r].clone(), policies[p].clone())
             .jobs(jobs)
             .run()
     })
@@ -222,6 +213,6 @@ fn branch_section(threads: usize) {
 
 fn report(metric: &str, grid: &DifferentialReport<ExperimentReport>, paired: f64, indep: f64) {
     println!("metric: {metric} over {} replicas", grid.replicas());
-    println!("  differential sweep (record + replay): {paired:>6.2}s wall-clock");
-    println!("  independent sweep  (fresh streams):   {indep:>6.2}s wall-clock");
+    println!("  differential sweep (cloned streams): {paired:>6.2}s wall-clock");
+    println!("  independent sweep  (fresh streams):  {indep:>6.2}s wall-clock");
 }

@@ -899,8 +899,8 @@ pub(crate) struct MultiDriver<S> {
 #[derive(Clone)]
 pub(crate) struct RunState<S> {
     /// The arrival stream. A clone taken at an arrival boundary sits exactly
-    /// at that boundary's draw offset, so the remaining stream replays bit
-    /// for bit (see [`dias_stochastic::DrawTrace::replay_from`]).
+    /// at that boundary's draw offset, so a restored checkpoint draws the
+    /// remaining jobs bit for bit.
     pub(crate) source: S,
     pub(crate) report: MultiJobReport,
     meta: IdMap<JobMeta>,

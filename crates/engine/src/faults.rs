@@ -6,9 +6,9 @@
 //! stragglers. This module makes capacity a *scheduled* quantity:
 //!
 //! * A [`FaultTrace`] is an immutable, time-sorted schedule of
-//!   [`FaultEvent`]s — the fault analogue of `dias_stochastic::DrawTrace`:
-//!   cheap to clone (the schedule is `Arc`-shared) and replayed
-//!   bit-identically by every sweep point and at any thread count. All randomness happens at
+//!   [`FaultEvent`]s, cheap to clone (the schedule is `Arc`-shared) and
+//!   replayed bit-identically by every sweep point and at any thread count,
+//!   as a cloned job stream is. All randomness happens at
 //!   *generation* time, through per-slot [`SeedSequence`] streams;
 //!   application is pure replay. A trace is read through a [`FaultCursor`].
 //! * [`FaultTrace::renewal`] samples an alternating PH up/down renewal

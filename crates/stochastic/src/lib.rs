@@ -42,14 +42,12 @@ pub mod fit;
 mod mmap;
 mod ph;
 mod scalar;
-mod trace;
 
 pub use discrete::DiscreteDist;
 pub use evaluator::{PhEvaluator, PhSampler, QUANTILE_SATURATION};
 pub use mmap::{MarkedArrival, MarkedPoisson, MarkedPoissonSampler};
 pub use ph::{Ph, PhError};
 pub use scalar::{CompiledDist, Dist, DistSampler, ZipfSampler};
-pub use trace::{DrawTrace, RecordingRng, ReplayRng};
 
 /// Draws an exponential variate with the given `rate` using inverse transform.
 ///

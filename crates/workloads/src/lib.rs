@@ -50,4 +50,4 @@ pub use profiles::{
     reference_two_priority, sharded_two_priority, three_priority_stream, triangle_two_priority,
     JobProfile,
 };
-pub use stream::{profile_execution, JobStream, JobStreamTrace};
+pub use stream::{profile_execution, JobStream};

@@ -1,13 +1,12 @@
 //! Poisson job streams over profiles, with utilization-targeted calibration.
 
 use rand::rngs::StdRng;
-use rand::RngCore;
 
 use dias_core::JobSource;
 use dias_des::stats::SampleSet;
 use dias_des::SeedSequence;
 use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobId, JobInstance, JobSampler};
-use dias_stochastic::{DrawTrace, MarkedPoisson, RecordingRng, ReplayRng};
+use dias_stochastic::MarkedPoisson;
 
 use crate::profiles::JobProfile;
 
@@ -53,18 +52,16 @@ pub fn profile_execution(
 /// An endless Poisson job stream: class `k` arrives at `rates[k]` and instantiates
 /// `profiles[k]`.
 ///
-/// Implements [`JobSource`] for [`dias_core::Experiment`]. Generic over its
-/// draw source `R` so the same stream definition runs live ([`StdRng`]),
-/// recording ([`RecordingRng`], via [`JobStream::recording`]) or replaying a
-/// captured trace ([`ReplayRng`], via [`JobStreamTrace::replay`]) — the
-/// common-random-number plumbing behind differential sweeps.
+/// Implements [`JobSource`] for [`dias_core::Experiment`]. A clone continues
+/// with exactly the jobs the original would draw next, so sweep points are
+/// paired over common random numbers by cloning one seeded stream per replica.
 #[derive(Debug, Clone)]
-pub struct JobStream<R = StdRng> {
+pub struct JobStream {
     profiles: Vec<JobProfile>,
     /// `profiles[k]` compiled for class `k`.
     samplers: Vec<JobSampler>,
     arrivals: MarkedPoisson,
-    rng: R,
+    rng: StdRng,
     now: f64,
     next_id: u64,
 }
@@ -90,7 +87,11 @@ impl JobStream {
         let arrivals = MarkedPoisson::new(rates)?;
         let seeds = SeedSequence::new(seed);
         Ok(JobStream {
-            samplers: samplers(&profiles),
+            samplers: profiles
+                .iter()
+                .enumerate()
+                .map(|(class, p)| JobSampler::new(&p.spec(0, class)))
+                .collect(),
             profiles,
             arrivals,
             rng: seeds.stream("jobstream"),
@@ -140,43 +141,6 @@ impl JobStream {
         JobStream::with_rates(profiles, rates, seed).expect("validated inputs")
     }
 
-    /// Wraps the stream's RNG in a [`RecordingRng`] so every arrival/service
-    /// draw is captured for later bit-identical replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already drawn: a trace pairs sweep points only if
-    /// it starts at the beginning of the stream.
-    #[must_use]
-    pub fn recording(self) -> JobStream<RecordingRng<StdRng>> {
-        assert_eq!(
-            self.next_id, 0,
-            "recording must start before the first job is drawn"
-        );
-        JobStream {
-            profiles: self.profiles,
-            samplers: self.samplers,
-            arrivals: self.arrivals,
-            rng: RecordingRng::new(self.rng),
-            now: self.now,
-            next_id: self.next_id,
-        }
-    }
-}
-
-impl JobStream<RecordingRng<StdRng>> {
-    /// Freezes the recorded draw stream into a replayable [`JobStreamTrace`].
-    #[must_use]
-    pub fn into_trace(self) -> JobStreamTrace {
-        JobStreamTrace {
-            profiles: self.profiles,
-            rates: self.arrivals.rates().to_vec(),
-            trace: self.rng.into_trace(),
-        }
-    }
-}
-
-impl<R> JobStream<R> {
     /// Per-class arrival rates (jobs/second).
     #[must_use]
     pub fn rates(&self) -> &[f64] {
@@ -190,7 +154,7 @@ impl<R> JobStream<R> {
     }
 }
 
-impl<R: RngCore> JobSource for JobStream<R> {
+impl JobSource for JobStream {
     fn classes(&self) -> usize {
         self.profiles.len()
     }
@@ -203,58 +167,6 @@ impl<R: RngCore> JobSource for JobStream<R> {
         let mut instance = self.samplers[arrival.class].sample(id, &mut self.rng);
         instance.arrival_secs = arrival.time;
         Some(instance)
-    }
-}
-
-/// One compiled job sampler per class: class `k` instantiates
-/// `profiles[k]`.
-fn samplers(profiles: &[JobProfile]) -> Vec<JobSampler> {
-    profiles
-        .iter()
-        .enumerate()
-        .map(|(class, p)| JobSampler::new(&p.spec(0, class)))
-        .collect()
-}
-
-/// A recorded arrival/service draw stream of a [`JobStream`], replayable any
-/// number of times.
-///
-/// Each [`JobStreamTrace::replay`] yields a stream that produces the exact
-/// jobs of the recorded run — bit-identical arrivals and task times — and,
-/// past the recorded prefix, continues from the source RNG's state, so
-/// replicas that consume *more* jobs than the recording stay paired too.
-/// Cloning is cheap: the recorded words are shared.
-#[derive(Debug, Clone)]
-pub struct JobStreamTrace {
-    profiles: Vec<JobProfile>,
-    rates: Vec<f64>,
-    trace: DrawTrace,
-}
-
-impl JobStreamTrace {
-    /// A fresh replay of the recorded stream from its beginning.
-    #[must_use]
-    pub fn replay(&self) -> JobStream<ReplayRng> {
-        JobStream {
-            profiles: self.profiles.clone(),
-            samplers: samplers(&self.profiles),
-            arrivals: MarkedPoisson::new(self.rates.clone()).expect("recorded rates are valid"),
-            rng: self.trace.replay(),
-            now: 0.0,
-            next_id: 0,
-        }
-    }
-
-    /// Number of recorded RNG words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
     }
 }
 
@@ -327,37 +239,25 @@ mod tests {
     }
 
     #[test]
-    fn recorded_stream_replays_bit_identically() {
+    fn clones_continue_the_same_draw_stream() {
         let profiles = vec![dataset_147(), profile_473()];
         let rates = vec![0.9 / 150.0, 0.1 / 150.0];
         let mut live = JobStream::with_rates(profiles.clone(), rates.clone(), 21).unwrap();
-        let live_jobs: Vec<_> = (0..150).map(|_| live.next_job().unwrap()).collect();
+        let mut fresh = live.clone();
 
-        // Record only the first 100 jobs, then replay 150: the prefix comes
-        // from the trace, the rest from the tail snapshot.
-        let mut rec = JobStream::with_rates(profiles, rates, 21)
-            .unwrap()
-            .recording();
+        // A clone taken mid-stream continues with the original's next jobs.
         for _ in 0..100 {
-            let _ = rec.next_job().unwrap();
+            let _ = live.next_job().unwrap();
         }
-        let trace = rec.into_trace();
-        assert!(!trace.is_empty());
-
-        for round in 0..2 {
-            let mut replay = trace.replay();
-            for (i, want) in live_jobs.iter().enumerate() {
-                let got = replay.next_job().unwrap();
-                assert_eq!(got, *want, "round {round} job {i}");
-            }
+        let mut resumed = live.clone();
+        for i in 0..50 {
+            assert_eq!(resumed.next_job(), live.next_job(), "job {}", 100 + i);
         }
-    }
 
-    #[test]
-    #[should_panic(expected = "before the first job")]
-    fn recording_rejects_started_streams() {
-        let mut s = JobStream::with_rates(vec![dataset_147()], vec![0.01], 3).unwrap();
-        let _ = s.next_job();
-        let _ = s.recording();
+        // A fresh clone is the same stream as a same-seeded rebuild.
+        let mut rebuilt = JobStream::with_rates(profiles, rates, 21).unwrap();
+        for i in 0..150 {
+            assert_eq!(fresh.next_job(), rebuilt.next_job(), "job {i}");
+        }
     }
 }

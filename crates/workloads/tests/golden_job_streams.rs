@@ -109,22 +109,3 @@ fn triangle_stream_is_pinned() {
         [0x40671ea108688163, 0x401a8ccae4e8f555, 0x4010a9dca286c174],
     );
 }
-
-#[test]
-fn recorded_then_replayed_stream_is_pinned() {
-    // Record half the pinned prefix: the replay serves 100 jobs from the
-    // recorded words and the rest from the source RNG's tail state.
-    let mut recording = reference_two_priority(0.8, 42).recording();
-    for _ in 0..JOBS / 2 {
-        let _ = recording.next_job();
-    }
-    let trace = recording.into_trace();
-    for round in 0..2 {
-        check(
-            &format!("replay round {round} of reference_two_priority(0.8, 42)"),
-            &mut trace.replay(),
-            0x47da2ca11330f6fd,
-            [0x406227b61836d4df, 0x4023e9982baeb802, 0x402c693021e1087f],
-        );
-    }
-}
