@@ -159,6 +159,9 @@ impl JobSource for JobStream {
         self.profiles.len()
     }
 
+    // Lets drivers in other crates inline the per-job draw: the workspace
+    // builds without LTO, so a plain non-generic call stays out of line.
+    #[inline]
     fn next_job(&mut self) -> Option<JobInstance> {
         let arrival = self.arrivals.sample_next(&mut self.rng, self.now);
         self.now = arrival.time;
