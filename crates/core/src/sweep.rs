@@ -277,9 +277,9 @@ fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
 /// Common random numbers are the *caller's* contract: for a fixed `replica`,
 /// every point's source must produce the identical draw stream — clones of
 /// one seeded source, or same-seeded sources whose draw sequence does not
-/// depend on the point. Under that
-/// contract, [`DifferentialReport::paired_contrast`] gives much tighter
-/// confidence intervals than independent seeding at the same replica budget.
+/// depend on the point. Under that contract,
+/// [`DifferentialReport::paired_contrast`] gives much tighter confidence
+/// intervals than independent seeding at the same replica budget.
 ///
 /// # Errors
 ///
