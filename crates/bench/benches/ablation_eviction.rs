@@ -13,9 +13,9 @@
 //!    wave-quantized when tasks are deterministic and smooth when they vary; the
 //!    sweep shows the low-class execution gain of DA(0,20) across task-time SCVs.
 
-use dias_bench::{banner, bench_jobs, pct, rel};
+use dias_bench::{banner, bench_jobs, pct, recorded, rel};
 use dias_core::sweep::run_mc_replicated;
-use dias_core::{Experiment, Policy};
+use dias_core::{Experiment, Policy, Series};
 use dias_engine::ClusterSpec;
 use dias_models::mc::{Discipline, McQueue};
 use dias_stochastic::{Dist, MarkedPoisson, Ph};
@@ -106,16 +106,17 @@ fn variability_sweep() {
                 seed,
             )
         };
-        let np = Experiment::new(stream(1), Policy::non_preemptive(2))
-            .jobs(jobs)
-            .run()
-            .expect("valid experiment");
-        let da = Experiment::new(stream(1), Policy::da_percent_high_to_low(&[0.0, 20.0]))
-            .jobs(jobs)
-            .run()
-            .expect("valid experiment");
-        let np_exec = np.class_stats(0).execution.mean();
-        let da_exec = da.class_stats(0).execution.mean();
+        let run = |policy| {
+            Experiment::new(stream(1), policy)
+                .jobs(jobs)
+                .record(Series::EXECUTION)
+                .run()
+                .expect("valid experiment")
+        };
+        let np = run(Policy::non_preemptive(2));
+        let da = run(Policy::da_percent_high_to_low(&[0.0, 20.0]));
+        let np_exec = recorded(&np.class_stats(0).execution).mean();
+        let da_exec = recorded(&da.class_stats(0).execution).mean();
         println!(
             "{scv:>8.4} {np_exec:>12.1} {da_exec:>12.1} {:>10}",
             pct(rel(da_exec, np_exec))

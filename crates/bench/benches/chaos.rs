@@ -27,7 +27,7 @@
 
 use dias_bench::{banner, bench_jobs, compare};
 use dias_core::multi::default_accuracy_curve;
-use dias_core::{run_parallel, DegradationPolicy, MultiJobExperiment, MultiJobReport};
+use dias_core::{run_parallel, DegradationPolicy, MultiJobExperiment, MultiJobReport, Series};
 use dias_engine::{FaultTrace, GangBinPack};
 use dias_models::accuracy::AccuracyCurve;
 use dias_workloads::{
@@ -53,13 +53,17 @@ fn experiment(
     let e = MultiJobExperiment::new(sharded_two_priority(util, seed), Box::new(GangBinPack))
         .jobs(jobs)
         .slos(slos)
-        .faults(trace);
+        .faults(trace)
+        .record(Series::DROP_FRACTION);
     if degrade {
         e.degrade(DegradationPolicy::new(&BASE_THETA, &MAX_THETA))
     } else {
         e.drops(&BASE_THETA)
     }
 }
+
+/// Why the reported runs record the drop fraction: the report prints it.
+const DROPS: &str = "every reported run records the drop fraction";
 
 fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
     println!("{label}");
@@ -70,8 +74,8 @@ fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
             r.mean_response(k),
             r.p95_response(k),
             c.slo_attainment() * 100.0,
-            c.mean_drop_fraction() * 100.0,
-            c.approximation_loss_pct(curve),
+            c.mean_drop_fraction().expect(DROPS) * 100.0,
+            c.approximation_loss_pct(curve).expect(DROPS),
         );
     }
     println!(
@@ -196,8 +200,8 @@ fn main() {
         "degradation mean drop above the fixed-θ baseline",
         &format!(
             "{:.1}% vs {:.1}% (cap 80% of map tasks)",
-            degr.per_class[0].mean_drop_fraction() * 100.0,
-            fixed.per_class[0].mean_drop_fraction() * 100.0
+            degr.per_class[0].mean_drop_fraction().expect(DROPS) * 100.0,
+            fixed.per_class[0].mean_drop_fraction().expect(DROPS) * 100.0
         ),
     );
 
@@ -247,6 +251,7 @@ fn main() {
         .slos(&slos)
         .faults(slow)
         .jobs(jobs)
+        .record(Series::DROP_FRACTION)
         .run()
         .expect("straggler run is valid");
     print_report("fixed θ + stragglers", &straggle, &curve);

@@ -17,7 +17,10 @@
 //!   counts and wall clock printed;
 //! * **shard count** — the same ~10k slots split 4/8/16/32 ways (different
 //!   routing, so *no* identity across rows), wall clock and per-class means
-//!   printed.
+//!   printed;
+//! * **recorded samples** — the 16-shard fleet recording the default series
+//!   and `Series::ALL`: the exact count and bytes of the samples each report
+//!   holds, a memory figure that heap layout cannot move.
 //!
 //! `DIAS_BENCH_JOBS` scales the arrival count; `DIAS_THREADS` caps the lane
 //! count.
@@ -26,7 +29,7 @@ use std::time::Instant;
 
 use dias_bench::{banner, scaled, threads};
 use dias_core::federation::{FederationExperiment, FederationReport, Router};
-use dias_core::{MultiJobExperiment, SprintBudget, SprintPolicy};
+use dias_core::{MultiJobExperiment, Series, SprintBudget, SprintPolicy};
 use dias_engine::{ClusterSpec, GangBinPack};
 use dias_workloads::{heterogeneous_width_fleet, heterogeneous_width_two_priority, JobStream};
 
@@ -83,6 +86,16 @@ fn federation(
         .drops(&[0.2, 0.0])
         .sprint(fleet_sprint(total_slots))
         .arrivals(arrivals)
+}
+
+/// Samples a fleet report holds: every recorded series of the fleet-wide
+/// classes and of each shard's classes.
+fn held_samples(report: &FederationReport) -> usize {
+    let shards = report.shards.iter().flat_map(|s| &s.per_class);
+    shards
+        .chain(&report.per_class)
+        .map(|c| c.live_nodes())
+        .sum()
 }
 
 fn print_row(label: &str, report: &FederationReport, wall: f64, base_wall: Option<f64>) {
@@ -207,4 +220,32 @@ fn main() {
         print_row(&format!("{shards} shards"), &report, wall, None);
     }
     println!("\n(routing differs per layout, so rows are not comparable bit-for-bit — shapes should agree)");
+
+    // ---- samples the report holds, by recorded series ----
+    println!();
+    banner(
+        "federation/samples",
+        "16 shards: samples held by the report, per recorded series set",
+    );
+    let run = |series| {
+        federation(fleet(16), arrivals, 60.0)
+            .record(series)
+            .run(lanes)
+            .expect("valid federation")
+    };
+    let (default, all) = (run(Series::default()), run(Series::ALL));
+    for (label, report) in [("default", &default), ("Series::ALL", &all)] {
+        let samples = held_samples(report);
+        let bytes = samples * std::mem::size_of::<f64>();
+        println!("{label:<12} {samples:>10} samples  {bytes:>11} bytes");
+    }
+    let same = default
+        .per_class
+        .iter()
+        .zip(&all.per_class)
+        .all(|(d, a)| d.response == a.response);
+    assert!(
+        same,
+        "recording more series must not change the response times"
+    );
 }

@@ -12,7 +12,7 @@
 //! R-MAT web graph) is reported at the end.
 
 use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
-use dias_core::Policy;
+use dias_core::{Policy, Series};
 use dias_workloads::graph::{Graph, GraphConfig};
 use dias_workloads::triangle_two_priority;
 
@@ -24,7 +24,12 @@ fn main() {
     for per_stage_pct in [1.0, 2.0, 5.0, 10.0, 20.0] {
         policies.push(Policy::da_percent_high_to_low(&[0.0, per_stage_pct]));
     }
-    let mut others = run_policies(triangle_two_priority(0.8, seed), policies, jobs);
+    let mut others = run_policies(
+        triangle_two_priority(0.8, seed),
+        policies,
+        jobs,
+        Series::default(),
+    );
     let p = others.remove(0);
     let das = &others[1..];
     print_relative_table(&p, &others, &["low", "high"]);

@@ -17,8 +17,10 @@
 //! (limited/unlimited) growing to ≈ 18.3%/21.6% (limited) and 28.2%/31%
 //! (unlimited) for DiAS(0,10)/DiAS(0,20).
 
-use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
-use dias_core::{Policy, SprintBudget, SprintPolicy};
+use dias_bench::{
+    banner, bench_jobs, compare, pct, print_relative_table, recorded, rel, run_policies,
+};
+use dias_core::{Policy, Series, SprintBudget, SprintPolicy};
 use dias_engine::ClusterSpec;
 use dias_workloads::triangle_two_priority;
 
@@ -54,6 +56,7 @@ fn main() {
             Policy::da_percent_high_to_low(&[0.0, 20.0]).with_sprint(unlimited_sprint()),
         ],
         jobs,
+        Series::EXECUTION,
     )
     .into_iter();
     let mut next = || reports.next().expect("7 reports");
@@ -163,9 +166,7 @@ fn main() {
         &format!(
             "{:.0}% (sprint {:.0}s)",
             nps_lim.sprint_secs
-                / nps_lim
-                    .class_stats(1)
-                    .execution
+                / recorded(&nps_lim.class_stats(1).execution)
                     .samples()
                     .iter()
                     .sum::<f64>()

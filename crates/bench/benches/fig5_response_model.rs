@@ -11,7 +11,7 @@
 //! Paper checkpoint: average model error 18.7%.
 
 use dias_bench::{banner, bench_jobs, compare, run_policies, wave_model_for};
-use dias_core::Policy;
+use dias_core::{Policy, Series};
 use dias_engine::ClusterSpec;
 use dias_models::priority::{non_preemptive_means, ClassInput};
 use dias_workloads::reference_two_priority;
@@ -36,7 +36,7 @@ fn main() {
         .iter()
         .map(|&theta| Policy::differential_approximation(&[theta, 0.0]))
         .collect();
-    let reports = run_policies(stream, policies, jobs);
+    let reports = run_policies(stream, policies, jobs, Series::default());
 
     println!(
         "{:>6} {:>11} {:>11} {:>12} {:>12}",

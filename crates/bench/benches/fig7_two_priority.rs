@@ -12,8 +12,10 @@
 //!   mean latency;
 //! * resource waste under `P` ≈ 4%, zero for every non-preemptive policy.
 
-use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
-use dias_core::Policy;
+use dias_bench::{
+    banner, bench_jobs, compare, pct, print_relative_table, recorded, rel, run_policies,
+};
+use dias_core::{Policy, Series};
 use dias_workloads::reference_two_priority;
 
 fn main() {
@@ -35,6 +37,7 @@ fn main() {
             Policy::da_percent_high_to_low(&[0.0, 20.0]),
         ],
         jobs,
+        Series::QUEUEING,
     )
     .into_iter();
     let (p, np, da10, da20) = (
@@ -56,12 +59,12 @@ fn main() {
     compare(
         "P: high-priority mean queueing",
         "0.03 s",
-        &format!("{:.2} s", p.class_stats(1).queueing.mean()),
+        &format!("{:.2} s", recorded(&p.class_stats(1).queueing).mean()),
     );
     compare(
         "P: low-priority mean queueing",
         "310 s",
-        &format!("{:.0} s", p.class_stats(0).queueing.mean()),
+        &format!("{:.0} s", recorded(&p.class_stats(0).queueing).mean()),
     );
     compare(
         "NP: low mean latency vs P",

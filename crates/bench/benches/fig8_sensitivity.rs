@@ -11,7 +11,7 @@
 //!   DA(0,20)'s gain comes from processing-time reduction rather than queueing.
 
 use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
-use dias_core::Policy;
+use dias_core::{Policy, Series};
 use dias_workloads::{
     equal_size_two_priority, inverted_ratio_two_priority, reference_two_priority,
 };
@@ -30,6 +30,7 @@ fn scenario(title: &str, stream: dias_workloads::JobStream) -> Vec<dias_core::Ex
             Policy::da_percent_high_to_low(&[0.0, 20.0]),
         ],
         jobs,
+        Series::default(),
     );
     print_relative_table(&reports[0], &reports[1..], &["low", "high"]);
     reports

@@ -10,7 +10,7 @@
 //! increases.
 
 use dias_bench::{banner, bench_jobs, compare, pct, print_relative_table, rel, run_policies};
-use dias_core::Policy;
+use dias_core::{Policy, Series};
 use dias_workloads::three_priority_stream;
 
 fn main() {
@@ -32,6 +32,7 @@ fn main() {
             Policy::da_percent_high_to_low(&[0.0, 20.0, 40.0]),
         ],
         jobs,
+        Series::default(),
     )
     .into_iter();
     let (p, np, da12, da24) = (

@@ -32,11 +32,14 @@
 
 use dias_bench::{banner, bench_jobs, compare};
 use dias_core::multi::default_accuracy_curve;
-use dias_core::{run_parallel, MultiJobExperiment, MultiJobReport};
+use dias_core::{run_parallel, MultiJobExperiment, MultiJobReport, Series};
 use dias_core::{SprintBudget, SprintPolicy};
 use dias_engine::{ClusterSpec, Fifo, GangBinPack, PriorityPreempt};
 use dias_models::accuracy::AccuracyCurve;
 use dias_workloads::{heterogeneous_width_two_priority, sharded_two_priority};
+
+/// Why every run here records the drop fraction: the report prints it.
+const DROPS: &str = "every run records the drop fraction";
 
 fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
     println!("{label}");
@@ -47,8 +50,8 @@ fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
             r.mean_response(k),
             r.p95_response(k),
             c.active_energy_joules / 1e3,
-            c.mean_drop_fraction() * 100.0,
-            c.approximation_loss_pct(curve),
+            c.mean_drop_fraction().expect(DROPS) * 100.0,
+            c.approximation_loss_pct(curve).expect(DROPS),
         );
     }
     println!(
@@ -90,11 +93,12 @@ fn main() {
         "GangBinPack + DA(0,20)",
         "GangBinPack + DA(0,20) + sprint",
     ];
-    let reports: Vec<MultiJobReport> =
-        run_parallel(experiments, dias_bench::threads(), |_, e| e.run())
-            .into_iter()
-            .map(|r| r.expect("experiment configuration is valid"))
-            .collect();
+    let reports: Vec<MultiJobReport> = run_parallel(experiments, dias_bench::threads(), |_, e| {
+        e.record(Series::DROP_FRACTION).run()
+    })
+    .into_iter()
+    .map(|r| r.expect("experiment configuration is valid"))
+    .collect();
 
     let curve = default_accuracy_curve();
     for (label, report) in labels.iter().zip(&reports) {
@@ -199,10 +203,12 @@ fn main() {
         "budgeted sprint (22 kJ, T=65s)",
     ];
     let frontier: Vec<MultiJobReport> =
-        run_parallel(sprint_points, dias_bench::threads(), |_, e| e.run())
-            .into_iter()
-            .map(|r| r.expect("experiment configuration is valid"))
-            .collect();
+        run_parallel(sprint_points, dias_bench::threads(), |_, e| {
+            e.record(Series::DROP_FRACTION).run()
+        })
+        .into_iter()
+        .map(|r| r.expect("experiment configuration is valid"))
+        .collect();
     for (label, r) in sprint_labels.iter().zip(&frontier) {
         print_report(label, r, &curve);
         println!(

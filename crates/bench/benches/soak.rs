@@ -26,8 +26,8 @@
 //! since jobs keep true arrival stamps that delay surfaces as mean response
 //! — the throughput/latency trade, printed as a curve.
 
-use dias_bench::{banner, compare, scaled};
-use dias_core::{SoakExperiment, SoakReport, SprintBudget, SprintPolicy, WarmupRule};
+use dias_bench::{banner, compare, recorded, scaled};
+use dias_core::{Series, SoakExperiment, SoakReport, SprintBudget, SprintPolicy, WarmupRule};
 use dias_engine::{ClusterSpec, GangBinPack};
 use dias_workloads::{heterogeneous_width_two_priority, slot_failure_trace, JobStream};
 
@@ -53,6 +53,7 @@ fn base(jobs: usize) -> SoakExperiment<JobStream> {
         .jobs(jobs)
         .warmup(WarmupRule::Mser { calibration: 0 })
         .drops(&[0.2, 0.0])
+        .record(Series::DROP_FRACTION)
 }
 
 /// The process's peak resident set so far (`VmHWM` in `/proc/self/status`)
@@ -79,7 +80,7 @@ fn print_soak(label: &str, r: &SoakReport) {
             c.response.quantile(0.5),
             c.response.quantile(0.95),
             c.response.quantile(0.99),
-            c.drop_fraction.mean() * 100.0,
+            recorded(&c.drop_fraction).mean() * 100.0,
         );
     }
     println!(

@@ -16,8 +16,8 @@
 //! low-priority execution falls with the drop ratio; queueing falls for *both*
 //! classes as the low class shrinks.
 
-use dias_bench::{banner, bench_jobs, compare, run_policies};
-use dias_core::{ExperimentReport, Policy, SprintBudget, SprintPolicy};
+use dias_bench::{banner, bench_jobs, compare, recorded, run_policies};
+use dias_core::{ExperimentReport, Policy, Series, SprintBudget, SprintPolicy};
 use dias_engine::ClusterSpec;
 use dias_workloads::triangle_two_priority;
 
@@ -30,10 +30,10 @@ fn row(label: &str, r: &ExperimentReport) {
     println!(
         "{:<12} {:>11.1} {:>10.1} {:>11.1} {:>10.1}",
         label,
-        r.class_stats(1).queueing.mean(),
-        r.class_stats(1).execution.mean(),
-        r.class_stats(0).queueing.mean(),
-        r.class_stats(0).execution.mean(),
+        recorded(&r.class_stats(1).queueing).mean(),
+        recorded(&r.class_stats(1).execution).mean(),
+        recorded(&r.class_stats(0).queueing).mean(),
+        recorded(&r.class_stats(0).execution).mean(),
     );
 }
 
@@ -52,6 +52,7 @@ fn main() {
             Policy::da_percent_high_to_low(&[0.0, 20.0]).with_sprint(limited_sprint()),
         ],
         jobs,
+        Series::QUEUEING | Series::EXECUTION,
     )
     .into_iter();
     let (nps, dias10, dias20) = (
@@ -72,9 +73,9 @@ fn main() {
     println!("paper-vs-measured checkpoints (shape):");
     let hi_exec_const = {
         let e = [
-            nps.class_stats(1).execution.mean(),
-            dias10.class_stats(1).execution.mean(),
-            dias20.class_stats(1).execution.mean(),
+            recorded(&nps.class_stats(1).execution).mean(),
+            recorded(&dias10.class_stats(1).execution).mean(),
+            recorded(&dias20.class_stats(1).execution).mean(),
         ];
         (e[0] - e[2]).abs() / e[0] < 0.05
     };
@@ -83,9 +84,10 @@ fn main() {
         "99.4-100.2 s",
         if hi_exec_const { "constant" } else { "varies" },
     );
-    let lo_exec_falls = dias20.class_stats(0).execution.mean()
-        < dias10.class_stats(0).execution.mean()
-        && dias10.class_stats(0).execution.mean() < nps.class_stats(0).execution.mean();
+    let lo_exec_falls = recorded(&dias20.class_stats(0).execution).mean()
+        < recorded(&dias10.class_stats(0).execution).mean()
+        && recorded(&dias10.class_stats(0).execution).mean()
+            < recorded(&nps.class_stats(0).execution).mean();
     compare(
         "low-priority execution falls with drop",
         "148.5 > 139.0 > 131.1",
@@ -95,8 +97,10 @@ fn main() {
             "does not fall"
         },
     );
-    let queues_fall = dias20.class_stats(0).queueing.mean() < nps.class_stats(0).queueing.mean()
-        && dias20.class_stats(1).queueing.mean() <= nps.class_stats(1).queueing.mean() * 1.05;
+    let queues_fall = recorded(&dias20.class_stats(0).queueing).mean()
+        < recorded(&nps.class_stats(0).queueing).mean()
+        && recorded(&dias20.class_stats(1).queueing).mean()
+            <= recorded(&nps.class_stats(1).queueing).mean() * 1.05;
     compare(
         "queueing falls for both classes",
         "378.9→238.0 / 70.6→55.1",
@@ -106,7 +110,8 @@ fn main() {
             "does not fall"
         },
     );
-    let exec_gap = nps.class_stats(0).execution.mean() / nps.class_stats(1).execution.mean();
+    let exec_gap = recorded(&nps.class_stats(0).execution).mean()
+        / recorded(&nps.class_stats(1).execution).mean();
     compare(
         "sprinted high executes ≥25% faster than low",
         "99.8 vs 148.5",

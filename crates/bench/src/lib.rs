@@ -6,7 +6,7 @@
 //! one. Absolute values are not expected to match (our substrate is a simulator, not
 //! the authors' testbed); the *shape* (who wins, by roughly what factor) is.
 
-use dias_core::{ExperimentReport, JobSource};
+use dias_core::{ExperimentReport, JobSource, Series};
 
 /// Number of measured completions per experiment; override with the
 /// `DIAS_BENCH_JOBS` environment variable.
@@ -109,25 +109,43 @@ pub fn print_relative_table(
 
 /// Runs one experiment per policy — each over its own clone of `stream`,
 /// so every policy sees the same jobs — fanned across cores by
-/// [`dias_core::sweep`]. The stream is built (and calibrated) once by the
-/// caller. Reports come back in policy order and are bitwise-identical to
-/// running each experiment sequentially.
+/// [`dias_core::sweep`], each recording the optional `series` the harness
+/// reads besides response times. The stream is built (and calibrated) once
+/// by the caller. Reports come back in policy order and are
+/// bitwise-identical to running each experiment sequentially.
 pub fn run_policies<S>(
     stream: S,
     policies: Vec<dias_core::Policy>,
     jobs: usize,
+    series: Series,
 ) -> Vec<ExperimentReport>
 where
     S: JobSource + Send + Clone,
 {
     let experiments = policies
         .into_iter()
-        .map(|p| dias_core::Experiment::new(stream.clone(), p).jobs(jobs))
+        .map(|p| {
+            dias_core::Experiment::new(stream.clone(), p)
+                .jobs(jobs)
+                .record(series)
+        })
         .collect();
     dias_core::run_parallel(experiments, threads(), |_, e| e.run())
         .into_iter()
         .map(|r| r.expect("experiment configuration is valid"))
         .collect()
+}
+
+/// A series the harness asked its runs to record.
+///
+/// # Panics
+///
+/// Panics when the series was not recorded, naming the harness's mistake:
+/// it reads a series it did not request.
+pub fn recorded<B>(series: &Option<B>) -> &B {
+    series
+        .as_ref()
+        .expect("the harness reads a series it did not ask its runs to record")
 }
 
 /// Prints a `paper vs measured` comparison line.

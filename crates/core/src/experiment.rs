@@ -8,7 +8,7 @@ use dias_engine::{
     EngineError, JobId, JobInstance, PendingView, RunningView, Scheduler, SlotRange,
 };
 
-use crate::{ClassStats, ExperimentReport, MultiJobExperiment, Policy};
+use crate::{ClassStats, ExperimentReport, MultiJobExperiment, Policy, Series};
 
 /// A stream of sampled jobs with non-decreasing arrival times.
 ///
@@ -154,6 +154,10 @@ impl ExperimentError {
 /// It is a [`MultiJobExperiment`] whose scheduler gives each job the whole
 /// cluster, with the policy's drop ratios and sprint policy, plus the
 /// policy's label for the report. See the crate-level example.
+///
+/// The report records each class's `completed` count and `response` times;
+/// `queueing` and `execution` are recorded only when
+/// [`Experiment::record`] asks for them.
 #[derive(Debug)]
 pub struct Experiment<S> {
     inner: MultiJobExperiment<S>,
@@ -190,6 +194,18 @@ impl<S: JobSource> Experiment<S> {
     #[must_use]
     pub fn warmup(mut self, n: usize) -> Self {
         self.inner = self.inner.warmup(n);
+        self
+    }
+
+    /// Sets the optional series the report records (see
+    /// [`MultiJobExperiment::record`]). [`ClassStats`] holds only
+    /// [`Series::QUEUEING`] and [`Series::EXECUTION`], so the other series
+    /// in `series` are not recorded.
+    #[must_use]
+    pub fn record(mut self, series: Series) -> Self {
+        self.inner = self
+            .inner
+            .record(series & (Series::QUEUEING | Series::EXECUTION));
         self
     }
 
@@ -411,10 +427,20 @@ mod tests {
         assert!(report.mean_response(1) < report.mean_response(0));
     }
 
+    /// Mean execution time of class `k`, which the test asked to record.
+    fn execution_mean(r: &ExperimentReport, k: usize) -> f64 {
+        r.class_stats(k)
+            .execution
+            .as_ref()
+            .expect("recorded")
+            .mean()
+    }
+
     #[test]
     fn drops_shrink_low_priority_execution() {
         let plain = Experiment::new(workload(200, 6.0, 2.0), Policy::non_preemptive(2))
             .jobs(150)
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
         let da = Experiment::new(
@@ -422,18 +448,18 @@ mod tests {
             Policy::da_percent_high_to_low(&[0.0, 50.0]),
         )
         .jobs(150)
+        .record(Series::EXECUTION)
         .run()
         .unwrap();
         // Dropping 50% of 40 map tasks removes one of the two waves, so the
         // low-class execution time must visibly shrink.
         assert!(
-            da.class_stats(0).execution.mean() < plain.class_stats(0).execution.mean(),
+            execution_mean(&da, 0) < execution_mean(&plain, 0),
             "DA must shorten low-priority execution"
         );
         // High class execution untouched.
-        let rel = (da.class_stats(1).execution.mean() - plain.class_stats(1).execution.mean())
-            .abs()
-            / plain.class_stats(1).execution.mean();
+        let rel =
+            (execution_mean(&da, 1) - execution_mean(&plain, 1)).abs() / execution_mean(&plain, 1);
         assert!(rel < 1e-9, "high-class execution must be identical");
     }
 
@@ -441,14 +467,16 @@ mod tests {
     fn unlimited_sprint_accelerates_top_class() {
         let plain = Experiment::new(workload(200, 6.0, 2.0), Policy::non_preemptive(2))
             .jobs(150)
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
         let policy = Policy::non_preemptive(2).with_sprint(SprintPolicy::unlimited_for_top(2));
         let nps = Experiment::new(workload(200, 6.0, 2.0), policy)
             .jobs(150)
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
-        let ratio = nps.class_stats(1).execution.mean() / plain.class_stats(1).execution.mean();
+        let ratio = execution_mean(&nps, 1) / execution_mean(&plain, 1);
         assert!(
             (ratio - 0.4).abs() < 0.02,
             "sprint-from-dispatch at 2.5x should scale high-class exec by 0.4, got {ratio}"

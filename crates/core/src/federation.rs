@@ -74,14 +74,15 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use dias_des::stats::SampleSet;
 use dias_des::SimTime;
 use dias_engine::{ClusterSpec, FaultTrace, IdMap, JobInstance, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, Recorder};
 use crate::sweep::run_parallel;
 use crate::{
-    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintBudget,
-    SprintPolicy,
+    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, Series,
+    SprintBudget, SprintPolicy,
 };
 
 /// Deterministic job-to-shard assignment policy.
@@ -309,7 +310,8 @@ pub struct FederationReport {
     /// and slot capacity.
     pub shards: Vec<MultiJobReport>,
     /// Fleet-wide per-class statistics: the shard-order merge of every
-    /// shard's measured completions.
+    /// shard's measured completions, over `response` and the series asked
+    /// for with [`FederationExperiment::record`].
     pub per_class: Vec<MultiClassStats>,
     /// Jobs routed to each shard.
     pub routed_jobs: Vec<u64>,
@@ -376,9 +378,10 @@ impl FederationReport {
         shard_reports: Vec<MultiJobReport>,
         routed_jobs: Vec<u64>,
         classes: usize,
+        series: Series,
         total_slots: usize,
     ) -> FederationReport {
-        let mut per_class = vec![MultiClassStats::default(); classes];
+        let mut per_class = vec![MultiClassStats::recording(series, SampleSet::new); classes];
         let mut out = FederationReport {
             shards: Vec::new(),
             per_class: Vec::new(),
@@ -436,6 +439,10 @@ impl FederationReport {
 /// the epoch length and the fleet-level couplings (a shared
 /// [`SprintPolicy`] and a global power cap, both partitioned across shards
 /// by slot share when they are set).
+///
+/// Each shard's report and the fleet-wide merge keep every class's
+/// `completed` count and `response` times in exact sets, plus the series
+/// asked for with [`FederationExperiment::record`] (none by default).
 #[derive(Debug)]
 pub struct FederationExperiment<S> {
     source: S,
@@ -547,6 +554,14 @@ impl<S: JobSource> FederationExperiment<S> {
         self.each_shard(|s, share| s.sprint_draw_cap(Some(cap_w * share)))
     }
 
+    /// Sets the optional per-class series every shard's report and the
+    /// fleet-wide merge record besides `completed` and `response` (see
+    /// [`MultiJobExperiment::record`]). None by default.
+    #[must_use]
+    pub fn record(self, series: Series) -> Self {
+        self.each_shard(|s, _| s.record(series))
+    }
+
     /// Per-class SLO targets (seconds), shared by every shard.
     #[must_use]
     pub fn slos(self, targets: &[f64]) -> Self {
@@ -633,6 +648,7 @@ impl<S: JobSource> FederationExperiment<S> {
             None => vec![FaultTrace::default(); self.shards.len()],
         };
         let classes = self.source.classes();
+        let series = self.shards[0].series;
         let slot_counts: Vec<usize> = self.shards.iter().map(|s| s.cluster.slots()).collect();
         let total_slots: usize = slot_counts.iter().sum();
         let measured = self.warmup..self.warmup.saturating_add(self.jobs);
@@ -736,7 +752,7 @@ impl<S: JobSource> FederationExperiment<S> {
             shard_reports.push(shard.driver.finalize());
         }
         Ok((
-            FederationReport::aggregate(shard_reports, routed_jobs, classes, total_slots),
+            FederationReport::aggregate(shard_reports, routed_jobs, classes, series, total_slots),
             log,
         ))
     }

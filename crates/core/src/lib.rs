@@ -23,9 +23,9 @@
 //! given a gang scheduler instead.
 //!
 //! [`Experiment`] wires a job source, a policy and a cluster into a closed loop and
-//! produces an [`ExperimentReport`] with per-class mean/p95 latencies, queueing and
-//! execution decompositions, resource waste and energy — the measurements behind
-//! every figure of the paper's evaluation.
+//! produces an [`ExperimentReport`] with per-class mean/p95 latencies, resource
+//! waste and energy — the measurements behind every figure of the paper's
+//! evaluation — plus the queueing and execution decomposition when asked for.
 //!
 //! [`MultiJobExperiment`] is the one description of a run: source,
 //! scheduler, cluster, per-class θ, sprint policy, faults, SLOs, degradation
@@ -33,7 +33,10 @@
 //! under a whole-cluster scheduler, [`SoakExperiment`] with streaming
 //! measurement, and [`FederationExperiment`] with one per shard. Setters
 //! only store values; a run checks them before it starts and reports a bad
-//! one as [`ExperimentError::InvalidConfig`], naming the setter.
+//! one as [`ExperimentError::InvalidConfig`], naming the setter. Each
+//! builder's `record` setter names the optional per-class [`Series`] its
+//! report keeps besides `completed` and `response`; by default it keeps
+//! none.
 //!
 //! # Examples
 //!
@@ -86,7 +89,7 @@ pub use federation::{
     EpochRecord, FederationExperiment, FederationReport, FederationRunLog, Router, RouterCursor,
 };
 pub use metrics::{ClassStats, ExperimentReport};
-pub use multi::{MultiClassStats, MultiJobExperiment, MultiJobReport, MultiRunTrace};
+pub use multi::{MultiClassStats, MultiJobExperiment, MultiJobReport, MultiRunTrace, Series};
 pub use multi_sprint::MultiSprinter;
 pub use policy::{ClassPolicy, Policy, Scheduling};
 pub use sprinter::{SprintBudget, SprintPolicy};

@@ -7,7 +7,13 @@ use serde::{Deserialize, Serialize};
 
 use dias_des::stats::SampleSet;
 
-/// Per-class outcome statistics.
+/// Per-class outcome statistics of the paper's one-job
+/// [`Experiment`](crate::Experiment).
+///
+/// `completed` and `response` are always recorded. `queueing` and
+/// `execution` hold a set only when the experiment asked for them with
+/// [`Experiment::record`](crate::Experiment::record) (Table 2's
+/// decomposition does), and are `None` otherwise.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassStats {
     /// Completed jobs of the class (after warm-up).
@@ -16,9 +22,11 @@ pub struct ClassStats {
     pub response: SampleSet,
     /// Queueing times: arrival → dispatch of the final attempt, from the
     /// engine's dispatch log (includes time lost to evicted attempts).
-    pub queueing: SampleSet,
-    /// Final-attempt execution times.
-    pub execution: SampleSet,
+    /// Recorded under [`Series::QUEUEING`](crate::Series::QUEUEING).
+    pub queueing: Option<SampleSet>,
+    /// Final-attempt execution times. Recorded under
+    /// [`Series::EXECUTION`](crate::Series::EXECUTION).
+    pub execution: Option<SampleSet>,
     /// Evictions suffered by completed jobs of this class.
     pub evictions: u64,
 }
@@ -105,7 +113,18 @@ impl ExperimentReport {
     }
 }
 
+/// The mean of a recorded series at one decimal in `width` columns, or `-`
+/// when the series was not recorded.
+fn mean_column(series: Option<&SampleSet>, width: usize) -> String {
+    series.map_or_else(
+        || format!("{:>width$}", "-"),
+        |s| format!("{:>width$.1}", s.mean()),
+    )
+}
+
 impl fmt::Display for ExperimentReport {
+    /// One row per class, highest first. A column whose series was not
+    /// recorded prints `-`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "policy {}:", self.policy)?;
         writeln!(
@@ -116,13 +135,13 @@ impl fmt::Display for ExperimentReport {
         for (k, c) in self.per_class.iter().enumerate().rev() {
             writeln!(
                 f,
-                "  {:>5} {:>10} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+                "  {:>5} {:>10} {:>10.1} {:>10.1} {} {}",
                 k,
                 c.completed,
                 c.response.mean(),
                 c.response.p95(),
-                c.queueing.mean(),
-                c.execution.mean()
+                mean_column(c.queueing.as_ref(), 10),
+                mean_column(c.execution.as_ref(), 10)
             )?;
         }
         writeln!(
@@ -171,5 +190,28 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("policy P"));
         assert!(text.contains("waste 10.0%"));
+    }
+
+    #[test]
+    fn display_prints_a_dash_for_an_unrecorded_series() {
+        let mut r = report_with_waste(1.0, 10.0);
+        let mut execution = SampleSet::new();
+        execution.push(4.0);
+        r.per_class[1].execution = Some(execution);
+        let text = r.to_string();
+        let row = |k: usize| {
+            let prefix = format!("  {k:>5} ");
+            text.lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap()
+                .to_string()
+        };
+        let cells =
+            |k: usize| -> Vec<String> { row(k).split_whitespace().map(str::to_string).collect() };
+        // class, jobs, mean, p95, queue, exec
+        assert_eq!(cells(1)[4..], ["-", "4.0"]);
+        assert_eq!(cells(0)[4..], ["-", "-"]);
+        // The dash keeps the column width of a number.
+        assert_eq!(row(0).len(), row(1).len());
     }
 }

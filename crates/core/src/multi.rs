@@ -39,6 +39,66 @@ use crate::{
     DegradationPolicy, ExperimentError, JobSource, MultiSprinter, SprintBudget, SprintPolicy,
 };
 
+/// The optional per-class series a run records, as a set.
+///
+/// Every run records `completed` and `response` for each class. The five
+/// series here are recorded only when a builder's `record` setter asks for
+/// them ([`MultiJobExperiment::record`],
+/// [`SoakExperiment::record`](crate::SoakExperiment::record),
+/// [`FederationExperiment::record`](crate::FederationExperiment::record),
+/// [`Experiment::record`](crate::Experiment::record)); the branch runners
+/// take theirs from the [`MultiJobExperiment`] they are handed. A series
+/// that was not asked for is `None` in the report, never an empty set that
+/// reads as 0. The default is the empty set.
+///
+/// ```
+/// use dias_core::Series;
+///
+/// let breakdown = Series::QUEUEING | Series::EXECUTION;
+/// assert!(breakdown.contains(Series::EXECUTION));
+/// assert!(!breakdown.contains(Series::DROP_FRACTION));
+/// assert!(Series::ALL.contains(breakdown));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Series(u8);
+
+impl Series {
+    /// Arrival → final-attempt dispatch ([`MultiClassStats::queueing`]).
+    pub const QUEUEING: Series = Series(1);
+    /// Arrival → first dispatch ([`MultiClassStats::dispatch_wait`]).
+    pub const DISPATCH_WAIT: Series = Series(1 << 1);
+    /// First → final dispatch ([`MultiClassStats::reexec_loss`]).
+    pub const REEXEC_LOSS: Series = Series(1 << 2);
+    /// Final-attempt execution time ([`MultiClassStats::execution`]).
+    pub const EXECUTION: Series = Series(1 << 3);
+    /// Fraction of tasks dropped ([`MultiClassStats::drop_fraction`]).
+    pub const DROP_FRACTION: Series = Series(1 << 4);
+    /// Every optional series.
+    pub const ALL: Series = Series(0b1_1111);
+
+    /// Whether every series of `other` is in this set.
+    #[must_use]
+    pub const fn contains(self, other: Series) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl std::ops::BitOr for Series {
+    type Output = Series;
+
+    fn bitor(self, other: Series) -> Series {
+        Series(self.0 | other.0)
+    }
+}
+
+impl std::ops::BitAnd for Series {
+    type Output = Series;
+
+    fn bitand(self, other: Series) -> Series {
+        Series(self.0 & other.0)
+    }
+}
+
 /// Per-class outcomes of a [`MultiJobExperiment`].
 ///
 /// Generic over the statistics backend `B`: closed fixed-N experiments use
@@ -47,6 +107,10 @@ use crate::{
 /// [`StreamingSummary`](dias_des::stats::StreamingSummary) so per-class
 /// memory stays O(1) over millions of jobs. The scalar counters and energy
 /// fields mean the same thing under either backend.
+///
+/// `completed` and `response` are always recorded. The five `Option`
+/// series hold a set only when the run's [`Series`] asked for them, and are
+/// `None` otherwise.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// Completed measured jobs of the class.
@@ -56,19 +120,21 @@ pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// Queueing + re-execution times, measured from the engine's dispatch
     /// log: arrival → final-attempt dispatch. Decomposes exactly into
     /// [`MultiClassStats::dispatch_wait`] + [`MultiClassStats::reexec_loss`].
-    pub queueing: B,
+    /// Recorded under [`Series::QUEUEING`].
+    pub queueing: Option<B>,
     /// Plain waiting: arrival → *first* dispatch (time spent purely queued,
-    /// no work lost).
-    pub dispatch_wait: B,
+    /// no work lost). Recorded under [`Series::DISPATCH_WAIT`].
+    pub dispatch_wait: Option<B>,
     /// Preemption re-execution loss: first dispatch → final dispatch (the
     /// destroyed attempts plus the re-queue waits between them; 0 for jobs
-    /// never evicted).
-    pub reexec_loss: B,
-    /// Final-attempt execution times.
-    pub execution: B,
+    /// never evicted). Recorded under [`Series::REEXEC_LOSS`].
+    pub reexec_loss: Option<B>,
+    /// Final-attempt execution times. Recorded under [`Series::EXECUTION`].
+    pub execution: Option<B>,
     /// Fraction of each measured job's tasks dropped by the deflator — the
-    /// approximation the class absorbed (0 for exact classes).
-    pub drop_fraction: B,
+    /// approximation the class absorbed (0 for exact classes). Recorded
+    /// under [`Series::DROP_FRACTION`].
+    pub drop_fraction: Option<B>,
     /// Evictions suffered by measured jobs of this class.
     pub evictions: u64,
     /// The subset of `evictions` caused by slot failures (as opposed to
@@ -86,26 +152,58 @@ pub struct MultiClassStats<B: SampleStats = SampleSet> {
     pub sprint_slot_secs: f64,
 }
 
+/// Pushes `x` into `series` when it is recorded.
+fn push<B: SampleStats>(series: &mut Option<B>, x: f64) {
+    if let Some(b) = series {
+        b.push(x);
+    }
+}
+
+/// Merges `other` into `mine`. A series kept by only one side would cover
+/// only part of the completions, so it becomes `None`.
+fn merge_series<B: SampleStats>(mine: &mut Option<B>, other: &Option<B>) {
+    match (mine.as_mut(), other) {
+        (Some(a), Some(b)) => a.merge(b),
+        _ => *mine = None,
+    }
+}
+
 impl<B: SampleStats> MultiClassStats<B> {
-    /// Mean drop fraction of the class's measured jobs.
+    /// Empty statistics that record `response` and the series in `series`,
+    /// each set built by `new`.
+    pub(crate) fn recording(series: Series, new: impl Fn() -> B) -> Self {
+        let kept = |s| series.contains(s).then(&new);
+        MultiClassStats {
+            response: new(),
+            queueing: kept(Series::QUEUEING),
+            dispatch_wait: kept(Series::DISPATCH_WAIT),
+            reexec_loss: kept(Series::REEXEC_LOSS),
+            execution: kept(Series::EXECUTION),
+            drop_fraction: kept(Series::DROP_FRACTION),
+            ..Default::default()
+        }
+    }
+
+    /// Mean drop fraction of the class's measured jobs; `None` unless
+    /// [`Series::DROP_FRACTION`] was recorded.
     #[must_use]
-    pub fn mean_drop_fraction(&self) -> f64 {
-        self.drop_fraction.mean()
+    pub fn mean_drop_fraction(&self) -> Option<f64> {
+        self.drop_fraction.as_ref().map(SampleStats::mean)
     }
 
     /// Folds one measured completion into the class statistics — the single
     /// recording path shared by the closed driver (exact backend) and the
     /// open-system soak (streaming backend), so the two can never drift in
-    /// what they count. `slos` are the per-class response-time targets, if
-    /// any.
+    /// what they count. Only the recorded series are pushed. `slos` are the
+    /// per-class response-time targets, if any.
     pub(crate) fn record(&mut self, obs: &CompletionObs, slos: Option<&[f64]>) {
         self.completed += 1;
         self.response.push(obs.response);
-        self.execution.push(obs.execution);
-        self.dispatch_wait.push(obs.dispatch_wait);
-        self.reexec_loss.push(obs.reexec_loss);
-        self.queueing.push(obs.queueing);
-        self.drop_fraction.push(obs.drop_fraction);
+        push(&mut self.execution, obs.execution);
+        push(&mut self.dispatch_wait, obs.dispatch_wait);
+        push(&mut self.reexec_loss, obs.reexec_loss);
+        push(&mut self.queueing, obs.queueing);
+        push(&mut self.drop_fraction, obs.drop_fraction);
         self.evictions += u64::from(obs.evictions);
         self.failure_evictions += u64::from(obs.failure_evictions);
         self.slo_attained += u64::from(obs.meets_slo(slos));
@@ -113,10 +211,11 @@ impl<B: SampleStats> MultiClassStats<B> {
 
     /// Expected relative analysis error (%) for the class's mean drop
     /// fraction under `curve` — the approximation-loss number the paper's
-    /// Fig. 6 maps drop ratios onto.
+    /// Fig. 6 maps drop ratios onto. `None` unless
+    /// [`Series::DROP_FRACTION`] was recorded.
     #[must_use]
-    pub fn approximation_loss_pct(&self, curve: &dyn AccuracyCurve) -> f64 {
-        curve.error_at(self.mean_drop_fraction())
+    pub fn approximation_loss_pct(&self, curve: &dyn AccuracyCurve) -> Option<f64> {
+        self.mean_drop_fraction().map(|d| curve.error_at(d))
     }
 
     /// Fraction of the class's completed measured jobs that met the SLO
@@ -129,6 +228,26 @@ impl<B: SampleStats> MultiClassStats<B> {
             self.slo_attained as f64 / self.completed as f64
         }
     }
+
+    /// Live heap objects over `response` and the recorded series: the
+    /// buffered samples of an exact [`SampleSet`], the sketch nodes of a
+    /// [`StreamingSummary`](dias_des::stats::StreamingSummary).
+    #[must_use]
+    pub fn live_nodes(&self) -> usize {
+        let optional = [
+            &self.queueing,
+            &self.dispatch_wait,
+            &self.reexec_loss,
+            &self.execution,
+            &self.drop_fraction,
+        ];
+        self.response.live_nodes()
+            + optional
+                .into_iter()
+                .flatten()
+                .map(B::live_nodes)
+                .sum::<usize>()
+    }
 }
 
 impl MultiClassStats<SampleSet> {
@@ -137,15 +256,16 @@ impl MultiClassStats<SampleSet> {
     /// Sample merging is exact concatenation ([`SampleSet::merge`]) and the
     /// counters/energies add, so folding per-shard federation reports in
     /// shard order yields the same statistics regardless of how many worker
-    /// threads (or which epoch length) produced them.
+    /// threads (or which epoch length) produced them. Only series present on
+    /// both sides are merged; one missing from either side is `None` after.
     pub fn merge(&mut self, other: &Self) {
         self.completed += other.completed;
         self.response.merge(&other.response);
-        self.queueing.merge(&other.queueing);
-        self.dispatch_wait.merge(&other.dispatch_wait);
-        self.reexec_loss.merge(&other.reexec_loss);
-        self.execution.merge(&other.execution);
-        self.drop_fraction.merge(&other.drop_fraction);
+        merge_series(&mut self.queueing, &other.queueing);
+        merge_series(&mut self.dispatch_wait, &other.dispatch_wait);
+        merge_series(&mut self.reexec_loss, &other.reexec_loss);
+        merge_series(&mut self.execution, &other.execution);
+        merge_series(&mut self.drop_fraction, &other.drop_fraction);
         self.evictions += other.evictions;
         self.failure_evictions += other.failure_evictions;
         self.slo_attained += other.slo_attained;
@@ -240,10 +360,14 @@ impl MultiJobReport {
 /// A configured multi-job experiment: source + engine scheduler + per-class
 /// drop ratios, measuring a fixed window of the arrival sequence.
 ///
+/// The report records each class's `completed` count and `response` times,
+/// plus the optional series asked for with [`MultiJobExperiment::record`]
+/// (none by default).
+///
 /// # Examples
 ///
 /// ```
-/// use dias_core::{MultiJobExperiment, VecJobSource};
+/// use dias_core::{MultiJobExperiment, Series, VecJobSource};
 /// use dias_engine::{GangBinPack, JobInstance, JobSpec, StageKind, StageSpec};
 /// use dias_stochastic::Dist;
 /// use rand::rngs::StdRng;
@@ -264,10 +388,13 @@ impl MultiJobReport {
 /// let report = MultiJobExperiment::new(VecJobSource::new(jobs, 2), Box::new(GangBinPack))
 ///     .jobs(30)
 ///     .warmup(5)
+///     .record(Series::EXECUTION)
 ///     .run()
 ///     .unwrap();
 /// assert_eq!(report.scheduler, "GangBinPack");
 /// assert!(report.mean_response(0) > 0.0);
+/// assert!(report.per_class[0].execution.is_some());
+/// assert!(report.per_class[0].queueing.is_none());
 /// ```
 #[derive(Debug)]
 pub struct MultiJobExperiment<S> {
@@ -287,6 +414,8 @@ pub struct MultiJobExperiment<S> {
     /// time among them. 1 everywhere except the soak, which sets it from
     /// [`SoakExperiment::arrival_batch`](crate::SoakExperiment::arrival_batch).
     pub(crate) arrival_batch: usize,
+    /// The optional per-class series the report records.
+    pub(crate) series: Series,
 }
 
 /// Driver-side record of one submitted job.
@@ -375,6 +504,7 @@ impl<S: JobSource> MultiJobExperiment<S> {
             slos: None,
             degrade: None,
             arrival_batch: 1,
+            series: Series::default(),
         }
     }
 
@@ -392,6 +522,17 @@ impl<S: JobSource> MultiJobExperiment<S> {
     #[must_use]
     pub fn warmup(mut self, n: usize) -> Self {
         self.warmup = Some(n);
+        self
+    }
+
+    /// Sets the optional per-class series the report records besides
+    /// `completed` and `response`, for example
+    /// `.record(Series::QUEUEING | Series::EXECUTION)`. By default none is
+    /// recorded, and an unrecorded series reads `None`
+    /// ([`MultiClassStats`]).
+    #[must_use]
+    pub fn record(mut self, series: Series) -> Self {
+        self.series = series;
         self
     }
 
@@ -975,7 +1116,7 @@ impl<S: JobSource> MultiDriver<S> {
         let engine = ClusterSim::with_scheduler(exp.cluster.clone(), exp.scheduler)?;
         let report = MultiJobReport {
             scheduler: engine.scheduler_label().to_string(),
-            per_class: vec![MultiClassStats::default(); classes],
+            per_class: vec![MultiClassStats::recording(exp.series, SampleSet::new); classes],
             ..Default::default()
         };
         let total_slots = exp.cluster.slots();
@@ -1554,6 +1695,59 @@ mod tests {
         VecJobSource::new(jobs, 2)
     }
 
+    /// A series the test asked for.
+    fn recorded(series: &Option<SampleSet>) -> &SampleSet {
+        series.as_ref().expect("the run records this series")
+    }
+
+    /// The mean of a series the test asked for.
+    fn mean(series: &Option<SampleSet>) -> f64 {
+        recorded(series).mean()
+    }
+
+    #[test]
+    fn unrequested_series_are_absent_and_stay_absent_through_merge() {
+        let run = |series| {
+            MultiJobExperiment::new(workload(40, 3.0, 2.0), Box::new(GangBinPack))
+                .jobs(30)
+                .drops(&[0.5, 0.0])
+                .record(series)
+                .run()
+                .unwrap()
+        };
+        let (plain, all) = (run(Series::default()), run(Series::ALL));
+        let mut merged = plain.per_class[0].clone();
+        merged.merge(&plain.per_class[0]);
+        let curve = default_accuracy_curve();
+        for c in plain.per_class.iter().chain([&merged]) {
+            assert!(c.response.count() > 0);
+            assert_eq!(c.queueing, None);
+            assert_eq!(c.dispatch_wait, None);
+            assert_eq!(c.reexec_loss, None);
+            assert_eq!(c.execution, None);
+            assert_eq!(c.drop_fraction, None);
+            assert_eq!(c.mean_drop_fraction(), None);
+            assert_eq!(c.approximation_loss_pct(&curve), None);
+        }
+        assert_eq!(
+            merged.response.count(),
+            2 * plain.per_class[0].response.count()
+        );
+        // Asking for a series records it without touching the rest.
+        assert_eq!(all.per_class[0].mean_drop_fraction(), Some(0.5));
+        assert_eq!(all.per_class[0].response, plain.per_class[0].response);
+        // A series kept by one side only would cover part of the jobs.
+        let mut mixed = all.per_class[0].clone();
+        mixed.merge(&plain.per_class[0]);
+        assert_eq!(mixed.execution, None);
+        let mut both = all.per_class[0].clone();
+        both.merge(&all.per_class[0]);
+        assert_eq!(
+            recorded(&both.execution).count(),
+            2 * all.per_class[0].completed
+        );
+    }
+
     #[test]
     fn unbounded_jobs_after_a_warmup_measure_until_the_source_drains() {
         // `jobs(usize::MAX)` means "until the source drains"; the warm-up
@@ -1611,10 +1805,11 @@ mod tests {
             .warmup(0)
             .sprint(SprintPolicy::top_class(2, 0.5, SprintBudget::Unlimited))
             .sprint_draw_cap(Some(cap))
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
         // Job 0 sprinted from 0.5 s at 2.5x; job 1 ran at base throughout.
-        let exec = &report.per_class[1].execution;
+        let exec = recorded(&report.per_class[1].execution);
         assert_eq!(exec.max(), 41.0);
         assert!((exec.quantile(0.0) - (0.5 + 20.5 / 2.5)).abs() < 1e-9);
     }
@@ -1675,39 +1870,46 @@ mod tests {
 
     #[test]
     fn drops_shrink_low_class_execution_and_report_loss() {
+        let series = Series::EXECUTION | Series::DROP_FRACTION;
         let exact = MultiJobExperiment::new(wide_workload(120, 25.0), Box::new(GangBinPack))
             .jobs(80)
+            .record(series)
             .run()
             .unwrap();
         let da = MultiJobExperiment::new(wide_workload(120, 25.0), Box::new(GangBinPack))
             .drops(&[0.5, 0.0])
             .jobs(80)
+            .record(series)
             .run()
             .unwrap();
         assert!(
-            da.per_class[0].execution.mean() < exact.per_class[0].execution.mean(),
+            mean(&da.per_class[0].execution) < mean(&exact.per_class[0].execution),
             "dropping half the tasks must shorten low-class execution"
         );
-        assert!((da.per_class[0].mean_drop_fraction() - 0.5).abs() < 1e-9);
-        assert_eq!(da.per_class[1].mean_drop_fraction(), 0.0);
+        let drop = |k: usize| da.per_class[k].mean_drop_fraction().unwrap();
+        assert!((drop(0) - 0.5).abs() < 1e-9);
+        assert_eq!(drop(1), 0.0);
         let curve = default_accuracy_curve();
-        assert!(da.per_class[0].approximation_loss_pct(&curve) > 0.0);
-        assert_eq!(da.per_class[1].approximation_loss_pct(&curve), 0.0);
+        let loss = |k: usize| da.per_class[k].approximation_loss_pct(&curve).unwrap();
+        assert!(loss(0) > 0.0);
+        assert_eq!(loss(1), 0.0);
     }
 
     #[test]
     fn unlimited_top_sprint_accelerates_and_attributes_sprint_energy() {
         let plain = MultiJobExperiment::new(workload(100, 4.0, 10.0), Box::new(GangBinPack))
             .jobs(60)
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
         let sprint = MultiJobExperiment::new(workload(100, 4.0, 10.0), Box::new(GangBinPack))
             .sprint(SprintPolicy::unlimited_for_top(2))
             .jobs(60)
+            .record(Series::EXECUTION)
             .run()
             .unwrap();
         assert!(
-            sprint.per_class[1].execution.mean() < plain.per_class[1].execution.mean(),
+            mean(&sprint.per_class[1].execution) < mean(&plain.per_class[1].execution),
             "sprinting must shorten top-class execution"
         );
         let sprinted: f64 = sprint.per_class.iter().map(|c| c.sprint_slot_secs).sum();
@@ -1768,6 +1970,7 @@ mod tests {
         let none = MultiJobExperiment::new(workload(80, 3.0, 12.0), Box::new(PriorityPreempt))
             .jobs(90)
             .warmup(0)
+            .record(Series::QUEUEING)
             .run()
             .unwrap();
         // T=0 exercises timers firing with an empty budget; the long timeout
@@ -1785,6 +1988,7 @@ mod tests {
                     .sprint(SprintPolicy::top_class(2, timeout, zero))
                     .jobs(90)
                     .warmup(0)
+                    .record(Series::QUEUEING)
                     .run()
                     .unwrap();
             // Bit-identical: an empty budget must never flip a domain, so
@@ -1793,7 +1997,7 @@ mod tests {
             assert_eq!(none.energy_joules, zeroed.energy_joules, "T={timeout}");
             for (a, b) in none.per_class.iter().zip(&zeroed.per_class) {
                 assert_eq!(a.response.mean(), b.response.mean());
-                assert_eq!(a.queueing.mean(), b.queueing.mean());
+                assert_eq!(mean(&a.queueing), mean(&b.queueing));
                 assert_eq!(a.active_energy_joules, b.active_energy_joules);
                 assert_eq!(a.sprint_slot_secs, 0.0);
                 assert_eq!(b.sprint_slot_secs, 0.0);
@@ -1827,23 +2031,26 @@ mod tests {
         let report =
             MultiJobExperiment::new(cluster_wide_workload(120, 8.0), Box::new(PriorityPreempt))
                 .jobs(70)
+                .record(Series::QUEUEING | Series::DISPATCH_WAIT | Series::REEXEC_LOSS)
                 .run()
                 .unwrap();
         assert!(report.evictions > 0, "scenario must actually preempt");
         for c in &report.per_class {
             // The decomposition is exact per job: queueing = wait + re-exec.
+            let (queued, wait, reexec) = (
+                mean(&c.queueing),
+                mean(&c.dispatch_wait),
+                mean(&c.reexec_loss),
+            );
             assert!(
-                (c.queueing.mean() - c.dispatch_wait.mean() - c.reexec_loss.mean()).abs() < 1e-9,
-                "queueing {} vs wait {} + reexec {}",
-                c.queueing.mean(),
-                c.dispatch_wait.mean(),
-                c.reexec_loss.mean()
+                (queued - wait - reexec).abs() < 1e-9,
+                "queueing {queued} vs wait {wait} + reexec {reexec}"
             );
         }
         // The saturated low class suffers evictions: re-execution loss shows
         // up only there, and never for the never-evicted high class.
-        assert!(report.per_class[0].reexec_loss.mean() > 0.0);
-        assert_eq!(report.per_class[1].reexec_loss.mean(), 0.0);
+        assert!(mean(&report.per_class[0].reexec_loss) > 0.0);
+        assert_eq!(mean(&report.per_class[1].reexec_loss), 0.0);
     }
 
     #[test]

@@ -205,12 +205,22 @@ impl MultiSprinter {
     /// start would push the aggregate extra draw past the configured
     /// [`MultiSprinter::with_draw_cap`]; starting an already-sprinting job is
     /// a no-op returning `true`.
+    ///
+    /// A limited budget at or below `cap_j · 1e-12` counts as empty: a
+    /// depletion at the instant [`MultiSprinter::depletion_time`] computed
+    /// can leave that much float residue, and a sprint started on it would
+    /// deplete again within rounding, switching frequencies twice for
+    /// nothing.
     pub fn try_start(&mut self, now: SimTime, job: JobId, slots: usize) -> bool {
         self.advance_to(now);
         if self.is_sprinting(job) {
             return true;
         }
-        if self.budget_j <= 0.0 {
+        let empty_j = match self.policy.budget {
+            SprintBudget::Limited { cap_j, .. } => cap_j * 1e-12,
+            SprintBudget::Unlimited => 0.0,
+        };
+        if self.budget_j <= empty_j {
             return false;
         }
         if let Some(cap_w) = self.draw_cap_w {
@@ -339,6 +349,20 @@ mod tests {
         assert_eq!(s.stop_all(d), vec![JobId(1)]);
         assert_eq!(s.budget_j(), 0.0);
         assert!(!s.try_start(d, JobId(2), 4));
+        assert!(s.sprinting_jobs().is_empty());
+    }
+
+    #[test]
+    fn depletion_residue_counts_as_empty() {
+        // 90 J at 3 × 45 W from t = 1 s: dry at 1.6666666666666665 s, where
+        // the drain computed over the rounded interval leaves ~1.4e-14 J.
+        let policy = SprintPolicy::top_class(2, 0.0, SprintBudget::limited(90.0, 0.0));
+        let mut s = MultiSprinter::new(policy, 45.0);
+        assert!(s.try_start(SimTime::from_secs(1.0), JobId(1), 3));
+        let d = s.depletion_time().unwrap();
+        assert_eq!(s.stop_all(d), vec![JobId(1)]);
+        assert!(s.budget_j() > 0.0 && s.budget_j() < 1e-12);
+        assert!(!s.try_start(d, JobId(2), 3));
         assert!(s.sprinting_jobs().is_empty());
     }
 

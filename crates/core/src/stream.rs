@@ -46,7 +46,8 @@ use dias_engine::{FaultTrace, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, Recorder};
 use crate::{
-    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintPolicy,
+    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, Series,
+    SprintPolicy,
 };
 
 /// How a soak decides where measurement starts.
@@ -110,12 +111,14 @@ pub struct SoakReport {
     /// Whole-run engine-side totals — horizon, energy split, waste,
     /// utilization, sprint budget books, capacity changes — exactly as the
     /// closed driver's [`MultiJobReport`] reports them. Its `per_class`
-    /// sample sets are *empty* (the soak records per-class statistics into
-    /// [`SoakReport::per_class`] instead); only its scalar energy/eviction
-    /// fields are meaningful there.
+    /// `response` sets are *empty* and its optional series `None` (the soak
+    /// records per-class statistics into [`SoakReport::per_class`]
+    /// instead); only its scalar energy/eviction fields are meaningful
+    /// there.
     pub totals: MultiJobReport,
     /// Per-class lifetime statistics over every measured completion, on the
-    /// O(1)-memory streaming backend.
+    /// O(1)-memory streaming backend: `response` and the series asked for
+    /// with [`SoakExperiment::record`].
     pub per_class: Vec<MultiClassStats<StreamingSummary>>,
     /// Tumbling windows in measurement order (the last one may be partial).
     pub windows: Vec<SoakWindow>,
@@ -129,7 +132,7 @@ pub struct SoakReport {
     pub arrival_batch: usize,
     /// High-water mark of live objects: engine calendar entries + pending +
     /// running jobs + driver metadata + sprint timers + arrival batch +
-    /// sketch nodes + window rows. The run-length-independent peak-RSS
+    /// sketch nodes of the recorded series + window rows. The run-length-independent peak-RSS
     /// proxy. It counts those objects, not bytes, and nothing else: a
     /// buffer in a report field or in the caller's inputs (the fault trace,
     /// the job source) is invisible to it, so a run whose memory grows that
@@ -184,6 +187,11 @@ impl SoakReport {
 
 /// An open-system soak over the multi-job engine loop.
 ///
+/// Its lifetime books ([`SoakReport::per_class`]) keep a sketch of each
+/// class's `response` times and of the series asked for with
+/// [`SoakExperiment::record`] (none by default); the windows keep what
+/// their rows read.
+///
 /// # Examples
 ///
 /// A short soak (real runs use `dias_workloads::heterogeneous_width_two_priority`
@@ -225,6 +233,7 @@ pub struct SoakExperiment<S> {
     warmup: WarmupRule,
     window_jobs: usize,
     epsilon: f64,
+    series: Series,
 }
 
 impl<S: JobSource> SoakExperiment<S> {
@@ -239,6 +248,7 @@ impl<S: JobSource> SoakExperiment<S> {
             warmup: WarmupRule::Mser { calibration: 0 },
             window_jobs: 0,
             epsilon: DEFAULT_SKETCH_EPSILON,
+            series: Series::default(),
         }
     }
 
@@ -278,6 +288,16 @@ impl<S: JobSource> SoakExperiment<S> {
     #[must_use]
     pub fn epsilon(mut self, eps: f64) -> Self {
         self.epsilon = eps;
+        self
+    }
+
+    /// Sets the optional series the lifetime books record besides
+    /// `completed` and `response` (see [`MultiJobExperiment::record`]). Each
+    /// one costs a sketch per class, counted in
+    /// [`SoakReport::live_high_water`].
+    #[must_use]
+    pub fn record(mut self, series: Series) -> Self {
+        self.series = series;
         self
     }
 
@@ -364,7 +384,7 @@ impl<S: JobSource> SoakExperiment<S> {
                 (0, usize::MAX, c)
             }
         };
-        let arrival_batch = self.inner.arrival_batch;
+        let (arrival_batch, series) = (self.inner.arrival_batch, self.series);
         let exp = self.inner.jobs(driver_jobs).warmup(driver_warmup);
         let mut driver = MultiDriver::build(exp)?;
         driver.completion_cap = calibration
@@ -379,15 +399,7 @@ impl<S: JobSource> SoakExperiment<S> {
             window_jobs,
             calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
             lifetime: (0..driver.classes)
-                .map(|_| MultiClassStats {
-                    response: StreamingSummary::with_epsilon(eps),
-                    queueing: StreamingSummary::with_epsilon(eps),
-                    dispatch_wait: StreamingSummary::with_epsilon(eps),
-                    reexec_loss: StreamingSummary::with_epsilon(eps),
-                    execution: StreamingSummary::with_epsilon(eps),
-                    drop_fraction: StreamingSummary::with_epsilon(eps),
-                    ..Default::default()
-                })
+                .map(|_| MultiClassStats::recording(series, || StreamingSummary::with_epsilon(eps)))
                 .collect(),
             window: window_classes(driver.classes, eps),
             ..SoakBooks::default()
@@ -569,18 +581,7 @@ impl SoakBooks {
     /// Live measurement-side objects: sketch nodes (lifetime + open window),
     /// the calibration buffer, and the closed windows' scalar rows.
     fn live_nodes(&self) -> usize {
-        let lifetime: usize = self
-            .lifetime
-            .iter()
-            .map(|c| {
-                c.response.live_nodes()
-                    + c.queueing.live_nodes()
-                    + c.dispatch_wait.live_nodes()
-                    + c.reexec_loss.live_nodes()
-                    + c.execution.live_nodes()
-                    + c.drop_fraction.live_nodes()
-            })
-            .sum();
+        let lifetime: usize = self.lifetime.iter().map(MultiClassStats::live_nodes).sum();
         let window: usize = self.window.iter().map(|c| c.response.live_nodes()).sum();
         lifetime
             + window

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use dias_core::DegradationPolicy;
+use dias_core::{DegradationPolicy, MultiJobReport, Series};
 
 mod common;
 use common::oracle::{arb_scenario, cases, multi_sweep_matches_sequential, renewal};
@@ -65,6 +65,7 @@ fn failures_surface_in_telemetry_and_degradation_escalates_drops() {
         thetas: Some(vec![0.2, 0.0]),
         faults: Faults::Renewal(150.0, 40.0, 500.0, 42),
         warmup: 0,
+        series: Series::DROP_FRACTION,
         ..Scenario::new(5)
     };
     let degraded = Scenario {
@@ -81,10 +82,10 @@ fn failures_surface_in_telemetry_and_degradation_escalates_drops() {
     assert_eq!(degraded.capacity_changes, 86);
     // The controller only ever raises the low class's drop fraction above
     // its base, and never touches the exact high class.
+    let drop = |r: &MultiJobReport, k: usize| r.per_class[k].mean_drop_fraction().unwrap();
     assert!(
-        degraded.per_class[0].mean_drop_fraction()
-            >= fixed.per_class[0].mean_drop_fraction() - 1e-12,
+        drop(&degraded, 0) >= drop(&fixed, 0) - 1e-12,
         "degradation must not drop below the fixed-θ base"
     );
-    assert_eq!(degraded.per_class[1].mean_drop_fraction(), 0.0);
+    assert_eq!(drop(&degraded, 1), 0.0);
 }

@@ -1,9 +1,9 @@
 //! One scenario description for the driver suites.
 //!
 //! A [`Scenario`] holds the seed, the stream shape, the scheduler, θ, the
-//! sprint policy, faults, SLOs and the measurement window, plus the knobs
-//! only some drivers read (release batch, sketch ε, epoch length, power cap,
-//! checkpoint stride). Every source and driver builder the suites use comes
+//! sprint policy, faults, SLOs, the measurement window and the recorded
+//! series, plus the knobs only some drivers read (release batch, sketch ε,
+//! epoch length, power cap, checkpoint stride). Every source and driver builder the suites use comes
 //! from it, so two drivers handed the same scenario run the same simulation.
 //! [`oracle`] generates scenarios and checks each identity between two
 //! driver paths; the named suites build their pinned cases here too.
@@ -18,7 +18,8 @@ use dias_core::federation::{FederationExperiment, Router};
 use dias_core::sweep::run_multi_experiments_branch;
 use dias_core::{
     ClassPolicy, DegradationPolicy, Experiment, ExperimentError, JobSource, MultiJobExperiment,
-    Policy, Scheduling, SoakExperiment, SprintBudget, SprintPolicy, VecJobSource, WarmupRule,
+    Policy, Scheduling, Series, SoakExperiment, SprintBudget, SprintPolicy, VecJobSource,
+    WarmupRule,
 };
 use dias_des::SeedSequence;
 use dias_engine::{
@@ -29,11 +30,12 @@ use dias_stochastic::{Dist, Ph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Applies a scenario's θ, sprint policy and SLO targets, where set, to a
-/// driver builder; every builder names the three setters alike.
+/// Applies a scenario's recorded series and its θ, sprint policy and SLO
+/// targets, where set, to a driver builder; every builder names the four
+/// setters alike.
 macro_rules! per_class {
     ($builder:expr, $s:expr) => {{
-        let mut e = $builder;
+        let mut e = $builder.record($s.series);
         if let Some(t) = &$s.thetas {
             e = e.drops(t);
         }
@@ -115,6 +117,8 @@ pub struct Scenario {
     /// Measurement window by arrival index: `warmup..warmup + jobs`.
     pub warmup: usize,
     pub jobs: usize,
+    /// The optional per-class series every driver records.
+    pub series: Series,
     // Read by some drivers only.
     pub batch: usize,
     pub epsilon: f64,
@@ -128,7 +132,8 @@ pub struct Scenario {
 impl Scenario {
     /// 80 two-class jobs seven seconds apart (every 8th high), 30-task
     /// exponential maps and a 6-task reduce, 60 measured after 6, under
-    /// `GangBinPack` on the paper's cluster; nothing else set.
+    /// `GangBinPack` on the paper's cluster, recording every series; nothing
+    /// else set.
     pub fn new(seed: u64) -> Self {
         Scenario {
             seed,
@@ -150,6 +155,7 @@ impl Scenario {
             degrade: None,
             warmup: 6,
             jobs: 60,
+            series: Series::ALL,
             batch: 1,
             epsilon: 0.01,
             window_jobs: 50,
@@ -287,6 +293,7 @@ impl Scenario {
         Experiment::new(self.source(), policy)
             .warmup(self.warmup)
             .jobs(self.jobs)
+            .record(self.series)
     }
 }
 

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use dias_core::federation::{FederationExperiment, FederationReport, FederationRunLog, Router};
 use dias_core::sweep::{run_differential, run_multi_experiments_branch, run_parallel};
 use dias_core::{
-    BranchStats, DegradationPolicy, ExperimentError, MultiClassStats, MultiJobReport, SprintBudget,
-    SprintPolicy, WarmupRule,
+    BranchStats, ClassStats, DegradationPolicy, ExperimentError, ExperimentReport, MultiClassStats,
+    MultiJobReport, Series, SoakReport, SprintBudget, SprintPolicy, WarmupRule,
 };
 use dias_des::stats::SampleStats;
 use dias_stochastic::Dist;
@@ -39,6 +39,7 @@ pub fn conform(s: &Scenario) -> Result<(), String> {
     single_shard_matches_closed(&plain)?;
     let (reference, log) = fleet_is_deterministic(&plain)?;
     fleet_books_balance(&plain, &reference, &log)?;
+    series_are_recorded_on_request(&plain)?;
     branch_grid_matches_full_replay(s)
 }
 
@@ -126,15 +127,14 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
     for (k, (sc, e)) in soak.per_class.iter().zip(&exact.per_class).enumerate() {
         prop_assert_eq!(counts(sc), counts(e));
-        let means = [
-            (sc.response.mean(), e.response.mean()),
-            (sc.queueing.mean(), e.queueing.mean()),
-            (sc.execution.mean(), e.execution.mean()),
-            (sc.dispatch_wait.mean(), e.dispatch_wait.mean()),
-            (sc.drop_fraction.mean(), e.drop_fraction.mean()),
-        ];
-        for (a, b) in means {
-            prop_assert!(close(a, b), "class {} mean {} vs {}", k, a, b);
+        for (a, b) in means(sc).into_iter().zip(means(e)) {
+            prop_assert!(
+                a.is_some() == b.is_some() && close(a.unwrap_or(0.0), b.unwrap_or(0.0)),
+                "class {} mean {:?} vs {:?}",
+                k,
+                a,
+                b
+            );
         }
         if e.completed == 0 {
             continue;
@@ -158,6 +158,20 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
         );
     }
     Ok(exact)
+}
+
+/// A class's means of `response` and of every optional series, `None` for a
+/// series not recorded.
+fn means<B: SampleStats>(c: &MultiClassStats<B>) -> [Option<f64>; 6] {
+    let mean = |b: &Option<B>| b.as_ref().map(SampleStats::mean);
+    [
+        Some(c.response.mean()),
+        mean(&c.queueing),
+        mean(&c.dispatch_wait),
+        mean(&c.reexec_loss),
+        mean(&c.execution),
+        mean(&c.drop_fraction),
+    ]
 }
 
 /// A class's completion counts, which every driver books exactly.
@@ -296,6 +310,136 @@ pub fn branch_grid_matches_full_replay(s: &Scenario) -> Result<(), String> {
         } else {
             prop_assert_eq!(stats, BranchStats::default());
         }
+    }
+    Ok(())
+}
+
+/// On every driver path, a run that records the default series equals the
+/// `Series::ALL` run of the same scenario with the optional series taken
+/// out: `response`, `completed` and every energy, eviction and work total,
+/// bit for bit. The default run holds no optional series and the
+/// `Series::ALL` run holds every one. The paths: closed, `Experiment`, soak
+/// at batches 1 and 16, fleets of 1 and 4 shards, and a branch grid. The
+/// soak's live-object mark counts sketch nodes, so it may only fall.
+pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
+    let all = s.clone().with(|s| s.series = Series::ALL);
+    let default = s.clone().with(|s| s.series = Series::default());
+    let err = |e: ExperimentError| e.to_string();
+
+    let (d, a) = (
+        default.multi().run().map_err(err)?,
+        all.multi().run().map_err(err)?,
+    );
+    recorded_on_request(&[d], &[a])?;
+
+    let (d, a) = (default.experiment().run(), all.experiment().run());
+    let (d, a) = (d.map_err(err)?, a.map_err(err)?);
+    let bare_paper = |r: &ExperimentReport| ExperimentReport {
+        per_class: (r.per_class.iter())
+            .map(|c| ClassStats {
+                queueing: None,
+                execution: None,
+                ..c.clone()
+            })
+            .collect(),
+        ..r.clone()
+    };
+    prop_assert!(bare_paper(&d) == d, "paper: default run holds a series");
+    prop_assert!(
+        bare_paper(&a) == d,
+        "paper: recording a series changed the run"
+    );
+    let complete = |c: &ClassStats| c.queueing.is_some() && c.execution.is_some();
+    prop_assert!(
+        a.per_class.iter().all(complete),
+        "paper: a series is missing"
+    );
+
+    for batch in [1, 16] {
+        let soak = |s: &Scenario| s.clone().with(|s| s.batch = batch).soak().run();
+        let (d, a) = (soak(&default).map_err(err)?, soak(&all).map_err(err)?);
+        presence(&d.per_class, false)?;
+        presence(&a.per_class, true)?;
+        let bare_soak = SoakReport {
+            per_class: a.per_class.iter().map(bare).collect(),
+            live_high_water: d.live_high_water,
+            ..a.clone()
+        };
+        prop_assert!(bare_soak.same_simulation(&d), "soak at batch {}", batch);
+        prop_assert!(d.live_high_water <= a.live_high_water);
+    }
+
+    let single = s
+        .clone()
+        .with(|w| (w.warmup, w.jobs, w.power_cap_w) = (0, w.arrivals as usize, None));
+    for (scenario, workers) in [(s, &FLEET[..]), (&single, &[s.cluster.workers][..])] {
+        let fleet = |series| {
+            let s = scenario.clone().with(|s| s.series = series);
+            s.fleet(workers).run(2).map_err(err)
+        };
+        let (d, a) = (fleet(Series::default())?, fleet(Series::ALL)?);
+        prop_assert_eq!(d.shards.len(), workers.len());
+        recorded_on_request(&d.shards, &a.shards)?;
+        presence(&d.per_class, false)?;
+        presence(&a.per_class, true)?;
+        let per_class: Vec<_> = a.per_class.iter().map(bare).collect();
+        prop_assert!(d.per_class == per_class, "fleet merge of {:?}", workers);
+        let totals = |r: &FederationReport| FederationReport {
+            shards: Vec::new(),
+            per_class: Vec::new(),
+            ..r.clone()
+        };
+        prop_assert!(totals(&d) == totals(&a), "fleet totals of {:?}", workers);
+    }
+
+    let t = s.thetas.clone().unwrap_or_else(|| vec![0.0; 2]);
+    let grid = [t.clone(), vec![t[0] + 0.25, t[1]]];
+    let branch = |s: &Scenario| {
+        run_multi_experiments_branch(&grid, 1, 1, s.stride, |_| s.multi()).map_err(err)
+    };
+    let ((d, _), (a, _)) = (branch(&default)?, branch(&all)?);
+    for p in 0..grid.len() {
+        recorded_on_request(d.point(p), a.point(p))?;
+    }
+    Ok(())
+}
+
+/// `c` without its optional series.
+fn bare<B: SampleStats>(c: &MultiClassStats<B>) -> MultiClassStats<B> {
+    MultiClassStats {
+        queueing: None,
+        dispatch_wait: None,
+        reexec_loss: None,
+        execution: None,
+        drop_fraction: None,
+        ..c.clone()
+    }
+}
+
+/// Every class holds every optional series (`all`) or none of them.
+fn presence<B: SampleStats>(classes: &[MultiClassStats<B>], all: bool) -> Result<(), String> {
+    for c in classes {
+        let held = means(c)[1..]
+            .iter()
+            .map(Option::is_some)
+            .collect::<Vec<_>>();
+        prop_assert_eq!(held, vec![all; 5]);
+    }
+    Ok(())
+}
+
+/// Default-series reports `d` hold no optional series, `Series::ALL`
+/// reports `a` hold all of them, and each `a` without them is its `d`.
+fn recorded_on_request(d: &[MultiJobReport], a: &[MultiJobReport]) -> Result<(), String> {
+    prop_assert_eq!(d.len(), a.len());
+    for (d, a) in d.iter().zip(a) {
+        presence(&d.per_class, false)?;
+        presence(&a.per_class, true)?;
+        let bare_a = MultiJobReport {
+            per_class: a.per_class.iter().map(bare).collect(),
+            ..a.clone()
+        };
+        prop_assert!(bare_a == *d, "recording a series changed the run");
     }
     Ok(())
 }

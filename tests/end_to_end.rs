@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: models vs engine, policy invariants, energy and
 //! waste accounting, and end-to-end deflator planning.
 
-use dias_repro::core::{Experiment, Policy, SprintBudget, SprintPolicy};
+use dias_repro::core::{Experiment, Policy, Series, SprintBudget, SprintPolicy};
 use dias_repro::engine::{ClusterSim, ClusterSpec, EngineEvent, JobInstance};
 use dias_repro::models::priority::{non_preemptive_means, ClassInput};
 use dias_repro::models::TaskLevelModel;
@@ -109,11 +109,11 @@ fn priority_ordering_holds_across_policies() {
     ] {
         let report = Experiment::new(three_priority_stream(5), policy)
             .jobs(JOBS)
+            .record(Series::QUEUEING)
             .run()
             .expect("valid experiment");
-        let q0 = report.class_stats(0).queueing.mean();
-        let q1 = report.class_stats(1).queueing.mean();
-        let q2 = report.class_stats(2).queueing.mean();
+        let queueing = |k: usize| report.class_stats(k).queueing.as_ref().unwrap().mean();
+        let (q0, q1, q2) = (queueing(0), queueing(1), queueing(2));
         assert!(
             q2 <= q1 && q1 <= q0,
             "queueing must decrease with priority: {q0:.1} {q1:.1} {q2:.1} ({})",
@@ -165,6 +165,7 @@ fn energy_never_below_idle_floor_and_sprint_draws_more() {
 fn drops_reduce_work_and_latency_without_touching_high_class_exec() {
     let np = Experiment::new(reference_two_priority(0.8, 6), Policy::non_preemptive(2))
         .jobs(JOBS)
+        .record(Series::EXECUTION)
         .run()
         .expect("valid experiment");
     let da = Experiment::new(
@@ -172,13 +173,14 @@ fn drops_reduce_work_and_latency_without_touching_high_class_exec() {
         Policy::da_percent_high_to_low(&[0.0, 20.0]),
     )
     .jobs(JOBS)
+    .record(Series::EXECUTION)
     .run()
     .expect("valid experiment");
     assert!(da.total_work_secs < np.total_work_secs);
     assert!(da.mean_response(0) < np.mean_response(0));
     assert!(da.mean_response(1) < np.mean_response(1));
-    let high_exec_np = np.class_stats(1).execution.mean();
-    let high_exec_da = da.class_stats(1).execution.mean();
+    let high_exec_np = np.class_stats(1).execution.as_ref().unwrap().mean();
+    let high_exec_da = da.class_stats(1).execution.as_ref().unwrap().mean();
     assert!((high_exec_np - high_exec_da).abs() < 1e-9);
 }
 

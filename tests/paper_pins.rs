@@ -10,8 +10,8 @@
 use std::fmt::Write as _;
 
 use dias_repro::core::{
-    Experiment, ExperimentReport, JobSource, Policy, SoakExperiment, SoakReport, SprintBudget,
-    SprintPolicy, WarmupRule,
+    Experiment, ExperimentReport, JobSource, Policy, Series, SoakExperiment, SoakReport,
+    SprintBudget, SprintPolicy, WarmupRule,
 };
 use dias_repro::des::stats::SampleStats;
 use dias_repro::engine::{ClusterSpec, PriorityPreempt};
@@ -59,7 +59,7 @@ fn one_job_pin(r: &ExperimentReport) -> String {
             c.completed,
             bits(c.response.mean()),
             bits(c.response.p95()),
-            bits(c.execution.mean())
+            bits(c.execution.as_ref().expect("recorded").mean())
         )
         .unwrap();
     }
@@ -77,11 +77,16 @@ fn one_job_pin(r: &ExperimentReport) -> String {
     s
 }
 
-/// Runs every policy on a fresh copy of the stream and checks its pin.
+/// Runs every policy on a fresh copy of the stream and checks its pin. The
+/// runs record the queueing and execution series the pin prints.
 fn check_policies<S: JobSource>(stream: impl Fn() -> S, prefix: &str, policies: Vec<Policy>) {
     for policy in policies {
         let name = format!("{prefix} {}", policy.label);
-        let report = Experiment::new(stream(), policy).jobs(JOBS).run().unwrap();
+        let report = Experiment::new(stream(), policy)
+            .jobs(JOBS)
+            .record(Series::QUEUEING | Series::EXECUTION)
+            .run()
+            .unwrap();
         check(&name, &one_job_pin(&report));
     }
 }
@@ -182,6 +187,7 @@ fn batched_soaks_with_sprint_and_faults_are_pinned() {
         (4, WarmupRule::Arrivals(200)),
         (16, WarmupRule::Mser { calibration: 0 }),
     ];
+    // Every series: `live_high_water` counts each recorded sketch's nodes.
     for (batch, warmup) in cases {
         let report = SoakExperiment::new(
             heterogeneous_width_two_priority(0.8, 33),
@@ -200,6 +206,7 @@ fn batched_soaks_with_sprint_and_faults_are_pinned() {
             150.0,
             33,
         ))
+        .record(Series::ALL)
         .run()
         .unwrap();
         check(&format!("soak batch {batch}"), &soak_pin(&report));
