@@ -113,13 +113,10 @@ impl ExperimentReport {
     }
 }
 
-/// The mean of a recorded series at one decimal in `width` columns, or `-`
+/// The mean of a recorded series at one decimal in a 10-column cell, or `-`
 /// when the series was not recorded.
-fn mean_column(series: Option<&SampleSet>, width: usize) -> String {
-    series.map_or_else(
-        || format!("{:>width$}", "-"),
-        |s| format!("{:>width$.1}", s.mean()),
-    )
+fn mean_column(series: Option<&SampleSet>) -> String {
+    series.map_or_else(|| format!("{:>10}", "-"), |s| format!("{:>10.1}", s.mean()))
 }
 
 impl fmt::Display for ExperimentReport {
@@ -140,8 +137,8 @@ impl fmt::Display for ExperimentReport {
                 c.completed,
                 c.response.mean(),
                 c.response.p95(),
-                mean_column(c.queueing.as_ref(), 10),
-                mean_column(c.execution.as_ref(), 10)
+                mean_column(c.queueing.as_ref()),
+                mean_column(c.execution.as_ref())
             )?;
         }
         writeln!(

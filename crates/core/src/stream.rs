@@ -132,8 +132,8 @@ pub struct SoakReport {
     pub arrival_batch: usize,
     /// High-water mark of live objects: engine calendar entries + pending +
     /// running jobs + driver metadata + sprint timers + arrival batch +
-    /// sketch nodes of the recorded series + window rows. The run-length-independent peak-RSS
-    /// proxy. It counts those objects, not bytes, and nothing else: a
+    /// sketch nodes of the recorded series + window rows. The
+    /// run-length-independent peak-RSS proxy. It counts those objects, not bytes, and nothing else: a
     /// buffer in a report field or in the caller's inputs (the fault trace,
     /// the job source) is invisible to it, so a run whose memory grows that
     /// way keeps a flat mark. The process's peak RSS shows those.

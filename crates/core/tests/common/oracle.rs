@@ -335,7 +335,9 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
     let (d, a) = (default.experiment().run(), all.experiment().run());
     let (d, a) = (d.map_err(err)?, a.map_err(err)?);
     let bare_paper = |r: &ExperimentReport| ExperimentReport {
-        per_class: (r.per_class.iter())
+        per_class: r
+            .per_class
+            .iter()
             .map(|c| ClassStats {
                 queueing: None,
                 execution: None,
