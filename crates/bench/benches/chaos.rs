@@ -25,7 +25,7 @@
 //!    episodes: responses stretch with zero evictions (a straggling gang
 //!    waves at its slowest slot).
 
-use dias_bench::{banner, bench_jobs, compare};
+use dias_bench::{banner, bench_jobs, compare, recorded};
 use dias_core::multi::default_accuracy_curve;
 use dias_core::{run_parallel, DegradationPolicy, MultiJobExperiment, MultiJobReport, Series};
 use dias_engine::{FaultTrace, GangBinPack};
@@ -62,20 +62,19 @@ fn experiment(
     }
 }
 
-/// Why the reported runs record the drop fraction: the report prints it.
-const DROPS: &str = "every reported run records the drop fraction";
-
 fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
     println!("{label}");
     for (k, name) in ["low", "high"].iter().enumerate() {
         let c = &r.per_class[k];
+        let drop = *recorded(&c.mean_drop_fraction());
+        let loss = *recorded(&c.approximation_loss_pct(curve));
         println!(
             "  {name:>5}: mean {:>7.1}s  p95 {:>7.1}s  SLO {:>5.1}%  drop {:>4.1}%  loss {:>4.1}%",
             r.mean_response(k),
             r.p95_response(k),
             c.slo_attainment() * 100.0,
-            c.mean_drop_fraction().expect(DROPS) * 100.0,
-            c.approximation_loss_pct(curve).expect(DROPS),
+            drop * 100.0,
+            loss,
         );
     }
     println!(
@@ -200,8 +199,8 @@ fn main() {
         "degradation mean drop above the fixed-θ baseline",
         &format!(
             "{:.1}% vs {:.1}% (cap 80% of map tasks)",
-            degr.per_class[0].mean_drop_fraction().expect(DROPS) * 100.0,
-            fixed.per_class[0].mean_drop_fraction().expect(DROPS) * 100.0
+            recorded(&degr.per_class[0].drop_fraction).mean() * 100.0,
+            recorded(&fixed.per_class[0].drop_fraction).mean() * 100.0
         ),
     );
 

@@ -30,7 +30,7 @@
 //! mean response while low-class active energy stays within noise of the
 //! no-sprint run (low gangs never sprint — only scheduling shifts).
 
-use dias_bench::{banner, bench_jobs, compare};
+use dias_bench::{banner, bench_jobs, compare, recorded};
 use dias_core::multi::default_accuracy_curve;
 use dias_core::{run_parallel, MultiJobExperiment, MultiJobReport, Series};
 use dias_core::{SprintBudget, SprintPolicy};
@@ -38,20 +38,19 @@ use dias_engine::{ClusterSpec, Fifo, GangBinPack, PriorityPreempt};
 use dias_models::accuracy::AccuracyCurve;
 use dias_workloads::{heterogeneous_width_two_priority, sharded_two_priority};
 
-/// Why every run here records the drop fraction: the report prints it.
-const DROPS: &str = "every run records the drop fraction";
-
 fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
     println!("{label}");
     for (k, name) in ["low", "high"].iter().enumerate() {
         let c = &r.per_class[k];
+        let drop = *recorded(&c.mean_drop_fraction());
+        let loss = *recorded(&c.approximation_loss_pct(curve));
         println!(
             "  {name:>5}: mean {:>7.1}s  p95 {:>7.1}s  active {:>8.0} kJ  drop {:>4.1}%  loss {:>4.1}%",
             r.mean_response(k),
             r.p95_response(k),
             c.active_energy_joules / 1e3,
-            c.mean_drop_fraction().expect(DROPS) * 100.0,
-            c.approximation_loss_pct(curve).expect(DROPS),
+            drop * 100.0,
+            loss,
         );
     }
     println!(

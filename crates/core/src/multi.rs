@@ -41,8 +41,8 @@ use crate::{
 
 /// The optional per-class series a run records, as a set.
 ///
-/// Every run records `completed` and `response` for each class. The five
-/// series here are recorded only when a builder's `record` setter asks for
+/// Every run records `completed` and `response` for each class. The series
+/// named here are recorded only when a builder's `record` setter asks for
 /// them ([`MultiJobExperiment::record`],
 /// [`SoakExperiment::record`](crate::SoakExperiment::record),
 /// [`FederationExperiment::record`](crate::FederationExperiment::record),
@@ -63,18 +63,16 @@ use crate::{
 pub struct Series(u8);
 
 impl Series {
-    /// Arrival → final-attempt dispatch ([`MultiClassStats::queueing`]).
+    /// Arrival → final-attempt dispatch ([`MultiClassStats::queueing`]) and
+    /// its exact decomposition into [`MultiClassStats::dispatch_wait`] and
+    /// [`MultiClassStats::reexec_loss`].
     pub const QUEUEING: Series = Series(1);
-    /// Arrival → first dispatch ([`MultiClassStats::dispatch_wait`]).
-    pub const DISPATCH_WAIT: Series = Series(1 << 1);
-    /// First → final dispatch ([`MultiClassStats::reexec_loss`]).
-    pub const REEXEC_LOSS: Series = Series(1 << 2);
     /// Final-attempt execution time ([`MultiClassStats::execution`]).
-    pub const EXECUTION: Series = Series(1 << 3);
+    pub const EXECUTION: Series = Series(1 << 1);
     /// Fraction of tasks dropped ([`MultiClassStats::drop_fraction`]).
-    pub const DROP_FRACTION: Series = Series(1 << 4);
+    pub const DROP_FRACTION: Series = Series(1 << 2);
     /// Every optional series.
-    pub const ALL: Series = Series(0b1_1111);
+    pub const ALL: Series = Series(0b111);
 
     /// Whether every series of `other` is in this set.
     #[must_use]
@@ -110,7 +108,8 @@ impl std::ops::BitAnd for Series {
 ///
 /// `completed` and `response` are always recorded. The five `Option`
 /// series hold a set only when the run's [`Series`] asked for them, and are
-/// `None` otherwise.
+/// `None` otherwise; [`Series::QUEUEING`] records `queueing` together with
+/// its decomposition `dispatch_wait` + `reexec_loss`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// Completed measured jobs of the class.
@@ -123,11 +122,11 @@ pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// Recorded under [`Series::QUEUEING`].
     pub queueing: Option<B>,
     /// Plain waiting: arrival → *first* dispatch (time spent purely queued,
-    /// no work lost). Recorded under [`Series::DISPATCH_WAIT`].
+    /// no work lost). Recorded under [`Series::QUEUEING`].
     pub dispatch_wait: Option<B>,
     /// Preemption re-execution loss: first dispatch → final dispatch (the
     /// destroyed attempts plus the re-queue waits between them; 0 for jobs
-    /// never evicted). Recorded under [`Series::REEXEC_LOSS`].
+    /// never evicted). Recorded under [`Series::QUEUEING`].
     pub reexec_loss: Option<B>,
     /// Final-attempt execution times. Recorded under [`Series::EXECUTION`].
     pub execution: Option<B>,
@@ -176,8 +175,8 @@ impl<B: SampleStats> MultiClassStats<B> {
         MultiClassStats {
             response: new(),
             queueing: kept(Series::QUEUEING),
-            dispatch_wait: kept(Series::DISPATCH_WAIT),
-            reexec_loss: kept(Series::REEXEC_LOSS),
+            dispatch_wait: kept(Series::QUEUEING),
+            reexec_loss: kept(Series::QUEUEING),
             execution: kept(Series::EXECUTION),
             drop_fraction: kept(Series::DROP_FRACTION),
             ..Default::default()
@@ -703,7 +702,7 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
             ));
         }
         self.check_branchable()?;
-        let thetas = self.thetas.clone();
+        let (thetas, series) = (self.thetas.clone(), self.series);
         let mut driver = MultiDriver::build(self)?;
         let mut recording = Recording {
             stride,
@@ -715,6 +714,7 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
         let report = driver.finalize();
         let trace = MultiRunTrace {
             thetas,
+            series,
             checkpoints: recording.checkpoints,
             signatures: recording.signatures,
             events_total,
@@ -729,8 +729,8 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
     ///
     /// This experiment must be configured identically to the recorded
     /// reference in everything except the drop vector: same source stream,
-    /// cluster, scheduler policy, sprint policy, fault trace and measurement
-    /// window. Under that contract the result is bit-identical to a full
+    /// cluster, scheduler policy, sprint policy, fault trace, measurement
+    /// window and recorded [`Series`]. Under that contract the result is bit-identical to a full
     /// [`MultiJobExperiment::run`]: before the divergence index every
     /// arrival's post-drop work is equal by construction, so the reference
     /// prefix *is* this point's prefix.
@@ -739,9 +739,20 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
     ///
     /// As [`MultiJobExperiment::run`], plus [`ExperimentError::InvalidConfig`]
     /// naming `degrade` or `slos` when the configuration is not
-    /// [`MultiJobExperiment::branchable`].
+    /// [`MultiJobExperiment::branchable`], or `record` when it asks for other
+    /// series than the reference recorded (the resumed books are the
+    /// reference's).
     pub fn run_from(self, trace: &MultiRunTrace<S>) -> Result<MultiJobReport, ExperimentError> {
         self.check_branchable()?;
+        if self.series != trace.series {
+            return Err(ExperimentError::invalid(
+                "record",
+                format!(
+                    "series {:?} differ from the reference run's {:?}",
+                    self.series, trace.series
+                ),
+            ));
+        }
         let divergence = trace.divergence_index(self.thetas.as_deref());
         let Some(cp) = trace.checkpoint_before(divergence) else {
             // Nothing recorded before the divergence (empty trace): replay in
@@ -844,6 +855,8 @@ struct MultiCheckpoint<S>(RunState<S>, EngineCheckpoint);
 pub struct MultiRunTrace<S> {
     /// The reference run's theta vector (divergence is measured against it).
     thetas: Option<Vec<f64>>,
+    /// The series the reference run's books record.
+    series: Series,
     checkpoints: Vec<MultiCheckpoint<S>>,
     signatures: Vec<ArrivalSignature>,
     events_total: u64,
@@ -2031,7 +2044,7 @@ mod tests {
         let report =
             MultiJobExperiment::new(cluster_wide_workload(120, 8.0), Box::new(PriorityPreempt))
                 .jobs(70)
-                .record(Series::QUEUEING | Series::DISPATCH_WAIT | Series::REEXEC_LOSS)
+                .record(Series::QUEUEING)
                 .run()
                 .unwrap();
         assert!(report.evictions > 0, "scenario must actually preempt");

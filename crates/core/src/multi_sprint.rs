@@ -353,20 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn depletion_residue_counts_as_empty() {
-        // 90 J at 3 × 45 W from t = 1 s: dry at 1.6666666666666665 s, where
-        // the drain computed over the rounded interval leaves ~1.4e-14 J.
-        let policy = SprintPolicy::top_class(2, 0.0, SprintBudget::limited(90.0, 0.0));
-        let mut s = MultiSprinter::new(policy, 45.0);
-        assert!(s.try_start(SimTime::from_secs(1.0), JobId(1), 3));
-        let d = s.depletion_time().unwrap();
-        assert_eq!(s.stop_all(d), vec![JobId(1)]);
-        assert!(s.budget_j() > 0.0 && s.budget_j() < 1e-12);
-        assert!(!s.try_start(d, JobId(2), 3));
-        assert!(s.sprinting_jobs().is_empty());
-    }
-
-    #[test]
     fn unlimited_budget_never_depletes() {
         let mut s = MultiSprinter::new(SprintPolicy::unlimited_for_top(2), 4.0);
         assert!(s.try_start(SimTime::ZERO, JobId(1), 20));

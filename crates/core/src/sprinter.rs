@@ -168,17 +168,29 @@ mod tests {
 
     #[test]
     fn empty_budget_refuses_to_sprint() {
-        // 20 slots at 50 W: a 1000 W drain.
-        let mut s = MultiSprinter::new(
-            SprintPolicy::top_class(1, 0.0, SprintBudget::limited(100.0, 0.0)),
-            50.0,
-        );
-        assert!(s.try_start(SimTime::ZERO, JOB, SLOTS));
-        let deadline = s.depletion_time().unwrap();
-        assert!((deadline.as_secs() - 0.1).abs() < 1e-9);
-        s.stop_all(deadline);
-        assert!(s.budget_j() <= 1e-9);
-        assert!(!s.try_start(deadline, JOB, SLOTS));
+        // (budget J, W per slot, slots, start s, dry at s, residue left).
+        // 100 J at 20 × 50 W from t = 0 is dry at 0.1 s. 90 J at 3 × 45 W
+        // from t = 1 s is dry at 1.6666666666666665 s, where the drain over
+        // the rounded interval leaves ~1.4e-14 J: a residue that must count
+        // as empty too.
+        let cases = [
+            (100.0, 50.0, SLOTS, 0.0, 0.1, false),
+            (90.0, 45.0, 3, 1.0, 1.0 + 2.0 / 3.0, true),
+        ];
+        for (budget_j, slot_w, slots, start, dry, residue) in cases {
+            let mut s = MultiSprinter::new(
+                SprintPolicy::top_class(1, 0.0, SprintBudget::limited(budget_j, 0.0)),
+                slot_w,
+            );
+            assert!(s.try_start(SimTime::from_secs(start), JOB, slots));
+            let deadline = s.depletion_time().unwrap();
+            assert!((deadline.as_secs() - dry).abs() < 1e-9);
+            s.stop_all(deadline);
+            assert!(s.budget_j() < 1e-12);
+            assert_eq!(s.budget_j() > 0.0, residue, "{budget_j} J");
+            assert!(!s.try_start(deadline, JOB, slots));
+            assert!(s.sprinting_jobs().is_empty());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `conformance.rs` generates such settings too; these are the named cases.
 
 use dias_core::sweep::run_multi_experiments_branch;
-use dias_core::DegradationPolicy;
+use dias_core::{DegradationPolicy, Series};
 use dias_engine::FaultTrace;
 use dias_stochastic::Dist;
 
@@ -131,6 +131,12 @@ fn branch_runner_settings() {
     });
     assert_invalid("slos", "resuming an SLO run", || {
         slos.multi().run_from(&trace)
+    });
+    // The resumed books are the reference's, so a point must record the
+    // series its reference recorded.
+    let fewer = small().with(|s| s.series = Series::EXECUTION);
+    assert_invalid("record", "resuming with other series", || {
+        fewer.multi().run_from(&trace)
     });
 }
 
