@@ -62,6 +62,11 @@ fn experiment(
     }
 }
 
+/// SLO attainment of `c` in percent; every run here sets SLO targets.
+fn slo_pct(c: &dias_core::MultiClassStats) -> f64 {
+    *recorded(&c.slo_attainment()) * 100.0
+}
+
 fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
     println!("{label}");
     for (k, name) in ["low", "high"].iter().enumerate() {
@@ -72,7 +77,7 @@ fn print_report(label: &str, r: &MultiJobReport, curve: &dyn AccuracyCurve) {
             "  {name:>5}: mean {:>7.1}s  p95 {:>7.1}s  SLO {:>5.1}%  drop {:>4.1}%  loss {:>4.1}%",
             r.mean_response(k),
             r.p95_response(k),
-            c.slo_attainment() * 100.0,
+            slo_pct(c),
             drop * 100.0,
             loss,
         );
@@ -160,10 +165,10 @@ fn main() {
         let (fixed, degr) = (&reports[2 * i], &reports[2 * i + 1]);
         println!(
             "  {rate:>8.1}   {:>5.1}% | {:>5.1}%   {:>5.1}% | {:>5.1}%",
-            fixed.per_class[1].slo_attainment() * 100.0,
-            fixed.per_class[0].slo_attainment() * 100.0,
-            degr.per_class[1].slo_attainment() * 100.0,
-            degr.per_class[0].slo_attainment() * 100.0,
+            slo_pct(&fixed.per_class[1]),
+            slo_pct(&fixed.per_class[0]),
+            slo_pct(&degr.per_class[1]),
+            slo_pct(&degr.per_class[0]),
         );
     }
     println!();
@@ -190,8 +195,8 @@ fn main() {
         "degradation strictly above fixed θ",
         &format!(
             "{:.1}% vs {:.1}%",
-            degr.per_class[1].slo_attainment() * 100.0,
-            fixed.per_class[1].slo_attainment() * 100.0
+            slo_pct(&degr.per_class[1]),
+            slo_pct(&fixed.per_class[1])
         ),
     );
     compare(

@@ -8,7 +8,7 @@ use dias_engine::{
     EngineError, JobId, JobInstance, PendingView, RunningView, Scheduler, SlotRange,
 };
 
-use crate::{ClassStats, ExperimentReport, MultiJobExperiment, Policy, Series};
+use crate::{ExperimentReport, MultiJobExperiment, Policy, Series};
 
 /// A stream of sampled jobs with non-decreasing arrival times.
 ///
@@ -155,9 +155,10 @@ impl ExperimentError {
 /// cluster, with the policy's drop ratios and sprint policy, plus the
 /// policy's label for the report. See the crate-level example.
 ///
-/// The report records each class's `completed` count and `response` times;
-/// `queueing` and `execution` are recorded only when
-/// [`Experiment::record`] asks for them.
+/// The report's per-class books are the inner run's
+/// [`MultiClassStats`](crate::MultiClassStats), moved whole: `completed`,
+/// `response` and the per-class energy split always, and the optional
+/// series asked for with [`Experiment::record`] (none by default).
 #[derive(Debug)]
 pub struct Experiment<S> {
     inner: MultiJobExperiment<S>,
@@ -198,14 +199,10 @@ impl<S: JobSource> Experiment<S> {
     }
 
     /// Sets the optional series the report records (see
-    /// [`MultiJobExperiment::record`]). [`ClassStats`] holds only
-    /// [`Series::QUEUEING`] and [`Series::EXECUTION`], so the other series
-    /// in `series` are not recorded.
+    /// [`MultiJobExperiment::record`]).
     #[must_use]
     pub fn record(mut self, series: Series) -> Self {
-        self.inner = self
-            .inner
-            .record(series & (Series::QUEUEING | Series::EXECUTION));
+        self.inner = self.inner.record(series);
         self
     }
 
@@ -237,17 +234,7 @@ impl<S: JobSource> Experiment<S> {
         let sprint_slot_secs: f64 = r.per_class.iter().map(|c| c.sprint_slot_secs).sum();
         Ok(ExperimentReport {
             policy: self.label,
-            per_class: r
-                .per_class
-                .into_iter()
-                .map(|c| ClassStats {
-                    completed: c.completed,
-                    response: c.response,
-                    queueing: c.queueing,
-                    execution: c.execution,
-                    evictions: c.evictions,
-                })
-                .collect(),
+            per_class: r.per_class,
             wasted_work_secs: r.wasted_work_secs,
             total_work_secs: r.total_work_secs + r.wasted_work_secs,
             evictions: r.evictions,
@@ -425,6 +412,7 @@ mod tests {
         assert!(report.waste_fraction() > 0.0);
         // High priority must be faster than low priority.
         assert!(report.mean_response(1) < report.mean_response(0));
+        assert_energy_split_is_lossless(&report);
     }
 
     /// Mean execution time of class `k`, which the test asked to record.
@@ -487,7 +475,8 @@ mod tests {
     #[test]
     fn limited_budget_caps_sprinting() {
         let tiny_budget = SprintPolicy::top_class(2, 0.0, SprintBudget::limited(500.0, 0.0));
-        let policy = Policy::non_preemptive(2).with_sprint(tiny_budget);
+        // DiAS: the low class's drops plus the high class's sprints.
+        let policy = Policy::da_percent_high_to_low(&[0.0, 20.0]).with_sprint(tiny_budget);
         let report = Experiment::new(workload(200, 6.0, 2.0), policy)
             .jobs(150)
             .run()
@@ -496,6 +485,16 @@ mod tests {
         // total sprint time is tiny but non-zero.
         assert!(report.sprint_secs > 0.0);
         assert!(report.sprint_secs < 2.0, "sprint {}", report.sprint_secs);
+        assert_energy_split_is_lossless(&report);
+    }
+
+    /// `idle + Σ per-class active == total` to 1e-9 relative: the report's
+    /// per-class books carry the driver's energy split whole.
+    fn assert_energy_split_is_lossless(r: &ExperimentReport) {
+        let active: f64 = r.per_class.iter().map(|c| c.active_energy_joules).sum();
+        let rel = (r.idle_energy_joules + active - r.energy_joules).abs() / r.energy_joules;
+        assert!(rel < 1e-9, "energy split off by {rel}");
+        assert!(r.per_class.iter().all(|c| c.active_energy_joules > 0.0));
     }
 
     #[test]

@@ -304,7 +304,7 @@ pub struct FederationRunLog {
 /// are identical float for float. Everything in here is therefore a pure
 /// function of (stream, shards, router, couplings) — per-epoch telemetry
 /// lives in [`FederationRunLog`] instead.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FederationReport {
     /// Per-shard reports, in shard order, each over the shard's own horizon
     /// and slot capacity.
@@ -377,28 +377,12 @@ impl FederationReport {
     fn aggregate(
         shard_reports: Vec<MultiJobReport>,
         routed_jobs: Vec<u64>,
-        classes: usize,
-        series: Series,
+        mut per_class: Vec<MultiClassStats>,
         total_slots: usize,
     ) -> FederationReport {
-        let mut per_class = vec![MultiClassStats::recording(series, SampleSet::new); classes];
         let mut out = FederationReport {
-            shards: Vec::new(),
-            per_class: Vec::new(),
             routed_jobs,
-            horizon_secs: 0.0,
-            energy_joules: 0.0,
-            idle_energy_joules: 0.0,
-            busy_slot_secs: 0.0,
-            utilization: 0.0,
-            total_work_secs: 0.0,
-            wasted_work_secs: 0.0,
-            evictions: 0,
-            failure_evictions: 0,
-            failure_lost_work_secs: 0.0,
-            sprint_budget_spent_j: 0.0,
-            sprint_budget_replenished_j: 0.0,
-            sprint_budget_remaining_j: 0.0,
+            ..Default::default()
         };
         for rep in &shard_reports {
             for (k, class) in rep.per_class.iter().enumerate() {
@@ -647,8 +631,10 @@ impl<S: JobSource> FederationExperiment<S> {
             Some(traces) => traces,
             None => vec![FaultTrace::default(); self.shards.len()],
         };
-        let classes = self.source.classes();
-        let series = self.shards[0].series;
+        // The fleet-wide books the shards' books merge into.
+        let first = &self.shards[0];
+        let empty = MultiClassStats::recording(first.series, first.slos.is_some(), SampleSet::new);
+        let per_class = vec![empty; self.source.classes()];
         let slot_counts: Vec<usize> = self.shards.iter().map(|s| s.cluster.slots()).collect();
         let total_slots: usize = slot_counts.iter().sum();
         let measured = self.warmup..self.warmup.saturating_add(self.jobs);
@@ -752,7 +738,7 @@ impl<S: JobSource> FederationExperiment<S> {
             shard_reports.push(shard.driver.finalize());
         }
         Ok((
-            FederationReport::aggregate(shard_reports, routed_jobs, classes, series, total_slots),
+            FederationReport::aggregate(shard_reports, routed_jobs, per_class, total_slots),
             log,
         ))
     }

@@ -88,7 +88,7 @@ pub use experiment::{Experiment, ExperimentError, JobSource, VecJobSource};
 pub use federation::{
     EpochRecord, FederationExperiment, FederationReport, FederationRunLog, Router, RouterCursor,
 };
-pub use metrics::{ClassStats, ExperimentReport};
+pub use metrics::ExperimentReport;
 pub use multi::{MultiClassStats, MultiJobExperiment, MultiJobReport, MultiRunTrace, Series};
 pub use multi_sprint::MultiSprinter;
 pub use policy::{ClassPolicy, Policy, Scheduling};

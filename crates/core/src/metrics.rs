@@ -3,41 +3,19 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dias_des::stats::SampleSet;
 
-/// Per-class outcome statistics of the paper's one-job
-/// [`Experiment`](crate::Experiment).
-///
-/// `completed` and `response` are always recorded. `queueing` and
-/// `execution` hold a set only when the experiment asked for them with
-/// [`Experiment::record`](crate::Experiment::record) (Table 2's
-/// decomposition does), and are `None` otherwise.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClassStats {
-    /// Completed jobs of the class (after warm-up).
-    pub completed: u64,
-    /// End-to-end response times (arrival → completion).
-    pub response: SampleSet,
-    /// Queueing times: arrival → dispatch of the final attempt, from the
-    /// engine's dispatch log (includes time lost to evicted attempts).
-    /// Recorded under [`Series::QUEUEING`](crate::Series::QUEUEING).
-    pub queueing: Option<SampleSet>,
-    /// Final-attempt execution times. Recorded under
-    /// [`Series::EXECUTION`](crate::Series::EXECUTION).
-    pub execution: Option<SampleSet>,
-    /// Evictions suffered by completed jobs of this class.
-    pub evictions: u64,
-}
+use crate::MultiClassStats;
 
 /// The full outcome of one experiment run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentReport {
     /// Label of the policy that produced this report (e.g. `DA(0,20)`).
     pub policy: String,
-    /// Per-class statistics, indexed by class (higher = higher priority).
-    pub per_class: Vec<ClassStats>,
+    /// Per-class statistics, indexed by class (higher = higher priority):
+    /// the [`MultiJobReport`](crate::MultiJobReport) books of the run,
+    /// per-class energy split included.
+    pub per_class: Vec<MultiClassStats>,
     /// Machine-seconds of work wasted on evicted attempts.
     pub wasted_work_secs: f64,
     /// Machine-seconds of work delivered in total (completed + wasted).
@@ -68,7 +46,7 @@ impl ExperimentReport {
     ///
     /// Panics if `k` is out of range.
     #[must_use]
-    pub fn class_stats(&self, k: usize) -> &ClassStats {
+    pub fn class_stats(&self, k: usize) -> &MultiClassStats {
         &self.per_class[k]
     }
 
@@ -160,7 +138,7 @@ mod tests {
     fn report_with_waste(wasted: f64, total: f64) -> ExperimentReport {
         ExperimentReport {
             policy: "P".into(),
-            per_class: vec![ClassStats::default(); 2],
+            per_class: vec![MultiClassStats::default(); 2],
             wasted_work_secs: wasted,
             total_work_secs: total,
             ..Default::default()

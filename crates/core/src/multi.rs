@@ -89,14 +89,6 @@ impl std::ops::BitOr for Series {
     }
 }
 
-impl std::ops::BitAnd for Series {
-    type Output = Series;
-
-    fn bitand(self, other: Series) -> Series {
-        Series(self.0 & other.0)
-    }
-}
-
 /// Per-class outcomes of a [`MultiJobExperiment`].
 ///
 /// Generic over the statistics backend `B`: closed fixed-N experiments use
@@ -109,7 +101,8 @@ impl std::ops::BitAnd for Series {
 /// `completed` and `response` are always recorded. The five `Option`
 /// series hold a set only when the run's [`Series`] asked for them, and are
 /// `None` otherwise; [`Series::QUEUEING`] records `queueing` together with
-/// its decomposition `dispatch_wait` + `reexec_loss`.
+/// its decomposition `dispatch_wait` + `reexec_loss`. By the same rule
+/// `slo_attained` is `None` unless the run set SLO targets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// Completed measured jobs of the class.
@@ -140,8 +133,8 @@ pub struct MultiClassStats<B: SampleStats = SampleSet> {
     /// priority preemption).
     pub failure_evictions: u64,
     /// Measured jobs of the class whose response time met the per-class SLO
-    /// target (only counted when [`MultiJobExperiment::slos`] is set).
-    pub slo_attained: u64,
+    /// target; `None` unless [`MultiJobExperiment::slos`] set targets.
+    pub slo_attained: Option<u64>,
     /// Active (above-idle) energy attributed to *all* attempts of this
     /// class's jobs over the whole run, evicted attempts included, in joules.
     pub active_energy_joules: f64,
@@ -169,11 +162,12 @@ fn merge_series<B: SampleStats>(mine: &mut Option<B>, other: &Option<B>) {
 
 impl<B: SampleStats> MultiClassStats<B> {
     /// Empty statistics that record `response` and the series in `series`,
-    /// each set built by `new`.
-    pub(crate) fn recording(series: Series, new: impl Fn() -> B) -> Self {
+    /// each set built by `new`, and count `slo_attained` when `scored`.
+    pub(crate) fn recording(series: Series, scored: bool, new: impl Fn() -> B) -> Self {
         let kept = |s| series.contains(s).then(&new);
         MultiClassStats {
             response: new(),
+            slo_attained: scored.then_some(0),
             queueing: kept(Series::QUEUEING),
             dispatch_wait: kept(Series::QUEUEING),
             reexec_loss: kept(Series::QUEUEING),
@@ -205,7 +199,9 @@ impl<B: SampleStats> MultiClassStats<B> {
         push(&mut self.drop_fraction, obs.drop_fraction);
         self.evictions += u64::from(obs.evictions);
         self.failure_evictions += u64::from(obs.failure_evictions);
-        self.slo_attained += u64::from(obs.meets_slo(slos));
+        if let Some(n) = &mut self.slo_attained {
+            *n += u64::from(obs.meets_slo(slos));
+        }
     }
 
     /// Expected relative analysis error (%) for the class's mean drop
@@ -218,14 +214,17 @@ impl<B: SampleStats> MultiClassStats<B> {
     }
 
     /// Fraction of the class's completed measured jobs that met the SLO
-    /// target (1.0 when no jobs completed, mirroring "no violations").
+    /// target (1.0 when no jobs completed, mirroring "no violations");
+    /// `None` unless the run set SLO targets.
     #[must_use]
-    pub fn slo_attainment(&self) -> f64 {
-        if self.completed == 0 {
-            1.0
-        } else {
-            self.slo_attained as f64 / self.completed as f64
-        }
+    pub fn slo_attainment(&self) -> Option<f64> {
+        self.slo_attained.map(|n| {
+            if self.completed == 0 {
+                1.0
+            } else {
+                n as f64 / self.completed as f64
+            }
+        })
     }
 
     /// Live heap objects over `response` and the recorded series: the
@@ -255,8 +254,9 @@ impl MultiClassStats<SampleSet> {
     /// Sample merging is exact concatenation ([`SampleSet::merge`]) and the
     /// counters/energies add, so folding per-shard federation reports in
     /// shard order yields the same statistics regardless of how many worker
-    /// threads (or which epoch length) produced them. Only series present on
-    /// both sides are merged; one missing from either side is `None` after.
+    /// threads (or which epoch length) produced them. Only series, and the SLO
+    /// count, present on both sides are merged; one missing from either side
+    /// is `None` after.
     pub fn merge(&mut self, other: &Self) {
         self.completed += other.completed;
         self.response.merge(&other.response);
@@ -267,7 +267,10 @@ impl MultiClassStats<SampleSet> {
         merge_series(&mut self.drop_fraction, &other.drop_fraction);
         self.evictions += other.evictions;
         self.failure_evictions += other.failure_evictions;
-        self.slo_attained += other.slo_attained;
+        self.slo_attained = self
+            .slo_attained
+            .zip(other.slo_attained)
+            .map(|(a, b)| a + b);
         self.active_energy_joules += other.active_energy_joules;
         self.busy_slot_secs += other.busy_slot_secs;
         self.sprint_slot_secs += other.sprint_slot_secs;
@@ -407,7 +410,7 @@ pub struct MultiJobExperiment<S> {
     jobs: usize,
     warmup: Option<usize>,
     faults: FaultTrace,
-    slos: Option<Vec<f64>>,
+    pub(crate) slos: Option<Vec<f64>>,
     degrade: Option<DegradationPolicy>,
     /// Arrivals drawn ahead and released together, at the latest arrival
     /// time among them. 1 everywhere except the soak, which sets it from
@@ -1129,7 +1132,14 @@ impl<S: JobSource> MultiDriver<S> {
         let engine = ClusterSim::with_scheduler(exp.cluster.clone(), exp.scheduler)?;
         let report = MultiJobReport {
             scheduler: engine.scheduler_label().to_string(),
-            per_class: vec![MultiClassStats::recording(exp.series, SampleSet::new); classes],
+            per_class: vec![
+                MultiClassStats::recording(
+                    exp.series,
+                    exp.slos.is_some(),
+                    SampleSet::new
+                );
+                classes
+            ],
             ..Default::default()
         };
         let total_slots = exp.cluster.slots();

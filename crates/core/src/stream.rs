@@ -108,17 +108,15 @@ pub struct SoakWindow {
 /// The outcome of one [`SoakExperiment::run`].
 #[derive(Debug, Clone)]
 pub struct SoakReport {
-    /// Whole-run engine-side totals — horizon, energy split, waste,
-    /// utilization, sprint budget books, capacity changes — exactly as the
-    /// closed driver's [`MultiJobReport`] reports them. Its `per_class`
-    /// `response` sets are *empty* and its optional series `None` (the soak
-    /// records per-class statistics into [`SoakReport::per_class`]
-    /// instead); only its scalar energy/eviction fields are meaningful
-    /// there.
+    /// Whole-run engine-side totals — horizon, energy, waste, utilization,
+    /// sprint budget books, capacity changes — exactly as the closed
+    /// driver's [`MultiJobReport`] reports them. Its `per_class` is empty:
+    /// every per-class number is in [`SoakReport::per_class`].
     pub totals: MultiJobReport,
     /// Per-class lifetime statistics over every measured completion, on the
-    /// O(1)-memory streaming backend: `response` and the series asked for
-    /// with [`SoakExperiment::record`].
+    /// O(1)-memory streaming backend: `response`, the series asked for with
+    /// [`SoakExperiment::record`], and the per-class split of the run's
+    /// active energy, busy and sprint slot-seconds.
     pub per_class: Vec<MultiClassStats<StreamingSummary>>,
     /// Tumbling windows in measurement order (the last one may be partial).
     pub windows: Vec<SoakWindow>,
@@ -387,6 +385,9 @@ impl<S: JobSource> SoakExperiment<S> {
         let (arrival_batch, series) = (self.inner.arrival_batch, self.series);
         let exp = self.inner.jobs(driver_jobs).warmup(driver_warmup);
         let mut driver = MultiDriver::build(exp)?;
+        let (scored, sketch) = (driver.slos.is_some(), || {
+            StreamingSummary::with_epsilon(eps)
+        });
         driver.completion_cap = calibration
             .saturating_add(driver_warmup)
             .saturating_add(jobs)
@@ -399,7 +400,7 @@ impl<S: JobSource> SoakExperiment<S> {
             window_jobs,
             calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
             lifetime: (0..driver.classes)
-                .map(|_| MultiClassStats::recording(series, || StreamingSummary::with_epsilon(eps)))
+                .map(|_| MultiClassStats::recording(series, scored, sketch))
                 .collect(),
             window: window_classes(driver.classes, eps),
             ..SoakBooks::default()
@@ -415,7 +416,12 @@ impl<S: JobSource> SoakExperiment<S> {
         let wall_clock_secs = wall_start.elapsed().as_secs_f64();
         let events = driver.run.events_done;
         let simulated = driver.run.total_completions as f64;
-        let totals = driver.finalize();
+        let mut totals = driver.finalize();
+        for (lifetime, engine) in books.lifetime.iter_mut().zip(totals.per_class.drain(..)) {
+            lifetime.active_energy_joules = engine.active_energy_joules;
+            lifetime.busy_slot_secs = engine.busy_slot_secs;
+            lifetime.sprint_slot_secs = engine.sprint_slot_secs;
+        }
         Ok(SoakReport {
             totals,
             per_class: books.lifetime,

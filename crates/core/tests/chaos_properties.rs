@@ -47,13 +47,14 @@ fn empty_trace_slos_and_idle_degradation_are_bit_identical_to_plain_run() {
     };
     let plain = plain.multi().run().expect("valid experiment");
     let mut guarded = guarded.multi().run().expect("valid experiment");
-    // The giant SLO targets are met by every completion; nothing else may
-    // differ by a bit.
+    // The giant SLO targets are met by every completion, and a run without
+    // targets counts none; nothing else may differ by a bit.
     for c in &mut guarded.per_class {
-        assert_eq!(c.slo_attained, c.completed);
-        assert_eq!(c.slo_attainment(), 1.0);
-        c.slo_attained = 0;
+        assert_eq!(c.slo_attained, Some(c.completed));
+        assert_eq!(c.slo_attainment(), Some(1.0));
+        c.slo_attained = None;
     }
+    assert!(plain.per_class.iter().all(|c| c.slo_attainment().is_none()));
     assert_eq!(guarded, plain);
     assert_eq!(guarded.capacity_changes, 0);
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use dias_core::federation::{FederationExperiment, FederationReport, FederationRunLog, Router};
 use dias_core::sweep::{run_differential, run_multi_experiments_branch, run_parallel};
 use dias_core::{
-    BranchStats, ClassStats, DegradationPolicy, ExperimentError, ExperimentReport, MultiClassStats,
+    BranchStats, DegradationPolicy, ExperimentError, ExperimentReport, MultiClassStats,
     MultiJobReport, Series, SoakReport, SprintBudget, SprintPolicy, WarmupRule,
 };
 use dias_des::stats::SampleStats;
@@ -89,9 +89,12 @@ pub fn paper_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
 }
 
 /// A soak at batch 1 under a fixed arrival warm-up runs the closed run's
-/// operation sequence: engine-side totals bit for bit, per-class counts
-/// exact, means to summation order, p95 inside the sketch's ε rank bracket.
-/// Returns the closed run's report.
+/// operation sequence: engine-side totals and the per-class energy split bit
+/// for bit, per-class counts exact, means to summation order, p95 inside the
+/// sketch's ε rank bracket. The soak keeps every per-class number in its
+/// `per_class`, none in `totals`, and its energy split is lossless:
+/// `idle + Σ per-class active == total` to 1e-9 relative. Returns the closed
+/// run's report.
 pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
     let exact = s.multi().run().map_err(|e| e.to_string())?;
     let soak = s.clone().with(|s| s.batch = 1).soak().run();
@@ -110,18 +113,19 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
             r.sprint_budget_remaining_j,
             r.failure_lost_work_secs,
         ];
-        let classes = r
-            .per_class
-            .iter()
-            .flat_map(|c| [c.active_energy_joules, c.busy_slot_secs, c.sprint_slot_secs]);
-        let bits: Vec<u64> = totals
-            .into_iter()
-            .chain(classes)
-            .map(f64::to_bits)
-            .collect();
-        (bits, [r.evictions, r.failure_evictions, r.capacity_changes])
+        let counts = [r.evictions, r.failure_evictions, r.capacity_changes];
+        (totals.map(f64::to_bits), counts)
     };
     prop_assert_eq!(engine_side(&soak.totals), engine_side(&exact));
+    prop_assert!(soak.totals.per_class.is_empty(), "soak totals per class");
+    prop_assert_eq!(
+        energy_split(&soak.per_class),
+        energy_split(&exact.per_class)
+    );
+    let t = &soak.totals;
+    let active: f64 = soak.per_class.iter().map(|c| c.active_energy_joules).sum();
+    let rel = (t.idle_energy_joules + active - t.energy_joules).abs() / t.energy_joules;
+    prop_assert!(rel < 1e-9, "energy split off by {}", rel);
     let measured: u64 = exact.per_class.iter().map(|c| c.completed).sum();
     prop_assert_eq!(soak.measured_jobs, measured);
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
@@ -174,10 +178,21 @@ fn means<B: SampleStats>(c: &MultiClassStats<B>) -> [Option<f64>; 6] {
     ]
 }
 
-/// A class's completion counts, which every driver books exactly.
-fn counts<B: SampleStats>(c: &MultiClassStats<B>) -> [u64; 5] {
+/// The bits of each class's active energy, busy and sprint slot-seconds.
+fn energy_split<B: SampleStats>(classes: &[MultiClassStats<B>]) -> Vec<u64> {
+    classes
+        .iter()
+        .flat_map(|c| [c.active_energy_joules, c.busy_slot_secs, c.sprint_slot_secs])
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// A class's completion counts, which every driver books exactly, and its
+/// SLO count, `None` when the run set no targets.
+fn counts<B: SampleStats>(c: &MultiClassStats<B>) -> ([u64; 4], Option<u64>) {
     let (n, evicted) = (c.response.count(), c.evictions);
-    [n, c.completed, evicted, c.failure_evictions, c.slo_attained]
+    let counts = [n, c.completed, evicted, c.failure_evictions];
+    (counts, c.slo_attained)
 }
 
 /// Two soak runs under MSER warm-up are the same simulation at release
@@ -334,28 +349,13 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
 
     let (d, a) = (default.experiment().run(), all.experiment().run());
     let (d, a) = (d.map_err(err)?, a.map_err(err)?);
-    let bare_paper = |r: &ExperimentReport| ExperimentReport {
-        per_class: r
-            .per_class
-            .iter()
-            .map(|c| ClassStats {
-                queueing: None,
-                execution: None,
-                ..c.clone()
-            })
-            .collect(),
-        ..r.clone()
+    presence(&d.per_class, false)?;
+    presence(&a.per_class, true)?;
+    let bare_paper = ExperimentReport {
+        per_class: a.per_class.iter().map(bare).collect(),
+        ..a.clone()
     };
-    prop_assert!(bare_paper(&d) == d, "paper: default run holds a series");
-    prop_assert!(
-        bare_paper(&a) == d,
-        "paper: recording a series changed the run"
-    );
-    let complete = |c: &ClassStats| c.queueing.is_some() && c.execution.is_some();
-    prop_assert!(
-        a.per_class.iter().all(complete),
-        "paper: a series is missing"
-    );
+    prop_assert!(bare_paper == d, "paper: recording a series changed the run");
 
     for batch in [1, 16] {
         let soak = |s: &Scenario| s.clone().with(|s| s.batch = batch).soak().run();

@@ -113,7 +113,7 @@ fn windows_concatenate_exactly_to_lifetime_books() {
         let count: u64 = rows().map(|c| c.completed).sum();
         assert_eq!(count, lifetime.completed, "window counts[{k}]");
         let slo: u64 = rows().map(|c| c.slo_attained).sum();
-        assert_eq!(slo, lifetime.slo_attained, "window slo counts[{k}]");
+        assert_eq!(Some(slo), lifetime.slo_attained, "window slo counts[{k}]");
         let weighted: f64 = rows().map(|c| c.mean_response * c.completed as f64).sum();
         let (a, b) = (weighted / count as f64, lifetime.response.mean());
         assert!(
