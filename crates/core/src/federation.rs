@@ -72,7 +72,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 use dias_des::stats::SampleSet;
 use dias_des::SimTime;
@@ -81,8 +81,8 @@ use dias_engine::{ClusterSpec, FaultTrace, IdMap, JobInstance, Scheduler};
 use crate::multi::{CompletionObs, MultiDriver, Recorder};
 use crate::sweep::run_parallel;
 use crate::{
-    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, Series,
-    SprintBudget, SprintPolicy,
+    ExperimentError, JobSource, MultiJobExperiment, MultiJobReport, Series, SprintBudget,
+    SprintPolicy,
 };
 
 /// Deterministic job-to-shard assignment policy.
@@ -258,8 +258,7 @@ impl Recorder<ShardInbox> for GlobalWindow {
             .remove(&obs.job)
             .expect("completed job was delivered to this shard");
         if self.measured.contains(&seq) {
-            driver.run.measured_done += 1;
-            driver.run.report.per_class[obs.class].record(obs, driver.slos.as_deref());
+            driver.record(obs);
         }
     }
 }
@@ -304,112 +303,32 @@ pub struct FederationRunLog {
 /// are identical float for float. Everything in here is therefore a pure
 /// function of (stream, shards, router, couplings) — per-epoch telemetry
 /// lives in [`FederationRunLog`] instead.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Dereferences to [`FederationReport::totals`], so the fleet's numbers
+/// read as on any run: `report.energy_joules`, `report.per_class[k]`,
+/// `report.completed()`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FederationReport {
+    /// The fleet's books: the [`MultiJobReport::merge`] of every shard's
+    /// report in shard order. Its per-class statistics hold every shard's
+    /// measured completions over `response` and the series asked for with
+    /// [`FederationExperiment::record`]; its `horizon_secs` is the latest
+    /// shard horizon, so `utilization` counts a shard that drained early as
+    /// idle capacity until the last one finishes; its sprint-budget books
+    /// sum the partitioned budgets; its `scheduler` is shard 0's.
+    pub totals: MultiJobReport,
     /// Per-shard reports, in shard order, each over the shard's own horizon
     /// and slot capacity.
     pub shards: Vec<MultiJobReport>,
-    /// Fleet-wide per-class statistics: the shard-order merge of every
-    /// shard's measured completions, over `response` and the series asked
-    /// for with [`FederationExperiment::record`].
-    pub per_class: Vec<MultiClassStats>,
     /// Jobs routed to each shard.
     pub routed_jobs: Vec<u64>,
-    /// Latest shard horizon, in seconds.
-    pub horizon_secs: f64,
-    /// Total energy across the fleet.
-    pub energy_joules: f64,
-    /// Idle-baseline energy across the fleet.
-    pub idle_energy_joules: f64,
-    /// Slot-seconds busy across the fleet.
-    pub busy_slot_secs: f64,
-    /// Busy slot-seconds over fleet capacity (total slots × fleet horizon);
-    /// early-draining shards count as idle capacity until the last shard
-    /// finishes.
-    pub utilization: f64,
-    /// Machine-seconds of completed work across the fleet.
-    pub total_work_secs: f64,
-    /// Machine-seconds destroyed by evictions across the fleet.
-    pub wasted_work_secs: f64,
-    /// Evictions across the fleet.
-    pub evictions: u64,
-    /// Slot-failure evictions across the fleet (subset of
-    /// [`FederationReport::evictions`]).
-    pub failure_evictions: u64,
-    /// Machine-seconds destroyed by slot failures across the fleet.
-    pub failure_lost_work_secs: f64,
-    /// Joules spent from the partitioned sprint budgets, summed in shard
-    /// order.
-    pub sprint_budget_spent_j: f64,
-    /// Joules replenished into the partitioned sprint budgets.
-    pub sprint_budget_replenished_j: f64,
-    /// Sprint budget remaining across shards at the end of the run.
-    pub sprint_budget_remaining_j: f64,
 }
 
-impl FederationReport {
-    /// Fleet-wide mean response time of class `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn mean_response(&self, k: usize) -> f64 {
-        self.per_class[k].response.mean()
-    }
+impl Deref for FederationReport {
+    type Target = MultiJobReport;
 
-    /// Fleet-wide 95th-percentile response time of class `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn p95_response(&self, k: usize) -> f64 {
-        self.per_class[k].response.p95()
-    }
-
-    /// Measured completions across the fleet.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.per_class.iter().map(|c| c.completed).sum()
-    }
-
-    fn aggregate(
-        shard_reports: Vec<MultiJobReport>,
-        routed_jobs: Vec<u64>,
-        mut per_class: Vec<MultiClassStats>,
-        total_slots: usize,
-    ) -> FederationReport {
-        let mut out = FederationReport {
-            routed_jobs,
-            ..Default::default()
-        };
-        for rep in &shard_reports {
-            for (k, class) in rep.per_class.iter().enumerate() {
-                per_class[k].merge(class);
-            }
-            out.horizon_secs = out.horizon_secs.max(rep.horizon_secs);
-            out.energy_joules += rep.energy_joules;
-            out.idle_energy_joules += rep.idle_energy_joules;
-            out.busy_slot_secs += rep.busy_slot_secs;
-            out.total_work_secs += rep.total_work_secs;
-            out.wasted_work_secs += rep.wasted_work_secs;
-            out.evictions += rep.evictions;
-            out.failure_evictions += rep.failure_evictions;
-            out.failure_lost_work_secs += rep.failure_lost_work_secs;
-            out.sprint_budget_spent_j += rep.sprint_budget_spent_j;
-            out.sprint_budget_replenished_j += rep.sprint_budget_replenished_j;
-            out.sprint_budget_remaining_j += rep.sprint_budget_remaining_j;
-        }
-        let capacity = out.horizon_secs * total_slots as f64;
-        out.utilization = if capacity > 0.0 {
-            (out.busy_slot_secs / capacity).min(1.0)
-        } else {
-            0.0
-        };
-        out.per_class = per_class;
-        out.shards = shard_reports;
-        out
+    fn deref(&self) -> &MultiJobReport {
+        &self.totals
     }
 }
 
@@ -584,7 +503,7 @@ impl<S: JobSource> FederationExperiment<S> {
     }
 
     /// Runs the federation on up to `threads` lanes (the calling thread is
-    /// one of them) and aggregates the fleet report.
+    /// one of them) and merges the shard reports into the fleet's.
     ///
     /// The report is bitwise identical for every `threads >= 1` and every
     /// epoch length.
@@ -631,18 +550,13 @@ impl<S: JobSource> FederationExperiment<S> {
             Some(traces) => traces,
             None => vec![FaultTrace::default(); self.shards.len()],
         };
-        // The fleet-wide books the shards' books merge into.
-        let first = &self.shards[0];
-        let empty = MultiClassStats::recording(first.series, first.slos.is_some(), SampleSet::new);
-        let per_class = vec![empty; self.source.classes()];
         let slot_counts: Vec<usize> = self.shards.iter().map(|s| s.cluster.slots()).collect();
-        let total_slots: usize = slot_counts.iter().sum();
         let measured = self.warmup..self.warmup.saturating_add(self.jobs);
 
         let mut drivers: Vec<ShardDriver> = Vec::with_capacity(self.shards.len());
         for (exp, trace) in self.shards.into_iter().zip(faults) {
             drivers.push(ShardDriver {
-                driver: MultiDriver::build(exp.faults(trace))?,
+                driver: MultiDriver::build(exp.faults(trace), SampleSet::new)?,
                 window: GlobalWindow {
                     global_seq: IdMap::default(),
                     measured: measured.clone(),
@@ -651,6 +565,8 @@ impl<S: JobSource> FederationExperiment<S> {
             });
         }
 
+        // The fleet's books start as shard 0's empty ones.
+        let totals = drivers[0].driver.run.report.clone();
         let mut cursor = RouterCursor::new(self.router, &slot_counts);
         let mut next = if self.arrivals > 0 {
             self.source.next_job()
@@ -731,16 +647,18 @@ impl<S: JobSource> FederationExperiment<S> {
         }
 
         // Close the books in shard order.
-        let mut shard_reports = Vec::with_capacity(drivers.len());
-        let mut routed_jobs = Vec::with_capacity(drivers.len());
+        let mut report = FederationReport {
+            totals,
+            shards: Vec::with_capacity(drivers.len()),
+            routed_jobs: Vec::with_capacity(drivers.len()),
+        };
         for shard in drivers {
-            routed_jobs.push(shard.routed);
-            shard_reports.push(shard.driver.finalize());
+            let closed = shard.driver.finalize();
+            report.totals.merge(&closed);
+            report.shards.push(closed);
+            report.routed_jobs.push(shard.routed);
         }
-        Ok((
-            FederationReport::aggregate(shard_reports, routed_jobs, per_class, total_slots),
-            log,
-        ))
+        Ok((report, log))
     }
 }
 

@@ -246,17 +246,15 @@ impl<B: SampleStats> MultiClassStats<B> {
                 .map(B::live_nodes)
                 .sum::<usize>()
     }
-}
 
-impl MultiClassStats<SampleSet> {
     /// Merges another report's statistics for the same class into this one.
     ///
-    /// Sample merging is exact concatenation ([`SampleSet::merge`]) and the
-    /// counters/energies add, so folding per-shard federation reports in
-    /// shard order yields the same statistics regardless of how many worker
-    /// threads (or which epoch length) produced them. Only series, and the SLO
-    /// count, present on both sides are merged; one missing from either side
-    /// is `None` after.
+    /// The series merge as their backend does (exact concatenation for a
+    /// [`SampleSet`]) and the counters/energies add, so folding per-shard
+    /// federation reports in shard order yields the same statistics
+    /// regardless of how many worker threads (or which epoch length)
+    /// produced them. Only series, and the SLO count, present on both sides
+    /// are merged; one missing from either side is `None` after.
     pub fn merge(&mut self, other: &Self) {
         self.completed += other.completed;
         self.response.merge(&other.response);
@@ -277,18 +275,27 @@ impl MultiClassStats<SampleSet> {
     }
 }
 
-/// The full outcome of one multi-job run.
+/// The full outcome of one multi-job run: the totals and per-class books
+/// every report in the crate keeps.
+///
+/// Generic over the statistics backend `B` like [`MultiClassStats`]: the
+/// closed run and the fleet keep exact [`SampleSet`]s, and the soak's
+/// [`SoakReport::totals`](crate::SoakReport::totals) keeps
+/// [`StreamingSummary`](dias_des::stats::StreamingSummary) sketches. The
+/// fleet's [`FederationReport::totals`](crate::FederationReport::totals) is
+/// the [`MultiJobReport::merge`] of its shards' reports.
 ///
 /// Reports compare with `==` bit-exactly: the conformance oracle relies on
 /// a resumed suffix replay producing a report identical to a full run's,
 /// float for float.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MultiJobReport {
-    /// Label of the scheduler policy that produced this report.
+pub struct MultiJobReport<B: SampleStats = SampleSet> {
+    /// Label of the scheduler policy that produced this report (a merge
+    /// keeps the label of the report merged into).
     pub scheduler: String,
     /// Per-class statistics, indexed by class (higher = higher priority).
-    pub per_class: Vec<MultiClassStats>,
-    /// Wall-clock horizon of the run in seconds.
+    pub per_class: Vec<MultiClassStats<B>>,
+    /// Wall-clock horizon of the run in seconds (a merge keeps the later).
     pub horizon_secs: f64,
     /// Total cluster energy over the horizon, in joules.
     pub energy_joules: f64,
@@ -302,7 +309,11 @@ pub struct MultiJobReport {
     pub evictions: u64,
     /// Slot-seconds busy across all jobs and attempts.
     pub busy_slot_secs: f64,
-    /// Average fraction of the cluster's slot capacity in use.
+    /// Slots of the cluster (a merge adds them up).
+    pub slots: usize,
+    /// Average fraction of the slot capacity in use: `busy_slot_secs` over
+    /// `slots × horizon_secs`, at most 1. A merged report counts a cluster
+    /// that drained early as idle capacity up to the later horizon.
     pub utilization: f64,
     /// Joules the sprint budget spent over the run (0 without a sprint policy
     /// or with an unlimited budget).
@@ -326,7 +337,7 @@ pub struct MultiJobReport {
     pub capacity_changes: u64,
 }
 
-impl MultiJobReport {
+impl<B: SampleStats> MultiJobReport<B> {
     /// Mean response time of class `k`.
     ///
     /// # Panics
@@ -337,7 +348,8 @@ impl MultiJobReport {
         self.per_class[k].response.mean()
     }
 
-    /// 95th-percentile response time of class `k`.
+    /// 95th-percentile response time of class `k` (within the sketch's rank
+    /// error on the streaming backend).
     ///
     /// # Panics
     ///
@@ -345,6 +357,12 @@ impl MultiJobReport {
     #[must_use]
     pub fn p95_response(&self, k: usize) -> f64 {
         self.per_class[k].response.p95()
+    }
+
+    /// Measured completions across every class.
+    #[must_use]
+    pub fn completed(&self) -> u64 {
+        self.per_class.iter().map(|c| c.completed).sum()
     }
 
     /// Fraction of performed work destroyed by evictions.
@@ -356,6 +374,54 @@ impl MultiJobReport {
         } else {
             0.0
         }
+    }
+
+    /// Folds another run's report into this one, class by class as
+    /// [`MultiClassStats::merge`] does. Counters, energies, work, slots and
+    /// sprint-budget books add, the horizon is the later one and
+    /// `utilization` is taken afresh over the merged capacity. The fleet
+    /// folds its shards' reports into empty books in shard order, so its
+    /// totals are the same floats whatever thread count or epoch length
+    /// produced the shards.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.per_class.iter_mut().zip(&other.per_class) {
+            mine.merge(theirs);
+        }
+        self.horizon_secs = self.horizon_secs.max(other.horizon_secs);
+        self.energy_joules += other.energy_joules;
+        self.idle_energy_joules += other.idle_energy_joules;
+        self.wasted_work_secs += other.wasted_work_secs;
+        self.total_work_secs += other.total_work_secs;
+        self.evictions += other.evictions;
+        self.busy_slot_secs += other.busy_slot_secs;
+        self.slots += other.slots;
+        self.sprint_budget_spent_j += other.sprint_budget_spent_j;
+        self.sprint_budget_replenished_j += other.sprint_budget_replenished_j;
+        self.sprint_budget_remaining_j += other.sprint_budget_remaining_j;
+        self.failure_evictions += other.failure_evictions;
+        self.failure_lost_work_secs += other.failure_lost_work_secs;
+        self.capacity_changes += other.capacity_changes;
+        self.update_utilization();
+    }
+
+    /// Sets `utilization` from the busy slot-seconds, the slots and the
+    /// horizon.
+    fn update_utilization(&mut self) {
+        let capacity = self.horizon_secs * self.slots as f64;
+        self.utilization = if capacity > 0.0 {
+            (self.busy_slot_secs / capacity).min(1.0)
+        } else {
+            0.0
+        };
+    }
+
+    /// Attributes one job's energy ledger to class `class`.
+    fn add_energy(&mut self, class: usize, energy: &JobEnergy) {
+        let stats = &mut self.per_class[class];
+        stats.active_energy_joules += energy.active_joules;
+        stats.busy_slot_secs += energy.busy_slot_secs;
+        stats.sprint_slot_secs += energy.sprint_slot_secs;
+        self.busy_slot_secs += energy.busy_slot_secs;
     }
 }
 
@@ -648,7 +714,7 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// [`ExperimentError::Starved`] when a measured job cannot complete under
     /// the offered load.
     pub fn run(self) -> Result<MultiJobReport, ExperimentError> {
-        MultiDriver::build(self)?.run_closed()
+        MultiDriver::build(self, SampleSet::new)?.run_closed()
     }
 }
 
@@ -706,7 +772,7 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
         }
         self.check_branchable()?;
         let (thetas, series) = (self.thetas.clone(), self.series);
-        let mut driver = MultiDriver::build(self)?;
+        let mut driver = MultiDriver::build(self, SampleSet::new)?;
         let mut recording = Recording {
             stride,
             checkpoints: Vec::new(),
@@ -762,7 +828,7 @@ impl<S: JobSource + Clone> MultiJobExperiment<S> {
             // full.
             return self.run();
         };
-        let mut driver = MultiDriver::build(self)?;
+        let mut driver = MultiDriver::build(self, SampleSet::new)?;
         driver.engine.restore(&cp.1);
         driver.run.clone_from(&cp.0);
         driver.run_closed()
@@ -921,36 +987,36 @@ impl<S> MultiRunTrace<S> {
 /// monomorphized over it, so the hooks a recorder leaves out cost nothing.
 ///
 /// The defaults are the closed run's ([`Closed`]): measured completions go
-/// into the driver's exact per-class report until `jobs` of them are in.
-pub(crate) trait Recorder<S> {
+/// into the driver's per-class books ([`MultiDriver::record`]) until `jobs`
+/// of them are in.
+pub(crate) trait Recorder<S, B: SampleStats = SampleSet> {
     /// Measured completions so far and the count that ends the run. A run
     /// that starves reports both in [`ExperimentError::Starved`].
-    fn progress(&self, driver: &MultiDriver<S>) -> (usize, usize) {
+    fn progress(&self, driver: &MultiDriver<S, B>) -> (usize, usize) {
         (driver.run.measured_done, driver.jobs)
     }
 
     /// Records one completion. By default an unmeasured (warm-up) one is
     /// dropped here, after its side effects in [`MultiDriver::step`].
-    fn record(&mut self, driver: &mut MultiDriver<S>, obs: &CompletionObs) {
+    fn record(&mut self, driver: &mut MultiDriver<S, B>, obs: &CompletionObs) {
         if obs.measured {
-            driver.run.measured_done += 1;
-            driver.run.report.per_class[obs.class].record(obs, driver.slos.as_deref());
+            driver.record(obs);
         }
     }
 
     /// Called at an arrival boundary, *before* the drawn arrivals in the
     /// driver's release buffer are submitted: the state branch re-execution
     /// resumes from.
-    fn on_arrival(&mut self, _driver: &MultiDriver<S>) {}
+    fn on_arrival(&mut self, _driver: &MultiDriver<S, B>) {}
 
     /// Called after every step.
-    fn after_step(&mut self, _driver: &MultiDriver<S>) {}
+    fn after_step(&mut self, _driver: &MultiDriver<S, B>) {}
 }
 
 /// The closed run's recorder: the trait's defaults.
 struct Closed;
 
-impl<S> Recorder<S> for Closed {}
+impl<S, B: SampleStats> Recorder<S, B> for Closed {}
 
 /// The closed run that also records the branchable trace: every arrival's
 /// signature, and a checkpoint every `stride` arrivals (always including
@@ -1025,10 +1091,11 @@ impl CompletionObs {
 /// step to the next.
 ///
 /// [`MultiDriver::run_until`] is the one loop; callers differ only in the
-/// [`Recorder`] they hand it. A checkpoint is a clone of [`RunState`] plus an
-/// engine [`EngineCheckpoint`], so a piece of state added to either is
-/// captured and restored without further edits.
-pub(crate) struct MultiDriver<S> {
+/// [`Recorder`] they hand it, and in the backend `B` of their per-class
+/// books. A checkpoint is a clone of [`RunState`] plus an engine
+/// [`EngineCheckpoint`], so a piece of state added to either is captured and
+/// restored without further edits.
+pub(crate) struct MultiDriver<S, B: SampleStats = SampleSet> {
     // Immutable configuration.
     thetas: Option<Vec<f64>>,
     pub(crate) slos: Option<Vec<f64>>,
@@ -1041,10 +1108,9 @@ pub(crate) struct MultiDriver<S> {
     /// Termination guard: the run fails as starved once more completions
     /// than this went by without the recorder's count being reached.
     pub(crate) completion_cap: usize,
-    total_slots: usize,
     arrival_batch: usize,
     pub(crate) engine: ClusterSim,
-    pub(crate) run: RunState<S>,
+    pub(crate) run: RunState<S, B>,
     /// Per-arrival drop-signature scratch, reused across admissions so the
     /// hot path stops allocating once millions of jobs flow through a shard
     /// (cleared and refilled in [`MultiDriver::admit`]; never checkpointed).
@@ -1054,12 +1120,12 @@ pub(crate) struct MultiDriver<S> {
 /// Everything the loop carries across iterations besides the engine — what
 /// a [`MultiCheckpoint`] clones.
 #[derive(Clone)]
-pub(crate) struct RunState<S> {
+pub(crate) struct RunState<S, B: SampleStats = SampleSet> {
     /// The arrival stream. A clone taken at an arrival boundary sits exactly
     /// at that boundary's draw offset, so a restored checkpoint draws the
     /// remaining jobs bit for bit.
     pub(crate) source: S,
-    pub(crate) report: MultiJobReport,
+    pub(crate) report: MultiJobReport<B>,
     meta: IdMap<JobMeta>,
     timers: TimerHeap,
     /// Sequence number of the next armed timer.
@@ -1082,10 +1148,23 @@ pub(crate) struct RunState<S> {
     pub(crate) events_done: u64,
 }
 
-impl<S: JobSource> MultiDriver<S> {
-    /// Validates the experiment and sets up the start-of-run state. This is
-    /// where every builder's per-class settings are checked.
-    pub(crate) fn build(mut exp: MultiJobExperiment<S>) -> Result<Self, ExperimentError> {
+impl<S, B: SampleStats> MultiDriver<S, B> {
+    /// Counts one measured completion and folds it into its class's books:
+    /// the one recording call of every driver.
+    pub(crate) fn record(&mut self, obs: &CompletionObs) {
+        self.run.measured_done += 1;
+        self.run.report.per_class[obs.class].record(obs, self.slos.as_deref());
+    }
+}
+
+impl<S: JobSource, B: SampleStats> MultiDriver<S, B> {
+    /// Validates the experiment and sets up the start-of-run state, with
+    /// per-class books whose series `new` builds. This is where every
+    /// builder's per-class settings are checked.
+    pub(crate) fn build(
+        mut exp: MultiJobExperiment<S>,
+        new: impl Fn() -> B,
+    ) -> Result<Self, ExperimentError> {
         let classes = exp.source.classes();
         // Every per-class setting must cover exactly the source's classes.
         let lens = [
@@ -1130,16 +1209,10 @@ impl<S: JobSource> MultiDriver<S> {
                 .with_draw_cap(exp.sprint_draw_cap_w)
         });
         let engine = ClusterSim::with_scheduler(exp.cluster.clone(), exp.scheduler)?;
+        let books = MultiClassStats::recording(exp.series, exp.slos.is_some(), new);
         let report = MultiJobReport {
             scheduler: engine.scheduler_label().to_string(),
-            per_class: vec![
-                MultiClassStats::recording(
-                    exp.series,
-                    exp.slos.is_some(),
-                    SampleSet::new
-                );
-                classes
-            ],
+            per_class: vec![books; classes],
             ..Default::default()
         };
         let total_slots = exp.cluster.slots();
@@ -1158,7 +1231,6 @@ impl<S: JobSource> MultiDriver<S> {
             // Under saturating higher-class load a measured job may never
             // complete.
             completion_cap: target.saturating_mul(64).saturating_add(1024),
-            total_slots,
             arrival_batch: exp.arrival_batch,
             engine,
             run: RunState {
@@ -1192,7 +1264,7 @@ impl<S: JobSource> MultiDriver<S> {
     ///
     /// Engine errors, or [`ExperimentError::Starved`] once more than
     /// `completion_cap` completions went by short of the recorder's count.
-    pub(crate) fn run_until<R: Recorder<S>>(
+    pub(crate) fn run_until<R: Recorder<S, B>>(
         &mut self,
         horizon: SimTime,
         recorder: &mut R,
@@ -1223,7 +1295,7 @@ impl<S: JobSource> MultiDriver<S> {
 
     /// Runs the closed loop to the end of the measured window and closes the
     /// books.
-    fn run_closed(mut self) -> Result<MultiJobReport, ExperimentError> {
+    fn run_closed(mut self) -> Result<MultiJobReport<B>, ExperimentError> {
         self.run_until(SimTime::FAR_FUTURE, &mut Closed)?;
         Ok(self.finalize())
     }
@@ -1479,7 +1551,7 @@ impl<S: JobSource> MultiDriver<S> {
             self.run.last_effective = effective;
             self.run.report.capacity_changes += 1;
             if let Some(d) = &self.degrade {
-                self.thetas = Some(d.thetas_for(self.total_slots, effective));
+                self.thetas = Some(d.thetas_for(self.cluster.slots(), effective));
             }
         }
         Ok(())
@@ -1620,20 +1692,24 @@ impl<S: JobSource> MultiDriver<S> {
 
     /// Live driver+engine objects right now: calendar entries, pending and
     /// running jobs, job metadata records, armed sprint timers (dead ones
-    /// included until they reach the top of the heap) and drawn arrivals.
-    /// The soak adds its sketch nodes on top to form the peak-RSS proxy.
+    /// included until they reach the top of the heap), drawn arrivals and
+    /// the per-class books' live nodes. The soak adds its windows on top to
+    /// form the peak-RSS proxy.
     pub(crate) fn live_objects(&self) -> usize {
+        let books = &self.run.report.per_class;
+        let books: usize = books.iter().map(MultiClassStats::live_nodes).sum();
         self.engine.pending_events()
             + self.engine.pending_jobs()
             + self.engine.running_count()
             + self.run.meta.len()
             + self.run.timers.len()
             + self.run.arrivals.len()
+            + books
     }
 
     /// Closes the books: in-flight energy attribution, horizon, utilization
     /// and sprint-budget totals.
-    pub(crate) fn finalize(mut self) -> MultiJobReport {
+    pub(crate) fn finalize(mut self) -> MultiJobReport<B> {
         // Jobs still running when the measured window closes have accrued
         // active energy the cluster total includes; attribute their in-flight
         // ledgers so the per-class split stays lossless: idle + Σ per-class
@@ -1660,24 +1736,9 @@ impl<S: JobSource> MultiDriver<S> {
             self.run.report.sprint_budget_replenished_j = s.replenished_j();
             self.run.report.sprint_budget_remaining_j = s.budget_j();
         }
-        let capacity = horizon * self.cluster.slots() as f64;
-        self.run.report.utilization = if capacity > 0.0 {
-            (self.run.report.busy_slot_secs / capacity).min(1.0)
-        } else {
-            0.0
-        };
+        self.run.report.slots = self.cluster.slots();
+        self.run.report.update_utilization();
         self.run.report
-    }
-}
-
-impl MultiJobReport {
-    /// Attributes one job's energy ledger to class `class`.
-    fn add_energy(&mut self, class: usize, energy: &JobEnergy) {
-        let stats = &mut self.per_class[class];
-        stats.active_energy_joules += energy.active_joules;
-        stats.busy_slot_secs += energy.busy_slot_secs;
-        stats.sprint_slot_secs += energy.sprint_slot_secs;
-        self.busy_slot_secs += energy.busy_slot_secs;
     }
 }
 

@@ -38,6 +38,7 @@
 //! whose memory grows with run length shows up as a rising high-water mark
 //! long before the process OOMs.
 
+use std::ops::Deref;
 use std::time::Instant;
 
 use dias_des::stats::{SampleStats, StreamingMoments, StreamingSummary, DEFAULT_SKETCH_EPSILON};
@@ -45,10 +46,7 @@ use dias_des::SimTime;
 use dias_engine::{FaultTrace, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, Recorder};
-use crate::{
-    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, Series,
-    SprintPolicy,
-};
+use crate::{ExperimentError, JobSource, MultiJobExperiment, MultiJobReport, Series, SprintPolicy};
 
 /// How a soak decides where measurement starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,18 +104,20 @@ pub struct SoakWindow {
 }
 
 /// The outcome of one [`SoakExperiment::run`].
+///
+/// Dereferences to [`SoakReport::totals`], so the run's numbers read as on
+/// any run: `report.energy_joules`, `report.per_class[k].response`,
+/// `report.mean_response(k)`.
 #[derive(Debug, Clone)]
 pub struct SoakReport {
-    /// Whole-run engine-side totals — horizon, energy, waste, utilization,
-    /// sprint budget books, capacity changes — exactly as the closed
-    /// driver's [`MultiJobReport`] reports them. Its `per_class` is empty:
-    /// every per-class number is in [`SoakReport::per_class`].
-    pub totals: MultiJobReport,
-    /// Per-class lifetime statistics over every measured completion, on the
-    /// O(1)-memory streaming backend: `response`, the series asked for with
-    /// [`SoakExperiment::record`], and the per-class split of the run's
+    /// The lifetime books, kept exactly as the closed driver keeps its
+    /// [`MultiJobReport`] but on the O(1)-memory streaming backend: the
+    /// engine-side totals (horizon, energy, waste, utilization, sprint
+    /// budget books, capacity changes) and, per class, the statistics of
+    /// every measured completion (`response` and the series asked for with
+    /// [`SoakExperiment::record`]) with the class's split of the run's
     /// active energy, busy and sprint slot-seconds.
-    pub per_class: Vec<MultiClassStats<StreamingSummary>>,
+    pub totals: MultiJobReport<StreamingSummary>,
     /// Tumbling windows in measurement order (the last one may be partial).
     pub windows: Vec<SoakWindow>,
     /// Measured completions.
@@ -153,7 +153,6 @@ impl SoakReport {
     #[must_use]
     pub fn same_simulation(&self, other: &SoakReport) -> bool {
         self.totals == other.totals
-            && self.per_class == other.per_class
             && self.windows == other.windows
             && self.measured_jobs == other.measured_jobs
             && self.warmup_jobs == other.warmup_jobs
@@ -161,31 +160,19 @@ impl SoakReport {
             && self.live_high_water == other.live_high_water
             && self.events == other.events
     }
+}
 
-    /// Mean response time of class `k` over the whole measured run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn mean_response(&self, k: usize) -> f64 {
-        self.per_class[k].response.mean()
-    }
+impl Deref for SoakReport {
+    type Target = MultiJobReport<StreamingSummary>;
 
-    /// 95th-percentile response time of class `k` (rank error ≤ εn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn p95_response(&self, k: usize) -> f64 {
-        self.per_class[k].response.p95()
+    fn deref(&self) -> &MultiJobReport<StreamingSummary> {
+        &self.totals
     }
 }
 
 /// An open-system soak over the multi-job engine loop.
 ///
-/// Its lifetime books ([`SoakReport::per_class`]) keep a sketch of each
+/// Its lifetime books ([`SoakReport::totals`]) keep a sketch of each
 /// class's `response` times and of the series asked for with
 /// [`SoakExperiment::record`] (none by default); the windows keep what
 /// their rows read.
@@ -231,7 +218,6 @@ pub struct SoakExperiment<S> {
     warmup: WarmupRule,
     window_jobs: usize,
     epsilon: f64,
-    series: Series,
 }
 
 impl<S: JobSource> SoakExperiment<S> {
@@ -246,7 +232,6 @@ impl<S: JobSource> SoakExperiment<S> {
             warmup: WarmupRule::Mser { calibration: 0 },
             window_jobs: 0,
             epsilon: DEFAULT_SKETCH_EPSILON,
-            series: Series::default(),
         }
     }
 
@@ -295,7 +280,7 @@ impl<S: JobSource> SoakExperiment<S> {
     /// [`SoakReport::live_high_water`].
     #[must_use]
     pub fn record(mut self, series: Series) -> Self {
-        self.series = series;
+        self.inner = self.inner.record(series);
         self
     }
 
@@ -382,26 +367,19 @@ impl<S: JobSource> SoakExperiment<S> {
                 (0, usize::MAX, c)
             }
         };
-        let (arrival_batch, series) = (self.inner.arrival_batch, self.series);
+        let arrival_batch = self.inner.arrival_batch;
         let exp = self.inner.jobs(driver_jobs).warmup(driver_warmup);
-        let mut driver = MultiDriver::build(exp)?;
-        let (scored, sketch) = (driver.slos.is_some(), || {
-            StreamingSummary::with_epsilon(eps)
-        });
+        let mut driver = MultiDriver::build(exp, || StreamingSummary::with_epsilon(eps))?;
         driver.completion_cap = calibration
             .saturating_add(driver_warmup)
             .saturating_add(jobs)
             .saturating_mul(64)
             .saturating_add(1024);
         let mut books = SoakBooks {
-            slos: driver.slos.clone(),
             epsilon: eps,
             jobs,
             window_jobs,
             calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
-            lifetime: (0..driver.classes)
-                .map(|_| MultiClassStats::recording(series, scored, sketch))
-                .collect(),
             window: window_classes(driver.classes, eps),
             ..SoakBooks::default()
         };
@@ -410,23 +388,17 @@ impl<S: JobSource> SoakExperiment<S> {
         driver.run_until(SimTime::FAR_FUTURE, &mut books)?;
         // A finite source can drain mid-calibration: measure what the buffer
         // holds rather than discarding it wholesale.
-        books.resolve_calibration();
+        books.resolve_calibration(&mut driver);
         books.close_window_if_open(driver.engine.energy_joules());
 
         let wall_clock_secs = wall_start.elapsed().as_secs_f64();
         let events = driver.run.events_done;
         let simulated = driver.run.total_completions as f64;
-        let mut totals = driver.finalize();
-        for (lifetime, engine) in books.lifetime.iter_mut().zip(totals.per_class.drain(..)) {
-            lifetime.active_energy_joules = engine.active_energy_joules;
-            lifetime.busy_slot_secs = engine.busy_slot_secs;
-            lifetime.sprint_slot_secs = engine.sprint_slot_secs;
-        }
+        let measured_jobs = driver.run.measured_done as u64;
         Ok(SoakReport {
-            totals,
-            per_class: books.lifetime,
+            totals: driver.finalize(),
             windows: books.windows,
-            measured_jobs: books.measured as u64,
+            measured_jobs,
             warmup_jobs: books.warmup_jobs,
             arrival_batch,
             live_high_water: books.live_high_water,
@@ -441,11 +413,11 @@ impl<S: JobSource> SoakExperiment<S> {
     }
 }
 
-/// The soak's recorder: warm-up machinery, lifetime streaming statistics,
-/// the currently open window and the live-object high-water mark.
+/// The soak's recorder: warm-up machinery, the currently open window and
+/// the live-object high-water mark. The lifetime statistics are the
+/// driver's own per-class books.
 #[derive(Default)]
 struct SoakBooks {
-    slos: Option<Vec<f64>>,
     epsilon: f64,
     /// Measured completions the soak runs for.
     jobs: usize,
@@ -453,14 +425,12 @@ struct SoakBooks {
     /// `Some(buffer)` while MSER calibration is still collecting; `None`
     /// under [`WarmupRule::Arrivals`] or once the truncation resolved.
     calibrating: Option<(usize, Vec<CompletionObs>)>,
-    lifetime: Vec<MultiClassStats<StreamingSummary>>,
     window: Vec<WindowClass>,
     windows: Vec<SoakWindow>,
     window_count: usize,
     window_start_secs: f64,
     window_end_secs: f64,
     energy_mark: f64,
-    measured: usize,
     warmup_jobs: u64,
     live_high_water: usize,
 }
@@ -472,15 +442,18 @@ struct WindowClass {
     slo_attained: u64,
 }
 
-impl<S: JobSource> Recorder<S> for SoakBooks {
-    fn progress(&self, _: &MultiDriver<S>) -> (usize, usize) {
-        (self.measured, self.jobs)
+/// The driver of a soak: its per-class books are lifetime sketches.
+type SoakDriver<S> = MultiDriver<S, StreamingSummary>;
+
+impl<S: JobSource> Recorder<S, StreamingSummary> for SoakBooks {
+    fn progress(&self, driver: &SoakDriver<S>) -> (usize, usize) {
+        (driver.run.measured_done, self.jobs)
     }
 
     /// Routes one completion: warm-up discard, calibration buffering, or
     /// measurement. The engine's cumulative energy at the completion is
     /// consumed when this observation closes a window.
-    fn record(&mut self, driver: &mut MultiDriver<S>, obs: &CompletionObs) {
+    fn record(&mut self, driver: &mut SoakDriver<S>, obs: &CompletionObs) {
         let energy_now = driver.engine.energy_joules();
         if !obs.measured {
             // Outside the driver's arrival window (fixed warm-up mode).
@@ -490,16 +463,16 @@ impl<S: JobSource> Recorder<S> for SoakBooks {
         if let Some((target, buffer)) = self.calibrating.as_mut() {
             buffer.push(*obs);
             if buffer.len() >= *target {
-                self.resolve_calibration();
+                self.resolve_calibration(driver);
                 self.close_windows_if_full(energy_now);
             }
             return;
         }
-        self.measure(obs);
+        self.measure(driver, obs);
         self.close_windows_if_full(energy_now);
     }
 
-    fn after_step(&mut self, driver: &MultiDriver<S>) {
+    fn after_step(&mut self, driver: &SoakDriver<S>) {
         self.live_high_water = self
             .live_high_water
             .max(driver.live_objects() + self.live_nodes());
@@ -509,7 +482,7 @@ impl<S: JobSource> Recorder<S> for SoakBooks {
 impl SoakBooks {
     /// Ends MSER calibration: picks the truncation over the pooled response
     /// series and retro-records the kept suffix in completion order.
-    fn resolve_calibration(&mut self) {
+    fn resolve_calibration<S>(&mut self, driver: &mut SoakDriver<S>) {
         let Some((_, buffer)) = self.calibrating.take() else {
             return;
         };
@@ -517,15 +490,15 @@ impl SoakBooks {
         let truncate = mser_truncation(&responses);
         self.warmup_jobs += truncate as u64;
         for obs in &buffer[truncate..] {
-            self.measure(obs);
+            self.measure(driver, obs);
         }
     }
 
-    /// Folds one measured completion into the lifetime statistics and the
-    /// open window.
-    fn measure(&mut self, obs: &CompletionObs) {
-        let slos = self.slos.as_deref();
-        self.lifetime[obs.class].record(obs, slos);
+    /// Folds one measured completion into the driver's lifetime books and
+    /// the open window.
+    fn measure<S>(&mut self, driver: &mut SoakDriver<S>, obs: &CompletionObs) {
+        driver.record(obs);
+        let slos = driver.slos.as_deref();
         let w = &mut self.window[obs.class];
         w.response.push(obs.response);
         w.drop_fraction.push(obs.drop_fraction);
@@ -535,7 +508,6 @@ impl SoakBooks {
         }
         self.window_end_secs = obs.completed_at_secs;
         self.window_count += 1;
-        self.measured += 1;
     }
 
     /// Closes as many full windows as the measured count warrants. The
@@ -584,13 +556,11 @@ impl SoakBooks {
         self.window_start_secs = self.window_end_secs;
     }
 
-    /// Live measurement-side objects: sketch nodes (lifetime + open window),
-    /// the calibration buffer, and the closed windows' scalar rows.
+    /// Live window-side objects: the open window's sketch nodes, the
+    /// calibration buffer, and the closed windows' scalar rows.
     fn live_nodes(&self) -> usize {
-        let lifetime: usize = self.lifetime.iter().map(MultiClassStats::live_nodes).sum();
         let window: usize = self.window.iter().map(|c| c.response.live_nodes()).sum();
-        lifetime
-            + window
+        window
             + self.calibrating.as_ref().map_or(0, |(_, b)| b.len())
             + self.windows.len() * (1 + self.window.len())
     }

@@ -91,41 +91,20 @@ pub fn paper_sweep_matches_sequential(s: &Scenario) -> Result<(), String> {
 /// A soak at batch 1 under a fixed arrival warm-up runs the closed run's
 /// operation sequence: engine-side totals and the per-class energy split bit
 /// for bit, per-class counts exact, means to summation order, p95 inside the
-/// sketch's ε rank bracket. The soak keeps every per-class number in its
-/// `per_class`, none in `totals`, and its energy split is lossless:
-/// `idle + Σ per-class active == total` to 1e-9 relative. Returns the closed
+/// sketch's ε rank bracket. The soak keeps one lifetime book per class in
+/// `totals.per_class`, and its energy split is lossless. Returns the closed
 /// run's report.
 pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
     let exact = s.multi().run().map_err(|e| e.to_string())?;
     let soak = s.clone().with(|s| s.batch = 1).soak().run();
     let soak = soak.map_err(|e| e.to_string())?;
-    let engine_side = |r: &MultiJobReport| {
-        let totals = [
-            r.horizon_secs,
-            r.energy_joules,
-            r.idle_energy_joules,
-            r.wasted_work_secs,
-            r.total_work_secs,
-            r.busy_slot_secs,
-            r.utilization,
-            r.sprint_budget_spent_j,
-            r.sprint_budget_replenished_j,
-            r.sprint_budget_remaining_j,
-            r.failure_lost_work_secs,
-        ];
-        let counts = [r.evictions, r.failure_evictions, r.capacity_changes];
-        (totals.map(f64::to_bits), counts)
-    };
     prop_assert_eq!(engine_side(&soak.totals), engine_side(&exact));
-    prop_assert!(soak.totals.per_class.is_empty(), "soak totals per class");
+    prop_assert_eq!(soak.totals.per_class.len(), exact.per_class.len());
     prop_assert_eq!(
         energy_split(&soak.per_class),
         energy_split(&exact.per_class)
     );
-    let t = &soak.totals;
-    let active: f64 = soak.per_class.iter().map(|c| c.active_energy_joules).sum();
-    let rel = (t.idle_energy_joules + active - t.energy_joules).abs() / t.energy_joules;
-    prop_assert!(rel < 1e-9, "energy split off by {}", rel);
+    energy_split_is_lossless(&soak.totals)?;
     let measured: u64 = exact.per_class.iter().map(|c| c.completed).sum();
     prop_assert_eq!(soak.measured_jobs, measured);
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
@@ -162,6 +141,35 @@ pub fn soak_matches_closed(s: &Scenario) -> Result<MultiJobReport, String> {
         );
     }
     Ok(exact)
+}
+
+/// The bits of a report's engine-side totals and its counts.
+fn engine_side<B: SampleStats>(r: &MultiJobReport<B>) -> ([u64; 11], [u64; 4]) {
+    let totals = [
+        r.horizon_secs,
+        r.energy_joules,
+        r.idle_energy_joules,
+        r.wasted_work_secs,
+        r.total_work_secs,
+        r.busy_slot_secs,
+        r.utilization,
+        r.sprint_budget_spent_j,
+        r.sprint_budget_replenished_j,
+        r.sprint_budget_remaining_j,
+        r.failure_lost_work_secs,
+    ];
+    let slots = r.slots as u64;
+    let counts = [r.evictions, r.failure_evictions, r.capacity_changes, slots];
+    (totals.map(f64::to_bits), counts)
+}
+
+/// `idle + Σ per-class active == energy_joules` to 1e-9 relative: the
+/// per-class energy split loses nothing.
+fn energy_split_is_lossless<B: SampleStats>(r: &MultiJobReport<B>) -> Result<(), String> {
+    let active: f64 = r.per_class.iter().map(|c| c.active_energy_joules).sum();
+    let rel = (r.idle_energy_joules + active - r.energy_joules).abs() / r.energy_joules;
+    prop_assert!(rel < 1e-9, "energy split off by {}", rel);
+    Ok(())
 }
 
 /// A class's means of `response` and of every optional series, `None` for a
@@ -211,7 +219,7 @@ pub fn soak_reruns_are_deterministic(s: &Scenario) -> Result<(), String> {
 }
 
 /// A one-shard federation whose window reaches the end of the source is the
-/// closed run, bit for bit.
+/// closed run, bit for bit, in its shard report and in its merged totals.
 pub fn single_shard_matches_closed(s: &Scenario) -> Result<(), String> {
     let whole = s
         .clone()
@@ -230,6 +238,7 @@ pub fn single_shard_matches_closed(s: &Scenario) -> Result<(), String> {
         fed.shards[0] == mono,
         "1-shard fleet diverged from the closed run"
     );
+    prop_assert!(fed.totals == mono, "1-shard fleet totals differ");
     let fleet = [fed.horizon_secs, fed.energy_joules, fed.utilization].map(f64::to_bits);
     let closed = [mono.horizon_secs, mono.energy_joules, mono.utilization].map(f64::to_bits);
     prop_assert_eq!(fleet, closed);
@@ -263,7 +272,9 @@ pub fn fleet_is_deterministic(
 
 /// A fleet's books balance: every arrival is routed and delivered, the
 /// shards' sprint spend sums to the fleet's bit for bit, a limited budget
-/// is never overspent, and the epoch log never runs backwards.
+/// is never overspent, the fleet's energy split is lossless, its
+/// utilization is its busy slot-seconds over the latest horizon times every
+/// shard's slots, and the epoch log never runs backwards.
 pub fn fleet_books_balance(
     s: &Scenario,
     report: &FederationReport,
@@ -274,6 +285,13 @@ pub fn fleet_books_balance(
     prop_assert_eq!(
         shard_spent.to_bits(),
         report.sprint_budget_spent_j.to_bits()
+    );
+    energy_split_is_lossless(&report.totals)?;
+    let slots: usize = FLEET.iter().map(|&w| w * s.cluster.cores_per_worker).sum();
+    let capacity = report.horizon_secs * slots as f64;
+    prop_assert_eq!(
+        report.utilization.to_bits(),
+        (report.busy_slot_secs / capacity).to_bits()
     );
     if let Some(SprintBudget::Limited { initial_j, .. }) = s.sprint.as_ref().map(|p| p.budget) {
         let books = initial_j + report.sprint_budget_replenished_j + 1e-6;
@@ -345,7 +363,7 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
         default.multi().run().map_err(err)?,
         all.multi().run().map_err(err)?,
     );
-    recorded_on_request(&[d], &[a])?;
+    recorded_on_request(&d, &a)?;
 
     let (d, a) = (default.experiment().run(), all.experiment().run());
     let (d, a) = (d.map_err(err)?, a.map_err(err)?);
@@ -360,14 +378,13 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
     for batch in [1, 16] {
         let soak = |s: &Scenario| s.clone().with(|s| s.batch = batch).soak().run();
         let (d, a) = (soak(&default).map_err(err)?, soak(&all).map_err(err)?);
-        presence(&d.per_class, false)?;
-        presence(&a.per_class, true)?;
-        let bare_soak = SoakReport {
-            per_class: a.per_class.iter().map(bare).collect(),
+        recorded_on_request(&d.totals, &a.totals)?;
+        let rest = SoakReport {
+            totals: d.totals.clone(),
             live_high_water: d.live_high_water,
             ..a.clone()
         };
-        prop_assert!(bare_soak.same_simulation(&d), "soak at batch {}", batch);
+        prop_assert!(rest.same_simulation(&d), "soak at batch {}", batch);
         prop_assert!(d.live_high_water <= a.live_high_water);
     }
 
@@ -381,17 +398,11 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
         };
         let (d, a) = (fleet(Series::default())?, fleet(Series::ALL)?);
         prop_assert_eq!(d.shards.len(), workers.len());
-        recorded_on_request(&d.shards, &a.shards)?;
-        presence(&d.per_class, false)?;
-        presence(&a.per_class, true)?;
-        let per_class: Vec<_> = a.per_class.iter().map(bare).collect();
-        prop_assert!(d.per_class == per_class, "fleet merge of {:?}", workers);
-        let totals = |r: &FederationReport| FederationReport {
-            shards: Vec::new(),
-            per_class: Vec::new(),
-            ..r.clone()
-        };
-        prop_assert!(totals(&d) == totals(&a), "fleet totals of {:?}", workers);
+        prop_assert_eq!(&d.routed_jobs, &a.routed_jobs);
+        recorded_on_request(&d.totals, &a.totals)?;
+        for (d, a) in d.shards.iter().zip(&a.shards) {
+            recorded_on_request(d, a)?;
+        }
     }
 
     let t = s.thetas.clone().unwrap_or_else(|| vec![0.0; 2]);
@@ -401,7 +412,10 @@ pub fn series_are_recorded_on_request(s: &Scenario) -> Result<(), String> {
     };
     let ((d, _), (a, _)) = (branch(&default)?, branch(&all)?);
     for p in 0..grid.len() {
-        recorded_on_request(d.point(p), a.point(p))?;
+        prop_assert_eq!(d.point(p).len(), a.point(p).len());
+        for (d, a) in d.point(p).iter().zip(a.point(p)) {
+            recorded_on_request(d, a)?;
+        }
     }
     Ok(())
 }
@@ -430,19 +444,19 @@ fn presence<B: SampleStats>(classes: &[MultiClassStats<B>], all: bool) -> Result
     Ok(())
 }
 
-/// Default-series reports `d` hold no optional series, `Series::ALL`
-/// reports `a` hold all of them, and each `a` without them is its `d`.
-fn recorded_on_request(d: &[MultiJobReport], a: &[MultiJobReport]) -> Result<(), String> {
-    prop_assert_eq!(d.len(), a.len());
-    for (d, a) in d.iter().zip(a) {
-        presence(&d.per_class, false)?;
-        presence(&a.per_class, true)?;
-        let bare_a = MultiJobReport {
-            per_class: a.per_class.iter().map(bare).collect(),
-            ..a.clone()
-        };
-        prop_assert!(bare_a == *d, "recording a series changed the run");
-    }
+/// The default-series report `d` holds no optional series, the
+/// `Series::ALL` report `a` holds all of them, and `a` without them is `d`.
+fn recorded_on_request<B: SampleStats>(
+    d: &MultiJobReport<B>,
+    a: &MultiJobReport<B>,
+) -> Result<(), String> {
+    presence(&d.per_class, false)?;
+    presence(&a.per_class, true)?;
+    let bare_a = MultiJobReport {
+        per_class: a.per_class.iter().map(bare).collect(),
+        ..a.clone()
+    };
+    prop_assert!(bare_a == *d, "recording a series changed the run");
     Ok(())
 }
 

@@ -1259,31 +1259,36 @@ impl ClusterSim {
                 tasks_left,
             });
         }
-        // Stage complete: shuffle to the next stage or finish the job.
+        Ok(self
+            .leave_stage(key, stage)
+            .unwrap_or(EngineEvent::StageFinished { job, stage }))
+    }
+
+    /// Leaves stage `stage` of run `key`, completed or dropped whole: starts
+    /// the shuffle into the next stage, or finishes the job after the last
+    /// one and returns its `JobFinished`.
+    fn leave_stage(&mut self, key: usize, stage: usize) -> Option<EngineEvent> {
+        let time = self.state.time;
         let run = self.state.runs.get_mut(key);
-        let total_stages = run.work.stage_tasks.len();
-        if stage + 1 < total_stages {
-            let shuffle = run.work.shuffle_secs[stage];
-            let freq = run.freq;
-            let handle = self.state.queue.push(
-                self.state.time + shuffle / speed,
-                Internal::SerialDone { run: key },
-            );
-            let run = self.state.runs.get_mut(key);
-            run.phase = Phase::Serial {
-                is_setup: false,
-                next_stage: stage + 1,
-                work_left: shuffle,
-                since: self.state.time,
-                handle,
-            };
-            self.state
-                .meter
-                .update_ledger(self.state.time, key, job, 1, freq);
-            Ok(EngineEvent::StageFinished { job, stage })
-        } else {
-            Ok(self.finish_job(key))
+        if stage + 1 >= run.work.stage_tasks.len() {
+            return Some(self.finish_job(key));
         }
+        let (job, freq) = (run.work.job, run.freq);
+        let speed = self.spec.speed_at(freq) / run.slow;
+        let shuffle = run.work.shuffle_secs[stage];
+        let handle = self
+            .state
+            .queue
+            .push(time + shuffle / speed, Internal::SerialDone { run: key });
+        run.phase = Phase::Serial {
+            is_setup: false,
+            next_stage: stage + 1,
+            work_left: shuffle,
+            since: time,
+            handle,
+        };
+        self.state.meter.update_ledger(time, key, job, 1, freq);
+        None
     }
 
     /// Begins stage `stage` of run `key`; returns `Some(JobFinished)` if the
@@ -1298,27 +1303,11 @@ impl ClusterSim {
         if stage >= run.work.stage_tasks.len() {
             return Some(self.finish_job(key));
         }
-        let tasks = &run.work.stage_tasks[stage];
-        if tasks.is_empty() {
+        if run.work.stage_tasks[stage].is_empty() {
             // Entire stage dropped: move straight through its shuffle or finish.
-            if stage + 1 < run.work.stage_tasks.len() {
-                let shuffle = run.work.shuffle_secs[stage];
-                let handle = self
-                    .state
-                    .queue
-                    .push(time + shuffle / speed, Internal::SerialDone { run: key });
-                run.phase = Phase::Serial {
-                    is_setup: false,
-                    next_stage: stage + 1,
-                    work_left: shuffle,
-                    since: time,
-                    handle,
-                };
-                self.state.meter.update_ledger(time, key, job, 1, freq);
-                return None;
-            }
-            return Some(self.finish_job(key));
+            return self.leave_stage(key, stage);
         }
+        let tasks = &run.work.stage_tasks[stage];
         let first_wave = &tasks[..tasks.len().min(slots)];
         let running: Vec<RunningTask> = first_wave
             .iter()
