@@ -653,10 +653,13 @@ impl<S: JobSource> FederationExperiment<S> {
             routed_jobs: Vec::with_capacity(drivers.len()),
         };
         for shard in drivers {
-            let closed = shard.driver.finalize();
-            report.totals.merge(&closed);
-            report.shards.push(closed);
             report.routed_jobs.push(shard.routed);
+            report.shards.push(shard.driver.finalize());
+        }
+        // Merge once every shard driver is gone, so the fleet's sets do not
+        // grow while the engines still hold their memory.
+        for shard in &report.shards {
+            report.totals.merge(shard);
         }
         Ok((report, log))
     }
